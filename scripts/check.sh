@@ -30,6 +30,8 @@
 #                               #   differential tests, then a serve run
 #                               #   whose heat.kernel block must show the
 #                               #   per-level dedup actually collapsing
+#   scripts/check.sh bench      # + hbbench build against src/ and its
+#                               #   two smoke tests
 #   scripts/check.sh all        # all of the above
 #
 # The release pass is the acceptance gate every change must keep green;
@@ -61,11 +63,26 @@ run_tsan() {
   cmake --preset tsan >/dev/null
   # Only the concurrent suites matter under TSan; building just those
   # targets keeps the pass affordable on small machines.
-  cmake --build --preset tsan -j "$jobs" --target serve_stress_test \
-      serve_shard_stress_test serve_fault_test serve_workload_test \
-      admission_queue_test metrics_test trace_export_test heat_test \
-      levelwise_pipeline_test gapped_leaf_diff_test
-  (cd build-tsan && ctest -R 'serve_(stress|shard_stress|fault|workload)_test|admission_queue_test|metrics_test|trace_export_test|heat_test|levelwise_pipeline_test|gapped_leaf_diff_test' --output-on-failure)
+  # Each target registers one ctest of the same name.
+  local targets=(serve_stress_test serve_shard_stress_test serve_fault_test
+                 serve_workload_test admission_queue_test metrics_test
+                 trace_export_test heat_test levelwise_pipeline_test
+                 gapped_leaf_diff_test)
+  cmake --build --preset tsan -j "$jobs" --target "${targets[@]}"
+  local regex
+  regex="^($(IFS='|'; echo "${targets[*]}"))\$"
+  (cd build-tsan && ctest -R "$regex" --output-on-failure)
+}
+
+run_bench() {
+  echo "==> hbbench build + smoke"
+  # hbbench is a CMake project of its own that compiles against src/
+  # outside the tier-1 build, so a library API change (ServerOptions,
+  # ServeStats, ...) would otherwise break the benchmark unseen.
+  cmake -S hbbench -B build-hbbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build-hbbench -j "$jobs"
+  ctest --test-dir build-hbbench -R '^hbbench(_traced)?_smoke$' \
+      --output-on-failure
 }
 
 run_shard() {
@@ -298,8 +315,9 @@ case "$mode" in
   qos)     run_release; run_qos ;;
   heat)    run_release; run_heat ;;
   fastpath) run_release; run_fastpath ;;
-  all)     run_release; run_asan; run_tsan; run_fault; run_obs; run_shard; run_regress; run_workloads; run_qos; run_heat; run_fastpath ;;
-  *) echo "usage: scripts/check.sh [release|asan|tsan|fault|obs|shard|regress|workloads|qos|heat|fastpath|all]" >&2; exit 2 ;;
+  bench)   run_release; run_bench ;;
+  all)     run_release; run_asan; run_tsan; run_fault; run_obs; run_shard; run_regress; run_workloads; run_qos; run_heat; run_fastpath; run_bench ;;
+  *) echo "usage: scripts/check.sh [release|asan|tsan|fault|obs|shard|regress|workloads|qos|heat|fastpath|bench|all]" >&2; exit 2 ;;
 esac
 
 echo "==> all requested checks passed"

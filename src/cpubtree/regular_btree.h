@@ -687,13 +687,15 @@ bool RegularBTree<K>::SpillIntoGap(NodeRef last_inner, int line,
 
   // Separator discipline: the leaf's last live line carries the node's
   // external bound as its separator (the pin; kMax on the rightmost
-  // spine). If the re-flowed range covers that line, the range's new last
-  // line (hi) inherits the pin; otherwise keys[hi] is a mid-leaf bound
-  // the content still respects and must stay put. Both cases reduce to
-  // "restore keys[hi]" with the right value.
-  const int old_last = LastLiveLine(leaf);
-  HBTREE_DCHECK(old_last >= line);  // search never selects past the pin
-  const K end_sep = old_last <= hi ? hot.keys[old_last] : hot.keys[hi];
+  // spine). If hi lies at or before the last live line, keys[hi] is a
+  // bound (or the pin) the content still respects and must stay put. If
+  // hi is a gap past it, its separator is stale — the pin it kept when
+  // deletes emptied it, or kMax if it never held pairs — and the
+  // re-flowed range becomes the leaf's last live line, which takes the
+  // pin. The minimum covers both; copying a lower line's separator onto
+  // hi instead would leave the keys between it and the pin with no line.
+  HBTREE_DCHECK(LastLiveLine(leaf) >= line);  // search never passes the pin
+  const K end_sep = std::min(hot.keys[hi], leaf.info.upper_bound);
 
   // Gather the range's pairs plus the new one (sorted by construction).
   KeyValue<K> buf[kLeafCap + 1];

@@ -50,10 +50,6 @@ struct LatencySummary {
 /// reporting. Record() is wait-free (one relaxed fetch_add plus a CAS
 /// loop for the running maximum) so every serving thread can record into
 /// the same histogram without contention on a lock.
-///
-/// Lived in src/serve/ until the observability layer needed the same
-/// structure for generic metric histograms; serve/latency_histogram.h
-/// now aliases this type.
 class LatencyHistogram {
  public:
   static constexpr int kSubBits = 2;               // 4 sub-buckets/octave

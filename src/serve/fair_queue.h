@@ -10,10 +10,16 @@
 #include <utility>
 #include <vector>
 
-#include "serve/admission_queue.h"
 #include "serve/tenant.h"
 
 namespace hbtree::serve {
+
+/// Outcome of a deadline-bounded admission attempt.
+enum class PushResult {
+  kOk,       // admitted
+  kClosed,   // queue closed (server shutting down)
+  kTimeout,  // not admitted by the deadline: the request is shed at the door
+};
 
 /// Per-lane scheduling contract of a FairAdmissionQueue (one lane per
 /// tenant; see TenantSpec::weight / TenantSpec::shed_on_full for the
@@ -25,7 +31,15 @@ struct LaneConfig {
 
 /// Weighted-fair multi-tenant admission queue: one bounded FIFO lane per
 /// tenant, batch consumption by deficit round-robin over the lane
-/// weights.
+/// weights. A one-lane queue is a plain bounded FIFO.
+///
+/// Producers (client threads) block in Push() while their lane is full —
+/// the serving layer's backpressure: admission slows to the rate the
+/// pipeline drains buckets instead of queueing unboundedly. Consumers
+/// (batcher threads; a shard may run several read workers against one
+/// queue) pop up to a bucket's worth of operations at once, waiting
+/// briefly for a partial bucket to fill so light load still ships with
+/// bounded added latency. Every push notifies one consumer.
 ///
 /// Isolation properties (the whole point versus a single FIFO):
 ///  * A tenant that floods its lane fills only its own bounded lane —
@@ -45,18 +59,22 @@ struct LaneConfig {
 /// the deadline — open-loop (paced) sources keep their offered rate and
 /// absorb the loss themselves; blocking lanes keep the pre-QoS
 /// backpressure contract. An already-expired deadline sheds immediately
-/// in either mode (same rule as AdmissionQueue::PushUntil).
+/// in either mode: admitting it would only waste a bucket slot on a
+/// request that must resolve kDeadlineExceeded anyway, and the
+/// condition-variable wait must not run at all (wait_until with a past
+/// deadline still checks the predicate, which would ADMIT the expired
+/// request whenever the lane has space).
 ///
 /// Thread-safety: all operations are guarded by one mutex; any number of
-/// producers and batch consumers may run concurrently. Like
-/// AdmissionQueue::PopBatch, the consumer wakes blocked producers every
-/// time it drains items so small lane capacities cannot livelock a
-/// batch fill.
+/// producers and batch consumers may run concurrently. The consumer
+/// wakes blocked producers every time it drains items, so small lane
+/// capacities cannot livelock a batch fill.
 template <typename T>
 class FairAdmissionQueue {
  public:
-  /// `lane_capacity` bounds every lane independently (clamped to >= 1);
-  /// at least one lane is always configured.
+  /// `lane_capacity` bounds every lane independently (clamped to >= 1: a
+  /// zero capacity would make every Push() wait forever); at least one
+  /// lane is always configured.
   FairAdmissionQueue(std::size_t lane_capacity,
                      std::vector<LaneConfig> lanes)
       : capacity_(lane_capacity == 0 ? 1 : lane_capacity),
@@ -76,7 +94,8 @@ class FairAdmissionQueue {
   std::size_t num_lanes() const { return lanes_.size(); }
 
   /// Blocking admission into `lane` (no deadline): waits for lane space,
-  /// false when closed.
+  /// false when closed. `item` is moved from only when admitted, so the
+  /// caller can still reject it (resolve its promise) on failure.
   bool Push(std::size_t lane, T&& item) {
     Lane& l = lanes_[lane];
     std::unique_lock<std::mutex> lock(mutex_);
@@ -91,7 +110,8 @@ class FairAdmissionQueue {
 
   /// Deadline-bounded admission. kTimeout means shed at the door: the
   /// deadline already passed, the lane stayed full until the deadline,
-  /// or the lane is full and configured shed_on_full.
+  /// or the lane is full and configured shed_on_full. On kClosed and
+  /// kTimeout `item` is left untouched.
   PushResult PushUntil(std::size_t lane, T&& item,
                        std::chrono::steady_clock::time_point deadline) {
     if (std::chrono::steady_clock::now() >= deadline) {
@@ -115,10 +135,10 @@ class FairAdmissionQueue {
   }
 
   /// Pops up to `max` items into `out` (appended) by deficit
-  /// round-robin over the lanes. Same windowing contract as
-  /// AdmissionQueue::PopBatch: waits up to `idle_wait` for the first
+  /// round-robin over the lanes. Waits up to `idle_wait` for the first
   /// item, then keeps collecting until `max` items or `fill_wait` has
-  /// elapsed. Returns the number popped.
+  /// elapsed since the first item — the bucket-fill window. Returns the
+  /// number popped (0 on timeout or when closed and drained).
   std::size_t PopBatch(std::vector<T>* out, std::size_t max,
                        std::chrono::microseconds idle_wait,
                        std::chrono::microseconds fill_wait) {

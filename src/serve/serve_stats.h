@@ -5,8 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/histogram.h"
 #include "obs/slo.h"
-#include "serve/latency_histogram.h"
 #include "serve/tenant.h"
 
 namespace hbtree::serve {
@@ -24,7 +24,7 @@ struct TenantServeStats {
   std::uint64_t updates = 0;
   std::uint64_t shed_reads = 0;
   std::uint64_t shed_updates = 0;
-  LatencySummary read_latency;
+  obs::LatencySummary read_latency;
 
   std::uint64_t served() const { return lookups + ranges + updates; }
   std::uint64_t shed() const { return shed_reads + shed_updates; }
@@ -58,11 +58,11 @@ struct ServeStats {
   double avg_bucket_fill = 0;        // lookups per dispatched bucket
 
   // Wall-clock latency percentiles.
-  LatencySummary read_latency;
-  LatencySummary update_latency;
+  obs::LatencySummary read_latency;
+  obs::LatencySummary update_latency;
   // Admission-queue wait (push to dispatch) across all shards; per-shard
   // distributions live in the registry as serve.shard<N>.queue_wait.
-  LatencySummary queue_wait;
+  obs::LatencySummary queue_wait;
 
   // Throughput over the server's lifetime so far.
   double wall_seconds = 0;

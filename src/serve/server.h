@@ -33,12 +33,11 @@
 #include "hybrid/bucket_pipeline.h"
 #include "hybrid/hb_regular.h"
 #include "obs/heat.h"
+#include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
-#include "serve/admission_queue.h"
 #include "serve/fair_queue.h"
-#include "serve/latency_histogram.h"
 #include "serve/serve_stats.h"
 #include "serve/snapshot.h"
 #include "serve/tenant.h"
@@ -115,6 +114,44 @@ inline std::vector<obs::SloSpec> TenantServeSlos(
   return slos;
 }
 
+// -- Fixed serving policy ---------------------------------------------------
+
+/// Batch-update method (Section 5.6). Asynchronous-parallel matches the
+/// epoch-swap design: the whole batch lands in main memory, then one
+/// bulk I-segment sync.
+inline constexpr UpdateMethod kUpdateMethod = UpdateMethod::kAsyncParallel;
+
+/// Scheduling niceness applied to read dispatch workers (Linux only).
+/// Read workers chew through deep asynchronous client windows —
+/// thousands of lookups in flight absorb a few extra milliseconds of
+/// dispatch delay without any op noticing — while every millisecond the
+/// update committer is preempted accrues on the wall latency of every
+/// update queued behind the commit. On hosts with fewer cores than
+/// serving threads, giving the bulk read dispatchers a small positive
+/// nice keeps the commit path scheduled; raising one's own niceness
+/// needs no privilege.
+inline constexpr int kReadWorkerNice = 2;
+
+/// How long a batcher waits for a partial bucket/batch to fill before
+/// shipping it — the added latency bound under light load. Read workers
+/// scale this window by num_shards: a shard sees ~1/N of the aggregate
+/// arrival rate, so holding the window fixed would shrink bucket fill
+/// by N and let the per-bucket kernel/transfer setup cost dominate.
+/// Scaling keeps the expected fill (and the fixed-cost share per op)
+/// constant while the wait stays at the single-shard dispatch interval.
+inline constexpr std::chrono::microseconds kMaxBatchDelay{200};
+
+/// Software-pipelining depth for the CPU-only degraded path (16 is the
+/// paper's optimum, Figure 7).
+inline constexpr int kCpuFallbackDepth = 16;
+
+/// Adaptive bucket controller streaks (see ServerOptions::
+/// adapt_min_bucket): consecutive half-empty (or deadline-tight) windows
+/// before a shrink, and consecutive full windows before growing back
+/// toward the configured M.
+inline constexpr int kAdaptShrinkAfter = 4;
+inline constexpr int kAdaptGrowAfter = 2;
+
 /// Serving-layer tuning knobs.
 struct ServerOptions {
   /// Simulated platform each tree instance runs against (every snapshot
@@ -160,11 +197,9 @@ struct ServerOptions {
   /// memory, which Create() validates up front.
   int num_read_workers = 1;
 
-  /// Batch-update configuration and method (Section 5.6). The default
-  /// asynchronous-parallel method matches the epoch-swap design: the
-  /// whole batch lands in main memory, then one bulk I-segment sync.
+  /// Batch-update configuration (Section 5.6; the method is
+  /// kUpdateMethod).
   BatchUpdateConfig update;
-  UpdateMethod update_method = UpdateMethod::kAsyncParallel;
 
   /// Tree build configuration. Leaf slack keeps most online inserts
   /// non-structural, as the paper's update analysis assumes — and it
@@ -187,26 +222,6 @@ struct ServerOptions {
   /// shortens the commit span an admitted update can sit behind.
   int update_batch_size = 4 * 1024;
 
-  /// Scheduling niceness applied to read dispatch workers (Linux only;
-  /// 0 disables). Read workers chew through deep asynchronous client
-  /// windows — thousands of lookups in flight absorb a few extra
-  /// milliseconds of dispatch delay without any op noticing — while
-  /// every millisecond the update committer is preempted accrues on the
-  /// wall latency of every update queued behind the commit. On hosts
-  /// with fewer cores than serving threads, giving the bulk read
-  /// dispatchers a small positive nice keeps the commit path scheduled;
-  /// raising one's own niceness needs no privilege.
-  int read_worker_nice = 2;
-
-  /// How long a batcher waits for a partial bucket/batch to fill before
-  /// shipping it — the added latency bound under light load. Read workers
-  /// scale this window by num_shards: a shard sees ~1/N of the aggregate
-  /// arrival rate, so holding the window fixed would shrink bucket fill
-  /// by N and let the per-bucket kernel/transfer setup cost dominate.
-  /// Scaling keeps the expected fill (and the fixed-cost share per op)
-  /// constant while the wait stays at the single-shard dispatch interval.
-  std::chrono::microseconds max_batch_delay{200};
-
   // -- Observability -------------------------------------------------------
 
   /// When positive, a background reporter thread collects
@@ -222,21 +237,6 @@ struct ServerOptions {
   /// disable tracking.
   std::vector<obs::SloSpec> slos = DefaultServeSlos();
 
-  /// Keyspace-heat sketch shape (see obs::KeyRangeSketch): bins per
-  /// shard, and records between automatic count halvings. The default
-  /// decay cadence is high enough that bounded bench runs never decay
-  /// (keeping shard-merge reconciliation exact).
-  int heat_fanout = 64;
-  std::uint64_t heat_decay_every = 1ull << 22;
-  /// Merged hot-range report shape (see obs::MergeSketches): entries in
-  /// the top-K, and the hot flag's multiple over the uniform per-bin
-  /// expectation.
-  int heat_top_k = 32;
-  double heat_hot_factor = 4.0;
-  /// Segment-temperature classification thresholds (see
-  /// obs::SegmentTemperature), applied per reporter epoch.
-  obs::SegmentTemperature::Options heat_temperature;
-
   // -- Fault tolerance ----------------------------------------------------
 
   /// Fault-injection policy armed on each snapshot slot's device after a
@@ -251,10 +251,6 @@ struct ServerOptions {
   /// if stale, then one pipelined bucket); a successful probe closes the
   /// breaker.
   int breaker_probe_interval = 4;
-
-  /// Software-pipelining depth for the CPU-only degraded path (16 is the
-  /// paper's optimum, Figure 7).
-  int cpu_fallback_depth = 16;
 
   /// Default per-request deadline budget; zero means no deadline. A
   /// request whose deadline passes before it is dispatched resolves with
@@ -278,16 +274,13 @@ struct ServerOptions {
   /// with backlog left behind just means a co-worker took the other
   /// half), or when a quarter of a batch is near its deadline (smaller
   /// buckets ship sooner, trading per-op fixed cost for latency), and
-  /// restores it under sustained full windows. Decisions surface as
-  /// serve.shard<N>.bucket_m / m_shrinks / m_grows and as
-  /// bucket.m_shrink / bucket.m_grow trace instants. The effective M
-  /// only ever shrinks below pipeline.bucket_size, so the bucket
-  /// buffers validated at startup always suffice.
-  bool adaptive_bucket = true;
-  /// Consecutive half-empty (or deadline-tight) windows before a shrink.
-  int adapt_shrink_after = 4;
-  /// Consecutive full windows before growing back toward the configured M.
-  int adapt_grow_after = 2;
+  /// restores it under sustained full windows (streaks kAdaptShrinkAfter
+  /// / kAdaptGrowAfter). Decisions surface as serve.shard<N>.bucket_m /
+  /// m_shrinks / m_grows and as bucket.m_shrink / bucket.m_grow trace
+  /// instants. The effective M only ever shrinks below
+  /// pipeline.bucket_size, so the bucket buffers validated at startup
+  /// always suffice.
+  ///
   /// Smallest effective M the controller may reach; 0 derives
   /// max(min_sub_bucket, bucket_size/16), clamped to bucket_size.
   int adapt_min_bucket = 0;
@@ -395,7 +388,7 @@ class Server {
     op.key = key;
     op.max_matches = 0;
     op.tenant = tenant;
-    return AdmitRead(std::move(op), deadline);
+    return Admit(std::move(op), deadline);
   }
 
   /// Admits a range query for up to `max_matches` pairs with key >= key.
@@ -410,13 +403,10 @@ class Server {
     op.tenant = tenant;
     if (max_matches <= 0) {
       std::future<ReadResult<K>> result = op.done.get_future();
-      ReadResult<K> rejected;
-      rejected.status =
-          Status::InvalidArgument("range max_matches must be positive");
-      op.done.set_value(std::move(rejected));
+      Reject(op, Status::InvalidArgument("range max_matches must be positive"));
       return result;
     }
-    return AdmitRead(std::move(op), deadline);
+    return Admit(std::move(op), deadline);
   }
 
   /// Admits an update. On success the future carries the sequence number
@@ -429,49 +419,7 @@ class Server {
     UpdateOp op;
     op.query = update;
     op.tenant = tenant;
-    op.admitted = Clock::now();
-    std::future<UpdateResult> result = op.done.get_future();
-    if (!ValidTenant(tenant)) {
-      op.done.set_value(UpdateResult{
-          Status::InvalidArgument("unknown tenant id"), 0});
-      return result;
-    }
-    const TenantSpec& spec = tenants_[static_cast<std::size_t>(tenant)];
-    op.priority = spec.priority;
-    const std::chrono::microseconds budget =
-        deadline.count() != 0 ? deadline : options_.default_deadline;
-    if (budget.count() != 0) op.deadline = op.admitted + budget;
-    Shard& shard = *shards_[ShardFor(update.pair.key)];
-    FairAdmissionQueue<UpdateOp>& queue = shard.update_queue;
-    const std::size_t lane = static_cast<std::size_t>(tenant);
-    const bool bounded = op.deadline != Clock::time_point::max();
-    if (bounded || spec.shed_on_full) {
-      // A shed_on_full tenant without a deadline still takes the bounded
-      // path: PushUntil sheds immediately on a full lane and otherwise
-      // admits without waiting, so the far-out limit is never waited on.
-      const Clock::time_point limit =
-          bounded ? op.deadline : op.admitted + std::chrono::hours(1);
-      switch (queue.PushUntil(lane, std::move(op), limit)) {
-        case PushResult::kOk:
-          break;
-        case PushResult::kTimeout:
-          CountShedUpdate(shard, tenant);
-          op.done.set_value(UpdateResult{
-              Status::DeadlineExceeded("update shed at admission"), 0});
-          break;
-        case PushResult::kClosed:
-          op.done.set_value(UpdateResult{
-              Status::Unavailable("update submitted to a stopped server"),
-              0});
-          break;
-      }
-    } else if (!queue.Push(lane, std::move(op))) {
-      // Benign race with Shutdown(): reject via the future instead of
-      // aborting the process.
-      op.done.set_value(UpdateResult{
-          Status::Unavailable("update submitted to a stopped server"), 0});
-    }
-    return result;
+    return Admit(std::move(op), deadline);
   }
 
   // Blocking conveniences.
@@ -615,10 +563,7 @@ class Server {
         snaps.push_back(shard->heat_sketch->TakeSnapshot());
       }
     }
-    obs::MergeOptions merge;
-    merge.top_k = options_.heat_top_k;
-    merge.hot_factor = options_.heat_hot_factor;
-    heat.keyspace = obs::MergeSketches(snaps, merge);
+    heat.keyspace = obs::MergeSketches(snaps);
     heat.tenant_names.reserve(tenants_.size());
     for (const TenantSpec& spec : tenants_) {
       heat.tenant_names.push_back(spec.name);
@@ -792,6 +737,7 @@ class Server {
   };
 
   struct ReadOp {
+    static constexpr const char* kName = "read";
     K key;
     int max_matches = 0;  // 0 = point lookup
     TenantId tenant = 0;
@@ -802,6 +748,7 @@ class Server {
   };
 
   struct UpdateOp {
+    static constexpr const char* kName = "update";
     UpdateQuery<K> query;
     TenantId tenant = 0;
     Priority priority = Priority::kNormal;
@@ -857,7 +804,7 @@ class Server {
     obs::Counter* m_grows = nullptr;
     obs::Gauge* bucket_m = nullptr;
 
-    // Adaptive bucket controller (see ServerOptions::adaptive_bucket):
+    // Adaptive bucket controller (see ServerOptions::adapt_min_bucket):
     // shared by the shard's read workers, guarded by adapt_mutex.
     // effective_bucket is the current admission bucket M; the streaks
     // count consecutive windows voting to shrink/grow.
@@ -956,18 +903,12 @@ class Server {
         return Status::InvalidArgument("tenant name must be non-empty");
       }
     }
-    if (options_.adaptive_bucket) {
-      if (options_.adapt_shrink_after < 1 || options_.adapt_grow_after < 1) {
-        return Status::InvalidArgument(
-            "adaptive bucket streak thresholds must be >= 1");
-      }
-      adapt_floor_ = options_.adapt_min_bucket > 0
-                         ? options_.adapt_min_bucket
-                         : std::max(options_.min_sub_bucket,
-                                    options_.pipeline.bucket_size / 16);
-      adapt_floor_ =
-          std::clamp(adapt_floor_, 1, options_.pipeline.bucket_size);
-    }
+    adapt_floor_ = std::clamp(
+        options_.adapt_min_bucket > 0
+            ? options_.adapt_min_bucket
+            : std::max(options_.min_sub_bucket,
+                       options_.pipeline.bucket_size / 16),
+        1, options_.pipeline.bucket_size);
     const int num_shards = options_.num_shards;
     const std::size_t n = sorted_pairs.size();
     if (num_shards > 1) {
@@ -1057,17 +998,15 @@ class Server {
 #if HBTREE_OBS_HEAT
     // Heat state, per shard: a keyspace sketch over the shard's bootstrap
     // key range (the same split ShardFor routes by) and the pipeline-stage
-    // tracers over the modelled CPU cache hierarchy. Tenant-resolved
-    // temperature options come from the server's knobs.
+    // tracers over the modelled CPU cache hierarchy. Sketch shape and
+    // temperature thresholds are the obs defaults.
     {
       const std::uint64_t key_lo =
           n > 0 ? static_cast<std::uint64_t>(sorted_pairs.front().key) : 0;
       const std::uint64_t key_hi =
           n > 0 ? static_cast<std::uint64_t>(sorted_pairs.back().key) : 0;
       obs::KeyRangeSketch::Options sketch_options;
-      sketch_options.fanout = options_.heat_fanout;
       sketch_options.tenants = tenants_.size();
-      sketch_options.decay_every = options_.heat_decay_every;
       for (int i = 0; i < num_shards; ++i) {
         const std::uint64_t lo =
             i == 0 ? key_lo
@@ -1082,10 +1021,6 @@ class Server {
         shards_[static_cast<std::size_t>(i)]->heat_pipeline =
             std::make_unique<obs::PipelineHeat>(
                 options_.platform.cpu.cache_levels);
-        shards_[static_cast<std::size_t>(i)]->temp_inner =
-            obs::SegmentTemperature(options_.heat_temperature);
-        shards_[static_cast<std::size_t>(i)]->temp_leaf =
-            obs::SegmentTemperature(options_.heat_temperature);
       }
     }
 #endif
@@ -1166,30 +1101,50 @@ class Server {
            static_cast<std::size_t>(tenant) < tenants_.size();
   }
 
-  // Shed attribution, one call per shed op: the global counter feeds the
-  // aggregate SLO, the shard counter the imbalance view, the tenant
-  // counter the per-tenant QoS view.
-  void CountShedRead(Shard& shard, TenantId tenant) {
+  // Per-op hooks of the shared admission path: routing key, lane queue,
+  // shed attribution, and the rejected result. Shed attribution is one
+  // call per shed op: the global counter feeds the aggregate SLO, the
+  // shard counter the imbalance view, the tenant counter the per-tenant
+  // QoS view.
+  static K RoutingKey(const ReadOp& op) { return op.key; }
+  static K RoutingKey(const UpdateOp& op) { return op.query.pair.key; }
+  static FairAdmissionQueue<ReadOp>& QueueFor(Shard& shard, const ReadOp&) {
+    return shard.read_queue;
+  }
+  static FairAdmissionQueue<UpdateOp>& QueueFor(Shard& shard,
+                                                const UpdateOp&) {
+    return shard.update_queue;
+  }
+  void CountShed(Shard& shard, const ReadOp& op) {
     shed_reads_.Increment();
     shard.shed_reads->Increment();
-    tenant_metrics_[static_cast<std::size_t>(tenant)].shed_reads
+    tenant_metrics_[static_cast<std::size_t>(op.tenant)].shed_reads
         ->Increment();
   }
-  void CountShedUpdate(Shard& shard, TenantId tenant) {
+  void CountShed(Shard& shard, const UpdateOp& op) {
     shed_updates_.Increment();
     shard.shed_updates->Increment();
-    tenant_metrics_[static_cast<std::size_t>(tenant)].shed_updates
+    tenant_metrics_[static_cast<std::size_t>(op.tenant)].shed_updates
         ->Increment();
   }
+  static void Reject(ReadOp& op, Status status) {
+    ReadResult<K> rejected;
+    rejected.status = std::move(status);
+    op.done.set_value(std::move(rejected));
+  }
+  static void Reject(UpdateOp& op, Status status) {
+    op.done.set_value(UpdateResult{std::move(status), 0});
+  }
 
-  std::future<ReadResult<K>> AdmitRead(ReadOp op,
-                                       std::chrono::microseconds deadline) {
+  /// Admits a read or update op into its tenant's lane on the owning
+  /// shard, resolving its future with a typed status when it cannot be
+  /// admitted (unknown tenant, shed at the door, stopped server).
+  template <typename Op>
+  auto Admit(Op op, std::chrono::microseconds deadline) {
     op.admitted = Clock::now();
-    std::future<ReadResult<K>> result = op.done.get_future();
+    auto result = op.done.get_future();
     if (!ValidTenant(op.tenant)) {
-      ReadResult<K> rejected;
-      rejected.status = Status::InvalidArgument("unknown tenant id");
-      op.done.set_value(std::move(rejected));
+      Reject(op, Status::InvalidArgument("unknown tenant id"));
       return result;
     }
     const TenantSpec& spec = tenants_[static_cast<std::size_t>(op.tenant)];
@@ -1197,42 +1152,36 @@ class Server {
     const std::chrono::microseconds budget =
         deadline.count() != 0 ? deadline : options_.default_deadline;
     if (budget.count() != 0) op.deadline = op.admitted + budget;
-    Shard& shard = *shards_[ShardFor(op.key)];
-    FairAdmissionQueue<ReadOp>& queue = shard.read_queue;
+    Shard& shard = *shards_[ShardFor(RoutingKey(op))];
+    FairAdmissionQueue<Op>& queue = QueueFor(shard, op);
     const std::size_t lane = static_cast<std::size_t>(op.tenant);
-    const TenantId tenant = op.tenant;
     const bool bounded = op.deadline != Clock::time_point::max();
-    if (bounded || spec.shed_on_full) {
-      // shed_on_full without a deadline also routes here: PushUntil sheds
-      // a full lane immediately and admits a non-full one without
-      // waiting, so the far-out limit is never actually waited on.
-      const Clock::time_point limit =
-          bounded ? op.deadline : op.admitted + std::chrono::hours(1);
-      switch (queue.PushUntil(lane, std::move(op), limit)) {
-        case PushResult::kOk:
-          break;
-        case PushResult::kTimeout: {
-          CountShedRead(shard, tenant);
-          ReadResult<K> shed;
-          shed.status = Status::DeadlineExceeded("read shed at admission");
-          op.done.set_value(std::move(shed));
-          break;
-        }
-        case PushResult::kClosed: {
-          ReadResult<K> rejected;
-          rejected.status =
-              Status::Unavailable("read submitted to a stopped server");
-          op.done.set_value(std::move(rejected));
-          break;
-        }
-      }
-    } else if (!queue.Push(lane, std::move(op))) {
-      // Benign race with Shutdown(): reject via the future instead of
-      // aborting the process.
-      ReadResult<K> rejected;
-      rejected.status =
-          Status::Unavailable("read submitted to a stopped server");
-      op.done.set_value(std::move(rejected));
+    // shed_on_full without a deadline also takes PushUntil: it sheds a
+    // full lane immediately and admits a non-full one without waiting,
+    // so the far-out limit is never actually waited on.
+    const Clock::time_point limit =
+        bounded ? op.deadline : op.admitted + std::chrono::hours(1);
+    // Both pushes leave `op` untouched unless they admit it, so the
+    // rejection branches below still own its promise.
+    const PushResult pushed =
+        bounded || spec.shed_on_full
+            ? queue.PushUntil(lane, std::move(op), limit)
+        : queue.Push(lane, std::move(op)) ? PushResult::kOk
+                                          : PushResult::kClosed;
+    switch (pushed) {
+      case PushResult::kOk:
+        break;
+      case PushResult::kTimeout:
+        CountShed(shard, op);
+        Reject(op, Status::DeadlineExceeded(std::string(Op::kName) +
+                                            " shed at admission"));
+        break;
+      case PushResult::kClosed:
+        // Benign race with Shutdown(): reject via the future instead of
+        // aborting the process.
+        Reject(op, Status::Unavailable(std::string(Op::kName) +
+                                       " submitted to a stopped server"));
+        break;
     }
     return result;
   }
@@ -1326,7 +1275,7 @@ class Server {
         1, std::max(1, options_.pipeline_depth));
     if (depth > 1) {
       // Split the batch actually dispatched, not the configured bucket
-      // size: partial admission buckets (shipped by max_batch_delay)
+      // size: partial admission buckets (shipped by kMaxBatchDelay)
       // would otherwise fit in one sub-bucket and lose the overlap.
       const int target = static_cast<int>(
           (keys.size() + static_cast<std::size_t>(depth) - 1) /
@@ -1420,10 +1369,28 @@ class Server {
     // CPU search answers the bucket exactly — reduced throughput, same
     // results.
     PipelinedSearch(slot.tree.host_tree(), keys.data(), keys.size(),
-                    options_.cpu_fallback_depth, results->data());
+                    kCpuFallbackDepth, results->data());
     cpu_fallback_buckets_.Increment();
     cpu_fallback_lookups_.Add(keys.size());
     if (info != nullptr) info->cpu_fallback = true;
+  }
+
+  /// Scans up to `max_matches` pairs with key >= `key` from `shard`'s
+  /// pinned `slot` into `out`; returns the number found. With heat
+  /// compiled in, descent and leaf-chain touches land in the shard's
+  /// `scan` stage tracer under its heat mutex, released on return so a
+  /// scan continuing into the next shard never holds two (locks are only
+  /// ever taken in increasing shard order, so no cycle either way).
+  int ScanShard(Shard& shard, TreeSlot& slot, K key, int max_matches,
+                KeyValue<K>* out) {
+#if HBTREE_OBS_HEAT
+    std::lock_guard<std::mutex> heat_lock(shard.heat_pipeline->mu);
+    return slot.tree.host_tree().RangeScan(key, max_matches, out,
+                                           &shard.heat_pipeline->scan);
+#else
+    (void)shard;
+    return slot.tree.host_tree().RangeScan(key, max_matches, out);
+#endif
   }
 
   void ReadLoop(Shard& shard, int worker_index) {
@@ -1433,18 +1400,16 @@ class Server {
     HBTREE_TRACE_THREAD_NAME(worker_name.c_str());
     (void)worker_index;
 #if defined(__linux__)
-    // See ServerOptions::read_worker_nice: bulk dispatch yields the core
-    // to the latency-critical commit path when they contend.
-    if (options_.read_worker_nice > 0) {
-      setpriority(PRIO_PROCESS, static_cast<id_t>(syscall(SYS_gettid)),
-                  options_.read_worker_nice);
-    }
+    // See kReadWorkerNice: bulk dispatch yields the core to the
+    // latency-critical commit path when they contend.
+    setpriority(PRIO_PROCESS, static_cast<id_t>(syscall(SYS_gettid)),
+                kReadWorkerNice);
 #endif
     // Per-shard arrival rate is ~1/num_shards of the aggregate, and
     // co-workers on the same queue split that stream again; scale the
-    // fill window to match (see ServerOptions::max_batch_delay).
+    // fill window to match (see kMaxBatchDelay).
     const std::chrono::microseconds fill_wait =
-        options_.max_batch_delay *
+        kMaxBatchDelay *
         static_cast<int>(shards_.size() * options_.num_read_workers);
     std::vector<ReadOp> batch;
     std::vector<K> keys;
@@ -1483,11 +1448,9 @@ class Server {
       std::size_t tight = 0;
       for (std::size_t i = 0; i < batch.size(); ++i) {
         if (now > batch[i].deadline) {
-          CountShedRead(shard, batch[i].tenant);
-          ReadResult<K> shed;
-          shed.status =
-              Status::DeadlineExceeded("read deadline passed in queue");
-          batch[i].done.set_value(std::move(shed));
+          CountShed(shard, batch[i]);
+          Reject(batch[i],
+                 Status::DeadlineExceeded("read deadline passed in queue"));
           continue;
         }
         if (batch[i].deadline != Clock::time_point::max() &&
@@ -1502,9 +1465,8 @@ class Server {
       // ops still queued means a co-worker drained the other half (or
       // arrivals outpace this worker), not light load — only a window
       // that expired with the queue drained votes shrink.
-      const std::size_t backlog =
-          options_.adaptive_bucket ? shard.read_queue.size() : 0;
-      AdaptBucket(shard, n, bucket_size, tight, live, backlog);
+      AdaptBucket(shard, n, bucket_size, tight, live,
+                  shard.read_queue.size());
       if (batch.empty()) continue;
 
       // Queue wait (push -> dispatch), per op: the shard-imbalance
@@ -1537,12 +1499,10 @@ class Server {
         std::size_t kept = 0;
         for (std::size_t i = 0; i < batch.size(); ++i) {
           if (batch[i].priority == Priority::kLow) {
-            CountShedRead(shard, batch[i].tenant);
+            CountShed(shard, batch[i]);
             degraded_sheds_.Increment();
-            ReadResult<K> shed;
-            shed.status = Status::Unavailable(
-                "low-priority read shed in degraded mode");
-            batch[i].done.set_value(std::move(shed));
+            Reject(batch[i], Status::Unavailable(
+                                 "low-priority read shed in degraded mode"));
             continue;
           }
           if (kept != i) batch[kept] = std::move(batch[i]);
@@ -1599,38 +1559,16 @@ class Server {
           // shard's range continues into the next shard's snapshot,
           // pinned as it enters (per-shard consistency; see class docs).
           out[i].range.resize(batch[i].max_matches);
-          int matched;
-#if HBTREE_OBS_HEAT
-          // Traced scan: descent and leaf-chain touches land in the
-          // shard's `scan` stage tracer. The heat mutex is released
-          // before continuing into the next shard (locks are only ever
-          // taken in increasing shard order, so no cycle).
-          {
-            std::lock_guard<std::mutex> heat_lock(shard.heat_pipeline->mu);
-            matched = slot.tree.host_tree().RangeScan(
-                batch[i].key, batch[i].max_matches, out[i].range.data(),
-                &shard.heat_pipeline->scan);
-          }
-#else
-          matched = slot.tree.host_tree().RangeScan(
-              batch[i].key, batch[i].max_matches, out[i].range.data());
-#endif
+          int matched = ScanShard(shard, slot, batch[i].key,
+                                  batch[i].max_matches, out[i].range.data());
           for (std::size_t next = static_cast<std::size_t>(shard.index) + 1;
                matched < batch[i].max_matches && next < shards_.size();
                ++next) {
             auto next_guard = shards_[next]->snapshots.Acquire();
-#if HBTREE_OBS_HEAT
-            std::lock_guard<std::mutex> heat_lock(
-                shards_[next]->heat_pipeline->mu);
-            matched += next_guard.slot().tree.host_tree().RangeScan(
-                shard_bounds_[next - 1], batch[i].max_matches - matched,
-                out[i].range.data() + matched,
-                &shards_[next]->heat_pipeline->scan);
-#else
-            matched += next_guard.slot().tree.host_tree().RangeScan(
-                shard_bounds_[next - 1], batch[i].max_matches - matched,
-                out[i].range.data() + matched);
-#endif
+            matched += ScanShard(*shards_[next], next_guard.slot(),
+                                 shard_bounds_[next - 1],
+                                 batch[i].max_matches - matched,
+                                 out[i].range.data() + matched);
           }
           out[i].range.resize(matched);
         }
@@ -1687,7 +1625,7 @@ class Server {
         n = shard.update_queue.PopBatch(
             &ops, static_cast<std::size_t>(options_.update_batch_size),
             std::chrono::microseconds(10'000),
-            options_.max_batch_delay * static_cast<int>(shards_.size()));
+            kMaxBatchDelay * static_cast<int>(shards_.size()));
       }
       if (n == 0) {
         if (shard.update_queue.closed() && shard.update_queue.size() == 0) {
@@ -1704,10 +1642,9 @@ class Server {
       batch.reserve(ops.size());
       for (std::size_t i = 0; i < ops.size(); ++i) {
         if (now > ops[i].deadline) {
-          CountShedUpdate(shard, ops[i].tenant);
-          ops[i].done.set_value(UpdateResult{
-              Status::DeadlineExceeded("update deadline passed in queue"),
-              0});
+          CountShed(shard, ops[i]);
+          Reject(ops[i],
+                 Status::DeadlineExceeded("update deadline passed in queue"));
           continue;
         }
         const std::uint64_t wait_ns = static_cast<std::uint64_t>(
@@ -1747,7 +1684,7 @@ class Server {
             [&](TreeSlot& slot) {
               BatchUpdateStats pass;
               const Status status =
-                  TryRunBatchUpdate(slot.tree, batch, options_.update_method,
+                  TryRunBatchUpdate(slot.tree, batch, kUpdateMethod,
                                     options_.update, &pass);
               sync_retries += pass.sync_retries;
               if (!status.ok() && sync_status.ok()) sync_status = status;
@@ -1816,7 +1753,6 @@ class Server {
   void AdaptBucket(Shard& shard, std::size_t popped, std::size_t window_m,
                    std::size_t tight, std::size_t live,
                    std::size_t backlog) {
-    if (!options_.adaptive_bucket) return;
     std::lock_guard<std::mutex> lock(shard.adapt_mutex);
     if (static_cast<std::size_t>(shard.effective_bucket) != window_m) {
       return;  // a co-worker resized mid-window; this vote is stale
@@ -1825,7 +1761,7 @@ class Server {
     const bool deadline_tight = live > 0 && tight * 4 >= live;
     if (half_empty || deadline_tight) {
       shard.grow_streak = 0;
-      if (++shard.shrink_streak >= options_.adapt_shrink_after &&
+      if (++shard.shrink_streak >= kAdaptShrinkAfter &&
           shard.effective_bucket > adapt_floor_) {
         shard.effective_bucket =
             std::max(adapt_floor_, shard.effective_bucket / 2);
@@ -1837,7 +1773,7 @@ class Server {
       }
     } else if (popped >= window_m) {
       shard.shrink_streak = 0;
-      if (++shard.grow_streak >= options_.adapt_grow_after &&
+      if (++shard.grow_streak >= kAdaptGrowAfter &&
           shard.effective_bucket < options_.pipeline.bucket_size) {
         shard.effective_bucket = std::min(options_.pipeline.bucket_size,
                                           shard.effective_bucket * 2);

@@ -1,13 +1,16 @@
-// Admission-queue edge cases and weighted-fair lane scheduling.
+// FairAdmissionQueue: admission edge cases and weighted-fair lane
+// scheduling.
 //
-// The single-FIFO tests pin the two shedding/batching edge cases that
-// used to be wrong: an already-expired deadline must shed at the door
-// (never ride the condition-variable wait path, which would admit it
-// whenever the queue had space), and a capacity-1 queue must not
-// livelock a batch fill (the consumer must wake blocked producers while
-// it collects instead of sitting out the whole fill window).
+// The edge-case tests pin shedding and batching behaviour that used to
+// be wrong: an already-expired deadline must shed at the door (never
+// ride the condition-variable wait path, which would admit it whenever
+// the lane had space) and leave the item with the caller, a zero
+// capacity must clamp to one, a non-shedding lane must wait out its
+// deadline, and a capacity-1 lane must not livelock a batch fill (the
+// consumer must wake blocked producers while it collects instead of
+// sitting out the whole fill window).
 //
-// The FairAdmissionQueue tests pin the QoS contract: per-lane isolation,
+// The scheduling tests pin the QoS contract: per-lane isolation,
 // deficit-round-robin weight shares, work conservation, shed_on_full,
 // and FIFO order within a lane.
 
@@ -18,7 +21,6 @@
 
 #include <gtest/gtest.h>
 
-#include "serve/admission_queue.h"
 #include "serve/fair_queue.h"
 
 namespace hbtree::serve {
@@ -28,19 +30,17 @@ using std::chrono::microseconds;
 using std::chrono::milliseconds;
 using std::chrono::steady_clock;
 
-TEST(AdmissionQueue, ExpiredDeadlineShedsEvenWithSpace) {
-  AdmissionQueue<int> queue(16);
-  // The queue is empty — the old wait_until path would have admitted
-  // this op because the not-full predicate holds immediately.
-  EXPECT_EQ(queue.PushUntil(1, steady_clock::now() - milliseconds(1)),
+TEST(FairQueue, ExpiredDeadlineShedsEvenWithSpace) {
+  FairAdmissionQueue<int> queue(16, {{1, false}, {1, false}});
+  EXPECT_EQ(queue.PushUntil(1, 9, steady_clock::now() - milliseconds(1)),
             PushResult::kTimeout);
   EXPECT_EQ(queue.size(), 0u);
 }
 
-TEST(AdmissionQueue, ExpiredDeadlineLeavesItemUntouched) {
-  AdmissionQueue<std::vector<int>> queue(4);
+TEST(FairQueue, ExpiredDeadlineLeavesItemUntouched) {
+  FairAdmissionQueue<std::vector<int>> queue(4, {{1, false}});
   std::vector<int> payload = {1, 2, 3};
-  EXPECT_EQ(queue.PushUntil(std::move(payload),
+  EXPECT_EQ(queue.PushUntil(0, std::move(payload),
                             steady_clock::now() - milliseconds(1)),
             PushResult::kTimeout);
   // kTimeout promises the caller can still reject via the item (resolve
@@ -48,52 +48,24 @@ TEST(AdmissionQueue, ExpiredDeadlineLeavesItemUntouched) {
   EXPECT_EQ(payload.size(), 3u);
 }
 
-TEST(AdmissionQueue, ZeroCapacityClampsToOne) {
-  AdmissionQueue<int> queue(0);
-  EXPECT_TRUE(queue.Push(7));  // would deadlock forever if capacity were 0
+TEST(FairQueue, ZeroCapacityClampsToOne) {
+  FairAdmissionQueue<int> queue(0, {{1, false}});
+  EXPECT_TRUE(queue.Push(0, 7));  // would deadlock forever at capacity 0
   std::vector<int> out;
   EXPECT_EQ(queue.PopBatch(&out, 4, microseconds(1000), microseconds(0)),
             1u);
   EXPECT_EQ(out, std::vector<int>({7}));
 }
 
-TEST(AdmissionQueue, CapacityOneBatchFillDoesNotLivelock) {
-  AdmissionQueue<int> queue(1);
-  constexpr int kItems = 64;
-  std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) ASSERT_TRUE(queue.Push(int{i}));
-  });
-  // The fill window is far longer than the test budget: if the consumer
-  // failed to wake producers mid-fill, the batch would stall for the
-  // whole 10 s window instead of filling incrementally.
-  std::vector<int> out;
+TEST(FairQueue, PushUntilTimesOutOnFullLane) {
+  // A non-shedding lane waits for space until the deadline, then sheds.
+  FairAdmissionQueue<int> queue(1, {{1, false}});
+  ASSERT_TRUE(queue.Push(0, 1));
   const auto start = steady_clock::now();
-  std::size_t popped = 0;
-  while (popped < kItems) {
-    popped += queue.PopBatch(&out, kItems - popped, microseconds(100'000),
-                             microseconds(10'000'000));
-    ASSERT_LT(steady_clock::now() - start, std::chrono::seconds(5));
-  }
-  producer.join();
-  ASSERT_EQ(out.size(), static_cast<std::size_t>(kItems));
-  for (int i = 0; i < kItems; ++i) EXPECT_EQ(out[i], i);  // FIFO
-}
-
-TEST(AdmissionQueue, PushUntilTimesOutOnFullQueue) {
-  AdmissionQueue<int> queue(1);
-  ASSERT_TRUE(queue.Push(1));
-  const auto start = steady_clock::now();
-  EXPECT_EQ(queue.PushUntil(2, start + milliseconds(20)),
+  EXPECT_EQ(queue.PushUntil(0, 2, start + milliseconds(20)),
             PushResult::kTimeout);
   EXPECT_GE(steady_clock::now() - start, milliseconds(19));
   EXPECT_EQ(queue.size(), 1u);
-}
-
-TEST(FairQueue, ExpiredDeadlineShedsEvenWithSpace) {
-  FairAdmissionQueue<int> queue(16, {{1, false}, {1, false}});
-  EXPECT_EQ(queue.PushUntil(1, 9, steady_clock::now() - milliseconds(1)),
-            PushResult::kTimeout);
-  EXPECT_EQ(queue.size(), 0u);
 }
 
 TEST(FairQueue, DrainsBacklogInWeightProportion) {

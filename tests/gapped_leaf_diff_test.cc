@@ -151,6 +151,37 @@ TYPED_TEST(GappedLeafDiffTest, SpillBoundaryCrossesIntoSplit) {
   }
 }
 
+TEST(GappedLeafSpill, SpillIntoEmptiedLastLineTakesThePin) {
+  // At fill 0.7 leaf 0 holds keys 1000..179000 (179 pairs) over all 64
+  // lines; line 63 holds 178000 and 179000 under the leaf's pin. Deleting
+  // both empties the last line; filling line 62 then spills into it. The
+  // spilled line must take the pin, not line 62's old separator (177000),
+  // or 178500 has no line to land in.
+  PageRegistry registry;
+  auto tree = MakeGappedTree<Key64>(&registry, /*leaf_fill=*/0.7);
+  std::vector<KeyValue<Key64>> data;
+  for (Key64 i = 0; i < 1000; ++i) data.push_back({(i + 1) * 1000, i});
+  tree.Build(data);
+  std::map<Key64, Key64> model;
+  for (const auto& kv : data) model[kv.key] = kv.value;
+
+  for (Key64 key : {178000, 179000}) {
+    ASSERT_TRUE(tree.Erase(key));
+    model.erase(key);
+  }
+  for (Key64 key : {175500, 175600, 175700, 178500}) {
+    ASSERT_TRUE(tree.Insert({key, key + 1}));
+    model[key] = key + 1;
+  }
+  tree.Validate();
+  ASSERT_EQ(tree.size(), model.size());
+  for (const auto& [key, value] : model) {
+    const auto result = tree.Search(key);
+    ASSERT_TRUE(result.found) << key;
+    ASSERT_EQ(result.value, value) << key;
+  }
+}
+
 struct SyncFixture {
   sim::PlatformSpec platform = sim::PlatformSpec::M1();
   PageRegistry registry;

@@ -298,22 +298,15 @@ TEST(ServeStress, CreateRejectsInvalidOptions) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
-// Read-your-writes: once an update's future resolved, a subsequently
-// submitted lookup must observe it — the epoch swap publishes the batch
-// to new read buckets before the update futures fire. Several writer
-// threads each own a disjoint key lane and verify their own writes while
-// the others churn.
 // The adaptive controller must halve the effective bucket M under
 // sustained half-empty fill windows and restore it under sustained full
-// ones (ServerOptions::adaptive_bucket); both decision counters surface
-// in ServeStats.
+// ones (serve::kAdaptShrinkAfter / kAdaptGrowAfter); both decision
+// counters surface in ServeStats.
 TEST(ServeStress, AdaptiveBucketShrinksAndRecovers) {
   serve::ServerOptions options = StressOptions();
   options.pipeline.bucket_size = 4096;
   options.min_sub_bucket = 64;
   options.adapt_min_bucket = 64;
-  options.adapt_shrink_after = 2;
-  options.adapt_grow_after = 2;
   auto data = StableDataset();
   auto server_ptr = serve::Server<Key64>::Create(options, data);
   ASSERT_NE(server_ptr, nullptr);
@@ -341,6 +334,11 @@ TEST(ServeStress, AdaptiveBucketShrinksAndRecovers) {
   EXPECT_GT(end.bucket_grows, 0u);
 }
 
+// Read-your-writes: once an update's future resolved, a subsequently
+// submitted lookup must observe it — the epoch swap publishes the batch
+// to new read buckets before the update futures fire. Several writer
+// threads each own a disjoint key lane and verify their own writes while
+// the others churn.
 TEST(ServeStress, ReadYourWrites) {
   constexpr int kWriters = 4;
   constexpr int kOpsPerWriter = 300;
