@@ -23,13 +23,10 @@
 #                               #   against BENCH_overload.json
 #   scripts/check.sh heat       # + heat observability gate: fixed-seed
 #                               #   zipfian/hotspot/uniform runs, heat
-#                               #   section validation, hot-range
-#                               #   attribution assertions
-#   scripts/check.sh fastpath   # + hot-path gate: level-wise dispatch
-#                               #   reconciliation and gapped-leaf
-#                               #   differential tests, then a serve run
-#                               #   whose heat.kernel block must show the
-#                               #   per-level dedup actually collapsing
+#                               #   section validation (incl. kernel
+#                               #   dedup reconciliation), hot-range
+#                               #   attribution and kernel-launch
+#                               #   assertions
 #   scripts/check.sh bench      # + hbbench build against src/ and its
 #                               #   two smoke tests
 #   scripts/check.sh all        # all of the above
@@ -261,9 +258,11 @@ run_heat() {
   cmake --build --preset release -j "$jobs" --target ycsb_workloads
   # Fixed-seed runs of the two skewed scenarios plus the uniform negative
   # control. Every report must carry a heat section whose internals
-  # reconcile (validate_metrics.py), and the keyspace heatmap must
-  # attribute >= 90% of the modelled hot mass to the injected hot prefix
-  # — with no false hot range on the flat workload (check_heat.py).
+  # reconcile (validate_metrics.py: per-level kernel node loads in
+  # [1, queries], collapsing below one load per query), the keyspace
+  # heatmap must attribute >= 90% of the modelled hot mass to the
+  # injected hot prefix — with no false hot range on the flat workload —
+  # and the kernel block must record launches (check_heat.py).
   for s in zipfian hotspot uniform; do
     ./build/bench/ycsb_workloads --scenario="$s" --out_dir=build/HEAT
   done
@@ -272,35 +271,6 @@ run_heat() {
       build/HEAT/zipfian.json build/HEAT/hotspot.json build/HEAT/uniform.json
   python3 scripts/check_heat.py \
       build/HEAT/zipfian.json build/HEAT/hotspot.json build/HEAT/uniform.json
-}
-
-run_fastpath() {
-  echo "==> fast-path gate (level-wise dispatch + gapped leaves + delta sync)"
-  cmake --preset release >/dev/null
-  cmake --build --preset release -j "$jobs" \
-      --target levelwise_pipeline_test gapped_leaf_diff_test serve_throughput
-  # The C++ side: exact reconciliation of per-level kernel node loads
-  # against host-replayed descents, pipeline answer equivalence with the
-  # dispatch on/off, the gapped-leaf differential suite, and the
-  # delta-sync fault fallback.
-  (cd build && ctest -R '(levelwise_pipeline|gapped_leaf_diff)_test' --output-on-failure)
-  # End to end: a serve run at the baseline workload must emit a
-  # heat.kernel block whose per-level loads sit in [1, queries] and whose
-  # totals collapse strictly below one-load-per-query — the level-wise
-  # dedup visibly firing in the shipped report, not just in unit tests.
-  ./build/bench/serve_throughput --metrics_json=build/FASTPATH_serve.json
-  python3 scripts/validate_metrics.py --require-heat \
-      --require-counter serve.lookups \
-      build/FASTPATH_serve.json
-  python3 -c "
-import json
-heat = json.load(open('build/FASTPATH_serve.json'))['heat']
-kernel = heat['kernel']
-assert kernel['launches'] > 0, 'serve run launched no level-wise kernels'
-assert sum(kernel['node_loads']) > 0, 'kernel block recorded no node loads'
-print('build/FASTPATH_serve.json: kernel dedup %d/%d loads over %d launches'
-      % (sum(kernel['node_loads']), sum(kernel['node_queries']),
-         kernel['launches']))"
 }
 
 case "$mode" in
@@ -314,10 +284,9 @@ case "$mode" in
   workloads) run_release; run_workloads ;;
   qos)     run_release; run_qos ;;
   heat)    run_release; run_heat ;;
-  fastpath) run_release; run_fastpath ;;
   bench)   run_release; run_bench ;;
-  all)     run_release; run_asan; run_tsan; run_fault; run_obs; run_shard; run_regress; run_workloads; run_qos; run_heat; run_fastpath; run_bench ;;
-  *) echo "usage: scripts/check.sh [release|asan|tsan|fault|obs|shard|regress|workloads|qos|heat|fastpath|bench|all]" >&2; exit 2 ;;
+  all)     run_release; run_asan; run_tsan; run_fault; run_obs; run_shard; run_regress; run_workloads; run_qos; run_heat; run_bench ;;
+  *) echo "usage: scripts/check.sh [release|asan|tsan|fault|obs|shard|regress|workloads|qos|heat|bench|all]" >&2; exit 2 ;;
 esac
 
 echo "==> all requested checks passed"

@@ -16,6 +16,11 @@ what each key chooser injected (meta.chooser selects the check):
   uniform  — the negative control: flat popularity sits ~4x under the
              hot threshold, so no range may be flagged hot.
 
+Every report must also show GPU kernel launches in heat.kernel: the
+serve run's reads went through the device, so an empty kernel block
+means the pipeline stopped reporting into the heat sink.
+(validate_metrics.py --require-heat checks the block's reconciliation.)
+
 The prefix boundary assumes the sequential bootstrap layout the workload
 harness uses (key of record i is (i+1) * 8, see workload/dataset.cc);
 meta.n supplies the record count.
@@ -117,6 +122,15 @@ def check_uniform(path, doc):
     return True
 
 
+def check_kernel(path, heat):
+    launches = heat.get("kernel", {}).get("launches", 0)
+    if launches <= 0:
+        print(f"FAIL {path}: heat.kernel records no kernel launches",
+              file=sys.stderr)
+        return False
+    return True
+
+
 CHECKS = {
     "zipfian": check_zipfian,
     "hotspot": check_hotspot,
@@ -142,7 +156,8 @@ def check_file(path):
               f"{chooser!r} (expected one of {sorted(CHECKS)})",
               file=sys.stderr)
         return False
-    return check(path, doc)
+    ok = check(path, doc)
+    return check_kernel(path, doc["heat"]) and ok
 
 
 def main():

@@ -23,10 +23,11 @@ struct KernelStats {
   std::uint64_t divergent_branches = 0;
 
   /// Level-wise dispatch accounting (DESIGN.md §14), indexed by tree
-  /// level: `node_loads_by_level[l]` counts the distinct inner nodes the
-  /// launch actually loaded from device memory at level l (one per run of
-  /// sorted queries sharing a node), `node_queries_by_level[l]` the
-  /// queries resolved there. Empty for per-query kernels.
+  /// level: `node_loads_by_level[l]` counts the inner nodes the launch
+  /// actually loaded from device memory at level l (one per run of
+  /// consecutive queries sharing a node), `node_queries_by_level[l]` the
+  /// queries resolved there. Empty for HB-FAST's block search, the one
+  /// kernel without run dedup.
   std::vector<std::uint64_t> node_loads_by_level;
   std::vector<std::uint64_t> node_queries_by_level;
 

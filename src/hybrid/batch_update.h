@@ -342,7 +342,7 @@ BatchUpdateStats RunBatchUpdate(HBRegularTree<K>& tree,
   BatchUpdateStats stats;
   const Status status =
       TryRunBatchUpdate(tree, batch, method, config, &stats);
-  // Unreachable without an armed fault injector (see RunPipeline).
+  // Unreachable without an armed fault injector (see CheckPipelineOk).
   HBTREE_CHECK_MSG(status.ok(), "batch update device sync failed: %s",
                    status.message().c_str());
   return stats;

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "core/macros.h"
@@ -45,15 +46,14 @@ struct PipelineConfig {
   /// with the CPU cost model on a traced run (see bench_support).
   double cpu_queries_per_us = 1.0;
 
-  /// Level-wise batch dispatch (DESIGN.md §14): sort each bucket by key
-  /// so that runs of queries sharing an inner node resolve with one
-  /// modelled node load per level instead of one per query. Applies to
-  /// tree variants with a level-wise kernel (implicit, regular); others
-  /// keep the per-query launch. Results are written back in the caller's
-  /// original query order either way.
-  bool level_wise = true;
+  /// Level-wise batch dispatch (DESIGN.md §14) is always on: the implicit
+  /// and regular kernels resolve each run of consecutive queries sharing
+  /// an inner node with one modelled node load per level, and lookups on
+  /// those trees sort each bucket by key so the runs form. Results are
+  /// written back in the caller's original query order.
+  static constexpr bool level_wise = true;
   /// Modelled CPU cost of the bucket key sort, µs per query (charged to
-  /// the pre-GPU stage when level_wise is active; ~250 M keys/s radix).
+  /// the pre-GPU stage of every sorted bucket; ~250 M keys/s radix).
   double sort_us_per_query = 0.004;
 
   // -- Load balancing (Section 5.5). Defaults = all inner levels on GPU. --
@@ -232,8 +232,6 @@ class Scheduler {
   double last_end_ = 0;
 };
 
-/// Tree-variant adapters: how to pre-descend on the CPU, launch the GPU
-/// kernel, and finish a query from its intermediate result.
 /// Forwards a stage's heat tracer into the host tree when its traversal
 /// entry point accepts one; trees without a traced overload silently run
 /// untraced (their traffic shows up only in the modelled stage times).
@@ -249,10 +247,11 @@ std::uint64_t DescendTraced(const Tree& tree, K query, int depth,
   }
 }
 
+/// Tree-variant adapters: how to pre-descend on the CPU, launch the GPU
+/// kernel, and finish a query from its intermediate result.
 template <typename K>
 struct ImplicitAdapter {
   using Tree = HBImplicitTree<K>;
-  static constexpr bool kLevelWise = true;
 
   static int Height(const Tree& tree) { return tree.host_tree().height(); }
 
@@ -267,15 +266,6 @@ struct ImplicitAdapter {
     auto params = tree.MakeKernelParams(queries, results, count, start_level,
                                         start_nodes);
     return RunImplicitInnerSearch<K>(tree.device(), params);
-  }
-
-  static gpu::KernelStats LaunchLevelWise(Tree& tree, gpu::DevicePtr queries,
-                                          gpu::DevicePtr results,
-                                          std::uint32_t count, int start_level,
-                                          gpu::DevicePtr start_nodes) {
-    auto params = tree.MakeKernelParams(queries, results, count, start_level,
-                                        start_nodes);
-    return RunImplicitInnerSearchLevelWise<K>(tree.device(), params);
   }
 
   static LookupResult<K> Finish(const Tree& tree, std::uint64_t intermediate,
@@ -300,7 +290,6 @@ struct ImplicitAdapter {
 template <typename K>
 struct RegularAdapter {
   using Tree = HBRegularTree<K>;
-  static constexpr bool kLevelWise = true;
 
   static int Height(const Tree& tree) { return tree.host_tree().height(); }
 
@@ -315,15 +304,6 @@ struct RegularAdapter {
     auto params = tree.MakeKernelParams(queries, results, count, start_level,
                                         start_nodes);
     return RunRegularInnerSearch<K>(tree.device(), params);
-  }
-
-  static gpu::KernelStats LaunchLevelWise(Tree& tree, gpu::DevicePtr queries,
-                                          gpu::DevicePtr results,
-                                          std::uint32_t count, int start_level,
-                                          gpu::DevicePtr start_nodes) {
-    auto params = tree.MakeKernelParams(queries, results, count, start_level,
-                                        start_nodes);
-    return RunRegularInnerSearchLevelWise<K>(tree.device(), params);
   }
 
   static LookupResult<K> Finish(const Tree& tree, std::uint64_t intermediate,
@@ -345,17 +325,6 @@ struct RegularAdapter {
 template <typename K>
 struct FastAdapter {
   using Tree = HBFastTree<K>;
-  /// HB-FAST has no level-wise kernel (the block search is already
-  /// layout-coalesced); the pipeline keeps its per-query launch.
-  static constexpr bool kLevelWise = false;
-
-  static gpu::KernelStats LaunchLevelWise(Tree& tree, gpu::DevicePtr queries,
-                                          gpu::DevicePtr results,
-                                          std::uint32_t count, int start_level,
-                                          gpu::DevicePtr start_nodes) {
-    return Launch(tree, queries, results, count, start_level, start_nodes);
-  }
-
   static int Height(const Tree& tree) {
     return tree.host_tree().block_levels();
   }
@@ -391,10 +360,16 @@ struct FastAdapter {
   }
 };
 
-template <typename K, typename Adapter>
+/// The bucket loop every pipeline run shares (Section 5.4): per bucket of
+/// M keys, an optional key sort and CPU pre-descent, T1 upload, T2 kernel,
+/// T3 download, then T4 = `finish(i, intermediate, key)` for every key,
+/// where i indexes `queries` in the caller's order. `sort` stages each
+/// bucket in key order so the kernel's run dedup fires, charged at
+/// `sort_us_per_query`. With a heat sink, T4 runs under the sink's mutex.
+template <typename K, typename Adapter, typename Finish>
 Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
                           std::size_t count, const PipelineConfig& config,
-                          std::vector<LookupResult<K>>* results,
+                          bool sort, Finish&& finish,
                           PipelineStats* stats_out) {
   gpu::Device& device = tree.device();
   gpu::TransferEngine& transfer = tree.transfer();
@@ -408,7 +383,6 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
       std::clamp(config.cpu_descend_levels, 0, std::max(height - 2, 0));
   const double split = std::clamp(config.cpu_split_ratio, 0.0, 1.0);
   const bool balanced = (d_levels > 0 || split < 1.0) && height >= 2;
-  const bool level_wise = config.level_wise && Adapter::kLevelWise;
 
   if (config.bucket_size <= 0) {
     return Status::InvalidArgument("bucket_size must be positive");
@@ -434,17 +408,15 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
   // descent can reach has fewer than 2^32 nodes.
   std::vector<std::uint32_t> start_nodes(m);
   std::vector<std::uint64_t> intermediate(m);
-  // Level-wise dispatch: per-bucket sort permutation and sorted staging
-  // buffer. The device sees the sorted keys; Finish maps each result back
+  // Sorted dispatch: per-bucket sort permutation and sorted staging
+  // buffer. The device sees the sorted keys; T4 maps each result back
   // through `order` so callers keep their original query order.
-  std::vector<std::uint32_t> order(level_wise ? m : 0);
-  std::vector<K> sorted_q(level_wise ? m : 0);
+  std::vector<std::uint32_t> order(sort ? m : 0);
+  std::vector<K> sorted_q(sort ? m : 0);
   std::vector<double> bucket_end;
   double latency_sum = 0;
 
-  if (results != nullptr) results->resize(count);
-
-  if (level_wise && config.heat != nullptr) {
+  if (sort && config.heat != nullptr) {
     // Sorted buckets let the CPU-side tracers attribute per-batch (not
     // per-query) node traffic: consecutive same-node touches collapse.
     std::lock_guard<std::mutex> lock(config.heat->mu);
@@ -456,11 +428,11 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
     const std::uint32_t n =
         static_cast<std::uint32_t>(std::min<std::size_t>(m, count - base));
 
-    // -- Level-wise dispatch: stage this bucket in sorted key order so
+    // -- Sorted dispatch: stage this bucket in sorted key order so
     // queries sharing a node form consecutive runs (ties break by index,
     // keeping the permutation deterministic).
     const K* bq = queries + base;
-    if (level_wise) {
+    if (sort) {
       for (std::uint32_t i = 0; i < n; ++i) order[i] = i;
       std::sort(order.begin(), order.begin() + n,
                 [&](std::uint32_t a, std::uint32_t b) {
@@ -510,7 +482,7 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
       tpre = part1 * descend_cost(d_levels) +
              (n - part1) * descend_cost(d_levels + 1);
     }
-    if (level_wise) tpre += n * config.sort_us_per_query;
+    if (sort) tpre += n * config.sort_us_per_query;
 
     // -- T1: queries (+ start nodes) to device, one combined transfer.
     // Transient transfer faults retry with exponential backoff; the
@@ -546,27 +518,20 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
             HBTREE_RETURN_IF_ERROR(injector->Check(fault::Site::kKernel));
           }
           gpu::KernelStats attempt;
-          auto launch = [&](gpu::DevicePtr q, gpu::DevicePtr r,
-                            std::uint32_t cnt, int start_level,
-                            gpu::DevicePtr s) {
-            return level_wise
-                       ? Adapter::LaunchLevelWise(tree, q, r, cnt,
-                                                  start_level, s)
-                       : Adapter::Launch(tree, q, r, cnt, start_level, s);
-          };
           if (!balanced) {
-            attempt = launch(q_dev.get(), r_dev.get(), n, height,
-                             gpu::DevicePtr{});
+            attempt = Adapter::Launch(tree, q_dev.get(), r_dev.get(), n,
+                                      height, gpu::DevicePtr{});
           } else {
-            // Both parts of the split are contiguous slices of the sorted
-            // bucket, so each launch still sees sorted queries.
+            // Both parts of the split are contiguous slices of the
+            // bucket, so each launch of a sorted bucket sees sorted keys.
             if (part1 > 0) {
-              attempt += launch(q_dev.get(), r_dev.get(), part1,
-                                height - d_levels, s_dev.get());
+              attempt += Adapter::Launch(tree, q_dev.get(), r_dev.get(),
+                                         part1, height - d_levels,
+                                         s_dev.get());
             }
             if (part1 < n) {
-              attempt += launch(
-                  q_dev.get() + part1 * sizeof(K),
+              attempt += Adapter::Launch(
+                  tree, q_dev.get() + part1 * sizeof(K),
                   r_dev.get() + part1 * sizeof(std::uint64_t), n - part1,
                   height - d_levels - 1,
                   s_dev.get() + part1 * sizeof(std::uint32_t));
@@ -611,23 +576,15 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
         &stats.transfer_retries, &backoff_us));
     t3 += backoff_us;
 
-    // -- T4: CPU leaf search (results map back through the sort
-    // permutation when dispatch was level-wise). -------------------------
-    if (config.heat != nullptr) {
-      std::lock_guard<std::mutex> lock(config.heat->mu);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        LookupResult<K> r = Adapter::Finish(tree, intermediate[i], bq[i],
-                                            &config.heat->cpu_leaf);
-        if (results != nullptr) {
-          (*results)[base + (level_wise ? order[i] : i)] = r;
-        }
+    // -- T4: the caller's per-key finish (results map back through the
+    // sort permutation when the bucket was sorted). ----------------------
+    {
+      std::unique_lock<std::mutex> heat_lock;
+      if (config.heat != nullptr) {
+        heat_lock = std::unique_lock<std::mutex>(config.heat->mu);
       }
-    } else {
       for (std::uint32_t i = 0; i < n; ++i) {
-        LookupResult<K> r = Adapter::Finish(tree, intermediate[i], bq[i]);
-        if (results != nullptr) {
-          (*results)[base + (level_wise ? order[i] : i)] = r;
-        }
+        finish(base + (sort ? order[i] : i), intermediate[i], bq[i]);
       }
     }
     const double t4 = n / config.cpu_queries_per_us;
@@ -694,76 +651,55 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
   return Status::Ok();
 }
 
+/// Point lookups through the shared loop: T4 is the leaf search.
 template <typename K, typename Adapter>
-PipelineStats RunPipeline(typename Adapter::Tree& tree, const K* queries,
-                          std::size_t count, const PipelineConfig& config,
-                          std::vector<LookupResult<K>>* results) {
-  PipelineStats stats;
-  const Status status = RunPipelineChecked<K, Adapter>(
-      tree, queries, count, config, results, &stats);
-  // Unreachable without an armed fault injector: callers that inject
-  // faults must use the Try* entry points and handle the Status.
-  HBTREE_CHECK_MSG(status.ok(), "search pipeline failed: %s",
+Status RunLookupsChecked(typename Adapter::Tree& tree, const K* queries,
+                         std::size_t count, const PipelineConfig& config,
+                         bool sort, std::vector<LookupResult<K>>* results,
+                         PipelineStats* stats) {
+  if (results != nullptr) results->resize(count);
+  return RunPipelineChecked<K, Adapter>(
+      tree, queries, count, config, sort,
+      [&](std::size_t i, std::uint64_t intermediate, K query) {
+        const LookupResult<K> r =
+            config.heat != nullptr
+                ? Adapter::Finish(tree, intermediate, query,
+                                  &config.heat->cpu_leaf)
+                : Adapter::Finish(tree, intermediate, query);
+        if (results != nullptr) (*results)[i] = r;
+      },
+      stats);
+}
+
+/// Unwraps the Status of a pipeline run that cannot fail: without an
+/// armed fault injector, device-side failures are unreachable. Callers
+/// that inject faults use the Try* entry points and handle the Status.
+inline void CheckPipelineOk(const Status& status) {
+  HBTREE_CHECK_MSG(status.ok(), "pipeline failed: %s",
                    status.message().c_str());
-  return stats;
 }
 
 }  // namespace pipeline_internal
 
-/// Runs the heterogeneous search pipeline on an implicit HB+-tree:
-/// buckets go to the device, the GPU kernel resolves inner nodes,
-/// intermediate leaf-line indices come back, and the CPU finishes in the
-/// L-segment. Fully functional — `results` (optional) receives every
-/// lookup — while the returned stats carry the simulated platform timing.
-template <typename K>
-PipelineStats RunSearchPipeline(HBImplicitTree<K>& tree, const K* queries,
-                                std::size_t count,
-                                const PipelineConfig& config,
-                                std::vector<LookupResult<K>>* results =
-                                    nullptr) {
-  return pipeline_internal::RunPipeline<K, pipeline_internal::ImplicitAdapter<K>>(
-      tree, queries, count, config, results);
-}
-
-/// Regular-tree variant: the kernel performs the three-step fat-node
-/// search and the intermediate result packs (last inner node, leaf line).
-template <typename K>
-PipelineStats RunSearchPipeline(HBRegularTree<K>& tree, const K* queries,
-                                std::size_t count,
-                                const PipelineConfig& config,
-                                std::vector<LookupResult<K>>* results =
-                                    nullptr) {
-  return pipeline_internal::RunPipeline<K, pipeline_internal::RegularAdapter<K>>(
-      tree, queries, count, config, results);
-}
-
-/// HB-FAST variant (Section 7 future work, see hybrid/hb_fast.h): any
-/// leaf-stored tree plugs into the same pipeline through an adapter.
-template <typename K>
-PipelineStats RunSearchPipeline(HBFastTree<K>& tree, const K* queries,
-                                std::size_t count,
-                                const PipelineConfig& config,
-                                std::vector<LookupResult<K>>* results =
-                                    nullptr) {
-  return pipeline_internal::RunPipeline<K, pipeline_internal::FastAdapter<K>>(
-      tree, queries, count, config, results);
-}
-
-/// Fault-tolerant entry points: identical to RunSearchPipeline, but
-/// device-side failures (allocation, transfer, kernel — injected via
+/// Fault-tolerant entry points of the heterogeneous search pipeline.
+/// Device-side failures (allocation, transfer, kernel — injected via
 /// fault::FaultInjector or genuine OOM) surface as a typed Status after
 /// the configured bounded retries instead of aborting. On failure the
 /// device buffers are released and `results` contents are unspecified;
 /// the caller owns the fallback decision (the serving layer degrades to
 /// the CPU-only pipelined search, Section 4.2).
+///
+/// Implicit and regular lookups sort each bucket so the kernel's run
+/// dedup fires; HB-FAST's block search is already layout-coalesced and
+/// its buckets go unsorted.
 template <typename K>
 Status TryRunSearchPipeline(HBImplicitTree<K>& tree, const K* queries,
                             std::size_t count, const PipelineConfig& config,
                             std::vector<LookupResult<K>>* results,
                             PipelineStats* stats) {
-  return pipeline_internal::RunPipelineChecked<
+  return pipeline_internal::RunLookupsChecked<
       K, pipeline_internal::ImplicitAdapter<K>>(tree, queries, count, config,
-                                                results, stats);
+                                                /*sort=*/true, results, stats);
 }
 
 template <typename K>
@@ -771,9 +707,9 @@ Status TryRunSearchPipeline(HBRegularTree<K>& tree, const K* queries,
                             std::size_t count, const PipelineConfig& config,
                             std::vector<LookupResult<K>>* results,
                             PipelineStats* stats) {
-  return pipeline_internal::RunPipelineChecked<
+  return pipeline_internal::RunLookupsChecked<
       K, pipeline_internal::RegularAdapter<K>>(tree, queries, count, config,
-                                               results, stats);
+                                               /*sort=*/true, results, stats);
 }
 
 template <typename K>
@@ -781,9 +717,29 @@ Status TryRunSearchPipeline(HBFastTree<K>& tree, const K* queries,
                             std::size_t count, const PipelineConfig& config,
                             std::vector<LookupResult<K>>* results,
                             PipelineStats* stats) {
-  return pipeline_internal::RunPipelineChecked<
+  return pipeline_internal::RunLookupsChecked<
       K, pipeline_internal::FastAdapter<K>>(tree, queries, count, config,
-                                            results, stats);
+                                            /*sort=*/false, results, stats);
+}
+
+/// Runs the heterogeneous search pipeline: buckets go to the device, the
+/// GPU kernel resolves inner nodes, intermediate results come back, and
+/// the CPU finishes in the L-segment. Fully functional — `results`
+/// (optional) receives every lookup — while the returned stats carry the
+/// simulated platform timing. The implicit tree's intermediate result is
+/// a leaf-line index, the regular tree's packs (last inner node, leaf
+/// line), and HB-FAST (Section 7 future work, see hybrid/hb_fast.h) shows
+/// that any leaf-stored tree plugs into the same pipeline via an adapter.
+template <typename Tree, typename K>
+PipelineStats RunSearchPipeline(Tree& tree, const K* queries,
+                                std::size_t count,
+                                const PipelineConfig& config,
+                                std::vector<LookupResult<K>>* results =
+                                    nullptr) {
+  PipelineStats stats;
+  pipeline_internal::CheckPipelineOk(
+      TryRunSearchPipeline(tree, queries, count, config, results, &stats));
+  return stats;
 }
 
 }  // namespace hbtree

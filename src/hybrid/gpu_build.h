@@ -216,7 +216,7 @@ double BuildISegmentOnDevice(const ImplicitBTree<K>& host,
   double us = 0;
   const Status status = TryBuildISegmentOnDevice(
       host, device, transfer, device_nodes, &us, stats_out);
-  // Unreachable without an armed fault injector (see RunPipeline).
+  // Unreachable without an armed fault injector (see CheckPipelineOk).
   HBTREE_CHECK_MSG(status.ok(), "device-side I-segment build failed: %s",
                    status.message().c_str());
   return us;

@@ -20,9 +20,18 @@ namespace hbtree {
 /// comparing one key of the current node, with the team's winner found via
 /// shared-memory flags — Snippet 3. They are written warp-synchronously
 /// against the SIMT simulator: per-lane loops between accounting calls are
-/// the lockstep execution a real warp performs, `Gather` coalesces the
-/// team loads into 64-byte transactions, and `SharedAccess`/`Instruction`
-/// charge the flag exchange and ALU work.
+/// the lockstep execution a real warp performs, `RecordAccess` coalesces
+/// the team loads into 64-byte transactions, and `SharedAccess`/
+/// `Instruction` charge the flag exchange and ALU work.
+///
+/// Each tree has exactly one kernel, and it dedupes runs (DESIGN.md §14):
+/// a team whose node at the current level equals the previous team's node
+/// takes the line from shared memory instead of issuing a global load.
+/// Sorted launches turn that into one load per distinct node per level
+/// (the level-wise batch search of PAPERS.md mapped onto warps); on a
+/// launch where no two consecutive teams share a node every team leads
+/// its own run, and the kernel charges exactly what a per-query search
+/// would. Whether to sort is the caller's decision.
 ///
 /// Both kernels support the load-balancing scheme (Section 5.5): queries
 /// may carry a per-query start node produced by a partial CPU descent.
@@ -48,106 +57,18 @@ struct ImplicitKernelParams {
   std::uint32_t count = 0;
 };
 
-/// Runs the implicit inner-node search kernel; returns per-launch stats
-/// for the kernel cost model. Functionally computes results in device
-/// memory exactly as Snippet 3 would.
-template <typename K>
-gpu::KernelStats RunImplicitInnerSearch(gpu::Device& device,
-                                        const ImplicitKernelParams<K>& p) {
-  gpu::KernelStats stats;
-  constexpr int kTeam = KeyTraits<K>::kPerCacheLine;  // threads per query
-  const int teams_per_warp = gpu::WarpScope::kWarpSize / kTeam;
-
-  for (std::uint32_t warp_base = 0; warp_base < p.count;
-       warp_base += teams_per_warp) {
-    const int teams =
-        static_cast<int>(std::min<std::uint32_t>(teams_per_warp,
-                                                 p.count - warp_base));
-    const int lanes = teams * kTeam;
-    gpu::WarpScope warp(&device, &stats, lanes);
-
-    // Load this warp's queries (coalesced: consecutive keys).
-    std::uint64_t offsets[gpu::WarpScope::kWarpSize];
-    K team_query[gpu::WarpScope::kWarpSize];
-    {
-      std::uint64_t qoff[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) qoff[t] = (warp_base + t) * sizeof(K);
-      warp.Gather(p.queries, qoff, teams, team_query);
-    }
-
-    // Starting node per team (32-bit indices on the wire).
-    std::uint64_t node[gpu::WarpScope::kWarpSize];
-    if (p.start_nodes.is_null()) {
-      for (int t = 0; t < teams; ++t) node[t] = 0;
-    } else {
-      std::uint64_t soff[gpu::WarpScope::kWarpSize];
-      std::uint32_t start32[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) {
-        soff[t] = (warp_base + t) * sizeof(std::uint32_t);
-      }
-      warp.Gather(p.start_nodes, soff, teams, start32);
-      for (int t = 0; t < teams; ++t) node[t] = start32[t];
-    }
-
-    // Inner-node descent (Snippet 3).
-    for (int level = p.start_level; level >= 1; --level) {
-      // Each lane loads one key of its team's node: selfKey.
-      K self_key[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) {
-        const std::uint64_t node_byte =
-            (p.level_offsets[level] + node[t]) * kCacheLineSize;
-        for (int lane = 0; lane < kTeam; ++lane) {
-          offsets[t * kTeam + lane] = node_byte + lane * sizeof(K);
-        }
-      }
-      warp.Gather(p.nodes, offsets, lanes, self_key);
-
-      // flag[threadIdx] = (teamQuery <= selfKey); write + barrier + read
-      // neighbour flag + conditional result write (Snippet 3 lines 13-24).
-      warp.SharedAccessUniform(lanes);  // flag store
-      warp.Instruction(2);              // compare + selfFlag
-      warp.SharedAccessUniform(lanes);  // neighbour flag load
-      warp.Instruction(2);              // transition test + result store
-      warp.Instruction(2);              // __syncthreads x2 (warp-level)
-
-      for (int t = 0; t < teams; ++t) {
-        // result = the lane whose flag is 1 while its left neighbour's is
-        // 0 == the number of keys smaller than the query.
-        int result = 0;
-        for (int lane = 0; lane < kTeam; ++lane) {
-          if (self_key[t * kTeam + lane] < team_query[t]) ++result;
-        }
-        HBTREE_DCHECK(result < p.fanout);
-        node[t] = node[t] * p.fanout + static_cast<std::uint64_t>(result);
-        const std::uint64_t bound = p.level_alloc[level - 1];
-        if (node[t] >= bound) node[t] = bound - 1;
-      }
-      warp.Instruction(1);  // the clamp
-    }
-
-    // Scatter leaf line indices (one lane per team writes; consecutive
-    // 8-byte results coalesce into one transaction per warp).
-    std::uint64_t roff[gpu::WarpScope::kWarpSize];
-    for (int t = 0; t < teams; ++t) {
-      roff[t] = (warp_base + t) * sizeof(std::uint64_t);
-    }
-    warp.Scatter(p.results, roff, teams, node);
-  }
-  return stats;
-}
-
-/// Level-wise variant of the implicit inner search (DESIGN.md §14).
+/// Runs the implicit inner-node search kernel (Snippet 3); returns
+/// per-launch stats for the kernel cost model. Functionally computes
+/// results in device memory exactly as Snippet 3 would.
 ///
-/// Expects the launch's queries in sorted key order. Teams whose node at
-/// the current level equals the previous team's node (a "run") reuse the
-/// leader's node line from shared memory instead of re-issuing the global
-/// gather — the batch loads each distinct node once per level, which is
-/// the FPGA batch-search idea mapped onto warps. The compute side (flag
-/// exchange, compare, clamp) is unchanged: every query is still resolved
-/// individually. Run boundaries carry across warps, so the per-level node
-/// loads equal the number of distinct start nodes in the whole launch.
+/// Teams whose node at the current level equals the previous team's node
+/// (a "run") reuse the leader's node line from shared memory instead of
+/// re-issuing the global gather. The compute side (flag exchange, compare,
+/// clamp) is per query either way. Run boundaries carry across warps, so
+/// the per-level node loads equal the number of runs in the launch — the
+/// distinct start nodes at that level when the queries arrive sorted.
 template <typename K>
-gpu::KernelStats RunImplicitInnerSearchLevelWise(
+gpu::KernelStats RunImplicitInnerSearch(
     gpu::Device& device, const ImplicitKernelParams<K>& p) {
   gpu::KernelStats stats;
   constexpr int kTeam = KeyTraits<K>::kPerCacheLine;
@@ -157,7 +78,7 @@ gpu::KernelStats RunImplicitInnerSearchLevelWise(
   stats.node_loads_by_level.assign(p.start_level + 1, 0);
   stats.node_queries_by_level.assign(p.start_level + 1, 0);
   // Run-leader carry across warps: the node the previous team visited at
-  // each level (sorted batches make equal-node runs consecutive).
+  // each level (sorted launches make equal-node runs consecutive).
   constexpr std::uint64_t kNone = ~0ull;
   std::vector<std::uint64_t> prev_node(p.start_level + 1, kNone);
 
@@ -221,8 +142,9 @@ gpu::KernelStats RunImplicitInnerSearchLevelWise(
                     device.HostView(p.nodes + node_byte), kTeam * sizeof(K));
       }
 
-      // Flag exchange + result, identical to the per-query kernel: the
-      // search itself still happens per query.
+      // flag[threadIdx] = (teamQuery <= selfKey); write + barrier + read
+      // neighbour flag + conditional result write (Snippet 3 lines 13-24).
+      // Every team resolves its own query, leader or follower.
       warp.SharedAccessUniform(lanes);  // flag store
       warp.Instruction(2);              // compare + selfFlag
       warp.SharedAccessUniform(lanes);  // neighbour flag load
@@ -230,6 +152,8 @@ gpu::KernelStats RunImplicitInnerSearchLevelWise(
       warp.Instruction(2);              // __syncthreads x2 (warp-level)
 
       for (int t = 0; t < teams; ++t) {
+        // result = the lane whose flag is 1 while its left neighbour's is
+        // 0 == the number of keys smaller than the query.
         int result = 0;
         for (int lane = 0; lane < kTeam; ++lane) {
           if (self_key[t * kTeam + lane] < team_query[t]) ++result;
@@ -245,6 +169,8 @@ gpu::KernelStats RunImplicitInnerSearchLevelWise(
       stats.node_queries_by_level[level] += static_cast<std::uint64_t>(teams);
     }
 
+    // Scatter leaf line indices (one lane per team writes; consecutive
+    // 8-byte results coalesce into one transaction per warp).
     std::uint64_t roff[gpu::WarpScope::kWarpSize];
     for (int t = 0; t < teams; ++t) {
       roff[t] = (warp_base + t) * sizeof(std::uint64_t);
@@ -285,137 +211,15 @@ inline int UnpackLeafLine(std::uint64_t packed) {
 /// the index line, fetches and searches the selected key line, then one
 /// lane fetches the child reference — "three memory accesses instead of
 /// one" (Section 5.3).
-template <typename K>
-gpu::KernelStats RunRegularInnerSearch(gpu::Device& device,
-                                       const RegularKernelParams<K>& p) {
-  gpu::KernelStats stats;
-  using Shape = RegularShape<K>;
-  constexpr int kTeam = Shape::kIdx;  // 8 (64-bit) / 16 (32-bit)
-  const int teams_per_warp = gpu::WarpScope::kWarpSize / kTeam;
-  constexpr std::uint64_t kHotBytes = sizeof(RegularInnerHot<K>);
-  constexpr std::uint64_t kKeysBase = Shape::kIdx * sizeof(K);
-  constexpr std::uint64_t kRefsBase =
-      kKeysBase + Shape::kFanout * sizeof(K);
-
-  for (std::uint32_t warp_base = 0; warp_base < p.count;
-       warp_base += teams_per_warp) {
-    const int teams =
-        static_cast<int>(std::min<std::uint32_t>(teams_per_warp,
-                                                 p.count - warp_base));
-    const int lanes = teams * kTeam;
-    gpu::WarpScope warp(&device, &stats, lanes);
-
-    K team_query[gpu::WarpScope::kWarpSize];
-    {
-      std::uint64_t qoff[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) qoff[t] = (warp_base + t) * sizeof(K);
-      warp.Gather(p.queries, qoff, teams, team_query);
-    }
-
-    std::uint64_t node[gpu::WarpScope::kWarpSize];
-    if (p.start_nodes.is_null()) {
-      for (int t = 0; t < teams; ++t) node[t] = p.root;
-    } else {
-      std::uint64_t soff[gpu::WarpScope::kWarpSize];
-      std::uint32_t start32[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) {
-        soff[t] = (warp_base + t) * sizeof(std::uint32_t);
-      }
-      warp.Gather(p.start_nodes, soff, teams, start32);
-      for (int t = 0; t < teams; ++t) node[t] = start32[t];
-    }
-
-    std::uint64_t offsets[gpu::WarpScope::kWarpSize];
-    K lane_key[gpu::WarpScope::kWarpSize];
-
-    int line_result[gpu::WarpScope::kWarpSize];
-    for (int level = p.start_level; level >= 1; --level) {
-      const bool last = level == 1;
-      const gpu::DevicePtr pool = last ? p.last_hot : p.inner_hot;
-
-      // Step 1: parallel search of the index line.
-      for (int t = 0; t < teams; ++t) {
-        const std::uint64_t base = node[t] * kHotBytes;
-        for (int lane = 0; lane < kTeam; ++lane) {
-          offsets[t * kTeam + lane] = base + lane * sizeof(K);
-        }
-      }
-      warp.Gather(pool, offsets, lanes, lane_key);
-      warp.SharedAccessUniform(lanes);
-      warp.Instruction(4);
-      warp.SharedAccessUniform(lanes);
-      int s[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) {
-        int count_less = 0;
-        for (int lane = 0; lane < kTeam; ++lane) {
-          if (lane_key[t * kTeam + lane] < team_query[t]) ++count_less;
-        }
-        HBTREE_DCHECK(count_less < kTeam);
-        s[t] = count_less;
-      }
-
-      // Step 2: fetch and search the selected key line.
-      for (int t = 0; t < teams; ++t) {
-        const std::uint64_t base =
-            node[t] * kHotBytes + kKeysBase +
-            static_cast<std::uint64_t>(s[t]) * kTeam * sizeof(K);
-        for (int lane = 0; lane < kTeam; ++lane) {
-          offsets[t * kTeam + lane] = base + lane * sizeof(K);
-        }
-      }
-      warp.Gather(pool, offsets, lanes, lane_key);
-      warp.SharedAccessUniform(lanes);
-      warp.Instruction(4);
-      warp.SharedAccessUniform(lanes);
-      for (int t = 0; t < teams; ++t) {
-        int count_less = 0;
-        for (int lane = 0; lane < kTeam; ++lane) {
-          if (lane_key[t * kTeam + lane] < team_query[t]) ++count_less;
-        }
-        HBTREE_DCHECK(count_less < kTeam);
-        line_result[t] = s[t] * kTeam + count_less;
-      }
-
-      if (last) break;
-
-      // Step 3: one lane per team fetches the child reference.
-      K child_ref[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) {
-        offsets[t] = node[t] * kHotBytes + kRefsBase +
-                     static_cast<std::uint64_t>(line_result[t]) * sizeof(K);
-      }
-      warp.Gather(pool, offsets, teams, child_ref);
-      warp.Instruction(1);
-      for (int t = 0; t < teams; ++t) {
-        node[t] = static_cast<std::uint64_t>(child_ref[t]);
-      }
-    }
-
-    // Scatter packed (last inner node, leaf line) results.
-    std::uint64_t packed[gpu::WarpScope::kWarpSize];
-    std::uint64_t roff[gpu::WarpScope::kWarpSize];
-    for (int t = 0; t < teams; ++t) {
-      packed[t] = PackLeafPosition(static_cast<NodeRef>(node[t]),
-                                   line_result[t]);
-      roff[t] = (warp_base + t) * sizeof(std::uint64_t);
-    }
-    warp.Scatter(p.results, roff, teams, packed);
-  }
-  return stats;
-}
-
-/// Level-wise variant of the regular-tree inner search (DESIGN.md §14).
 ///
-/// Same contract as RunImplicitInnerSearchLevelWise: the launch's queries
-/// arrive sorted, so consecutive teams sharing a node form a run. The run
-/// leader issues the global gathers (index line, key line, child ref);
-/// followers take the lines from shared memory. Key-line and child-ref
-/// gathers additionally dedupe on the selected line — queries of one run
-/// that fall into the same key line share that fetch too. Per-level node
-/// loads (the index-line leaders) equal the distinct start nodes of the
-/// launch at that level.
+/// Runs dedupe as in RunImplicitInnerSearch: the run leader issues the
+/// global gathers (index line, key line, child ref); followers take the
+/// lines from shared memory. Key-line and child-ref gathers additionally
+/// dedupe on the selected line — queries of one run that fall into the
+/// same key line share that fetch too. Per-level node loads (the
+/// index-line leaders) equal the runs of the launch at that level.
 template <typename K>
-gpu::KernelStats RunRegularInnerSearchLevelWise(
+gpu::KernelStats RunRegularInnerSearch(
     gpu::Device& device, const RegularKernelParams<K>& p) {
   gpu::KernelStats stats;
   using Shape = RegularShape<K>;

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "core/workload.h"
@@ -71,168 +70,46 @@ struct RegularRangeAdapter {
   }
 };
 
-template <typename K, typename Adapter>
-Status RunRangeChecked(typename Adapter::Tree& tree,
-                       const RangeQuery<K>* queries, std::size_t count,
-                       int max_matches, const PipelineConfig& config,
-                       std::vector<KeyValue<K>>* pairs,
-                       std::vector<int>* counts, PipelineStats* stats_out) {
-  using Base = typename Adapter::Base;
-  gpu::Device& device = tree.device();
-  gpu::TransferEngine& transfer = tree.transfer();
-  fault::FaultInjector* injector = device.fault_injector();
-  const fault::RetryPolicy retry{config.max_device_retries,
-                                 config.retry_backoff_us, 2.0};
-  const int height = Base::Height(tree);
-
-  if (config.bucket_size <= 0 || max_matches <= 0) {
-    return Status::InvalidArgument(
-        "bucket_size and max_matches must be positive");
-  }
-  const std::uint32_t m = static_cast<std::uint32_t>(config.bucket_size);
-  gpu::ScopedDeviceAlloc q_dev(&device, m * sizeof(K));
-  gpu::ScopedDeviceAlloc r_dev(&device, m * sizeof(std::uint64_t));
-  if (!q_dev.ok() || !r_dev.ok()) {
-    return Status::DeviceOom("range buffers do not fit in device memory");
-  }
-
-  PipelineStats& stats = *stats_out;
-  stats = PipelineStats{};
-  pipeline_internal::Scheduler scheduler(config.strategy);
-  std::vector<K> first_keys(m);
-  std::vector<std::uint64_t> intermediate(m);
-  std::vector<double> bucket_end;
-  double latency_sum = 0;
-
-  if (pairs != nullptr) {
-    pairs->resize(count * static_cast<std::size_t>(max_matches));
-  }
-  if (counts != nullptr) counts->assign(count, 0);
-
-  for (std::size_t base = 0; base < count; base += m) {
-    const std::uint32_t n =
-        static_cast<std::uint32_t>(std::min<std::size_t>(m, count - base));
-    for (std::uint32_t i = 0; i < n; ++i) {
-      first_keys[i] = queries[base + i].first_key;
-    }
-
-    // T1: start keys to the device (transient faults retry with modelled
-    // backoff charged to this bucket's T1, as in the lookup pipeline).
-    double backoff_us = 0;
-    HBTREE_RETURN_IF_ERROR(fault::RetryTransient(
-        retry,
-        [&] {
-          return transfer.TryCopyToDevice(q_dev.get(), first_keys.data(),
-                                          n * sizeof(K));
-        },
-        &stats.transfer_retries, &backoff_us));
-    const double t1 = transfer.HostToDeviceUs(n * sizeof(K)) + backoff_us;
-
-    // T2: the same inner-search kernel resolves the start positions.
-    gpu::KernelStats ks;
-    backoff_us = 0;
-    HBTREE_RETURN_IF_ERROR(fault::RetryTransient(
-        retry,
-        [&]() -> Status {
-          if (injector != nullptr) {
-            HBTREE_RETURN_IF_ERROR(injector->Check(fault::Site::kKernel));
-          }
-          ks = Base::Launch(tree, q_dev.get(), r_dev.get(), n, height,
-                            gpu::DevicePtr{});
-          return Status::Ok();
-        },
-        &stats.kernel_retries, &backoff_us));
-    stats.kernel += ks;
-    const double t2 =
-        gpu::EstimateKernelTime(device.spec(), ks).total_us + backoff_us;
-
-    // T3: positions back to the host.
-    double t3 = 0;
-    backoff_us = 0;
-    HBTREE_RETURN_IF_ERROR(fault::RetryTransient(
-        retry,
-        [&] {
-          return transfer.TryCopyToHost(intermediate.data(), r_dev.get(),
-                                        n * sizeof(std::uint64_t), &t3);
-        },
-        &stats.transfer_retries, &backoff_us));
-    t3 += backoff_us;
-
-    // T4: CPU leaf-chain scan per query. With a heat sink configured the
-    // whole stage loop runs traced under the sink's mutex (same pattern
-    // as the lookup pipeline's T4).
-    {
-      std::unique_lock<std::mutex> heat_lock;
-      if (config.heat != nullptr) {
-        heat_lock = std::unique_lock<std::mutex>(config.heat->mu);
-      }
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const auto& query = queries[base + i];
-        const int want = std::min(max_matches, query.match_count);
-        KeyValue<K>* out =
-            pairs != nullptr
-                ? pairs->data() + (base + i) * max_matches
-                : nullptr;
-        KeyValue<K> scratch[1];
-        KeyValue<K>* dst = out != nullptr ? out : scratch;
-        const int limit = out != nullptr ? want : std::min(want, 1);
-        int got;
-        if (config.heat != nullptr) {
-          got = Adapter::Scan(tree, intermediate[i], query.first_key, limit,
-                              dst, &config.heat->scan);
-        } else {
-          got = Adapter::Scan(tree, intermediate[i], query.first_key, limit,
-                              dst);
-        }
-        if (counts != nullptr) (*counts)[base + i] = got;
-      }
-    }
-    const double t4 = n / config.cpu_queries_per_us;
-
-    const std::size_t b = bucket_end.size();
-    const double ready =
-        b >= static_cast<std::size_t>(config.buckets_in_flight)
-            ? bucket_end[b - config.buckets_in_flight]
-            : 0.0;
-    const double end = scheduler.ScheduleBucket(ready, 0, t1, t2, t3, t4);
-    bucket_end.push_back(end);
-    latency_sum += end - ready;
-
-    stats.t1_us += t1;
-    stats.t2_us += t2;
-    stats.t3_us += t3;
-    stats.t4_us += t4;
-  }
-
-  const double buckets = static_cast<double>(bucket_end.size());
-  stats.queries = count;
-  stats.total_us = bucket_end.empty() ? 0 : bucket_end.back();
-  stats.mqps = stats.total_us > 0 ? count / stats.total_us : 0;
-  stats.avg_latency_us = buckets > 0 ? latency_sum / buckets : 0;
-  if (buckets > 0) {
-    stats.t1_us /= buckets;
-    stats.t2_us /= buckets;
-    stats.t3_us /= buckets;
-    stats.t4_us /= buckets;
-  }
-  stats.gpu_busy_us = scheduler.gpu_busy();
-  stats.cpu_busy_us = scheduler.cpu_busy();
-  stats.pcie_busy_us = scheduler.pcie_busy();
-  return Status::Ok();
-}
-
+/// Range queries through the lookup pipeline's bucket loop: the kernel
+/// resolves each start key's position, T4 scans the leaf chain. Buckets
+/// stay unsorted and unsplit (no sort charge, no pre-descent), so every
+/// bucket's T1..T4 are those of a plain kernel launch over its start keys.
 template <typename K, typename Adapter>
 PipelineStats RunRange(typename Adapter::Tree& tree,
                        const RangeQuery<K>* queries, std::size_t count,
                        int max_matches, const PipelineConfig& config,
                        std::vector<KeyValue<K>>* pairs,
                        std::vector<int>* counts) {
+  HBTREE_CHECK_MSG(max_matches > 0, "max_matches must be positive");
+  const std::size_t stride = static_cast<std::size_t>(max_matches);
+  if (pairs != nullptr) pairs->resize(count * stride);
+  if (counts != nullptr) counts->assign(count, 0);
+  std::vector<K> first_keys(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    first_keys[i] = queries[i].first_key;
+  }
+  // A counts-only call still scans every match into a scratch row.
+  std::vector<KeyValue<K>> scratch(pairs != nullptr ? 0 : stride);
+  PipelineConfig unsplit = config;
+  unsplit.cpu_descend_levels = 0;
+  unsplit.cpu_split_ratio = 1.0;
+
   PipelineStats stats;
-  const Status status = RunRangeChecked<K, Adapter>(
-      tree, queries, count, max_matches, config, pairs, counts, &stats);
-  // Unreachable without an armed fault injector (see RunPipeline).
-  HBTREE_CHECK_MSG(status.ok(), "range pipeline failed: %s",
-                   status.message().c_str());
+  pipeline_internal::CheckPipelineOk(
+      pipeline_internal::RunPipelineChecked<K, typename Adapter::Base>(
+          tree, first_keys.data(), count, unsplit, /*sort=*/false,
+          [&](std::size_t i, std::uint64_t intermediate, K first_key) {
+            const int want = std::min(max_matches, queries[i].match_count);
+            KeyValue<K>* out =
+                pairs != nullptr ? pairs->data() + i * stride : scratch.data();
+            const int got =
+                config.heat != nullptr
+                    ? Adapter::Scan(tree, intermediate, first_key, want, out,
+                                    &config.heat->scan)
+                    : Adapter::Scan(tree, intermediate, first_key, want, out);
+            if (counts != nullptr) (*counts)[i] = got;
+          },
+          &stats));
   return stats;
 }
 
@@ -263,31 +140,6 @@ PipelineStats RunRangePipeline(HBRegularTree<K>& tree,
                                std::vector<int>* counts = nullptr) {
   return range_internal::RunRange<K, range_internal::RegularRangeAdapter<K>>(
       tree, queries, count, max_matches, config, pairs, counts);
-}
-
-/// Fault-tolerant range entry points: device failures surface as a typed
-/// Status after bounded retries instead of aborting (see
-/// TryRunSearchPipeline for the contract).
-template <typename K>
-Status TryRunRangePipeline(HBImplicitTree<K>& tree,
-                           const RangeQuery<K>* queries, std::size_t count,
-                           int max_matches, const PipelineConfig& config,
-                           std::vector<KeyValue<K>>* pairs,
-                           std::vector<int>* counts, PipelineStats* stats) {
-  return range_internal::RunRangeChecked<
-      K, range_internal::ImplicitRangeAdapter<K>>(
-      tree, queries, count, max_matches, config, pairs, counts, stats);
-}
-
-template <typename K>
-Status TryRunRangePipeline(HBRegularTree<K>& tree,
-                           const RangeQuery<K>* queries, std::size_t count,
-                           int max_matches, const PipelineConfig& config,
-                           std::vector<KeyValue<K>>* pairs,
-                           std::vector<int>* counts, PipelineStats* stats) {
-  return range_internal::RunRangeChecked<
-      K, range_internal::RegularRangeAdapter<K>>(
-      tree, queries, count, max_matches, config, pairs, counts, stats);
 }
 
 }  // namespace hbtree

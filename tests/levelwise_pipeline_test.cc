@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <mutex>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "core/random.h"
 #include "core/workload.h"
 #include "gpusim/device.h"
 #include "hybrid/bucket_pipeline.h"
@@ -16,12 +20,14 @@
 namespace hbtree {
 namespace {
 
-/// Level-wise dispatch reconciliation (DESIGN.md §14): per launch of a
-/// sorted batch, the kernel's modelled node loads at each tree level must
-/// equal the number of *distinct* start nodes the batch visits at that
-/// level — computed here by an independent host traversal — and never
-/// queries x levels. Plus sorted-vs-unsorted result equivalence through
-/// the full pipeline.
+/// Level-wise dispatch (DESIGN.md §14) on the one inner-search kernel per
+/// tree. Per launch of a sorted batch, the kernel's modelled node loads at
+/// each tree level must equal the number of *distinct* start nodes the
+/// batch visits at that level — computed here by an independent host
+/// traversal — and never queries x levels. A launch where no two
+/// consecutive queries share a node must charge exactly what a per-query
+/// search does. Plus answer equivalence with host lookups through the
+/// full pipeline.
 
 struct KernelFixture {
   sim::PlatformSpec platform = sim::PlatformSpec::M1();
@@ -52,7 +58,59 @@ std::vector<K> SortedMixedQueries(const std::vector<KeyValue<K>>& data,
   return queries;
 }
 
-TEST(ImplicitLevelWise, NodeLoadsEqualDistinctStartNodesPerLevel) {
+template <typename K>
+std::vector<K> Shuffled(std::vector<K> keys, std::uint64_t seed) {
+  Rng rng(seed);
+  for (std::size_t i = keys.size(); i > 1; --i) {
+    std::swap(keys[i - 1], keys[rng.NextBounded(i)]);
+  }
+  return keys;
+}
+
+std::uint64_t Sum(const std::vector<std::uint64_t>& v) {
+  std::uint64_t total = 0;
+  for (std::uint64_t x : v) total += x;
+  return total;
+}
+
+/// One launch of the tree's kernel over `queries` (from the root, or from
+/// `starts` at `start_level` when given); returns the kernel stats.
+template <typename Tree, typename K>
+gpu::KernelStats Launch(KernelFixture& fx, const Tree& tree,
+                        const std::vector<K>& queries,
+                        std::vector<std::uint64_t>* results = nullptr,
+                        int start_level = -1,
+                        const std::vector<std::uint32_t>* starts = nullptr) {
+  const auto count = static_cast<std::uint32_t>(queries.size());
+  gpu::DevicePtr q_dev = fx.device.Malloc(count * sizeof(K));
+  gpu::DevicePtr r_dev = fx.device.Malloc(count * sizeof(std::uint64_t));
+  gpu::DevicePtr s_dev;
+  fx.transfer.CopyToDevice(q_dev, queries.data(), count * sizeof(K));
+  if (starts != nullptr) {
+    s_dev = fx.device.Malloc(count * sizeof(std::uint32_t));
+    fx.transfer.CopyToDevice(s_dev, starts->data(),
+                             count * sizeof(std::uint32_t));
+  }
+  const auto params =
+      tree.MakeKernelParams(q_dev, r_dev, count, start_level, s_dev);
+  gpu::KernelStats stats;
+  if constexpr (std::is_same_v<Tree, HBImplicitTree<K>>) {
+    stats = RunImplicitInnerSearch<K>(fx.device, params);
+  } else {
+    stats = RunRegularInnerSearch<K>(fx.device, params);
+  }
+  if (results != nullptr) {
+    results->resize(count);
+    fx.transfer.CopyToHost(results->data(), r_dev,
+                           count * sizeof(std::uint64_t));
+  }
+  fx.device.Free(q_dev);
+  fx.device.Free(r_dev);
+  fx.device.Free(s_dev);
+  return stats;
+}
+
+TEST(ImplicitRunDedup, NodeLoadsEqualDistinctStartNodesPerLevel) {
   KernelFixture fx;
   HBImplicitTree<Key64>::Config config;
   HBImplicitTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
@@ -64,21 +122,11 @@ TEST(ImplicitLevelWise, NodeLoadsEqualDistinctStartNodesPerLevel) {
 
   constexpr std::uint32_t kCount = 4096;
   auto queries = SortedMixedQueries<Key64>(data, kCount, /*seed=*/2);
+  std::vector<std::uint64_t> results;
+  const gpu::KernelStats lw = Launch(fx, tree, queries, &results);
 
-  gpu::DevicePtr q_dev = fx.device.Malloc(kCount * sizeof(Key64));
-  gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(std::uint64_t));
-  fx.transfer.CopyToDevice(q_dev, queries.data(), kCount * sizeof(Key64));
-  auto params = tree.MakeKernelParams(q_dev, r_dev, kCount);
-
-  gpu::KernelStats base = RunImplicitInnerSearch<Key64>(fx.device, params);
-  gpu::KernelStats lw =
-      RunImplicitInnerSearchLevelWise<Key64>(fx.device, params);
-
-  // Functional identity: both kernels land every query on the same leaf
-  // line the host traversal computes.
-  std::vector<std::uint64_t> results(kCount);
-  fx.transfer.CopyToHost(results.data(), r_dev,
-                         kCount * sizeof(std::uint64_t));
+  // Functional identity: every query lands on the leaf line the host
+  // traversal computes.
   for (std::uint32_t i = 0; i < kCount; ++i) {
     ASSERT_EQ(results[i], host.FindLeafLine(queries[i])) << "query " << i;
   }
@@ -99,16 +147,9 @@ TEST(ImplicitLevelWise, NodeLoadsEqualDistinctStartNodesPerLevel) {
     EXPECT_LE(lw.node_loads_by_level[level],
               lw.node_queries_by_level[level]);
   }
-
-  // The per-query kernel reports no per-level counters; the level-wise
-  // one must win on the memory side of the cost model and nothing else.
-  EXPECT_TRUE(base.node_loads_by_level.empty());
-  EXPECT_EQ(lw.warps_executed, base.warps_executed);
-  EXPECT_LT(lw.memory_gathers, base.memory_gathers);
-  EXPECT_LT(lw.dram_bytes + lw.l2_bytes, base.dram_bytes + base.l2_bytes);
 }
 
-TEST(ImplicitLevelWise, ReconcilesFromPreDescendedStartNodes) {
+TEST(ImplicitRunDedup, ReconcilesFromPreDescendedStartNodes) {
   // Composition with the CPU pre-descent split (Section 5.5): the launch
   // starts below the root, and reconciliation holds per remaining level.
   KernelFixture fx;
@@ -124,27 +165,14 @@ TEST(ImplicitLevelWise, ReconcilesFromPreDescendedStartNodes) {
 
   constexpr std::uint32_t kCount = 2048;
   auto queries = SortedMixedQueries<Key64>(data, kCount, /*seed=*/4);
-
   std::vector<std::uint32_t> starts(kCount);
   for (std::uint32_t i = 0; i < kCount; ++i) {
     starts[i] =
         static_cast<std::uint32_t>(host.DescendLevels(queries[i], cpu_depth));
   }
-  gpu::DevicePtr q_dev = fx.device.Malloc(kCount * sizeof(Key64));
-  gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(std::uint64_t));
-  gpu::DevicePtr s_dev = fx.device.Malloc(kCount * sizeof(std::uint32_t));
-  fx.transfer.CopyToDevice(q_dev, queries.data(), kCount * sizeof(Key64));
-  fx.transfer.CopyToDevice(s_dev, starts.data(),
-                           kCount * sizeof(std::uint32_t));
-
-  auto params = tree.MakeKernelParams(q_dev, r_dev, kCount, start_level,
-                                      s_dev);
-  gpu::KernelStats lw =
-      RunImplicitInnerSearchLevelWise<Key64>(fx.device, params);
-
-  std::vector<std::uint64_t> results(kCount);
-  fx.transfer.CopyToHost(results.data(), r_dev,
-                         kCount * sizeof(std::uint64_t));
+  std::vector<std::uint64_t> results;
+  const gpu::KernelStats lw =
+      Launch(fx, tree, queries, &results, start_level, &starts);
   for (std::uint32_t i = 0; i < kCount; ++i) {
     ASSERT_EQ(results[i], host.FindLeafLine(queries[i])) << i;
   }
@@ -161,7 +189,7 @@ TEST(ImplicitLevelWise, ReconcilesFromPreDescendedStartNodes) {
   }
 }
 
-TEST(RegularLevelWise, NodeLoadsEqualDistinctStartNodesPerLevel) {
+TEST(RegularRunDedup, NodeLoadsEqualDistinctStartNodesPerLevel) {
   KernelFixture fx;
   HBRegularTree<Key64>::Config config;
   HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
@@ -173,19 +201,8 @@ TEST(RegularLevelWise, NodeLoadsEqualDistinctStartNodesPerLevel) {
 
   constexpr std::uint32_t kCount = 2048;
   auto queries = SortedMixedQueries<Key64>(data, kCount, /*seed=*/6);
-
-  gpu::DevicePtr q_dev = fx.device.Malloc(kCount * sizeof(Key64));
-  gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(std::uint64_t));
-  fx.transfer.CopyToDevice(q_dev, queries.data(), kCount * sizeof(Key64));
-  auto params = tree.MakeKernelParams(q_dev, r_dev, kCount);
-
-  gpu::KernelStats base = RunRegularInnerSearch<Key64>(fx.device, params);
-  gpu::KernelStats lw =
-      RunRegularInnerSearchLevelWise<Key64>(fx.device, params);
-
-  std::vector<std::uint64_t> results(kCount);
-  fx.transfer.CopyToHost(results.data(), r_dev,
-                         kCount * sizeof(std::uint64_t));
+  std::vector<std::uint64_t> results;
+  const gpu::KernelStats lw = Launch(fx, tree, queries, &results);
   for (std::uint32_t i = 0; i < kCount; ++i) {
     auto expect = host.FindLeafPosition(queries[i]);
     ASSERT_EQ(UnpackLeafNode(results[i]), expect.last_inner) << i;
@@ -204,44 +221,172 @@ TEST(RegularLevelWise, NodeLoadsEqualDistinctStartNodesPerLevel) {
         << "level " << level;
     EXPECT_EQ(lw.node_queries_by_level[level], kCount) << "level " << level;
   }
-  EXPECT_EQ(lw.warps_executed, base.warps_executed);
-  EXPECT_LT(lw.memory_gathers, base.memory_gathers);
-  EXPECT_LT(lw.dram_bytes + lw.l2_bytes, base.dram_bytes + base.l2_bytes);
+}
+
+/// One data key per distinct node at `level`, in key order, with that
+/// node as its start: distinct parents have disjoint subtrees, so no two
+/// consecutive queries share a node at `level` or any level below it.
+template <typename Host, typename K>
+void OneQueryPerNode(const Host& host, const std::vector<KeyValue<K>>& data,
+                     int level, std::size_t max_count, std::vector<K>* queries,
+                     std::vector<std::uint32_t>* starts) {
+  std::uint64_t prev = ~0ull;
+  for (const auto& kv : data) {
+    const auto node =
+        static_cast<std::uint64_t>(host.DescendLevels(kv.key, host.height() -
+                                                                  level));
+    if (node == prev) continue;
+    prev = node;
+    queries->push_back(kv.key);
+    starts->push_back(static_cast<std::uint32_t>(node));
+    if (queries->size() == max_count) break;
+  }
+}
+
+/// Closed-form charges of a per-query search of `n` 64-bit queries that
+/// start at `levels` (start nodes given): 4 teams per warp, every node,
+/// key and ref access a team of its own in a distinct 64-byte segment;
+/// the query load, start-node load and result store each fit one
+/// aligned segment per warp.
+struct PerQueryCost {
+  std::uint64_t gathers = 0, transactions = 0, shared = 0, instructions = 0;
+};
+
+void ExpectPerQueryCost(const gpu::KernelStats& s, const PerQueryCost& c,
+                        int levels, std::uint64_t n) {
+  for (int level = 1; level <= levels; ++level) {
+    EXPECT_EQ(s.node_loads_by_level[level], n) << "level " << level;
+    EXPECT_EQ(s.node_queries_by_level[level], n) << "level " << level;
+  }
+  EXPECT_EQ(s.memory_gathers, c.gathers);
+  EXPECT_EQ(s.memory_transactions, c.transactions);
+  EXPECT_EQ(s.shared_accesses, c.shared);
+  EXPECT_EQ(s.warp_instructions, c.instructions);
+}
+
+class NoSharedNodes : public ::testing::TestWithParam<int> {};
+
+TEST_P(NoSharedNodes, ImplicitChargesThePerQueryClosedForm) {
+  const int levels = GetParam();
+  KernelFixture fx;
+  HBImplicitTree<Key64>::Config config;
+  HBImplicitTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
+  auto data = GenerateDataset<Key64>(200000, /*seed=*/15);
+  ASSERT_TRUE(tree.Build(data));
+  ASSERT_GE(tree.host_tree().height(), levels);
+  std::vector<Key64> queries;
+  std::vector<std::uint32_t> starts;
+  OneQueryPerNode(tree.host_tree(), data, levels, 1001, &queries, &starts);
+  ASSERT_GT(queries.size(), 8u);
+  const std::uint64_t n = queries.size();
+  const std::uint64_t warps = (n + 3) / 4;
+  const std::uint64_t l = static_cast<std::uint64_t>(levels);
+
+  std::vector<std::uint64_t> results;
+  const gpu::KernelStats s =
+      Launch(fx, tree, queries, &results, levels, &starts);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(results[i], tree.host_tree().FindLeafLine(queries[i])) << i;
+  }
+  // Per warp and level: one node gather (one segment per team), two flag
+  // accesses and 1 + 2 + 7 instructions (gather, flag accesses, compare,
+  // transition test, barriers, clamp).
+  ExpectPerQueryCost(s,
+                     {.gathers = warps * (3 + l),
+                      .transactions = warps * 3 + l * n,
+                      .shared = warps * 2 * l,
+                      .instructions = warps * (3 + 10 * l)},
+                     levels, n);
+}
+
+TEST_P(NoSharedNodes, RegularChargesThePerQueryClosedForm) {
+  const int levels = GetParam();
+  KernelFixture fx;
+  HBRegularTree<Key64>::Config config;
+  HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
+  auto data = GenerateDataset<Key64>(300000, /*seed=*/16);
+  ASSERT_TRUE(tree.Build(data));
+  ASSERT_GE(tree.host_tree().height(), levels);
+  std::vector<Key64> queries;
+  std::vector<std::uint32_t> starts;
+  OneQueryPerNode(tree.host_tree(), data, levels, 1001, &queries, &starts);
+  ASSERT_GT(queries.size(), 8u);
+  const std::uint64_t n = queries.size();
+  const std::uint64_t warps = (n + 3) / 4;
+  const std::uint64_t l = static_cast<std::uint64_t>(levels);
+
+  std::vector<std::uint64_t> results;
+  const gpu::KernelStats s =
+      Launch(fx, tree, queries, &results, levels, &starts);
+  for (std::size_t i = 0; i < n; ++i) {
+    auto expect = tree.host_tree().FindLeafPosition(queries[i]);
+    ASSERT_EQ(UnpackLeafNode(results[i]), expect.last_inner) << i;
+    ASSERT_EQ(UnpackLeafLine(results[i]), expect.line) << i;
+  }
+  // Per warp and level: index-line and key-line gathers (7 instructions
+  // each with their two flag accesses), plus the child-ref gather and its
+  // instruction on every level but the last.
+  ExpectPerQueryCost(s,
+                     {.gathers = warps * (3 + 3 * l - 1),
+                      .transactions = warps * 3 + (3 * l - 1) * n,
+                      .shared = warps * 4 * l,
+                      .instructions = warps * (3 + 16 * l - 2)},
+                     levels, n);
+}
+
+INSTANTIATE_TEST_SUITE_P(StartLevels, NoSharedNodes, ::testing::Values(1, 2));
+
+TEST(SortedKeys, LoadFewerNodesAndBytesThanTheSameKeysShuffled) {
+  KernelFixture fx;
+  HBImplicitTree<Key64>::Config implicit_config;
+  HBImplicitTree<Key64> implicit(implicit_config, &fx.registry, &fx.device,
+                                 &fx.transfer);
+  HBRegularTree<Key64>::Config regular_config;
+  HBRegularTree<Key64> regular(regular_config, &fx.registry, &fx.device,
+                               &fx.transfer);
+  auto data = GenerateDataset<Key64>(200000, /*seed=*/17);
+  ASSERT_TRUE(implicit.Build(data));
+  ASSERT_TRUE(regular.Build(data));
+
+  const auto sorted = SortedMixedQueries<Key64>(data, 4096, /*seed=*/18);
+  const auto shuffled = Shuffled(sorted, /*seed=*/19);
+  auto expect_cheaper = [](const gpu::KernelStats& s,
+                           const gpu::KernelStats& u) {
+    EXPECT_EQ(s.warps_executed, u.warps_executed);
+    EXPECT_LT(Sum(s.node_loads_by_level), Sum(u.node_loads_by_level));
+    EXPECT_EQ(Sum(s.node_queries_by_level), Sum(u.node_queries_by_level));
+    EXPECT_LT(s.memory_gathers, u.memory_gathers);
+    EXPECT_LT(s.dram_bytes + s.l2_bytes, u.dram_bytes + u.l2_bytes);
+  };
+  expect_cheaper(Launch(fx, implicit, sorted),
+                 Launch(fx, implicit, shuffled));
+  expect_cheaper(Launch(fx, regular, sorted), Launch(fx, regular, shuffled));
 }
 
 template <typename Tree, typename K>
-void ExpectSameResults(Tree& tree, const std::vector<K>& queries,
-                       PipelineConfig config) {
-  std::vector<LookupResult<K>> level_wise_results;
-  std::vector<LookupResult<K>> per_query_results;
-  config.level_wise = true;
-  PipelineStats lw = RunSearchPipeline(tree, queries.data(), queries.size(),
-                                       config, &level_wise_results);
-  config.level_wise = false;
-  PipelineStats base = RunSearchPipeline(tree, queries.data(), queries.size(),
-                                         config, &per_query_results);
-  ASSERT_EQ(level_wise_results.size(), queries.size());
+void ExpectHostResults(Tree& tree, const std::vector<K>& queries,
+                       const PipelineConfig& config) {
+  std::vector<LookupResult<K>> results;
+  const PipelineStats stats = RunSearchPipeline(
+      tree, queries.data(), queries.size(), config, &results);
+  ASSERT_EQ(results.size(), queries.size());
   // Write-back through the sort permutation restores the caller's order:
   // result i always answers query i.
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_EQ(level_wise_results[i].found, per_query_results[i].found) << i;
-    if (level_wise_results[i].found) {
-      ASSERT_EQ(level_wise_results[i].value, per_query_results[i].value) << i;
+    const LookupResult<K> expect = tree.host_tree().Search(queries[i]);
+    ASSERT_EQ(results[i].found, expect.found) << i;
+    if (expect.found) {
+      ASSERT_EQ(results[i].value, expect.value) << i;
     }
   }
-  // Accounting invariant across all buckets: strictly fewer node loads
-  // than query-level touches, and a cheaper modelled memory side.
-  std::uint64_t loads = 0, queries_by_level = 0;
-  for (std::uint64_t v : lw.kernel.node_loads_by_level) loads += v;
-  for (std::uint64_t v : lw.kernel.node_queries_by_level) queries_by_level += v;
+  // Accounting invariant across all buckets: sorted dispatch loads
+  // strictly fewer nodes than query-level touches.
+  const std::uint64_t loads = Sum(stats.kernel.node_loads_by_level);
   EXPECT_GT(loads, 0u);
-  EXPECT_LT(loads, queries_by_level);
-  EXPECT_LT(lw.kernel.memory_gathers, base.kernel.memory_gathers);
-  EXPECT_LT(lw.kernel.dram_bytes + lw.kernel.l2_bytes,
-            base.kernel.dram_bytes + base.kernel.l2_bytes);
+  EXPECT_LT(loads, Sum(stats.kernel.node_queries_by_level));
 }
 
-TEST(LevelWisePipeline, UnsortedQueriesGetIdenticalAnswers) {
+TEST(SortedPipeline, UnsortedQueriesGetHostAnswersInCallerOrder) {
   KernelFixture fx;
   HBImplicitTree<Key64>::Config tree_config;
   HBImplicitTree<Key64> tree(tree_config, &fx.registry, &fx.device,
@@ -256,10 +401,10 @@ TEST(LevelWisePipeline, UnsortedQueriesGetIdenticalAnswers) {
   }
   PipelineConfig config;
   config.bucket_size = 4096;
-  ExpectSameResults<HBImplicitTree<Key64>, Key64>(tree, queries, config);
+  ExpectHostResults(tree, queries, config);
 }
 
-TEST(LevelWisePipeline, ComposesWithLoadBalancerSplit) {
+TEST(SortedPipeline, ComposesWithLoadBalancerSplit) {
   KernelFixture fx;
   HBImplicitTree<Key64>::Config tree_config;
   HBImplicitTree<Key64> tree(tree_config, &fx.registry, &fx.device,
@@ -280,10 +425,10 @@ TEST(LevelWisePipeline, ComposesWithLoadBalancerSplit) {
   config.cpu_split_ratio = 0.5;
   config.cpu_descend_us_per_level = 0.01;
   config.buckets_in_flight = 3;
-  ExpectSameResults<HBImplicitTree<Key64>, Key64>(tree, queries, config);
+  ExpectHostResults(tree, queries, config);
 }
 
-TEST(LevelWisePipeline, RegularTreeGetsIdenticalAnswers) {
+TEST(SortedPipeline, RegularTreeGetsHostAnswersInCallerOrder) {
   KernelFixture fx;
   HBRegularTree<Key64>::Config tree_config;
   HBRegularTree<Key64> tree(tree_config, &fx.registry, &fx.device,
@@ -298,10 +443,10 @@ TEST(LevelWisePipeline, RegularTreeGetsIdenticalAnswers) {
   }
   PipelineConfig config;
   config.bucket_size = 4096;
-  ExpectSameResults<HBRegularTree<Key64>, Key64>(tree, queries, config);
+  ExpectHostResults(tree, queries, config);
 }
 
-TEST(LevelWisePipeline, HeatSinkCarriesKernelTrafficAndCollapsedTouches) {
+TEST(SortedPipeline, HeatSinkCarriesKernelTrafficAndCollapsedTouches) {
   // The regular tree's leaf search is the stage with node-touch heat
   // instrumentation (cpu_leaf big_leaf cells) — use it so the collapsed
   // per-batch touch convention is observable.
@@ -324,11 +469,9 @@ TEST(LevelWisePipeline, HeatSinkCarriesKernelTrafficAndCollapsedTouches) {
   std::lock_guard<std::mutex> lock(heat.mu);
   ASSERT_FALSE(heat.kernel_node_loads.empty());
   EXPECT_EQ(heat.kernel_launches, 2u);  // 8192 queries / 4096 bucket
-  std::uint64_t loads = 0, queries_by_level = 0;
-  for (std::uint64_t v : heat.kernel_node_loads) loads += v;
-  for (std::uint64_t v : heat.kernel_node_queries) queries_by_level += v;
+  const std::uint64_t loads = Sum(heat.kernel_node_loads);
   EXPECT_GT(loads, 0u);
-  EXPECT_LT(loads, queries_by_level);
+  EXPECT_LT(loads, Sum(heat.kernel_node_queries));
   EXPECT_GT(heat.kernel_dram_bytes + heat.kernel_l2_bytes, 0u);
 
   // Collapse-repeats heat semantics: with sorted dispatch the CPU leaf

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/workload.h"
@@ -79,6 +80,38 @@ TYPED_TEST(RangePipelineTypedTest, RegularMatchesHostRangeScan) {
       ASSERT_EQ(pairs[i * kMatches + j], expect[j]);
     }
   }
+}
+
+TEST(RangePipeline, CountsOnlyCallReturnsTheFullCallsCounts) {
+  Fixture fx;
+  HBImplicitTree<Key64>::Config implicit_config;
+  HBImplicitTree<Key64> implicit(implicit_config, &fx.registry, &fx.device,
+                                 &fx.transfer);
+  HBRegularTree<Key64>::Config regular_config;
+  HBRegularTree<Key64> regular(regular_config, &fx.registry, &fx.device,
+                               &fx.transfer);
+  auto data = GenerateDataset<Key64>(40000, /*seed=*/6);
+  ASSERT_TRUE(implicit.Build(data));
+  ASSERT_TRUE(regular.Build(data));
+
+  constexpr int kMatches = 12;
+  auto rq = MakeRangeQueries(data, 3000, kMatches, /*seed=*/7);
+  PipelineConfig pconfig;
+  pconfig.bucket_size = 1024;
+  pconfig.cpu_queries_per_us = 10;
+  auto expect_same_counts = [&](auto& tree) {
+    std::vector<KeyValue<Key64>> pairs;
+    std::vector<KeyValue<Key64>>* no_pairs = nullptr;
+    std::vector<int> full, counts_only;
+    RunRangePipeline(tree, rq.data(), rq.size(), kMatches, pconfig, &pairs,
+                     &full);
+    RunRangePipeline(tree, rq.data(), rq.size(), kMatches, pconfig, no_pairs,
+                     &counts_only);
+    ASSERT_GT(*std::max_element(full.begin(), full.end()), 1);
+    EXPECT_EQ(counts_only, full);
+  };
+  expect_same_counts(implicit);
+  expect_same_counts(regular);
 }
 
 TEST(RangePipeline, StartKeysAboveMaximumYieldZeroMatches) {

@@ -422,16 +422,16 @@ TEST(ServeWorkload, ZipfianSkewConcentratesTrafficOnShardZero) {
 }
 
 // Load shedding under skew must surface on the overloaded shard's
-// counters, not smear across the topology. The SLO-bound deadline rides
-// on the zipf-hot traffic (the keys routing to shard 0, ~86% of the
-// burst); the cold shards' trickle runs deadline-free, which keeps the
-// localization deterministic whatever the host's speed — on a starved
-// machine (sanitizers, parallel ctest) even an idle shard's fill-window
-// wait can exceed any fixed deadline, so a uniform deadline would shed
-// on cold shards too and say nothing about attribution. The hot shard
-// must shed: one submitter outruns a shard's batch pipeline on any
-// host (submission is a queue push, service is a tree search plus
-// batching machinery), so the 16k+ backlog can't drain inside 2ms.
+// counters, not smear across the topology. The deadline rides on the
+// zipf-hot traffic (the keys routing to shard 0, ~86% of the burst); the
+// cold shards' trickle runs deadline-free, which keeps the localization
+// deterministic whatever the host's speed — on a starved machine
+// (sanitizers, parallel ctest) even an idle shard's fill-window wait can
+// exceed any fixed deadline, so a uniform deadline would shed on cold
+// shards too and say nothing about attribution. The hot deadline is 1us,
+// which no op can meet at dispatch (a queue push, a worker wake-up and a
+// batch pop take longer), so the hot shard sheds on any host and the test
+// checks attribution and reconciliation, not how fast the host submits.
 TEST(ServeWorkload, SheddingConcentratesOnTheHotShard) {
   // Read-only unscrambled zipf: shed_updates must stay zero everywhere.
   WorkloadSpec spec;
@@ -450,7 +450,7 @@ TEST(ServeWorkload, SheddingConcentratesOnTheHotShard) {
   // just below the key at index n/4 (Init's bounds on a sequential
   // dataset).
   constexpr std::size_t kBurst = 20000;
-  constexpr std::chrono::microseconds kDeadline{2000};
+  constexpr std::chrono::microseconds kDeadline{1};
   const Key64 hot_bound = dataset.pairs[dataset.pairs.size() / 4].key;
   OpStream stream(spec, &dataset, /*client=*/0, /*clients=*/1, kSeed);
   std::vector<std::future<serve::ReadResult<Key64>>> pending;
@@ -471,7 +471,7 @@ TEST(ServeWorkload, SheddingConcentratesOnTheHotShard) {
       ++shed;
     }
   }
-  EXPECT_GT(shed, 0u) << "burst drained inside a 2ms deadline?";
+  EXPECT_GT(shed, 0u) << "hot ops dispatched inside a 1us deadline?";
   EXPECT_EQ(served + shed, kBurst);
 
   const obs::MetricsSnapshot snapshot = server->metrics().Collect();
