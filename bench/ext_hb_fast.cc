@@ -9,10 +9,15 @@
 // 64-byte segments per level; the HB+-tree's 8-thread team search loads
 // at most 4 segments per warp per level. Same pipeline, same platform —
 // the transaction counts and throughput below quantify the difference.
+//
+// Flags: --n_log2, --queries_log2, --platform, --seed, and
+// --metrics_json=<path> (hbtree.bench.v1 rows, one per tree;
+// `scripts/check.sh paper` gates them).
 
 #include <cstdio>
 
 #include "bench_support/hb_runner.h"
+#include "bench_support/report.h"
 #include "hybrid/hb_fast.h"
 
 namespace hbtree::bench {
@@ -29,22 +34,29 @@ void Run(const Args& args) {
   auto queries = MakeLookupQueries(data, seed + 1);
   queries.resize(std::min(q, queries.size()));
 
-  Table table({"tree", "MQPS", "tx/warp/level", "gpu dram MB", "t2 us"});
-  table.PrintTitle("framework extension: HB+-tree vs HB-FAST");
-  table.PrintHeader();
+  BenchReport report("ext_hb_fast");
+  report.Meta("platform", platform.name);
+  report.MetaNum("n", static_cast<double>(n));
+  report.MetaNum("queries", static_cast<double>(queries.size()));
+  report.MetaNum("seed", static_cast<double>(seed));
+  auto add_row = [&report](const char* tree, const PipelineStats& stats,
+                           int levels) {
+    report.AddRow()
+        .Text("tree", tree)
+        .Num("mqps", stats.mqps, 1)
+        .Num("tx_per_warp_level",
+             static_cast<double>(stats.kernel.memory_transactions) /
+                 stats.kernel.warps_executed / levels,
+             2)
+        .Num("gpu_dram_mb", stats.kernel.dram_bytes / 1e6, 1)
+        .Num("t2_us", stats.t2_us, 1);
+  };
 
   {
     SimPlatform sim(platform);
     HbImplicitBench<Key64> bench(&sim, data, queries);
-    PipelineStats stats = bench.Run(queries, bench.MakeConfig());
-    const double txwl =
-        static_cast<double>(stats.kernel.memory_transactions) /
-        stats.kernel.warps_executed /
-        bench.tree().host_tree().height();
-    table.PrintRow({"hb-implicit", Table::Num(stats.mqps, 1),
-                    Table::Num(txwl, 2),
-                    Table::Num(stats.kernel.dram_bytes / 1e6, 1),
-                    Table::Num(stats.t2_us, 1)});
+    add_row("hb-implicit", bench.Run(queries, bench.MakeConfig()),
+            bench.tree().host_tree().height());
   }
   {
     SimPlatform sim(platform);
@@ -55,21 +67,17 @@ void Run(const Args& args) {
     // The CPU's share: one pair-array access per query.
     PipelineConfig pconfig;
     pconfig.cpu_queries_per_us = 200;  // comparable leaf step to the HB+-tree
-    PipelineStats stats = RunSearchPipeline(tree, queries.data(),
-                                            queries.size(), pconfig);
-    const double txwl =
-        static_cast<double>(stats.kernel.memory_transactions) /
-        stats.kernel.warps_executed / tree.host_tree().block_levels();
-    table.PrintRow({"hb-fast", Table::Num(stats.mqps, 1),
-                    Table::Num(txwl, 2),
-                    Table::Num(stats.kernel.dram_bytes / 1e6, 1),
-                    Table::Num(stats.t2_us, 1)});
+    add_row("hb-fast",
+            RunSearchPipeline(tree, queries.data(), queries.size(), pconfig),
+            tree.host_tree().block_levels());
   }
+  report.PrintTable("framework extension: HB+-tree vs HB-FAST");
   std::printf(
       "\nExpectation: both are functionally correct through the same "
       "pipeline; HB-FAST's uncoalesced per-thread descent issues several "
       "times more memory transactions per warp-level, inflating its GPU "
       "stage.\n");
+  MaybeWriteReport(args, report);
 }
 
 }  // namespace

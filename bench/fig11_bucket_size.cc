@@ -5,10 +5,15 @@
 // implicit tree and saturates at ~16K for the regular tree, while average
 // latency keeps growing (~1.7X at 32K, ~2.7X at 64K vs 16K) — which is
 // why the paper settles on M = 16K.
+//
+// Flags: --n_log2, --queries_log2, --platform, --seed, and
+// --metrics_json=<path> (hbtree.bench.v1 rows, one per tree and bucket
+// size; `scripts/check.sh paper` gates them).
 
 #include <cstdio>
 
 #include "bench_support/hb_runner.h"
+#include "bench_support/report.h"
 
 namespace hbtree::bench {
 namespace {
@@ -16,20 +21,25 @@ namespace {
 template <typename Bench, typename K>
 void RunTree(const char* name, SimPlatform* sim,
              const std::vector<KeyValue<K>>& data,
-             const std::vector<K>& queries, Table& table) {
+             const std::vector<K>& queries, BenchReport* report) {
   Bench bench(sim, data, queries);
-  double latency_16k = 0;
-  for (int bucket : {8 * 1024, 16 * 1024, 32 * 1024, 64 * 1024}) {
-    PipelineStats stats = bench.Run(
-        queries, bench.MakeConfig(BucketStrategy::kDoubleBuffered, bucket));
-    if (bucket == 16 * 1024) latency_16k = stats.avg_latency_us;
-    table.PrintRow({name, std::to_string(bucket / 1024) + "K",
-                    Table::Num(stats.mqps, 1),
-                    Table::Num(stats.avg_latency_us, 1),
-                    latency_16k > 0
-                        ? Table::Num(stats.avg_latency_us / latency_16k, 2) +
-                              "x"
-                        : "-"});
+  const int buckets[] = {8 * 1024, 16 * 1024, 32 * 1024, 64 * 1024};
+  PipelineStats stats[4];
+  for (int i = 0; i < 4; ++i) {
+    stats[i] = bench.Run(
+        queries, bench.MakeConfig(BucketStrategy::kDoubleBuffered,
+                                  buckets[i]));
+  }
+  const double latency_16k = stats[1].avg_latency_us;
+  for (int i = 0; i < 4; ++i) {
+    report->AddRow()
+        .Text("tree", name)
+        .Num("bucket", buckets[i], 0)
+        .Num("mqps", stats[i].mqps, 1)
+        .Num("latency_us", stats[i].avg_latency_us, 1)
+        .Num("latency_vs_16k", stats[i].avg_latency_us / latency_16k, 2)
+        .Num("sorted_buckets", static_cast<double>(stats[i].sorted_buckets),
+             0);
   }
 }
 
@@ -44,22 +54,26 @@ void Run(const Args& args) {
   auto queries = MakeLookupQueries(data, seed + 1);
   queries.resize(std::min(q, queries.size()));
 
-  Table table({"tree", "bucket", "MQPS", "latency us", "vs 16K lat"});
-  table.PrintTitle("bucket size sweep (paper Fig. 11)");
-  table.PrintHeader();
+  BenchReport report("fig11_bucket_size");
+  report.Meta("platform", platform.name);
+  report.MetaNum("n", static_cast<double>(n));
+  report.MetaNum("queries", static_cast<double>(queries.size()));
+  report.MetaNum("seed", static_cast<double>(seed));
   {
     SimPlatform sim(platform);
     RunTree<HbImplicitBench<Key64>, Key64>("implicit", &sim, data, queries,
-                                           table);
+                                           &report);
   }
   {
     SimPlatform sim(platform);
     RunTree<HbRegularBench<Key64>, Key64>("regular", &sim, data, queries,
-                                          table);
+                                          &report);
   }
+  report.PrintTable("bucket size sweep (paper Fig. 11)");
   std::printf(
       "\nPaper expectation: implicit throughput grows with M; regular flat "
       "beyond 16K; latency ~1.7x at 32K and ~2.7x at 64K.\n");
+  MaybeWriteReport(args, report);
 }
 
 }  // namespace

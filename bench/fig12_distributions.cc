@@ -5,10 +5,15 @@
 // Expected: Normal/Gamma within ~1.1X of Uniform; Zipf up to ~2.2X —
 // skew concentrates accesses, raising hit rates in the CPU caches (leaf
 // lines) and the GPU L2 (inner nodes).
+//
+// Flags: --n_log2, --queries_log2, --platform, --seed, and
+// --metrics_json=<path> (hbtree.bench.v1 rows, one per tree and
+// distribution; `scripts/check.sh paper` gates them).
 
 #include <cstdio>
 
 #include "bench_support/hb_runner.h"
+#include "bench_support/report.h"
 #include "core/distributions.h"
 
 namespace hbtree::bench {
@@ -17,7 +22,7 @@ namespace {
 template <typename Bench>
 void RunTree(const char* name, const sim::PlatformSpec& platform,
              const std::vector<KeyValue<Key64>>& data, std::size_t q,
-             std::uint64_t seed, Table& table) {
+             std::uint64_t seed, BenchReport* report) {
   double uniform_mqps = 0;
   for (Distribution distribution :
        {Distribution::kUniform, Distribution::kNormal, Distribution::kGamma,
@@ -28,9 +33,12 @@ void RunTree(const char* name, const sim::PlatformSpec& platform,
     Bench bench(&sim, data, queries);
     PipelineStats stats = bench.Run(queries, bench.MakeConfig());
     if (distribution == Distribution::kUniform) uniform_mqps = stats.mqps;
-    table.PrintRow({name, DistributionName(distribution),
-                    Table::Num(stats.mqps, 1),
-                    Table::Num(stats.mqps / uniform_mqps, 2) + "x"});
+    report->AddRow()
+        .Text("tree", name)
+        .Text("distribution", DistributionName(distribution))
+        .Num("mqps", stats.mqps, 1)
+        .Num("vs_uniform", stats.mqps / uniform_mqps, 2)
+        .Num("sorted_buckets", static_cast<double>(stats.sorted_buckets), 0);
   }
 }
 
@@ -43,15 +51,20 @@ void Run(const Args& args) {
   std::printf("Platform: %s, n=%zu\n", platform.name.c_str(), n);
   auto data = GenerateDataset<Key64>(n, seed);
 
-  Table table({"tree", "distribution", "MQPS", "vs uniform"});
-  table.PrintTitle("query distributions (paper Fig. 12)");
-  table.PrintHeader();
+  BenchReport report("fig12_distributions");
+  report.Meta("platform", platform.name);
+  report.MetaNum("n", static_cast<double>(n));
+  report.MetaNum("queries", static_cast<double>(q));
+  report.MetaNum("seed", static_cast<double>(seed));
   RunTree<HbImplicitBench<Key64>>("implicit", platform, data, q, seed,
-                                  table);
-  RunTree<HbRegularBench<Key64>>("regular", platform, data, q, seed, table);
+                                  &report);
+  RunTree<HbRegularBench<Key64>>("regular", platform, data, q, seed,
+                                 &report);
+  report.PrintTable("query distributions (paper Fig. 12)");
   std::printf(
       "\nPaper expectation: Normal/Gamma within 1.1x of Uniform; Zipf up "
       "to 2.2x faster.\n");
+  MaybeWriteReport(args, report);
 }
 
 }  // namespace

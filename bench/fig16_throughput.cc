@@ -155,13 +155,9 @@ void Run(const Args& args) {
       "\nPaper expectation: implicit HB+-tree flat at ~240 MQPS "
       "(CPU-bound); regular HB+-tree declines with size; hybrid beats the "
       "CPU tree ~2.4x (64-bit) / ~2.1x (32-bit); HB latency ~67x CPU.\n");
-  if (args.Has("metrics_json")) {
-    const obs::MetricsSnapshot snapshot =
-        obs::MetricsRegistry::Default().Collect();
-    if (!report.WriteJson(args.GetString("metrics_json", ""), &snapshot)) {
-      std::exit(1);
-    }
-  }
+  const obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::Default().Collect();
+  MaybeWriteReport(args, report, &snapshot);
 }
 
 }  // namespace

@@ -4,10 +4,15 @@
 // HB+-trees (implicit and regular). Expected: as the match count grows,
 // leaf traversal dominates, implicit and regular converge, and the
 // HB+-tree's advantage shrinks from >80% (<=8 matches) to ~22% (32).
+//
+// Flags: --n_log2, --queries_log2, --platform, --seed, and
+// --metrics_json=<path> (hbtree.bench.v1 rows, one per match count;
+// best_ratio = best HB / best CPU; `scripts/check.sh paper` gates them).
 
 #include <cstdio>
 
 #include "bench_support/hb_runner.h"
+#include "bench_support/report.h"
 #include "cpubtree/implicit_btree.h"
 #include "cpubtree/regular_btree.h"
 
@@ -62,10 +67,11 @@ void Run(const Args& args) {
               platform.name.c_str(), n);
   auto data = GenerateDataset<Key64>(n, seed);
 
-  Table table({"matches", "cpu-impl", "cpu-reg", "hb-impl", "hb-reg",
-               "hb adv"});
-  table.PrintTitle("range query throughput MQPS (paper Fig. 17)");
-  table.PrintHeader();
+  BenchReport report("fig17_range_queries");
+  report.Meta("platform", platform.name);
+  report.MetaNum("n", static_cast<double>(n));
+  report.MetaNum("queries", static_cast<double>(q));
+  report.MetaNum("seed", static_cast<double>(seed));
 
   PageRegistry ci_registry, cr_registry;
   ImplicitBTree<Key64>::Config ci_config;
@@ -115,15 +121,20 @@ void Run(const Args& args) {
           tracer.OnQueryEnd();
         });
 
-    const double adv = std::max(hi, hr) / std::max(ci, cr);
-    table.PrintRow({std::to_string(matches), Table::Num(ci, 1),
-                    Table::Num(cr, 1), Table::Num(hi, 1), Table::Num(hr, 1),
-                    Table::Num((adv - 1) * 100, 0) + "%"});
+    report.AddRow()
+        .Num("matches", matches, 0)
+        .Num("cpu_impl_mqps", ci, 1)
+        .Num("cpu_reg_mqps", cr, 1)
+        .Num("hb_impl_mqps", hi, 1)
+        .Num("hb_reg_mqps", hr, 1)
+        .Num("best_ratio", std::max(hi, hr) / std::max(ci, cr), 2);
   }
+  report.PrintTable("range query throughput MQPS (paper Fig. 17)");
   std::printf(
       "\nPaper expectation: HB+-tree >80%% faster up to 8 matches, "
       "shrinking to ~22%% at 32; implicit and regular converge as leaf "
       "traversal dominates.\n");
+  MaybeWriteReport(args, report);
 }
 
 }  // namespace

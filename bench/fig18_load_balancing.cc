@@ -7,10 +7,15 @@
 // help); the (D, R) discovery algorithm (Algorithm 1) moves the top
 // inner levels back to the CPU, improving the HB+-tree by ~65% and
 // beating the CPU tree by up to 32% (implicit) / 65% (regular).
+//
+// Flags: --n_log2, --queries_log2, --platform, --seed, and
+// --metrics_json=<path> (hbtree.bench.v1 rows, one per tree;
+// `scripts/check.sh paper` gates them).
 
 #include <cstdio>
 
 #include "bench_support/hb_runner.h"
+#include "bench_support/report.h"
 #include "cpubtree/implicit_btree.h"
 #include "cpubtree/regular_btree.h"
 #include "hybrid/load_balancer.h"
@@ -21,7 +26,7 @@ namespace {
 template <typename CpuTree, typename Bench, typename K>
 void RunTree(const char* name, const sim::PlatformSpec& platform,
              const std::vector<KeyValue<K>>& data,
-             const std::vector<K>& queries, Table& table) {
+             const std::vector<K>& queries, BenchReport* report) {
   // CPU-optimized baseline.
   PageRegistry cpu_registry;
   typename CpuTree::Config cpu_config;
@@ -45,12 +50,15 @@ void RunTree(const char* name, const sim::PlatformSpec& platform,
   PipelineStats balanced = bench.Run(
       queries, WithLoadBalance(bench.MakeConfig(), setting));
 
-  table.PrintRow({name, Table::Num(cpu.estimate.mqps, 1),
-                  Table::Num(plain.mqps, 1), Table::Num(balanced.mqps, 1),
-                  "D=" + std::to_string(setting.d) +
-                      " R=" + Table::Num(setting.r, 2),
-                  Table::Num(balanced.mqps / plain.mqps, 2) + "x",
-                  Table::Num(balanced.mqps / cpu.estimate.mqps, 2) + "x"});
+  report->AddRow()
+      .Text("tree", name)
+      .Num("cpu_mqps", cpu.estimate.mqps, 1)
+      .Num("hb_mqps", plain.mqps, 1)
+      .Num("hb_lb_mqps", balanced.mqps, 1)
+      .Num("d", setting.d, 0)
+      .Num("r", setting.r, 4)
+      .Num("lb_gain", balanced.mqps / plain.mqps, 2)
+      .Num("vs_cpu", balanced.mqps / cpu.estimate.mqps, 2);
 }
 
 void Run(const Args& args) {
@@ -65,18 +73,21 @@ void Run(const Args& args) {
   auto queries = MakeLookupQueries(data, seed + 1);
   queries.resize(std::min(q, queries.size()));
 
-  Table table({"tree", "cpu MQPS", "hb MQPS", "hb-lb MQPS", "setting",
-               "lb gain", "vs cpu"});
-  table.PrintTitle("load balancing on M2 (paper Fig. 18)");
-  table.PrintHeader();
+  BenchReport report("fig18_load_balancing");
+  report.Meta("platform", platform.name);
+  report.MetaNum("n", static_cast<double>(n));
+  report.MetaNum("queries", static_cast<double>(queries.size()));
+  report.MetaNum("seed", static_cast<double>(seed));
   RunTree<ImplicitBTree<Key64>, HbImplicitBench<Key64>, Key64>(
-      "implicit", platform, data, queries, table);
+      "implicit", platform, data, queries, &report);
   RunTree<RegularBTree<Key64>, HbRegularBench<Key64>, Key64>(
-      "regular", platform, data, queries, table);
+      "regular", platform, data, queries, &report);
+  report.PrintTable("load balancing on M2 (paper Fig. 18)");
   std::printf(
       "\nPaper expectation: plain HB ~25%% below the CPU tree; load "
       "balancing +65%%; balanced HB up to +32%% (implicit) / +65%% "
       "(regular) over the CPU tree.\n");
+  MaybeWriteReport(args, report);
 }
 
 }  // namespace

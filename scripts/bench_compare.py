@@ -8,21 +8,22 @@ band, 2 when the reports are not comparable (different bench, row sets,
 or meta), 0 otherwise — so check.sh (mode `regress`) and CI can gate on
 it directly.
 
-Direction matters: throughput-like columns (reads_per_s, mqps, ...)
-regress when they DROP; latency-like columns (any *_us) regress when
-they RISE. Improvements are reported but never fail the run. Stage
-waterfall shares are compared by absolute difference (a share moving
-from 0.30 to 0.45 means the pipeline's shape changed, whatever the
-totals did). When both reports carry a "heat" section its shape is
-banded the same way: hot-range concentration (top-1/top-8 share of
-sketched accesses), per-stage level-traffic byte shares, and the top
-range's hot flag (--heat-tolerance, absolute, default 0.15).
+Direction matters: throughput-like columns (reads_per_s, mqps, any
+*_mqps, ...) regress when they DROP; latency-like columns (any *_us)
+regress when they RISE. Improvements are reported but never fail the
+run. Stage waterfall shares are compared by absolute difference (a
+share moving from 0.30 to 0.45 means the pipeline's shape changed,
+whatever the totals did). When both reports carry a "heat" section its
+shape is banded the same way: hot-range concentration (top-1/top-8
+share of sketched accesses), per-stage level-traffic byte shares, and
+the top range's hot flag (--heat-tolerance, absolute, default 0.15).
 
 Rows are matched by (shards, read_workers) when both reports carry those
-columns, else by index. Meta keys describing the workload (n, clients,
-lookups_per_client, updates, bucket, platform, seed) must match unless
---allow-meta-drift is given: comparing different workloads is a user
-error, not a regression.
+columns, else by index plus the row's text cells (the paper figures'
+tree / strategy / distribution labels). Meta keys describing the
+workload (n, clients, lookups_per_client, updates, bucket, platform,
+seed, queries) must match unless --allow-meta-drift is given: comparing
+different workloads is a user error, not a regression.
 
 Usage:
   scripts/bench_compare.py BASELINE.json CANDIDATE.json
@@ -60,6 +61,7 @@ SKIP = {
 }
 META_IDENTITY = ("platform", "n", "clients", "lookups_per_client",
                  "updates", "bucket", "seed", "retries", "deadline_us",
+                 "queries",
                  # ycsb_workloads identity: the scenario name, its mix and
                  # skew knobs, the dataset kind, and the per-purpose seeds
                  # (a baseline from one op stream must not gate a run of
@@ -102,7 +104,12 @@ def row_key(row, index):
         return f"shards={row['shards']:g},workers={row['read_workers']:g}"
     if "fault_rate" in row:
         return f"fault_rate={row['fault_rate']:g}"
-    return f"row[{index}]"
+    labels = [v for v in row.values() if isinstance(v, str)]
+    return f"row[{index}]" + (f"({','.join(labels)})" if labels else "")
+
+
+def higher_better(column):
+    return column in HIGHER_BETTER or column.endswith("_mqps")
 
 
 def lower_better(column):
@@ -110,7 +117,7 @@ def lower_better(column):
 
 
 def watched(column):
-    return column not in SKIP and (column in HIGHER_BETTER or
+    return column not in SKIP and (higher_better(column) or
                                    lower_better(column))
 
 
@@ -137,9 +144,9 @@ class Comparison:
             # No baseline signal (e.g. a p99 of 0): nothing to band.
             return
         delta = (cand - base) / abs(base)
-        worse = -delta if column in HIGHER_BETTER else delta
+        worse = -delta if higher_better(column) else delta
         line = (f"{where}.{column}: {base:g} -> {cand:g} "
-                f"({delta:+.1%}, tolerance {tol:.0%})")
+                f"({delta:+.1%}, tolerance {tol:.1%})")
         if worse > tol:
             self.regressions.append(line)
         elif worse < -tol:

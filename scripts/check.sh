@@ -29,6 +29,11 @@
 #                               #   assertions
 #   scripts/check.sh bench      # + hbbench build against src/ and its
 #                               #   two smoke tests
+#   scripts/check.sh paper      # + paper-figure gate: Figs 10-12, 16-18
+#                               #   and the HB-FAST extension at their
+#                               #   default sizes, each report's verdict
+#                               #   asserted and diffed against the
+#                               #   BENCH_paper/ baselines
 #   scripts/check.sh all        # all of the above
 #
 # The release pass is the acceptance gate every change must keep green;
@@ -273,6 +278,31 @@ run_heat() {
       build/HEAT/zipfian.json build/HEAT/hotspot.json build/HEAT/uniform.json
 }
 
+run_paper() {
+  echo "==> paper figures (verdicts + BENCH_paper/ baselines)"
+  cmake --preset release >/dev/null
+  local benches=(fig10_bucket_strategies fig11_bucket_size
+                 fig12_distributions fig16_throughput fig17_range_queries
+                 fig18_load_balancing ext_hb_fast)
+  cmake --build --preset release -j "$jobs" --target "${benches[@]}"
+  mkdir -p build/PAPER
+  local b reports=()
+  for b in "${benches[@]}"; do
+    ./build/bench/"$b" --metrics_json=build/PAPER/"$b".json
+    reports+=(build/PAPER/"$b".json)
+  done
+  # The figures' claims (EXPERIMENTS.md's verdict column) as code: who
+  # wins, the orderings, and the ratio thresholds.
+  python3 scripts/validate_metrics.py --paper-verdicts "${reports[@]}"
+  # Every figure column is modelled on the simulated-platform clock, so a
+  # rerun reproduces the baseline exactly; the band only absorbs float
+  # differences between toolchains.
+  for b in "${benches[@]}"; do
+    python3 scripts/bench_compare.py --tolerance 0.005 \
+        BENCH_paper/"$b".json build/PAPER/"$b".json
+  done
+}
+
 case "$mode" in
   release) run_release ;;
   asan)    run_release; run_asan; run_obs ;;
@@ -285,8 +315,9 @@ case "$mode" in
   qos)     run_release; run_qos ;;
   heat)    run_release; run_heat ;;
   bench)   run_release; run_bench ;;
-  all)     run_release; run_asan; run_tsan; run_fault; run_obs; run_shard; run_regress; run_workloads; run_qos; run_heat; run_bench ;;
-  *) echo "usage: scripts/check.sh [release|asan|tsan|fault|obs|shard|regress|workloads|qos|heat|bench|all]" >&2; exit 2 ;;
+  paper)   run_release; run_paper ;;
+  all)     run_release; run_asan; run_tsan; run_fault; run_obs; run_shard; run_regress; run_workloads; run_qos; run_heat; run_bench; run_paper ;;
+  *) echo "usage: scripts/check.sh [release|asan|tsan|fault|obs|shard|regress|workloads|qos|heat|bench|paper|all]" >&2; exit 2 ;;
 esac
 
 echo "==> all requested checks passed"

@@ -23,10 +23,15 @@ id must carry a span_id that resolves to a recorded span (exemplars
 from other sessions are skipped — a lifetime registry can outlive a
 trace session).
 
+With --paper-verdicts every report must be a paper-figure report
+(bench/fig*, bench/ext_hb_fast) whose rows uphold the figure's verdict
+in EXPERIMENTS.md: who wins, the orderings, and the ratio thresholds.
+
 Usage: scripts/validate_metrics.py FILE [FILE ...]
        scripts/validate_metrics.py --require-counter serve.lookups FILE
        scripts/validate_metrics.py --trace trace.json \\
            --require-exemplars serve.read_latency BENCH_serve.json
+       scripts/validate_metrics.py --paper-verdicts build/PAPER/*.json
 """
 
 import argparse
@@ -439,6 +444,121 @@ def check_required_exemplars(path, doc, names):
                        f"({summary['p99_us']:.1f}us) — not tail samples")
 
 
+# -- Paper-figure verdicts --------------------------------------------------
+#
+# Each takes a figure report's rows and returns (holds, claim) pairs; the
+# claim text names the measured values so a broken verdict explains
+# itself.
+
+def by_label(rows, *columns):
+    return {tuple(r[c] for c in columns): r for r in rows}
+
+
+def trees(rows):
+    return sorted({r["tree"] for r in rows})
+
+
+def verdict_fig10(rows):
+    r = by_label(rows, "tree", "strategy")
+    claims = []
+    for tree in trees(rows):
+        seq, pipe, dbl = (r[(tree, s)]["mqps"] for s in
+                          ("sequential", "pipelined", "double-buffered"))
+        claims.append((dbl >= pipe > seq,
+                       f"{tree}: double-buffered {dbl:.1f} >= pipelined "
+                       f"{pipe:.1f} > sequential {seq:.1f} MQPS"))
+    return claims
+
+
+def verdict_fig11(rows):
+    claims = []
+    for tree in trees(rows):
+        sweep = sorted((r["bucket"], r["latency_us"]) for r in rows
+                       if r["tree"] == tree)
+        latencies = [lat for _, lat in sweep]
+        claims.append((all(a < b for a, b in zip(latencies, latencies[1:])),
+                       f"{tree}: latency rises with the bucket size "
+                       f"({', '.join(f'{lat:.0f}' for lat in latencies)} us)"))
+    return claims
+
+
+def verdict_fig12(rows):
+    r = by_label(rows, "tree", "distribution")
+    claims = []
+    for tree in trees(rows):
+        mqps = {d: r[(tree, d)]["mqps"]
+                for d in ("uniform", "normal", "gamma", "zipf")}
+        claims.append((mqps["zipf"] > mqps["normal"],
+                       f"{tree}: Zipf {mqps['zipf']:.1f} > Normal "
+                       f"{mqps['normal']:.1f} MQPS"))
+        claims.append((mqps["gamma"] >= mqps["uniform"],
+                       f"{tree}: Gamma {mqps['gamma']:.1f} >= Uniform "
+                       f"{mqps['uniform']:.1f} MQPS"))
+    return claims
+
+
+def verdict_fig16(rows):
+    wide = [r for r in rows if r["width"] == "64-bit"]
+    return [(bool(wide), "the report has 64-bit rows")] + [
+        (r["best_ratio"] > 1,
+         f"64-bit 2^{r['tuples_log2']:g} keys: best HB / best CPU "
+         f"{r['best_ratio']:.2f}x > 1") for r in wide]
+
+
+def verdict_fig17(rows):
+    r = by_label(rows, "matches")[(1,)]
+    return [(r["best_ratio"] > 1,
+             f"1 match: best HB / best CPU {r['best_ratio']:.2f}x > 1")]
+
+
+def verdict_fig18(rows):
+    return [(trees(rows) == ["implicit", "regular"],
+             "the report has an implicit and a regular row")] + [
+        (r["lb_gain"] >= 1.0,
+         f"{r['tree']}: load-balanced / plain HB {r['lb_gain']:.2f}x >= 1")
+        for r in rows]
+
+
+def verdict_ext_hb_fast(rows):
+    r = by_label(rows, "tree")
+    hb, fast = r[("hb-implicit",)], r[("hb-fast",)]
+    return [(hb["mqps"] > fast["mqps"],
+             f"HB+-tree {hb['mqps']:.1f} > HB-FAST {fast['mqps']:.1f} MQPS"),
+            (fast["tx_per_warp_level"] > hb["tx_per_warp_level"],
+             f"HB-FAST {fast['tx_per_warp_level']:.2f} > HB+-tree "
+             f"{hb['tx_per_warp_level']:.2f} transactions/warp/level")]
+
+
+PAPER_VERDICTS = {
+    "fig10_bucket_strategies": verdict_fig10,
+    "fig11_bucket_size": verdict_fig11,
+    "fig12_distributions": verdict_fig12,
+    "fig16_throughput": verdict_fig16,
+    "fig17_range_queries": verdict_fig17,
+    "fig18_load_balancing": verdict_fig18,
+    "ext_hb_fast": verdict_ext_hb_fast,
+}
+
+
+def check_paper_verdicts(path, doc):
+    verdict = PAPER_VERDICTS.get(doc.get("bench"))
+    if verdict is None:
+        fail(path, f"no paper verdict for bench {doc.get('bench')!r} "
+                   f"(expected one of {sorted(PAPER_VERDICTS)})")
+    try:
+        claims = verdict(doc["rows"])
+    except KeyError as e:
+        fail(path, f"the verdict reads a row or column the report lacks: "
+                   f"{e}")
+    for holds, claim in claims:
+        print(f"  {'holds ' if holds else 'BROKEN'} {doc['bench']}: {claim}")
+    broken = [claim for holds, claim in claims if not holds]
+    if broken:
+        fail(path, f"{len(broken)} paper verdict(s) broken: "
+                   + "; ".join(broken))
+    return f"{len(claims)} paper verdict(s) hold"
+
+
 def validate_file(path, args, trace):
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -455,6 +575,8 @@ def validate_file(path, args, trace):
         if args.require_heat and "heat" not in doc:
             fail(path, "bench report has no heat section (--require-heat; "
                        "was the binary built with HBTREE_OBS_TRACING?)")
+        if args.paper_verdicts:
+            detail += "; " + check_paper_verdicts(path, doc)
     else:
         fail(path, f"unknown schema: {schema!r}")
     for name in args.require_counter:
@@ -489,6 +611,9 @@ def main():
                         help="fail any bench report that lacks a heat "
                              "section (keyspace heatmap + level traffic + "
                              "pool temperatures)")
+    parser.add_argument("--paper-verdicts", action="store_true",
+                        help="fail any report that is not a paper-figure "
+                             "report upholding its figure's verdict")
     parser.add_argument("--trace", metavar="TRACE_JSON",
                         help="Chrome trace export to resolve exemplar "
                              "trace_id/span_id pairs against")

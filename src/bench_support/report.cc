@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 
 #include "bench_support/table.h"
 #include "obs/json_writer.h"
@@ -249,6 +250,14 @@ bool BenchReport::WriteJson(const std::string& path,
     std::fprintf(stderr, "short write to %s\n", path.c_str());
   }
   return ok;
+}
+
+void MaybeWriteReport(const Args& args, const BenchReport& report,
+                      const obs::MetricsSnapshot* metrics) {
+  if (!args.Has("metrics_json")) return;
+  if (!report.WriteJson(args.GetString("metrics_json", ""), metrics)) {
+    std::exit(1);
+  }
 }
 
 void MaybeStartTrace(const Args& args) {

@@ -117,6 +117,12 @@ class BenchReport {
 //   --metrics_json=<path>  write the BenchReport JSON (with embedded
 //                          metrics snapshot where the bench has one).
 
+/// Writes `report` (with `metrics` embedded, when given) to the
+/// --metrics_json path if one was given; exits 1 on an I/O failure so a
+/// gate never reads a stale report.
+void MaybeWriteReport(const Args& args, const BenchReport& report,
+                      const obs::MetricsSnapshot* metrics = nullptr);
+
 /// Starts a trace session if --trace_out was given.
 void MaybeStartTrace(const Args& args);
 /// Stops the session (if one was started) and writes the Chrome JSON to

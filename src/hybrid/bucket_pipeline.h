@@ -49,8 +49,9 @@ struct PipelineConfig {
   /// Level-wise batch dispatch (DESIGN.md §14) is always on: the implicit
   /// and regular kernels resolve each run of consecutive queries sharing
   /// an inner node with one modelled node load per level, and lookups on
-  /// those trees sort each bucket by key so the runs form. Results are
-  /// written back in the caller's original query order.
+  /// those trees may sort a bucket by key so the runs form (a per-bucket
+  /// decision, see RunPipelineChecked). Results are written back in the
+  /// caller's original query order.
   static constexpr bool level_wise = true;
   /// Modelled CPU cost of the bucket key sort, µs per query (charged to
   /// the pre-GPU stage of every sorted bucket; ~250 M keys/s radix).
@@ -115,6 +116,10 @@ struct PipelineStats {
   // Fault-handling outcome (nonzero only with an armed injector).
   std::uint64_t transfer_retries = 0;
   std::uint64_t kernel_retries = 0;
+  /// Buckets staged in key order: 0 when the caller does not sort, else
+  /// bucket 0 plus every bucket after the unsorted probe whose order the
+  /// probes decided for sorting (RunPipelineChecked).
+  std::uint64_t sorted_buckets = 0;
 };
 
 namespace pipeline_internal {
@@ -220,6 +225,22 @@ class Scheduler {
     }
     if (timeline != nullptr) *timeline = tl;
     return last_end_;
+  }
+
+  /// Steady-state period of buckets with these stage times: how far apart
+  /// they complete once the pipeline is full, i.e. the busiest engine
+  /// under the overlap rules ScheduleBucket encodes.
+  double Period(double tpre, double t1, double t2, double t3,
+                double t4) const {
+    switch (strategy_) {
+      case BucketStrategy::kSequential:
+        return tpre + t1 + t2 + t3 + t4;
+      case BucketStrategy::kPipelined:
+        return std::max(t1 + t2 + t3, tpre + t4);
+      case BucketStrategy::kDoubleBuffered:
+        return std::max({t1, t2, t3, tpre + t4});
+    }
+    return 0;
   }
 
   double gpu_busy() const { return gpu_.busy_time(); }
@@ -363,9 +384,16 @@ struct FastAdapter {
 /// The bucket loop every pipeline run shares (Section 5.4): per bucket of
 /// M keys, an optional key sort and CPU pre-descent, T1 upload, T2 kernel,
 /// T3 download, then T4 = `finish(i, intermediate, key)` for every key,
-/// where i indexes `queries` in the caller's order. `sort` stages each
-/// bucket in key order so the kernel's run dedup fires, charged at
-/// `sort_us_per_query`. With a heat sink, T4 runs under the sink's mutex.
+/// where i indexes `queries` in the caller's order. With a heat sink, T4
+/// runs under the sink's mutex.
+///
+/// `sort` allows staging buckets in key order so the kernel's run dedup
+/// fires, at `sort_us_per_query` on the CPU side. Whether it pays depends
+/// on which stage bounds the pipeline, so the order is decided per bucket
+/// (DESIGN.md §14): bucket 0 sorts, bucket 1 runs unsorted as a probe, and
+/// every later bucket takes the order whose probe had the shorter
+/// fault-free period per query (Scheduler::Period). A one-bucket run
+/// therefore always sorts.
 template <typename K, typename Adapter, typename Finish>
 Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
                           std::size_t count, const PipelineConfig& config,
@@ -413,12 +441,16 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
   // through `order` so callers keep their original query order.
   std::vector<std::uint32_t> order(sort ? m : 0);
   std::vector<K> sorted_q(sort ? m : 0);
+  // Fault-free period per query of the sorted (bucket 0) and unsorted
+  // (bucket 1) probes.
+  double probe_us[2] = {0, 0};
   std::vector<double> bucket_end;
   double latency_sum = 0;
 
   if (sort && config.heat != nullptr) {
-    // Sorted buckets let the CPU-side tracers attribute per-batch (not
-    // per-query) node traffic: consecutive same-node touches collapse.
+    // The CPU-side tracers attribute per-batch (not per-query) node
+    // traffic, as the kernel counts runs: consecutive same-node touches
+    // collapse, and the memo resets at every bucket boundary below.
     std::lock_guard<std::mutex> lock(config.heat->mu);
     config.heat->pre_descend.set_collapse_repeats(true);
     config.heat->cpu_leaf.set_collapse_repeats(true);
@@ -427,28 +459,32 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
   for (std::size_t base = 0; base < count; base += m) {
     const std::uint32_t n =
         static_cast<std::uint32_t>(std::min<std::size_t>(m, count - base));
+    const std::size_t b = bucket_end.size();
+    const bool sorted =
+        sort && (b == 0 || (b >= 2 && probe_us[0] < probe_us[1]));
+    if (sorted) ++stats.sorted_buckets;
+    if (sort && config.heat != nullptr) {
+      std::lock_guard<std::mutex> lock(config.heat->mu);
+      config.heat->pre_descend.ResetRepeatMemo();
+      config.heat->cpu_leaf.ResetRepeatMemo();
+    }
 
     // -- Sorted dispatch: stage this bucket in sorted key order so
     // queries sharing a node form consecutive runs (ties break by index,
     // keeping the permutation deterministic).
     const K* bq = queries + base;
-    if (sort) {
+    if (sorted) {
       for (std::uint32_t i = 0; i < n; ++i) order[i] = i;
       std::sort(order.begin(), order.begin() + n,
-                [&](std::uint32_t a, std::uint32_t b) {
-                  const K ka = queries[base + a];
-                  const K kb = queries[base + b];
-                  return ka < kb || (ka == kb && a < b);
+                [&](std::uint32_t i, std::uint32_t j) {
+                  const K ki = queries[base + i];
+                  const K kj = queries[base + j];
+                  return ki < kj || (ki == kj && i < j);
                 });
       for (std::uint32_t i = 0; i < n; ++i) {
         sorted_q[i] = queries[base + order[i]];
       }
       bq = sorted_q.data();
-      if (config.heat != nullptr) {
-        std::lock_guard<std::mutex> lock(config.heat->mu);
-        config.heat->pre_descend.ResetRepeatMemo();
-        config.heat->cpu_leaf.ResetRepeatMemo();
-      }
     }
 
     // -- CPU pre-descent (Section 5.5): R*n queries descend D levels, the
@@ -482,7 +518,7 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
       tpre = part1 * descend_cost(d_levels) +
              (n - part1) * descend_cost(d_levels + 1);
     }
-    if (sort) tpre += n * config.sort_us_per_query;
+    if (sorted) tpre += n * config.sort_us_per_query;
 
     // -- T1: queries (+ start nodes) to device, one combined transfer.
     // Transient transfer faults retry with exponential backoff; the
@@ -505,7 +541,8 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
           &stats.transfer_retries, &backoff_us));
       t1_bytes += n * sizeof(std::uint32_t);
     }
-    const double t1 = transfer.HostToDeviceUs(t1_bytes) + backoff_us;
+    const double t1_fault_free = transfer.HostToDeviceUs(t1_bytes);
+    const double t1 = t1_fault_free + backoff_us;
 
     // -- T2: kernel launch(es). A launch attempt is all-or-nothing, so a
     // retried attempt overwrites (not accumulates) the kernel stats.
@@ -574,6 +611,7 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
                                         n * sizeof(std::uint64_t), &t3);
         },
         &stats.transfer_retries, &backoff_us));
+    const double t3_fault_free = t3;
     t3 += backoff_us;
 
     // -- T4: the caller's per-key finish (results map back through the
@@ -584,13 +622,17 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
         heat_lock = std::unique_lock<std::mutex>(config.heat->mu);
       }
       for (std::uint32_t i = 0; i < n; ++i) {
-        finish(base + (sort ? order[i] : i), intermediate[i], bq[i]);
+        finish(base + (sorted ? order[i] : i), intermediate[i], bq[i]);
       }
     }
     const double t4 = n / config.cpu_queries_per_us;
+    if (sort && b < 2) {
+      const double period = scheduler.Period(tpre, t1_fault_free,
+                                             kt.total_us, t3_fault_free, t4);
+      probe_us[b] = period / n;
+    }
 
     // -- Schedule on the simulated platform -------------------------------
-    const std::size_t b = bucket_end.size();
     const double ready =
         b >= static_cast<std::size_t>(config.buckets_in_flight)
             ? bucket_end[b - config.buckets_in_flight]
@@ -689,9 +731,9 @@ inline void CheckPipelineOk(const Status& status) {
 /// the caller owns the fallback decision (the serving layer degrades to
 /// the CPU-only pipelined search, Section 4.2).
 ///
-/// Implicit and regular lookups sort each bucket so the kernel's run
-/// dedup fires; HB-FAST's block search is already layout-coalesced and
-/// its buckets go unsorted.
+/// Implicit and regular lookups may sort their buckets so the kernel's
+/// run dedup fires (RunPipelineChecked decides per bucket); HB-FAST's
+/// block search is already layout-coalesced and its buckets go unsorted.
 template <typename K>
 Status TryRunSearchPipeline(HBImplicitTree<K>& tree, const K* queries,
                             std::size_t count, const PipelineConfig& config,

@@ -27,10 +27,14 @@ namespace {
 /// traversal — and never queries x levels. A launch where no two
 /// consecutive queries share a node must charge exactly what a per-query
 /// search does. Plus answer equivalence with host lookups through the
-/// full pipeline.
+/// full pipeline, and the per-bucket sort decision: a bucket is sorted
+/// only when its probe showed that sorting shortens the pipeline period.
 
 struct KernelFixture {
-  sim::PlatformSpec platform = sim::PlatformSpec::M1();
+  explicit KernelFixture(sim::PlatformSpec spec = sim::PlatformSpec::M1())
+      : platform(std::move(spec)) {}
+
+  sim::PlatformSpec platform;
   PageRegistry registry;
   gpu::Device device{platform.gpu};
   gpu::TransferEngine transfer{&device, platform.pcie};
@@ -365,13 +369,15 @@ TEST(SortedKeys, LoadFewerNodesAndBytesThanTheSameKeysShuffled) {
 
 template <typename Tree, typename K>
 void ExpectHostResults(Tree& tree, const std::vector<K>& queries,
-                       const PipelineConfig& config) {
+                       const PipelineConfig& config,
+                       PipelineStats* stats_out = nullptr) {
   std::vector<LookupResult<K>> results;
   const PipelineStats stats = RunSearchPipeline(
       tree, queries.data(), queries.size(), config, &results);
+  if (stats_out != nullptr) *stats_out = stats;
   ASSERT_EQ(results.size(), queries.size());
   // Write-back through the sort permutation restores the caller's order:
-  // result i always answers query i.
+  // result i always answers query i, whatever order each bucket took.
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const LookupResult<K> expect = tree.host_tree().Search(queries[i]);
     ASSERT_EQ(results[i].found, expect.found) << i;
@@ -384,6 +390,16 @@ void ExpectHostResults(Tree& tree, const std::vector<K>& queries,
   const std::uint64_t loads = Sum(stats.kernel.node_loads_by_level);
   EXPECT_GT(loads, 0u);
   EXPECT_LT(loads, Sum(stats.kernel.node_queries_by_level));
+}
+
+/// A leaf rate that makes the CPU stage free, so the device side bounds
+/// the pipeline. Later buckets then sort only where the kernel, not the
+/// transfers, is the slowest stage: on the M1 trees below T1 and T3 bound
+/// it and only bucket 0 sorts, on M2 the kernel does.
+PipelineConfig KernelBound() {
+  PipelineConfig config;
+  config.cpu_queries_per_us = 1e9;
+  return config;
 }
 
 TEST(SortedPipeline, UnsortedQueriesGetHostAnswersInCallerOrder) {
@@ -399,7 +415,7 @@ TEST(SortedPipeline, UnsortedQueriesGetHostAnswersInCallerOrder) {
   for (std::size_t i = 0; i < queries.size(); i += 3) {
     queries[i] = data[(i * 53) % data.size()].key;
   }
-  PipelineConfig config;
+  PipelineConfig config = KernelBound();
   config.bucket_size = 4096;
   ExpectHostResults(tree, queries, config);
 }
@@ -419,7 +435,7 @@ TEST(SortedPipeline, ComposesWithLoadBalancerSplit) {
   }
   // D=1, R=0.5: every bucket splits into two balanced launches starting
   // at different levels; both are contiguous slices of the sorted bucket.
-  PipelineConfig config;
+  PipelineConfig config = KernelBound();
   config.bucket_size = 4096;
   config.cpu_descend_levels = 1;
   config.cpu_split_ratio = 0.5;
@@ -441,7 +457,7 @@ TEST(SortedPipeline, RegularTreeGetsHostAnswersInCallerOrder) {
   for (std::size_t i = 0; i < queries.size(); i += 2) {
     queries[i] = data[(i * 29) % data.size()].key;
   }
-  PipelineConfig config;
+  PipelineConfig config = KernelBound();
   config.bucket_size = 4096;
   ExpectHostResults(tree, queries, config);
 }
@@ -460,7 +476,7 @@ TEST(SortedPipeline, HeatSinkCarriesKernelTrafficAndCollapsedTouches) {
   auto queries = MakeDistributedQueries<Key64>(8192, Distribution::kZipf,
                                                /*seed=*/14);
   obs::PipelineHeat heat(fx.platform.cpu.cache_levels);
-  PipelineConfig config;
+  PipelineConfig config = KernelBound();
   config.bucket_size = 4096;
   config.heat = &heat;
   std::vector<LookupResult<Key64>> results;
@@ -484,6 +500,153 @@ TEST(SortedPipeline, HeatSinkCarriesKernelTrafficAndCollapsedTouches) {
   for (const auto& cell : cells) touches += cell.touches;
   EXPECT_GT(touches, 0u);
   EXPECT_LT(touches, queries.size());
+}
+
+/// Shuffled dataset keys (every query hits) filling `buckets` full
+/// buckets of `bucket` keys.
+std::vector<Key64> BucketQueries(const std::vector<KeyValue<Key64>>& data,
+                                 int buckets, int bucket,
+                                 std::uint64_t seed) {
+  auto queries = MakeLookupQueries(data, seed);
+  queries.resize(static_cast<std::size_t>(buckets) * bucket);
+  return queries;
+}
+
+TEST(SortDecision, CpuBoundRunSortsOnlyTheFirstBucket) {
+  // The default 1 query/us leaf rate makes the CPU stage the bottleneck,
+  // so the unsorted probe's period is shorter by the sort charge and every
+  // bucket after it stays unsorted. Only bucket 0 pays to sort.
+  KernelFixture fx;
+  HBImplicitTree<Key64>::Config tree_config;
+  HBImplicitTree<Key64> tree(tree_config, &fx.registry, &fx.device,
+                             &fx.transfer);
+  auto data = GenerateDataset<Key64>(200000, /*seed=*/23);
+  ASSERT_TRUE(tree.Build(data));
+
+  constexpr int kBuckets = 5;
+  const auto queries = BucketQueries(data, kBuckets, 4096, /*seed=*/24);
+  PipelineConfig config;
+  config.bucket_size = 4096;
+  PipelineStats stats;
+  ExpectHostResults(tree, queries, config, &stats);
+  EXPECT_EQ(stats.sorted_buckets, 1u);
+  // t4_us averages T4 plus the pre-GPU charge; without load balancing that
+  // charge is the sort alone.
+  const double sort_us = 4096 * config.sort_us_per_query;
+  EXPECT_NEAR(stats.t4_us * kBuckets,
+              queries.size() / config.cpu_queries_per_us + sort_us, 1e-6);
+}
+
+TEST(SortDecision, KernelBoundRunSortsEveryBucketButTheProbe) {
+  // M2's weak GPU makes the kernel the slowest stage once the CPU is free,
+  // and sorting shortens it by more than the sort charge.
+  KernelFixture fx(sim::PlatformSpec::M2());
+  HBRegularTree<Key64>::Config tree_config;
+  HBRegularTree<Key64> tree(tree_config, &fx.registry, &fx.device,
+                            &fx.transfer);
+  auto data = GenerateDataset<Key64>(200000, /*seed=*/25);
+  ASSERT_TRUE(tree.Build(data));
+
+  constexpr int kBuckets = 5;
+  const auto queries = BucketQueries(data, kBuckets, 4096, /*seed=*/26);
+  PipelineConfig config = KernelBound();
+  config.bucket_size = 4096;
+  PipelineStats stats;
+  ExpectHostResults(tree, queries, config, &stats);
+  EXPECT_EQ(stats.sorted_buckets, kBuckets - 1u);
+  const double sort_us = 4096 * config.sort_us_per_query;
+  EXPECT_NEAR(stats.t4_us * kBuckets,
+              queries.size() / config.cpu_queries_per_us +
+                  (kBuckets - 1) * sort_us,
+              1e-6);
+}
+
+TEST(SortDecision, OneBucketRunMatchesTheAlwaysSortedLoop) {
+  // A run of one bucket never probes: it sorts, and its stats are
+  // bit-identical to those of the loop that sorted every bucket. The
+  // values below were recorded from that loop; a change to the cost model
+  // or the generators re-records them from a failing run's output.
+  KernelFixture fx;
+  HBRegularTree<Key64>::Config tree_config;
+  HBRegularTree<Key64> tree(tree_config, &fx.registry, &fx.device,
+                            &fx.transfer);
+  auto data = GenerateDataset<Key64>(200000, /*seed=*/27);
+  ASSERT_TRUE(tree.Build(data));
+  const auto queries = MakeDistributedQueries<Key64>(
+      4096, Distribution::kZipf, /*seed=*/28);
+  PipelineConfig config;
+  config.bucket_size = 4096;
+  const PipelineStats stats =
+      RunSearchPipeline(tree, queries.data(), queries.size(), config);
+
+  EXPECT_EQ(stats.sorted_buckets, 1u);
+  EXPECT_EQ(stats.total_us, 4139.9833194444445);
+  EXPECT_EQ(stats.avg_latency_us, 4139.9833194444445);
+  EXPECT_EQ(stats.t1_us, 10.730666666666666);
+  EXPECT_EQ(stats.t2_us, 6.1379861111111111);
+  EXPECT_EQ(stats.t3_us, 10.730666666666666);
+  EXPECT_EQ(stats.t4_us, 4112.384);
+  EXPECT_EQ(stats.gpu_busy_us, 6.1379861111111111);
+  EXPECT_EQ(stats.cpu_busy_us, 4112.384);
+  EXPECT_EQ(stats.pcie_busy_us, 21.461333333333332);
+  EXPECT_EQ(stats.kernel.warp_instructions, 49161u);
+  EXPECT_EQ(stats.kernel.memory_gathers, 2057u);
+  EXPECT_EQ(stats.kernel.memory_transactions, 2057u);
+  EXPECT_EQ(stats.kernel.dram_bytes, 66112u);
+  EXPECT_EQ(stats.kernel.l2_bytes, 65536u);
+}
+
+TEST(SortDecision, HeatTouchesCountRunsPerBucketAcrossMixedOrders) {
+  // Two keys of one leaf line, alternating, in three buckets of four:
+  // bucket 0 sorts, bucket 1 (the probe) does not, so bucket 0's last key
+  // and bucket 1's first key share a leaf. The kernel counts one run per
+  // launch at every level; the CPU leaf tracer must count one touch per
+  // bucket too, which holds only if its repeat memo resets at every
+  // bucket boundary, unsorted ones included.
+  KernelFixture fx;
+  HBRegularTree<Key64>::Config tree_config;
+  HBRegularTree<Key64> tree(tree_config, &fx.registry, &fx.device,
+                            &fx.transfer);
+  auto data = GenerateDataset<Key64>(200000, /*seed=*/29);
+  ASSERT_TRUE(tree.Build(data));
+
+  const auto& host = tree.host_tree();
+  std::size_t i = 1000;
+  while (host.FindLeafPosition(data[i].key).last_inner !=
+             host.FindLeafPosition(data[i + 1].key).last_inner ||
+         host.FindLeafPosition(data[i].key).line !=
+             host.FindLeafPosition(data[i + 1].key).line) {
+    ++i;
+  }
+  std::vector<Key64> queries;
+  for (int q = 0; q < 6; ++q) {
+    queries.push_back(data[i + 1].key);
+    queries.push_back(data[i].key);
+  }
+
+  obs::PipelineHeat heat(fx.platform.cpu.cache_levels);
+  PipelineConfig config;
+  config.bucket_size = 4;
+  config.heat = &heat;
+  PipelineStats stats;
+  ExpectHostResults(tree, queries, config, &stats);
+  EXPECT_EQ(stats.sorted_buckets, 1u);
+
+  std::lock_guard<std::mutex> lock(heat.mu);
+  ASSERT_EQ(heat.kernel_launches, 3u);
+  for (std::size_t l = 0; l < heat.kernel_node_loads.size(); ++l) {
+    if (heat.kernel_node_queries[l] == 0) continue;
+    EXPECT_EQ(heat.kernel_node_loads[l], heat.kernel_launches) << l;
+  }
+  std::vector<obs::LevelTraffic> cells;
+  heat.cpu_leaf.Collect(&cells);
+  std::uint64_t leaf_touches = 0;
+  for (const auto& cell : cells) {
+    if (cell.node_class == static_cast<int>(NodeClass::kBigLeaf)) {
+      leaf_touches += cell.touches;
+    }
+  }
+  EXPECT_EQ(leaf_touches, heat.kernel_launches);
 }
 
 }  // namespace
