@@ -58,7 +58,9 @@ void RunTree(const char* name, const sim::PlatformSpec& platform,
       .Num("d", setting.d, 0)
       .Num("r", setting.r, 4)
       .Num("lb_gain", balanced.mqps / plain.mqps, 2)
-      .Num("vs_cpu", balanced.mqps / cpu.estimate.mqps, 2);
+      .Num("vs_cpu", balanced.mqps / cpu.estimate.mqps, 2)
+      .Num("hb_sorted", static_cast<double>(plain.sorted_buckets), 0)
+      .Num("hb_lb_sorted", static_cast<double>(balanced.sorted_buckets), 0);
 }
 
 void Run(const Args& args) {

@@ -26,6 +26,10 @@ trace session).
 With --paper-verdicts every report must be a paper-figure report
 (bench/fig*, bench/ext_hb_fast) whose rows uphold the figure's verdict
 in EXPERIMENTS.md: who wins, the orderings, and the ratio thresholds.
+On M1 the Figs 10-12 runs must also stage no bucket in key order: their
+CPU stage bounds the pipeline, so a sort can only lengthen it. On M2 the
+Fig 18 regular-tree runs must sort buckets: their kernel is slow enough
+that sorting pays.
 
 Usage: scripts/validate_metrics.py FILE [FILE ...]
        scripts/validate_metrics.py --require-counter serve.lookups FILE
@@ -540,6 +544,28 @@ PAPER_VERDICTS = {
 }
 
 
+# Reports whose rows carry the pipeline's sorted_buckets.
+SORT_REPORTING = ("fig10_bucket_strategies", "fig11_bucket_size",
+                  "fig12_distributions")
+
+
+def unsorted_on_m1(rows):
+    sorted_rows = [r for r in rows if r["sorted_buckets"] != 0]
+    return [(not sorted_rows,
+             f"M1: {len(sorted_rows)} of {len(rows)} rows sorted a bucket "
+             f"(CPU-bound runs must not)")]
+
+
+def sorted_on_m2(rows):
+    # Fig 18's regular tree on M2 is the gated run on the sorting side of
+    # the pipeline's order decision (its GPU stage, not the CPU, is slow).
+    r = by_label(rows, "tree")[("regular",)]
+    return [(r["hb_sorted"] > 0 and r["hb_lb_sorted"] > 0,
+             f"M2: regular plain / load-balanced HB sorted "
+             f"{r['hb_sorted']:.0f} / {r['hb_lb_sorted']:.0f} buckets "
+             f"(kernel-bound runs must)")]
+
+
 def check_paper_verdicts(path, doc):
     verdict = PAPER_VERDICTS.get(doc.get("bench"))
     if verdict is None:
@@ -547,6 +573,11 @@ def check_paper_verdicts(path, doc):
                    f"(expected one of {sorted(PAPER_VERDICTS)})")
     try:
         claims = verdict(doc["rows"])
+        platform = doc.get("meta", {}).get("platform")
+        if doc["bench"] in SORT_REPORTING and platform == "M1":
+            claims += unsorted_on_m1(doc["rows"])
+        if doc["bench"] == "fig18_load_balancing" and platform == "M2":
+            claims += sorted_on_m2(doc["rows"])
     except KeyError as e:
         fail(path, f"the verdict reads a row or column the report lacks: "
                    f"{e}")

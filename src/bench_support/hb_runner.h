@@ -5,6 +5,7 @@
 
 #include "bench_support/calibrate.h"
 #include "bench_support/harness.h"
+#include "core/status.h"
 #include "hybrid/bucket_pipeline.h"
 #include "hybrid/hb_implicit.h"
 #include "hybrid/hb_regular.h"
@@ -21,8 +22,9 @@ class HbBench {
           typename HBTreeT::Config config = {})
       : sim_(sim),
         tree_(config, &registry_, &sim->device, &sim->transfer) {
-    HBTREE_CHECK_MSG(tree_.Build(data),
-                     "I-segment does not fit into device memory");
+    const Status built = tree_.TryBuild(data);
+    HBTREE_CHECK_MSG(built.ok(), "%s: %s", StatusCodeName(built.code()),
+                     built.message().c_str());
     rates_ = CalibrateHbCpuRates(tree_.host_tree(), calibration_queries,
                                  sim->spec, registry_);
   }

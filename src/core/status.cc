@@ -20,6 +20,8 @@ const char* StatusCodeName(StatusCode code) {
       return "deadline-exceeded";
     case StatusCode::kUnavailable:
       return "unavailable";
+    case StatusCode::kOutOfRange:
+      return "out-of-range";
   }
   return "unknown";
 }

@@ -26,6 +26,9 @@ enum class StatusCode {
   kDeadlineExceeded,
   /// The serving path is unavailable (e.g. submitted to a stopped server).
   kUnavailable,
+  /// A size exceeds what a fixed-width field can address (a tree too big
+  /// for the GPU kernels' 32-bit result word).
+  kOutOfRange,
 };
 
 const char* StatusCodeName(StatusCode code);
@@ -59,6 +62,9 @@ class Status {
   }
   static Status Unavailable(std::string message) {
     return Status(StatusCode::kUnavailable, std::move(message));
+  }
+  static Status OutOfRange(std::string message) {
+    return Status(StatusCode::kOutOfRange, std::move(message));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

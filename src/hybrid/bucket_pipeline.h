@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -116,10 +117,27 @@ struct PipelineStats {
   // Fault-handling outcome (nonzero only with an armed injector).
   std::uint64_t transfer_retries = 0;
   std::uint64_t kernel_retries = 0;
-  /// Buckets staged in key order: 0 when the caller does not sort, else
-  /// bucket 0 plus every bucket after the unsorted probe whose order the
-  /// probes decided for sorting (RunPipelineChecked).
+  /// Buckets staged in key order (RunPipelineChecked): 0 when the caller
+  /// does not sort, 1 for a sorted one-bucket run; in a longer run the
+  /// bucket-1 probe when an ideal sort would have shortened the unsorted
+  /// bucket 0, plus every later bucket when that probe's period won.
   std::uint64_t sorted_buckets = 0;
+};
+
+/// Device bytes of one in-flight bucket of `m` keys: the query keys, one
+/// result word per key, and with load balancing (Section 5.5) a 32-bit
+/// start node per key. The pipeline allocates exactly these; the serving
+/// layer reserves their total per read worker.
+template <typename K>
+struct BucketBuffers {
+  std::size_t queries, results, start_nodes;
+
+  BucketBuffers(std::size_t m, bool balanced)
+      : queries(m * sizeof(K)),
+        results(m * sizeof(ResultWord)),
+        start_nodes(balanced ? m * sizeof(std::uint32_t) : 0) {}
+
+  std::size_t total() const { return queries + results + start_nodes; }
 };
 
 namespace pipeline_internal {
@@ -129,6 +147,7 @@ namespace pipeline_internal {
 /// the trace exporter can draw each stage on its resource track and make
 /// the cross-bucket overlap (or its absence, for kSequential) visible.
 struct StageTimeline {
+  double ready = 0;                         // the buffer set is free
   double pre_start = 0, pre_end = 0;        // CPU pre-descent (LB only)
   double h2d_start = 0, h2d_end = 0;        // T1
   double kernel_start = 0, kernel_end = 0;  // T2
@@ -137,20 +156,28 @@ struct StageTimeline {
 };
 
 /// Job-shop scheduler over the simulated platform resources; encodes the
-/// overlap rules of the three strategies.
+/// overlap rules of the three strategies and the buffer-set cycle:
+/// `buckets_in_flight` buffer sets, each held by one bucket from its
+/// ready time to its completion.
 class Scheduler {
  public:
-  explicit Scheduler(BucketStrategy strategy) : strategy_(strategy) {}
+  Scheduler(BucketStrategy strategy, int buckets_in_flight)
+      : strategy_(strategy), buckets_in_flight_(buckets_in_flight) {
+    HBTREE_CHECK(buckets_in_flight >= 1);
+  }
 
-  /// Schedules one bucket; returns its completion time. `ready` is when
-  /// the bucket's buffer set becomes available, `tpre` the CPU pre-descent
-  /// time (load balancing; 0 otherwise). `timeline` (optional) receives
-  /// the per-stage intervals the scheduler chose.
-  double ScheduleBucket(double ready, double tpre, double t1, double t2,
-                        double t3, double t4,
-                        StageTimeline* timeline = nullptr) {
-    double start = ready;
+  /// Schedules the next bucket; returns its completion time. The bucket
+  /// is ready when the bucket `buckets_in_flight` places earlier completed
+  /// and freed its buffer set. `tpre` is the CPU pre-descent time (load
+  /// balancing, plus the key sort; 0 otherwise). `timeline` (optional)
+  /// receives the per-stage intervals the scheduler chose.
+  double ScheduleBucket(double tpre, double t1, double t2, double t3,
+                        double t4, StageTimeline* timeline = nullptr) {
+    const std::size_t b = ends_.size();
+    const std::size_t k = static_cast<std::size_t>(buckets_in_flight_);
+    double start = b >= k ? ends_[b - k] : 0.0;
     StageTimeline tl;
+    tl.ready = start;
     switch (strategy_) {
       case BucketStrategy::kSequential:
         // Nothing overlaps: chain after the previous bucket completed.
@@ -224,23 +251,33 @@ class Scheduler {
       }
     }
     if (timeline != nullptr) *timeline = tl;
+    ends_.push_back(last_end_);
     return last_end_;
   }
 
   /// Steady-state period of buckets with these stage times: how far apart
-  /// they complete once the pipeline is full, i.e. the busiest engine
-  /// under the overlap rules ScheduleBucket encodes.
+  /// they complete once the pipeline is full. That is the busiest engine
+  /// under the overlap rules ScheduleBucket encodes, or the buffer-set
+  /// cycle: a bucket holds its set through its whole chain, so with k sets
+  /// buckets complete at least (tpre + t1 + t2 + t3 + t4) / k apart. With
+  /// two or more sets the cycle binds only under double buffering; the
+  /// other strategies' engines already serialize at least that much.
   double Period(double tpre, double t1, double t2, double t3,
                 double t4) const {
+    double engines = 0;
     switch (strategy_) {
       case BucketStrategy::kSequential:
-        return tpre + t1 + t2 + t3 + t4;
+        engines = tpre + t1 + t2 + t3 + t4;
+        break;
       case BucketStrategy::kPipelined:
-        return std::max(t1 + t2 + t3, tpre + t4);
+        engines = std::max(t1 + t2 + t3, tpre + t4);
+        break;
       case BucketStrategy::kDoubleBuffered:
-        return std::max({t1, t2, t3, tpre + t4});
+        engines = std::max({t1, t2, t3, tpre + t4});
+        break;
     }
-    return 0;
+    return std::max(engines,
+                    (tpre + t1 + t2 + t3 + t4) / buckets_in_flight_);
   }
 
   double gpu_busy() const { return gpu_.busy_time(); }
@@ -249,8 +286,10 @@ class Scheduler {
 
  private:
   BucketStrategy strategy_;
+  int buckets_in_flight_;
   sim::ResourceTimeline h2d_, d2h_, gpu_, cpu_;
   double last_end_ = 0;
+  std::vector<double> ends_;
 };
 
 /// Forwards a stage's heat tracer into the host tree when its traversal
@@ -289,13 +328,13 @@ struct ImplicitAdapter {
     return RunImplicitInnerSearch<K>(tree.device(), params);
   }
 
-  static LookupResult<K> Finish(const Tree& tree, std::uint64_t intermediate,
+  static LookupResult<K> Finish(const Tree& tree, ResultWord intermediate,
                                 K query) {
     return tree.host_tree().SearchLeafLine(intermediate, query);
   }
 
   template <typename Tracer>
-  static LookupResult<K> Finish(const Tree& tree, std::uint64_t intermediate,
+  static LookupResult<K> Finish(const Tree& tree, ResultWord intermediate,
                                 K query, Tracer* tracer) {
     if constexpr (requires {
                     tree.host_tree().SearchLeafLine(intermediate, query,
@@ -327,7 +366,7 @@ struct RegularAdapter {
     return RunRegularInnerSearch<K>(tree.device(), params);
   }
 
-  static LookupResult<K> Finish(const Tree& tree, std::uint64_t intermediate,
+  static LookupResult<K> Finish(const Tree& tree, ResultWord intermediate,
                                 K query) {
     typename RegularBTree<K>::LeafPosition pos{UnpackLeafNode(intermediate),
                                                UnpackLeafLine(intermediate)};
@@ -335,7 +374,7 @@ struct RegularAdapter {
   }
 
   template <typename Tracer>
-  static LookupResult<K> Finish(const Tree& tree, std::uint64_t intermediate,
+  static LookupResult<K> Finish(const Tree& tree, ResultWord intermediate,
                                 K query, Tracer* tracer) {
     typename RegularBTree<K>::LeafPosition pos{UnpackLeafNode(intermediate),
                                                UnpackLeafLine(intermediate)};
@@ -363,13 +402,13 @@ struct FastAdapter {
     return RunFastSearch<K>(tree.device(), params);
   }
 
-  static LookupResult<K> Finish(const Tree& tree, std::uint64_t intermediate,
+  static LookupResult<K> Finish(const Tree& tree, ResultWord intermediate,
                                 K query) {
     return tree.host_tree().VerifyAt(intermediate, query);
   }
 
   template <typename Tracer>
-  static LookupResult<K> Finish(const Tree& tree, std::uint64_t intermediate,
+  static LookupResult<K> Finish(const Tree& tree, ResultWord intermediate,
                                 K query, Tracer* tracer) {
     if constexpr (requires {
                     tree.host_tree().VerifyAt(intermediate, query, tracer);
@@ -388,12 +427,13 @@ struct FastAdapter {
 /// runs under the sink's mutex.
 ///
 /// `sort` allows staging buckets in key order so the kernel's run dedup
-/// fires, at `sort_us_per_query` on the CPU side. Whether it pays depends
-/// on which stage bounds the pipeline, so the order is decided per bucket
-/// (DESIGN.md §14): bucket 0 sorts, bucket 1 runs unsorted as a probe, and
-/// every later bucket takes the order whose probe had the shorter
-/// fault-free period per query (Scheduler::Period). A one-bucket run
-/// therefore always sorts.
+/// fires, at `sort_us_per_query` on the CPU side. A one-bucket run sorts.
+/// In a longer run the order is decided per bucket (DESIGN.md §14), on
+/// fault-free periods per query (Scheduler::Period): bucket 0 runs
+/// unsorted; bucket 1 runs sorted as a probe only if an ideal sort (kernel
+/// time 0, the sort charge on the CPU stage) would have shortened bucket
+/// 0's period; every later bucket takes the order whose probe had the
+/// shorter period.
 template <typename K, typename Adapter, typename Finish>
 Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
                           std::size_t count, const PipelineConfig& config,
@@ -415,18 +455,21 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
   if (config.bucket_size <= 0) {
     return Status::InvalidArgument("bucket_size must be positive");
   }
+  if (config.buckets_in_flight <= 0) {
+    return Status::InvalidArgument("buckets_in_flight must be positive");
+  }
   const std::uint32_t m = static_cast<std::uint32_t>(config.bucket_size);
-  gpu::ScopedDeviceAlloc q_dev(&device, m * sizeof(K));
-  gpu::ScopedDeviceAlloc r_dev(&device, m * sizeof(std::uint64_t));
-  gpu::ScopedDeviceAlloc s_dev(&device,
-                          balanced ? m * sizeof(std::uint32_t) : 0);
+  const BucketBuffers<K> bytes(m, balanced);
+  gpu::ScopedDeviceAlloc q_dev(&device, bytes.queries);
+  gpu::ScopedDeviceAlloc r_dev(&device, bytes.results);
+  gpu::ScopedDeviceAlloc s_dev(&device, bytes.start_nodes);
   if (!q_dev.ok() || !r_dev.ok() || (balanced && !s_dev.ok())) {
     return Status::DeviceOom("bucket buffers do not fit in device memory");
   }
 
   PipelineStats& stats = *stats_out;
   stats = PipelineStats{};
-  Scheduler scheduler(config.strategy);
+  Scheduler scheduler(config.strategy, config.buckets_in_flight);
   // Model-time spans are offset by the wall time at run start so that
   // successive pipeline runs in one trace do not all stack at ts = 0.
   HBTREE_TRACE_ONLY(const double trace_base_us = obs::TraceSession::NowUs();)
@@ -435,16 +478,20 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
   // Start-node indices travel as 32-bit values: every level a partial
   // descent can reach has fewer than 2^32 nodes.
   std::vector<std::uint32_t> start_nodes(m);
-  std::vector<std::uint64_t> intermediate(m);
+  std::vector<ResultWord> intermediate(m);
   // Sorted dispatch: per-bucket sort permutation and sorted staging
   // buffer. The device sees the sorted keys; T4 maps each result back
   // through `order` so callers keep their original query order.
   std::vector<std::uint32_t> order(sort ? m : 0);
   std::vector<K> sorted_q(sort ? m : 0);
-  // Fault-free period per query of the sorted (bucket 0) and unsorted
-  // (bucket 1) probes.
-  double probe_us[2] = {0, 0};
-  std::vector<double> bucket_end;
+  // Fault-free period per query of the unsorted bucket 0 and of bucket 0
+  // under an ideal sort, then of the sorted bucket-1 probe (infinite when
+  // bucket 1 did not sort).
+  const bool probing = sort && count > m;
+  double unsorted_us = 0, ideal_sort_us = 0;
+  double sorted_us = std::numeric_limits<double>::infinity();
+  std::size_t buckets = 0;
+  double end = 0;
   double latency_sum = 0;
 
   if (sort && config.heat != nullptr) {
@@ -459,9 +506,12 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
   for (std::size_t base = 0; base < count; base += m) {
     const std::uint32_t n =
         static_cast<std::uint32_t>(std::min<std::size_t>(m, count - base));
-    const std::size_t b = bucket_end.size();
-    const bool sorted =
-        sort && (b == 0 || (b >= 2 && probe_us[0] < probe_us[1]));
+    const std::size_t b = buckets++;
+    bool sorted = sort;
+    if (probing) {
+      sorted = b == 1 ? ideal_sort_us < unsorted_us
+                      : b >= 2 && sorted_us < unsorted_us;
+    }
     if (sorted) ++stats.sorted_buckets;
     if (sort && config.heat != nullptr) {
       std::lock_guard<std::mutex> lock(config.heat->mu);
@@ -569,7 +619,7 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
             if (part1 < n) {
               attempt += Adapter::Launch(
                   tree, q_dev.get() + part1 * sizeof(K),
-                  r_dev.get() + part1 * sizeof(std::uint64_t), n - part1,
+                  r_dev.get() + part1 * sizeof(ResultWord), n - part1,
                   height - d_levels - 1,
                   s_dev.get() + part1 * sizeof(std::uint32_t));
             }
@@ -608,7 +658,7 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
         retry,
         [&] {
           return transfer.TryCopyToHost(intermediate.data(), r_dev.get(),
-                                        n * sizeof(std::uint64_t), &t3);
+                                        n * sizeof(ResultWord), &t3);
         },
         &stats.transfer_retries, &backoff_us));
     const double t3_fault_free = t3;
@@ -626,20 +676,21 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
       }
     }
     const double t4 = n / config.cpu_queries_per_us;
-    if (sort && b < 2) {
+    if (probing && b < 2) {
       const double period = scheduler.Period(tpre, t1_fault_free,
                                              kt.total_us, t3_fault_free, t4);
-      probe_us[b] = period / n;
+      (sorted ? sorted_us : unsorted_us) = period / n;
+      if (b == 0) {
+        ideal_sort_us = scheduler.Period(tpre + n * config.sort_us_per_query,
+                                         t1_fault_free, 0, t3_fault_free,
+                                         t4) /
+                        n;
+      }
     }
 
     // -- Schedule on the simulated platform -------------------------------
-    const double ready =
-        b >= static_cast<std::size_t>(config.buckets_in_flight)
-            ? bucket_end[b - config.buckets_in_flight]
-            : 0.0;
     StageTimeline tl;
-    const double end =
-        scheduler.ScheduleBucket(ready, tpre, t1, t2, t3, t4, &tl);
+    end = scheduler.ScheduleBucket(tpre, t1, t2, t3, t4, &tl);
     HBTREE_TRACE_ONLY(if (tpre > 0) {
       HBTREE_TRACE_MODEL_SPAN(config.trace_track_base, kTrackPreDescend,
                               "bucket.pre_descend",
@@ -663,8 +714,7 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
                             "bucket.cpu_leaf", trace_base_us + tl.cpu_start,
                             tl.cpu_end - tl.cpu_start, "bucket",
                             static_cast<double>(b));
-    bucket_end.push_back(end);
-    latency_sum += end - ready;
+    latency_sum += end - tl.ready;
 
     stats.t1_us += t1;
     stats.t2_us += t2;
@@ -674,18 +724,18 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
     stats.sample_cpu_us += t4 + tpre;
   }
 
-  const double buckets = static_cast<double>(bucket_end.size());
   stats.queries = count;
-  stats.total_us = bucket_end.empty() ? 0 : bucket_end.back();
+  stats.total_us = end;
   stats.mqps = stats.total_us > 0 ? count / stats.total_us : 0;
-  stats.avg_latency_us = buckets > 0 ? latency_sum / buckets : 0;
   if (buckets > 0) {
-    stats.t1_us /= buckets;
-    stats.t2_us /= buckets;
-    stats.t3_us /= buckets;
-    stats.t4_us /= buckets;
-    stats.sample_gpu_us /= buckets;
-    stats.sample_cpu_us /= buckets;
+    const double nb = static_cast<double>(buckets);
+    stats.avg_latency_us = latency_sum / nb;
+    stats.t1_us /= nb;
+    stats.t2_us /= nb;
+    stats.t3_us /= nb;
+    stats.t4_us /= nb;
+    stats.sample_gpu_us /= nb;
+    stats.sample_cpu_us /= nb;
   }
   stats.gpu_busy_us = scheduler.gpu_busy();
   stats.cpu_busy_us = scheduler.cpu_busy();
@@ -702,7 +752,7 @@ Status RunLookupsChecked(typename Adapter::Tree& tree, const K* queries,
   if (results != nullptr) results->resize(count);
   return RunPipelineChecked<K, Adapter>(
       tree, queries, count, config, sort,
-      [&](std::size_t i, std::uint64_t intermediate, K query) {
+      [&](std::size_t i, ResultWord intermediate, K query) {
         const LookupResult<K> r =
             config.heat != nullptr
                 ? Adapter::Finish(tree, intermediate, query,

@@ -3,9 +3,11 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/macros.h"
+#include "core/status.h"
 #include "core/types.h"
 #include "cpubtree/node_layout.h"
 #include "gpusim/device.h"
@@ -36,6 +38,24 @@ namespace hbtree {
 /// Both kernels support the load-balancing scheme (Section 5.5): queries
 /// may carry a per-query start node produced by a partial CPU descent.
 
+/// The kernels' intermediate result, one 32-bit word per query: the
+/// implicit tree's leaf-line index, the regular tree's packed (last-inner
+/// node, leaf line) and HB-FAST's lower-bound position. A bucket's T3
+/// download is this word per query. The hybrid trees refuse, with
+/// kOutOfRange, to mirror a tree whose results the word cannot address.
+using ResultWord = std::uint32_t;
+inline constexpr int kResultWordBits = 8 * sizeof(ResultWord);
+
+/// Fails with kOutOfRange unless `count` distinct values (`what`: nodes,
+/// leaf lines, positions) fit a result-word field of `bits` bits.
+inline Status CheckResultWordField(std::uint64_t count, int bits,
+                                   const char* what) {
+  if (count <= (std::uint64_t{1} << bits)) return Status::Ok();
+  return Status::OutOfRange(std::to_string(count) + " " + what +
+                            " exceed the " + std::to_string(bits) +
+                            "-bit field of the kernels' result word");
+}
+
 /// Launch parameters for the implicit-tree inner search.
 template <typename K>
 struct ImplicitKernelParams {
@@ -53,7 +73,7 @@ struct ImplicitKernelParams {
 
   gpu::DevicePtr queries;      // K[count]
   gpu::DevicePtr start_nodes;  // uint32[count]; null -> all start at node 0
-  gpu::DevicePtr results;      // uint64[count]: leaf line index
+  gpu::DevicePtr results;      // ResultWord[count]: leaf line index
   std::uint32_t count = 0;
 };
 
@@ -170,12 +190,14 @@ gpu::KernelStats RunImplicitInnerSearch(
     }
 
     // Scatter leaf line indices (one lane per team writes; consecutive
-    // 8-byte results coalesce into one transaction per warp).
+    // 4-byte results coalesce into one transaction per warp).
+    ResultWord line[gpu::WarpScope::kWarpSize];
     std::uint64_t roff[gpu::WarpScope::kWarpSize];
     for (int t = 0; t < teams; ++t) {
-      roff[t] = (warp_base + t) * sizeof(std::uint64_t);
+      line[t] = static_cast<ResultWord>(node[t]);
+      roff[t] = (warp_base + t) * sizeof(ResultWord);
     }
-    warp.Scatter(p.results, roff, teams, node);
+    warp.Scatter(p.results, roff, teams, line);
   }
   return stats;
 }
@@ -191,20 +213,30 @@ struct RegularKernelParams {
 
   gpu::DevicePtr queries;      // K[count]
   gpu::DevicePtr start_nodes;  // uint32[count]; null -> all start at root
-  gpu::DevicePtr results;      // uint64[count]: (last_inner << 16) | line
+  gpu::DevicePtr results;      // ResultWord[count]: PackLeafPosition
   std::uint32_t count = 0;
 };
 
-/// Packs/unpacks the regular kernel's intermediate result.
-inline std::uint64_t PackLeafPosition(NodeRef node, int line) {
-  return (static_cast<std::uint64_t>(node) << 16) |
-         static_cast<std::uint64_t>(line);
+/// The regular kernel's result packs the leaf line into the low
+/// kLeafLineBits (a big leaf has 64 lines of 64-bit keys, 256 of 32-bit
+/// keys) and the last-inner node's pool slot into the other 24 bits:
+/// 2^24 last-level nodes, an 18 GB mirror.
+inline constexpr int kLeafLineBits = 8;
+inline constexpr int kLeafNodeBits = kResultWordBits - kLeafLineBits;
+static_assert(RegularShape<Key32>::kLinesPerLeaf <= (1 << kLeafLineBits) &&
+              RegularShape<Key64>::kLinesPerLeaf <= (1 << kLeafLineBits));
+
+inline ResultWord PackLeafPosition(NodeRef node, int line) {
+  HBTREE_DCHECK(node < (ResultWord{1} << kLeafNodeBits));
+  HBTREE_DCHECK(line >= 0 && line < (1 << kLeafLineBits));
+  return (static_cast<ResultWord>(node) << kLeafLineBits) |
+         static_cast<ResultWord>(line);
 }
-inline NodeRef UnpackLeafNode(std::uint64_t packed) {
-  return static_cast<NodeRef>(packed >> 16);
+inline NodeRef UnpackLeafNode(ResultWord packed) {
+  return static_cast<NodeRef>(packed >> kLeafLineBits);
 }
-inline int UnpackLeafLine(std::uint64_t packed) {
-  return static_cast<int>(packed & 0xffff);
+inline int UnpackLeafLine(ResultWord packed) {
+  return static_cast<int>(packed & ((ResultWord{1} << kLeafLineBits) - 1));
 }
 
 /// Runs the regular-tree inner search kernel: per level, the team searches
@@ -387,12 +419,12 @@ gpu::KernelStats RunRegularInnerSearch(
       }
     }
 
-    std::uint64_t packed[gpu::WarpScope::kWarpSize];
+    ResultWord packed[gpu::WarpScope::kWarpSize];
     std::uint64_t roff[gpu::WarpScope::kWarpSize];
     for (int t = 0; t < teams; ++t) {
       packed[t] = PackLeafPosition(static_cast<NodeRef>(node[t]),
                                    line_result[t]);
-      roff[t] = (warp_base + t) * sizeof(std::uint64_t);
+      roff[t] = (warp_base + t) * sizeof(ResultWord);
     }
     warp.Scatter(p.results, roff, teams, packed);
   }

@@ -5,10 +5,12 @@
 #include <vector>
 
 #include "core/macros.h"
+#include "core/status.h"
 #include "core/types.h"
 #include "fast/fast_tree.h"
 #include "gpusim/device.h"
 #include "gpusim/warp.h"
+#include "hybrid/gpu_kernels.h"
 #include "mem/page_allocator.h"
 
 namespace hbtree {
@@ -39,7 +41,7 @@ struct FastKernelParams {
 
   gpu::DevicePtr queries;      // K[count]
   gpu::DevicePtr start_nodes;  // uint32 block indices; null -> root block
-  gpu::DevicePtr results;      // uint64[count]: lower-bound position
+  gpu::DevicePtr results;      // ResultWord[count]: lower-bound position
   std::uint32_t count = 0;
 };
 
@@ -108,11 +110,13 @@ gpu::KernelStats RunFastSearch(gpu::Device& device,
       (void)kBlockSlots;
     }
 
+    ResultWord position[kWarp];
     std::uint64_t roff[kWarp];
     for (int lane = 0; lane < lanes; ++lane) {
-      roff[lane] = (warp_base + lane) * sizeof(std::uint64_t);
+      position[lane] = static_cast<ResultWord>(block[lane]);
+      roff[lane] = (warp_base + lane) * sizeof(ResultWord);
     }
-    warp.Scatter(p.results, roff, lanes, block);
+    warp.Scatter(p.results, roff, lanes, position);
   }
   return stats;
 }
@@ -141,19 +145,29 @@ class HBFastTree {
   HBFastTree(const HBFastTree&) = delete;
   HBFastTree& operator=(const HBFastTree&) = delete;
 
-  /// Builds the host tree and mirrors the separator blocks. Returns false
-  /// if they do not fit into device memory.
-  bool Build(const std::vector<KeyValue<K>>& sorted_pairs) {
+  /// Builds the host tree and mirrors the separator blocks. Fails with
+  /// kOutOfRange when a lower-bound position (the depth()-bit leaf path)
+  /// does not fit the kernels' result word, and with kDeviceOom when the
+  /// blocks do not fit into device memory.
+  Status TryBuild(const std::vector<KeyValue<K>>& sorted_pairs) {
     host_tree_.Build(sorted_pairs);
     if (!device_blocks_.is_null()) {
       device_->Free(device_blocks_);
       device_blocks_ = gpu::DevicePtr{};
     }
+    HBTREE_RETURN_IF_ERROR(CheckResultWordField(
+        std::uint64_t{1} << host_tree_.depth(), kResultWordBits,
+        "lower-bound positions"));
     device_blocks_ = device_->TryMalloc(host_tree_.tree_bytes());
-    if (device_blocks_.is_null()) return false;
+    if (device_blocks_.is_null()) {
+      return Status::DeviceOom("FAST blocks do not fit in device memory");
+    }
     transfer_->CopyToDevice(device_blocks_, host_tree_.tree_data(),
                             host_tree_.tree_bytes());
-    return true;
+    return Status::Ok();
+  }
+  bool Build(const std::vector<KeyValue<K>>& sorted_pairs) {
+    return TryBuild(sorted_pairs).ok();
   }
 
   FastKernelParams<K> MakeKernelParams(

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/macros.h"
+#include "core/status.h"
 #include "core/types.h"
 #include "cpubtree/implicit_btree.h"
 #include "gpusim/device.h"
@@ -53,12 +54,17 @@ class HBImplicitTree {
   HBImplicitTree(const HBImplicitTree&) = delete;
   HBImplicitTree& operator=(const HBImplicitTree&) = delete;
 
-  /// Builds the host tree and mirrors the I-segment to the device.
-  /// Returns false if the I-segment does not fit into device memory (the
-  /// host tree is still valid and CPU-only search keeps working).
-  bool Build(const std::vector<KeyValue<K>>& sorted_pairs) {
+  /// Builds the host tree and mirrors the I-segment to the device. Fails
+  /// with kOutOfRange when the kernels' result word cannot address every
+  /// leaf line, and with kDeviceOom when the I-segment does not fit into
+  /// device memory; the host tree is still valid either way and CPU-only
+  /// search keeps working.
+  Status TryBuild(const std::vector<KeyValue<K>>& sorted_pairs) {
     host_tree_.Build(sorted_pairs);
     return UploadISegment();
+  }
+  bool Build(const std::vector<KeyValue<K>>& sorted_pairs) {
+    return TryBuild(sorted_pairs).ok();
   }
 
   /// Re-uploads the I-segment after a host-side rebuild; returns the
@@ -118,20 +124,24 @@ class HBImplicitTree {
   gpu::DevicePtr device_nodes() const { return device_nodes_; }
 
  private:
-  bool UploadISegment() {
+  Status UploadISegment() {
     if (!device_nodes_.is_null()) {
       device_->Free(device_nodes_);
       device_nodes_ = gpu::DevicePtr{};
     }
+    HBTREE_RETURN_IF_ERROR(CheckResultWordField(
+        host_tree_.level_alloc(0), kResultWordBits, "leaf lines"));
     const std::size_t bytes =
         host_tree_.i_segment_node_count() * kCacheLineSize;
     device_nodes_ = device_->TryMalloc(bytes);
-    if (device_nodes_.is_null()) return false;
+    if (device_nodes_.is_null()) {
+      return Status::DeviceOom("I-segment does not fit in device memory");
+    }
     device_bytes_ = bytes;
     sync_epoch_.fetch_add(1, std::memory_order_relaxed);
     transfer_->CopyToDevice(device_nodes_, host_tree_.i_segment_nodes(),
                             bytes);
-    return true;
+    return Status::Ok();
   }
 
   Config config_;

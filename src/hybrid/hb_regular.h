@@ -63,11 +63,16 @@ class HBRegularTree {
   HBRegularTree(const HBRegularTree&) = delete;
   HBRegularTree& operator=(const HBRegularTree&) = delete;
 
-  /// Builds the host tree and mirrors the I-segment. Returns false if the
-  /// mirror does not fit into device memory.
-  bool Build(const std::vector<KeyValue<K>>& sorted_pairs) {
+  /// Builds the host tree and mirrors the I-segment. Fails with
+  /// kOutOfRange when the kernels' result word cannot address every
+  /// last-level node, and with kDeviceOom when the mirror does not fit
+  /// into device memory.
+  Status TryBuild(const std::vector<KeyValue<K>>& sorted_pairs) {
     host_tree_.Build(sorted_pairs);
-    return ReallocAndSync();
+    return TryReallocAndSync();
+  }
+  bool Build(const std::vector<KeyValue<K>>& sorted_pairs) {
+    return TryBuild(sorted_pairs).ok();
   }
 
   /// Copies one modified node's hot fragment to the device; returns the
@@ -248,13 +253,24 @@ class HBRegularTree {
   Status TryReallocAndSync() {
     const std::size_t need_inner = host_tree_.inner_pool().high_water();
     const std::size_t need_last = host_tree_.leaf_pool().high_water();
+    // The last-level slot travels in the result word's node field. The
+    // capacity stops at that field's range too, so a pool that grows past
+    // it always comes back here (TrySyncISegment's `fits`) and fails.
+    constexpr std::size_t kMaxLast = std::size_t{1} << kLeafNodeBits;
+    const Status addressable = CheckResultWordField(
+        need_last, kLeafNodeBits, "last-level inner nodes");
+    if (!addressable.ok()) {
+      mirror_valid_.store(false, std::memory_order_relaxed);
+      return addressable;
+    }
     if (need_inner > inner_capacity_ || need_last > last_capacity_) {
       FreeDeviceArrays();
       mirror_valid_.store(false, std::memory_order_relaxed);
       std::size_t cap_inner = static_cast<std::size_t>(
           need_inner * config_.device_headroom) + 64;
-      std::size_t cap_last = static_cast<std::size_t>(
-          need_last * config_.device_headroom) + 64;
+      std::size_t cap_last = std::min(
+          static_cast<std::size_t>(need_last * config_.device_headroom) + 64,
+          kMaxLast);
       device_inner_ = device_->TryMalloc(cap_inner * sizeof(Hot));
       device_last_ = device_->TryMalloc(cap_last * sizeof(Hot));
       if (device_inner_.is_null() || device_last_.is_null()) {

@@ -27,14 +27,14 @@ struct ImplicitRangeAdapter {
   using Tree = HBImplicitTree<K>;
   using Base = pipeline_internal::ImplicitAdapter<K>;
 
-  static int Scan(const Tree& tree, std::uint64_t intermediate, K first_key,
+  static int Scan(const Tree& tree, ResultWord intermediate, K first_key,
                   int max_matches, KeyValue<K>* out) {
     return tree.host_tree().ScanLeaves(intermediate, first_key, max_matches,
                                        out);
   }
 
   template <typename Tracer>
-  static int Scan(const Tree& tree, std::uint64_t intermediate, K first_key,
+  static int Scan(const Tree& tree, ResultWord intermediate, K first_key,
                   int max_matches, KeyValue<K>* out, Tracer* tracer) {
     if constexpr (requires {
                     tree.host_tree().ScanLeaves(intermediate, first_key,
@@ -53,7 +53,7 @@ struct RegularRangeAdapter {
   using Tree = HBRegularTree<K>;
   using Base = pipeline_internal::RegularAdapter<K>;
 
-  static int Scan(const Tree& tree, std::uint64_t intermediate, K first_key,
+  static int Scan(const Tree& tree, ResultWord intermediate, K first_key,
                   int max_matches, KeyValue<K>* out) {
     typename RegularBTree<K>::LeafPosition pos{UnpackLeafNode(intermediate),
                                                UnpackLeafLine(intermediate)};
@@ -61,7 +61,7 @@ struct RegularRangeAdapter {
   }
 
   template <typename Tracer>
-  static int Scan(const Tree& tree, std::uint64_t intermediate, K first_key,
+  static int Scan(const Tree& tree, ResultWord intermediate, K first_key,
                   int max_matches, KeyValue<K>* out, Tracer* tracer) {
     typename RegularBTree<K>::LeafPosition pos{UnpackLeafNode(intermediate),
                                                UnpackLeafLine(intermediate)};
@@ -98,7 +98,7 @@ PipelineStats RunRange(typename Adapter::Tree& tree,
   pipeline_internal::CheckPipelineOk(
       pipeline_internal::RunPipelineChecked<K, typename Adapter::Base>(
           tree, first_keys.data(), count, unsplit, /*sort=*/false,
-          [&](std::size_t i, std::uint64_t intermediate, K first_key) {
+          [&](std::size_t i, ResultWord intermediate, K first_key) {
             const int want = std::min(max_matches, queries[i].match_count);
             KeyValue<K>* out =
                 pairs != nullptr ? pairs->data() + i * stride : scratch.data();

@@ -877,6 +877,10 @@ class Server {
     if (options_.pipeline.bucket_size <= 0) {
       return Status::InvalidArgument("pipeline.bucket_size must be positive");
     }
+    if (options_.pipeline.buckets_in_flight <= 0) {
+      return Status::InvalidArgument(
+          "pipeline.buckets_in_flight must be positive");
+    }
     if (options_.pipeline_depth < 1) {
       return Status::InvalidArgument("pipeline_depth must be >= 1");
     }
@@ -946,10 +950,8 @@ class Server {
       const std::vector<KeyValue<K>> slice(sorted_pairs.begin() + lo,
                                            sorted_pairs.begin() + hi);
       Shard& shard = *shards_[i];
-      if (!shard.slot_a.tree.Build(slice) ||
-          !shard.slot_b.tree.Build(slice)) {
-        return Status::DeviceOom("I-segment does not fit into device memory");
-      }
+      HBTREE_RETURN_IF_ERROR(shard.slot_a.tree.TryBuild(slice));
+      HBTREE_RETURN_IF_ERROR(shard.slot_b.tree.TryBuild(slice));
       HBTREE_RETURN_IF_ERROR(ValidateBucketBacking(shard));
     }
 
@@ -1068,13 +1070,12 @@ class Server {
   /// placed there. Failing now with an actionable message beats
   /// degenerate serving where every bucket OOMs onto the CPU path.
   Status ValidateBucketBacking(Shard& shard) const {
-    const std::size_t m =
-        static_cast<std::size_t>(options_.pipeline.bucket_size);
     const bool balanced = options_.pipeline.cpu_descend_levels > 0 ||
                           options_.pipeline.cpu_split_ratio < 1.0;
     const std::size_t per_worker =
-        m * (sizeof(K) + sizeof(std::uint64_t) +
-             (balanced ? sizeof(std::uint32_t) : 0));
+        BucketBuffers<K>(
+            static_cast<std::size_t>(options_.pipeline.bucket_size), balanced)
+            .total();
     const std::size_t need =
         per_worker * static_cast<std::size_t>(options_.num_read_workers);
     for (TreeSlot* slot : {&shard.slot_a, &shard.slot_b}) {

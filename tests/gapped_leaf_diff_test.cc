@@ -221,13 +221,13 @@ void ExpectKernelFinds(SyncFixture& fx, HBRegularTree<K>& tree,
                        const std::vector<K>& keys) {
   const std::uint32_t count = static_cast<std::uint32_t>(keys.size());
   gpu::DevicePtr q_dev = fx.device.Malloc(count * sizeof(K));
-  gpu::DevicePtr r_dev = fx.device.Malloc(count * sizeof(std::uint64_t));
+  gpu::DevicePtr r_dev = fx.device.Malloc(count * sizeof(ResultWord));
   fx.transfer.CopyToDevice(q_dev, keys.data(), count * sizeof(K));
   auto params = tree.MakeKernelParams(q_dev, r_dev, count);
   RunRegularInnerSearch<K>(fx.device, params);
-  std::vector<std::uint64_t> results(count);
+  std::vector<ResultWord> results(count);
   fx.transfer.CopyToHost(results.data(), r_dev,
-                         count * sizeof(std::uint64_t));
+                         count * sizeof(ResultWord));
   for (std::uint32_t i = 0; i < count; ++i) {
     typename RegularBTree<K>::LeafPosition pos{UnpackLeafNode(results[i]),
                                                UnpackLeafLine(results[i])};

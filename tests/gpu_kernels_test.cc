@@ -48,7 +48,7 @@ TEST_P(ImplicitKernelTest, MatchesHostTraversalFromAnyStartLevel) {
   queries[0] = KeyTraits<Key64>::kMax - 1;  // above-maximum edge case
 
   gpu::DevicePtr q_dev = fx.device.Malloc(kCount * sizeof(Key64));
-  gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(std::uint64_t));
+  gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(ResultWord));
   gpu::DevicePtr s_dev = fx.device.Malloc(kCount * sizeof(std::uint32_t));
   fx.transfer.CopyToDevice(q_dev, queries.data(), kCount * sizeof(Key64));
 
@@ -65,9 +65,9 @@ TEST_P(ImplicitKernelTest, MatchesHostTraversalFromAnyStartLevel) {
       cpu_depth > 0 ? s_dev : gpu::DevicePtr{});
   gpu::KernelStats stats = RunImplicitInnerSearch<Key64>(fx.device, params);
 
-  std::vector<std::uint64_t> results(kCount);
+  std::vector<ResultWord> results(kCount);
   fx.transfer.CopyToHost(results.data(), r_dev,
-                         kCount * sizeof(std::uint64_t));
+                         kCount * sizeof(ResultWord));
   for (std::uint32_t i = 0; i < kCount; ++i) {
     EXPECT_EQ(results[i], host.FindLeafLine(queries[i])) << "query " << i;
   }
@@ -96,13 +96,13 @@ TEST(ImplicitKernel32, TeamOf16MatchesHost) {
   auto queries = MakeLookupQueries(data, /*seed=*/4);
   queries.resize(kCount);
   gpu::DevicePtr q_dev = fx.device.Malloc(kCount * sizeof(Key32));
-  gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(std::uint64_t));
+  gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(ResultWord));
   fx.transfer.CopyToDevice(q_dev, queries.data(), kCount * sizeof(Key32));
   auto params = tree.MakeKernelParams(q_dev, r_dev, kCount);
   gpu::KernelStats stats = RunImplicitInnerSearch<Key32>(fx.device, params);
-  std::vector<std::uint64_t> results(kCount);
+  std::vector<ResultWord> results(kCount);
   fx.transfer.CopyToHost(results.data(), r_dev,
-                         kCount * sizeof(std::uint64_t));
+                         kCount * sizeof(ResultWord));
   for (std::uint32_t i = 0; i < kCount; ++i) {
     ASSERT_EQ(results[i], host.FindLeafLine(queries[i]));
   }
@@ -122,13 +122,13 @@ TEST(RegularKernel, MatchesHostFindLeafPosition) {
   auto queries = MakeDistributedQueries<Key64>(kCount, Distribution::kUniform,
                                                /*seed=*/6);
   gpu::DevicePtr q_dev = fx.device.Malloc(kCount * sizeof(Key64));
-  gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(std::uint64_t));
+  gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(ResultWord));
   fx.transfer.CopyToDevice(q_dev, queries.data(), kCount * sizeof(Key64));
   auto params = tree.MakeKernelParams(q_dev, r_dev, kCount);
   RunRegularInnerSearch<Key64>(fx.device, params);
-  std::vector<std::uint64_t> results(kCount);
+  std::vector<ResultWord> results(kCount);
   fx.transfer.CopyToHost(results.data(), r_dev,
-                         kCount * sizeof(std::uint64_t));
+                         kCount * sizeof(ResultWord));
   for (std::uint32_t i = 0; i < kCount; ++i) {
     auto expect = host.FindLeafPosition(queries[i]);
     EXPECT_EQ(UnpackLeafNode(results[i]), expect.last_inner) << i;
@@ -160,19 +160,44 @@ TEST(RegularKernel, StaysCorrectAfterNodeSync) {
     queries[i] = batch[i % batch.size()].pair.key;
   }
   gpu::DevicePtr q_dev = fx.device.Malloc(kCount * sizeof(Key64));
-  gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(std::uint64_t));
+  gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(ResultWord));
   fx.transfer.CopyToDevice(q_dev, queries.data(), kCount * sizeof(Key64));
   auto params = tree.MakeKernelParams(q_dev, r_dev, kCount);
   RunRegularInnerSearch<Key64>(fx.device, params);
-  std::vector<std::uint64_t> results(kCount);
+  std::vector<ResultWord> results(kCount);
   fx.transfer.CopyToHost(results.data(), r_dev,
-                         kCount * sizeof(std::uint64_t));
+                         kCount * sizeof(ResultWord));
   for (std::uint32_t i = 0; i < kCount; ++i) {
     typename RegularBTree<Key64>::LeafPosition pos{
         UnpackLeafNode(results[i]), UnpackLeafLine(results[i])};
     auto result = tree.host_tree().SearchLeafLine(pos, queries[i]);
     ASSERT_TRUE(result.found) << i;
   }
+}
+
+TEST(ResultWord, LeafPositionRoundTripsAtTheFieldLimits) {
+  // 24 node bits and 8 line bits: the largest slot, and the last line of
+  // a 64-bit (64 lines) and a 32-bit (256 lines) big leaf.
+  constexpr NodeRef kMaxNode = (NodeRef{1} << 24) - 1;
+  for (NodeRef node : {NodeRef{0}, NodeRef{1}, kMaxNode}) {
+    for (int line : {0, 63, 255}) {
+      const ResultWord packed = PackLeafPosition(node, line);
+      EXPECT_EQ(UnpackLeafNode(packed), node) << node << "/" << line;
+      EXPECT_EQ(UnpackLeafLine(packed), line) << node << "/" << line;
+    }
+  }
+  EXPECT_EQ(PackLeafPosition(kMaxNode, 255), ~ResultWord{0});
+}
+
+TEST(ResultWord, FieldCheckRefusesWhatTheWordCannotAddress) {
+  EXPECT_TRUE(CheckResultWordField(std::uint64_t{1} << 24, 24, "nodes").ok());
+  const Status nodes =
+      CheckResultWordField((std::uint64_t{1} << 24) + 1, 24, "nodes");
+  EXPECT_EQ(nodes.code(), StatusCode::kOutOfRange);
+  EXPECT_TRUE(CheckResultWordField(std::uint64_t{1} << 32, 32, "lines").ok());
+  EXPECT_EQ(
+      CheckResultWordField((std::uint64_t{1} << 32) + 1, 32, "lines").code(),
+      StatusCode::kOutOfRange);
 }
 
 TEST(Kernels, CoalescingBeatsWorstCase) {
@@ -189,7 +214,7 @@ TEST(Kernels, CoalescingBeatsWorstCase) {
   auto queries = MakeLookupQueries(data, /*seed=*/10);
   queries.resize(kCount);
   gpu::DevicePtr q_dev = fx.device.Malloc(kCount * sizeof(Key64));
-  gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(std::uint64_t));
+  gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(ResultWord));
   fx.transfer.CopyToDevice(q_dev, queries.data(), kCount * sizeof(Key64));
   auto params = tree.MakeKernelParams(q_dev, r_dev, kCount);
   gpu::KernelStats stats = RunImplicitInnerSearch<Key64>(fx.device, params);

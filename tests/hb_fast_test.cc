@@ -40,13 +40,13 @@ TYPED_TEST(HbFastTypedTest, KernelMatchesHostLowerBound) {
   }
 
   gpu::DevicePtr q_dev = fx.device.Malloc(kCount * sizeof(K));
-  gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(std::uint64_t));
+  gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(ResultWord));
   fx.transfer.CopyToDevice(q_dev, queries.data(), kCount * sizeof(K));
   auto params = tree.MakeKernelParams(q_dev, r_dev, kCount);
   gpu::KernelStats stats = RunFastSearch<K>(fx.device, params);
-  std::vector<std::uint64_t> results(kCount);
+  std::vector<ResultWord> results(kCount);
   fx.transfer.CopyToHost(results.data(), r_dev,
-                         kCount * sizeof(std::uint64_t));
+                         kCount * sizeof(ResultWord));
   for (std::uint32_t i = 0; i < kCount; ++i) {
     EXPECT_EQ(results[i], tree.host_tree().LowerBoundIndex(queries[i])) << i;
   }
@@ -115,7 +115,7 @@ TEST(HbFast, UncoalescedKernelIssuesMoreTransactionsThanTeamSearch) {
   auto queries = MakeLookupQueries(data, /*seed=*/8);
   queries.resize(kCount);
   gpu::DevicePtr q_dev = fx.device.Malloc(kCount * sizeof(Key64));
-  gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(std::uint64_t));
+  gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(ResultWord));
   fx.transfer.CopyToDevice(q_dev, queries.data(), kCount * sizeof(Key64));
   auto params = tree.MakeKernelParams(q_dev, r_dev, kCount);
   gpu::KernelStats stats = RunFastSearch<Key64>(fx.device, params);

@@ -261,13 +261,11 @@ TEST(HybridScheduling, StrategiesOrderAsInFigure10) {
   // sequential >= pipelined >= double-buffered.
   using pipeline_internal::Scheduler;
   auto run = [](BucketStrategy strategy) {
-    Scheduler scheduler(strategy);
+    Scheduler scheduler(strategy, /*buckets_in_flight=*/2);
     std::vector<double> ends;
     for (int i = 0; i < 50; ++i) {
-      double ready = ends.size() >= 2 ? ends[ends.size() - 2] : 0.0;
-      ends.push_back(
-          scheduler.ScheduleBucket(ready, 0, /*t1=*/10, /*t2=*/60,
-                                   /*t3=*/5, /*t4=*/50));
+      ends.push_back(scheduler.ScheduleBucket(0, /*t1=*/10, /*t2=*/60,
+                                              /*t3=*/5, /*t4=*/50));
     }
     return ends.back() / 50.0;  // average period
   };

@@ -82,12 +82,12 @@ std::uint64_t Sum(const std::vector<std::uint64_t>& v) {
 template <typename Tree, typename K>
 gpu::KernelStats Launch(KernelFixture& fx, const Tree& tree,
                         const std::vector<K>& queries,
-                        std::vector<std::uint64_t>* results = nullptr,
+                        std::vector<ResultWord>* results = nullptr,
                         int start_level = -1,
                         const std::vector<std::uint32_t>* starts = nullptr) {
   const auto count = static_cast<std::uint32_t>(queries.size());
   gpu::DevicePtr q_dev = fx.device.Malloc(count * sizeof(K));
-  gpu::DevicePtr r_dev = fx.device.Malloc(count * sizeof(std::uint64_t));
+  gpu::DevicePtr r_dev = fx.device.Malloc(count * sizeof(ResultWord));
   gpu::DevicePtr s_dev;
   fx.transfer.CopyToDevice(q_dev, queries.data(), count * sizeof(K));
   if (starts != nullptr) {
@@ -106,7 +106,7 @@ gpu::KernelStats Launch(KernelFixture& fx, const Tree& tree,
   if (results != nullptr) {
     results->resize(count);
     fx.transfer.CopyToHost(results->data(), r_dev,
-                           count * sizeof(std::uint64_t));
+                           count * sizeof(ResultWord));
   }
   fx.device.Free(q_dev);
   fx.device.Free(r_dev);
@@ -126,7 +126,7 @@ TEST(ImplicitRunDedup, NodeLoadsEqualDistinctStartNodesPerLevel) {
 
   constexpr std::uint32_t kCount = 4096;
   auto queries = SortedMixedQueries<Key64>(data, kCount, /*seed=*/2);
-  std::vector<std::uint64_t> results;
+  std::vector<ResultWord> results;
   const gpu::KernelStats lw = Launch(fx, tree, queries, &results);
 
   // Functional identity: every query lands on the leaf line the host
@@ -174,7 +174,7 @@ TEST(ImplicitRunDedup, ReconcilesFromPreDescendedStartNodes) {
     starts[i] =
         static_cast<std::uint32_t>(host.DescendLevels(queries[i], cpu_depth));
   }
-  std::vector<std::uint64_t> results;
+  std::vector<ResultWord> results;
   const gpu::KernelStats lw =
       Launch(fx, tree, queries, &results, start_level, &starts);
   for (std::uint32_t i = 0; i < kCount; ++i) {
@@ -205,7 +205,7 @@ TEST(RegularRunDedup, NodeLoadsEqualDistinctStartNodesPerLevel) {
 
   constexpr std::uint32_t kCount = 2048;
   auto queries = SortedMixedQueries<Key64>(data, kCount, /*seed=*/6);
-  std::vector<std::uint64_t> results;
+  std::vector<ResultWord> results;
   const gpu::KernelStats lw = Launch(fx, tree, queries, &results);
   for (std::uint32_t i = 0; i < kCount; ++i) {
     auto expect = host.FindLeafPosition(queries[i]);
@@ -286,7 +286,7 @@ TEST_P(NoSharedNodes, ImplicitChargesThePerQueryClosedForm) {
   const std::uint64_t warps = (n + 3) / 4;
   const std::uint64_t l = static_cast<std::uint64_t>(levels);
 
-  std::vector<std::uint64_t> results;
+  std::vector<ResultWord> results;
   const gpu::KernelStats s =
       Launch(fx, tree, queries, &results, levels, &starts);
   for (std::size_t i = 0; i < n; ++i) {
@@ -319,7 +319,7 @@ TEST_P(NoSharedNodes, RegularChargesThePerQueryClosedForm) {
   const std::uint64_t warps = (n + 3) / 4;
   const std::uint64_t l = static_cast<std::uint64_t>(levels);
 
-  std::vector<std::uint64_t> results;
+  std::vector<ResultWord> results;
   const gpu::KernelStats s =
       Launch(fx, tree, queries, &results, levels, &starts);
   for (std::size_t i = 0; i < n; ++i) {
@@ -392,18 +392,20 @@ void ExpectHostResults(Tree& tree, const std::vector<K>& queries,
   EXPECT_LT(loads, Sum(stats.kernel.node_queries_by_level));
 }
 
-/// A leaf rate that makes the CPU stage free, so the device side bounds
-/// the pipeline. Later buckets then sort only where the kernel, not the
-/// transfers, is the slowest stage: on the M1 trees below T1 and T3 bound
-/// it and only bucket 0 sorts, on M2 the kernel does.
+/// A leaf rate that makes the CPU stage free, and three buffer sets so
+/// the buffer cycle does not bind either. On M2's weak GPU the kernel then
+/// bounds the pipeline, sorting pays, and every bucket after the unsorted
+/// bucket 0 sorts. (On M1 these small trees' kernel is too cheap for a
+/// sort to pay, and no bucket would sort.)
 PipelineConfig KernelBound() {
   PipelineConfig config;
   config.cpu_queries_per_us = 1e9;
+  config.buckets_in_flight = 3;
   return config;
 }
 
 TEST(SortedPipeline, UnsortedQueriesGetHostAnswersInCallerOrder) {
-  KernelFixture fx;
+  KernelFixture fx(sim::PlatformSpec::M2());
   HBImplicitTree<Key64>::Config tree_config;
   HBImplicitTree<Key64> tree(tree_config, &fx.registry, &fx.device,
                              &fx.transfer);
@@ -417,11 +419,13 @@ TEST(SortedPipeline, UnsortedQueriesGetHostAnswersInCallerOrder) {
   }
   PipelineConfig config = KernelBound();
   config.bucket_size = 4096;
-  ExpectHostResults(tree, queries, config);
+  PipelineStats stats;
+  ExpectHostResults(tree, queries, config, &stats);
+  EXPECT_EQ(stats.sorted_buckets, 4u);  // 5 buckets
 }
 
 TEST(SortedPipeline, ComposesWithLoadBalancerSplit) {
-  KernelFixture fx;
+  KernelFixture fx(sim::PlatformSpec::M2());
   HBImplicitTree<Key64>::Config tree_config;
   HBImplicitTree<Key64> tree(tree_config, &fx.registry, &fx.device,
                              &fx.transfer);
@@ -435,17 +439,19 @@ TEST(SortedPipeline, ComposesWithLoadBalancerSplit) {
   }
   // D=1, R=0.5: every bucket splits into two balanced launches starting
   // at different levels; both are contiguous slices of the sorted bucket.
+  // The descent is cheap enough that the CPU stage does not bound.
   PipelineConfig config = KernelBound();
   config.bucket_size = 4096;
   config.cpu_descend_levels = 1;
   config.cpu_split_ratio = 0.5;
-  config.cpu_descend_us_per_level = 0.01;
-  config.buckets_in_flight = 3;
-  ExpectHostResults(tree, queries, config);
+  config.cpu_descend_us_per_level = 0.001;
+  PipelineStats stats;
+  ExpectHostResults(tree, queries, config, &stats);
+  EXPECT_EQ(stats.sorted_buckets, 3u);  // 4 buckets
 }
 
 TEST(SortedPipeline, RegularTreeGetsHostAnswersInCallerOrder) {
-  KernelFixture fx;
+  KernelFixture fx(sim::PlatformSpec::M2());
   HBRegularTree<Key64>::Config tree_config;
   HBRegularTree<Key64> tree(tree_config, &fx.registry, &fx.device,
                             &fx.transfer);
@@ -459,14 +465,16 @@ TEST(SortedPipeline, RegularTreeGetsHostAnswersInCallerOrder) {
   }
   PipelineConfig config = KernelBound();
   config.bucket_size = 4096;
-  ExpectHostResults(tree, queries, config);
+  PipelineStats stats;
+  ExpectHostResults(tree, queries, config, &stats);
+  EXPECT_EQ(stats.sorted_buckets, 3u);  // 4 buckets
 }
 
 TEST(SortedPipeline, HeatSinkCarriesKernelTrafficAndCollapsedTouches) {
   // The regular tree's leaf search is the stage with node-touch heat
   // instrumentation (cpu_leaf big_leaf cells) — use it so the collapsed
   // per-batch touch convention is observable.
-  KernelFixture fx;
+  KernelFixture fx(sim::PlatformSpec::M2());
   HBRegularTree<Key64>::Config tree_config;
   HBRegularTree<Key64> tree(tree_config, &fx.registry, &fx.device,
                             &fx.transfer);
@@ -480,7 +488,9 @@ TEST(SortedPipeline, HeatSinkCarriesKernelTrafficAndCollapsedTouches) {
   config.bucket_size = 4096;
   config.heat = &heat;
   std::vector<LookupResult<Key64>> results;
-  RunSearchPipeline(tree, queries.data(), queries.size(), config, &results);
+  const PipelineStats stats = RunSearchPipeline(
+      tree, queries.data(), queries.size(), config, &results);
+  EXPECT_EQ(stats.sorted_buckets, 1u);  // bucket 1 of 2
 
   std::lock_guard<std::mutex> lock(heat.mu);
   ASSERT_FALSE(heat.kernel_node_loads.empty());
@@ -490,10 +500,10 @@ TEST(SortedPipeline, HeatSinkCarriesKernelTrafficAndCollapsedTouches) {
   EXPECT_LT(loads, Sum(heat.kernel_node_queries));
   EXPECT_GT(heat.kernel_dram_bytes + heat.kernel_l2_bytes, 0u);
 
-  // Collapse-repeats heat semantics: with sorted dispatch the CPU leaf
-  // tracer counts distinct leaf visits per batch, so a skewed stream
+  // Collapse-repeats heat semantics: wherever the loop may sort, the CPU
+  // leaf tracer counts runs of leaf visits per batch, so a skewed stream
   // cannot report more touches than queries — and must report fewer
-  // (Zipf repeats the hot keys back to back after the sort).
+  // (Zipf repeats the hot keys back to back in the sorted bucket).
   std::vector<obs::LevelTraffic> cells;
   heat.cpu_leaf.Collect(&cells);
   std::uint64_t touches = 0;
@@ -512,10 +522,11 @@ std::vector<Key64> BucketQueries(const std::vector<KeyValue<Key64>>& data,
   return queries;
 }
 
-TEST(SortDecision, CpuBoundRunSortsOnlyTheFirstBucket) {
-  // The default 1 query/us leaf rate makes the CPU stage the bottleneck,
-  // so the unsorted probe's period is shorter by the sort charge and every
-  // bucket after it stays unsorted. Only bucket 0 pays to sort.
+TEST(SortDecision, CpuBoundRunSortsNoBucket) {
+  // The default 1 query/us leaf rate makes the CPU stage the bottleneck.
+  // Bucket 0 runs unsorted, and even an ideal sort (a free kernel) would
+  // only add its charge to the CPU stage, so no bucket sorts and no bucket
+  // pays the charge.
   KernelFixture fx;
   HBImplicitTree<Key64>::Config tree_config;
   HBImplicitTree<Key64> tree(tree_config, &fx.registry, &fx.device,
@@ -529,43 +540,64 @@ TEST(SortDecision, CpuBoundRunSortsOnlyTheFirstBucket) {
   config.bucket_size = 4096;
   PipelineStats stats;
   ExpectHostResults(tree, queries, config, &stats);
-  EXPECT_EQ(stats.sorted_buckets, 1u);
+  EXPECT_EQ(stats.sorted_buckets, 0u);
   // t4_us averages T4 plus the pre-GPU charge; without load balancing that
   // charge is the sort alone.
-  const double sort_us = 4096 * config.sort_us_per_query;
   EXPECT_NEAR(stats.t4_us * kBuckets,
-              queries.size() / config.cpu_queries_per_us + sort_us, 1e-6);
+              queries.size() / config.cpu_queries_per_us, 1e-6);
 }
 
-TEST(SortDecision, KernelBoundRunSortsEveryBucketButTheProbe) {
-  // M2's weak GPU makes the kernel the slowest stage once the CPU is free,
-  // and sorting shortens it by more than the sort charge.
+/// Runs five 4096-key buckets through the regular tree on M2 with a free
+/// CPU stage (KernelBound) and `buckets_in_flight` buffer sets, checks the
+/// answers and that t4_us carries one sort charge per sorted bucket, and
+/// returns how many buckets sorted.
+std::uint64_t KernelBoundSortedBuckets(int buckets_in_flight) {
   KernelFixture fx(sim::PlatformSpec::M2());
   HBRegularTree<Key64>::Config tree_config;
   HBRegularTree<Key64> tree(tree_config, &fx.registry, &fx.device,
                             &fx.transfer);
   auto data = GenerateDataset<Key64>(200000, /*seed=*/25);
-  ASSERT_TRUE(tree.Build(data));
+  EXPECT_TRUE(tree.Build(data));
 
   constexpr int kBuckets = 5;
   const auto queries = BucketQueries(data, kBuckets, 4096, /*seed=*/26);
   PipelineConfig config = KernelBound();
   config.bucket_size = 4096;
+  config.buckets_in_flight = buckets_in_flight;
   PipelineStats stats;
   ExpectHostResults(tree, queries, config, &stats);
-  EXPECT_EQ(stats.sorted_buckets, kBuckets - 1u);
   const double sort_us = 4096 * config.sort_us_per_query;
   EXPECT_NEAR(stats.t4_us * kBuckets,
               queries.size() / config.cpu_queries_per_us +
-                  (kBuckets - 1) * sort_us,
+                  stats.sorted_buckets * sort_us,
               1e-6);
+  return stats.sorted_buckets;
+}
+
+TEST(SortDecision, KernelBoundRunSortsEveryBucketAfterTheFirst) {
+  // M2's weak GPU makes the kernel the slowest stage once the CPU is free.
+  // With three buffer sets (as load balancing runs) the buffer cycle does
+  // not bind, so sorting shortens the period by more than its charge: the
+  // sorted bucket-1 probe beats the unsorted bucket 0, and buckets 1-4
+  // sort.
+  EXPECT_EQ(KernelBoundSortedBuckets(3), 4u);
+}
+
+TEST(SortDecision, CycleBoundRunSortsOnlyTheProbe) {
+  // The same run with two buffer sets is bound by the buffer cycle, which
+  // the sort's charge lengthens by more than its shorter kernel shortens
+  // it. The ideal-sort floor (a free kernel) still lets bucket 1 probe
+  // sorted, but the probe loses to the unsorted bucket 0, so buckets 2-4
+  // stay unsorted.
+  EXPECT_EQ(KernelBoundSortedBuckets(2), 1u);
 }
 
 TEST(SortDecision, OneBucketRunMatchesTheAlwaysSortedLoop) {
-  // A run of one bucket never probes: it sorts, and its stats are
-  // bit-identical to those of the loop that sorted every bucket. The
-  // values below were recorded from that loop; a change to the cost model
-  // or the generators re-records them from a failing run's output.
+  // A run of one bucket never probes: it sorts, as the loop that sorted
+  // every bucket did. The values below were recorded from that loop and
+  // re-recorded where the 4-byte result word moved them (t3, PCIe busy
+  // time, total and latency, the kernel's DRAM/L2 split); a change to the
+  // cost model or the generators re-records them from a failing run.
   KernelFixture fx;
   HBRegularTree<Key64>::Config tree_config;
   HBRegularTree<Key64> tree(tree_config, &fx.registry, &fx.device,
@@ -580,29 +612,49 @@ TEST(SortDecision, OneBucketRunMatchesTheAlwaysSortedLoop) {
       RunSearchPipeline(tree, queries.data(), queries.size(), config);
 
   EXPECT_EQ(stats.sorted_buckets, 1u);
-  EXPECT_EQ(stats.total_us, 4139.9833194444445);
-  EXPECT_EQ(stats.avg_latency_us, 4139.9833194444445);
+  EXPECT_EQ(stats.total_us, 4138.6179861111113);
+  EXPECT_EQ(stats.avg_latency_us, 4138.6179861111113);
   EXPECT_EQ(stats.t1_us, 10.730666666666666);
   EXPECT_EQ(stats.t2_us, 6.1379861111111111);
-  EXPECT_EQ(stats.t3_us, 10.730666666666666);
+  EXPECT_EQ(stats.t3_us, 9.365333333333334);
   EXPECT_EQ(stats.t4_us, 4112.384);
   EXPECT_EQ(stats.gpu_busy_us, 6.1379861111111111);
   EXPECT_EQ(stats.cpu_busy_us, 4112.384);
-  EXPECT_EQ(stats.pcie_busy_us, 21.461333333333332);
+  EXPECT_EQ(stats.pcie_busy_us, 20.096);
   EXPECT_EQ(stats.kernel.warp_instructions, 49161u);
   EXPECT_EQ(stats.kernel.memory_gathers, 2057u);
   EXPECT_EQ(stats.kernel.memory_transactions, 2057u);
-  EXPECT_EQ(stats.kernel.dram_bytes, 66112u);
-  EXPECT_EQ(stats.kernel.l2_bytes, 65536u);
+  EXPECT_EQ(stats.kernel.dram_bytes, 49728u);
+  EXPECT_EQ(stats.kernel.l2_bytes, 81920u);
+}
+
+TEST(SortDecision, BucketDownloadIsOneResultWordPerQuery) {
+  // T3 moves one 32-bit result word per query, whichever order a bucket
+  // took: the transfer engine's D2H byte count grows by 4 bytes per query.
+  KernelFixture fx;
+  HBImplicitTree<Key64>::Config tree_config;
+  HBImplicitTree<Key64> tree(tree_config, &fx.registry, &fx.device,
+                             &fx.transfer);
+  auto data = GenerateDataset<Key64>(200000, /*seed=*/30);
+  ASSERT_TRUE(tree.Build(data));
+  const auto queries = BucketQueries(data, 3, 4096, /*seed=*/31);
+  PipelineConfig config;
+  config.bucket_size = 4096;
+  const std::uint64_t before = fx.transfer.bytes_d2h();
+  RunSearchPipeline(tree, queries.data(), queries.size(), config);
+  EXPECT_EQ(fx.transfer.bytes_d2h() - before, 4 * queries.size());
 }
 
 TEST(SortDecision, HeatTouchesCountRunsPerBucketAcrossMixedOrders) {
-  // Two keys of one leaf line, alternating, in three buckets of four:
-  // bucket 0 sorts, bucket 1 (the probe) does not, so bucket 0's last key
-  // and bucket 1's first key share a leaf. The kernel counts one run per
-  // launch at every level; the CPU leaf tracer must count one touch per
-  // bucket too, which holds only if its repeat memo resets at every
-  // bucket boundary, unsorted ones included.
+  // Two keys of one leaf line, alternating, in three buckets of four. The
+  // kernel counts one run per launch at every level; the CPU leaf tracer
+  // must count one touch per bucket too, which holds only if its repeat
+  // memo resets at every bucket boundary, whatever order the buckets on
+  // either side took. Under the default config bucket 0 runs unsorted and
+  // the tiny buckets are bound by the buffer cycle, so buckets 1 and 2
+  // sort: bucket 0's last key and bucket 1's first key share a leaf. With
+  // a prohibitive sort charge no bucket sorts and every boundary joins two
+  // unsorted buckets on that leaf.
   KernelFixture fx;
   HBRegularTree<Key64>::Config tree_config;
   HBRegularTree<Key64> tree(tree_config, &fx.registry, &fx.device,
@@ -624,29 +676,35 @@ TEST(SortDecision, HeatTouchesCountRunsPerBucketAcrossMixedOrders) {
     queries.push_back(data[i].key);
   }
 
-  obs::PipelineHeat heat(fx.platform.cpu.cache_levels);
-  PipelineConfig config;
-  config.bucket_size = 4;
-  config.heat = &heat;
-  PipelineStats stats;
-  ExpectHostResults(tree, queries, config, &stats);
-  EXPECT_EQ(stats.sorted_buckets, 1u);
+  for (const auto& [sort_us_per_query, sorted_buckets] :
+       {std::pair{PipelineConfig{}.sort_us_per_query, 2u},
+        std::pair{1e3, 0u}}) {
+    SCOPED_TRACE(sort_us_per_query);
+    obs::PipelineHeat heat(fx.platform.cpu.cache_levels);
+    PipelineConfig config;
+    config.bucket_size = 4;
+    config.sort_us_per_query = sort_us_per_query;
+    config.heat = &heat;
+    PipelineStats stats;
+    ExpectHostResults(tree, queries, config, &stats);
+    EXPECT_EQ(stats.sorted_buckets, sorted_buckets);
 
-  std::lock_guard<std::mutex> lock(heat.mu);
-  ASSERT_EQ(heat.kernel_launches, 3u);
-  for (std::size_t l = 0; l < heat.kernel_node_loads.size(); ++l) {
-    if (heat.kernel_node_queries[l] == 0) continue;
-    EXPECT_EQ(heat.kernel_node_loads[l], heat.kernel_launches) << l;
-  }
-  std::vector<obs::LevelTraffic> cells;
-  heat.cpu_leaf.Collect(&cells);
-  std::uint64_t leaf_touches = 0;
-  for (const auto& cell : cells) {
-    if (cell.node_class == static_cast<int>(NodeClass::kBigLeaf)) {
-      leaf_touches += cell.touches;
+    std::lock_guard<std::mutex> lock(heat.mu);
+    ASSERT_EQ(heat.kernel_launches, 3u);
+    for (std::size_t l = 0; l < heat.kernel_node_loads.size(); ++l) {
+      if (heat.kernel_node_queries[l] == 0) continue;
+      EXPECT_EQ(heat.kernel_node_loads[l], heat.kernel_launches) << l;
     }
+    std::vector<obs::LevelTraffic> cells;
+    heat.cpu_leaf.Collect(&cells);
+    std::uint64_t leaf_touches = 0;
+    for (const auto& cell : cells) {
+      if (cell.node_class == static_cast<int>(NodeClass::kBigLeaf)) {
+        leaf_touches += cell.touches;
+      }
+    }
+    EXPECT_EQ(leaf_touches, heat.kernel_launches);
   }
-  EXPECT_EQ(leaf_touches, heat.kernel_launches);
 }
 
 }  // namespace

@@ -89,12 +89,11 @@ TEST(SchedulerProperties, PeriodBoundedByStagesForAllStrategies) {
     for (BucketStrategy strategy :
          {BucketStrategy::kSequential, BucketStrategy::kPipelined,
           BucketStrategy::kDoubleBuffered}) {
-      pipeline_internal::Scheduler scheduler(strategy);
+      pipeline_internal::Scheduler scheduler(strategy, in_flight);
       std::vector<double> ends;
       const int buckets = 40;
       for (int b = 0; b < buckets; ++b) {
-        double ready = b >= in_flight ? ends[b - in_flight] : 0.0;
-        ends.push_back(scheduler.ScheduleBucket(ready, 0, t1, t2, t3, t4));
+        ends.push_back(scheduler.ScheduleBucket(0, t1, t2, t3, t4));
       }
       const double period = ends.back() / buckets;
       const double chain = t1 + t2 + t3 + t4;
@@ -114,6 +113,45 @@ TEST(SchedulerProperties, PeriodBoundedByStagesForAllStrategies) {
   }
 }
 
+TEST(SchedulerProperties, PeriodIsTheSteadyStateCompletionSpacing) {
+  // Period() must predict the spacing ScheduleBucket settles into, for
+  // every strategy and buffer-set count. The first case is bound by the
+  // double-buffered cycle (every bucket holds its buffer set for 40 us,
+  // two sets: 20 us apart), not by any one engine (10 us).
+  struct Stages {
+    double tpre, t1, t2, t3, t4;
+  };
+  std::vector<Stages> cases = {{0, 10, 10, 10, 10}, {5, 10, 60, 5, 50}};
+  Rng rng(31);
+  for (int round = 0; round < 100; ++round) {
+    cases.push_back({rng.NextDouble() * 20, 1 + rng.NextDouble() * 50,
+                     1 + rng.NextDouble() * 200, 1 + rng.NextDouble() * 50,
+                     1 + rng.NextDouble() * 200});
+  }
+  for (const Stages& c : cases) {
+    for (BucketStrategy strategy :
+         {BucketStrategy::kSequential, BucketStrategy::kPipelined,
+          BucketStrategy::kDoubleBuffered}) {
+      for (int in_flight : {1, 2, 3}) {
+        pipeline_internal::Scheduler scheduler(strategy, in_flight);
+        std::vector<double> ends;
+        for (int b = 0; b < 300; ++b) {
+          ends.push_back(
+              scheduler.ScheduleBucket(c.tpre, c.t1, c.t2, c.t3, c.t4));
+        }
+        // Average over the last 60 buckets (a multiple of every set
+        // count), once the start-up transient has passed.
+        const double spacing = (ends[299] - ends[239]) / 60;
+        const double period = scheduler.Period(c.tpre, c.t1, c.t2, c.t3, c.t4);
+        EXPECT_NEAR(period, spacing, 1e-9 * period)
+            << BucketStrategyName(strategy) << " in_flight=" << in_flight
+            << " tpre=" << c.tpre << " t1=" << c.t1 << " t2=" << c.t2
+            << " t3=" << c.t3 << " t4=" << c.t4;
+      }
+    }
+  }
+}
+
 TEST(SchedulerProperties, MoreBucketsInFlightNeverHurts) {
   Rng rng(29);
   for (int round = 0; round < 100; ++round) {
@@ -124,11 +162,10 @@ TEST(SchedulerProperties, MoreBucketsInFlightNeverHurts) {
     double prev_period = 1e100;
     for (int in_flight : {1, 2, 3, 4}) {
       pipeline_internal::Scheduler scheduler(
-          BucketStrategy::kDoubleBuffered);
+          BucketStrategy::kDoubleBuffered, in_flight);
       std::vector<double> ends;
       for (int b = 0; b < 50; ++b) {
-        double ready = b >= in_flight ? ends[b - in_flight] : 0.0;
-        ends.push_back(scheduler.ScheduleBucket(ready, 0, t1, t2, t3, t4));
+        ends.push_back(scheduler.ScheduleBucket(0, t1, t2, t3, t4));
       }
       const double period = ends.back() / 50;
       EXPECT_LE(period, prev_period + 1e-9);

@@ -287,15 +287,19 @@ TEST(ServeStress, InvalidRangeRejectsViaFuture) {
   EXPECT_TRUE(result.range.empty());
 }
 
-// Invalid options surface through the factory, not an abort.
+// Invalid options surface through the factory, not an abort, and not as
+// a server whose every GPU dispatch fails over to the CPU path.
 TEST(ServeStress, CreateRejectsInvalidOptions) {
   auto data = StableDataset();
-  serve::ServerOptions options = StressOptions();
-  options.pipeline.bucket_size = 0;
-  Status status;
-  auto server = serve::Server<Key64>::Create(options, data, &status);
-  EXPECT_EQ(server, nullptr);
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  for (int field = 0; field < 2; ++field) {
+    serve::ServerOptions options = StressOptions();
+    (field == 0 ? options.pipeline.bucket_size
+                : options.pipeline.buckets_in_flight) = 0;
+    Status status;
+    auto server = serve::Server<Key64>::Create(options, data, &status);
+    EXPECT_EQ(server, nullptr) << field;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << field;
+  }
 }
 
 // The adaptive controller must halve the effective bucket M under
