@@ -8,7 +8,12 @@
 // build kernel itself is bandwidth-trivial, and the CPU is relieved of
 // the I-segment construction pass — a modest but real improvement of
 // Figure 15's refresh path.
+//
+// Flags: --min_log2, --max_log2, --platform, --seed, and
+// --metrics_json=<path> (hbtree.bench.v1 rows, one per size;
+// `scripts/check.sh paper` gates them).
 
+#include <cmath>
 #include <cstdio>
 
 #include "bench_support/harness.h"
@@ -24,10 +29,9 @@ void Run(const Args& args) {
   std::uint64_t seed = args.GetInt("seed", 42);
 
   std::printf("Platform: %s\n", platform.name.c_str());
-  Table table({"tuples", "cpu+upload ms", "gpu-assist ms", "speedup",
-               "bytes saved"});
-  table.PrintTitle("GPU-assisted I-segment rebuild (Section 7 extension)");
-  table.PrintHeader();
+  BenchReport report("ext_gpu_build");
+  report.Meta("platform", platform.name);
+  report.MetaNum("seed", static_cast<double>(seed));
   for (std::size_t n : sizes) {
     auto data = GenerateDataset<Key64>(n, seed);
     SimPlatform sim(platform);
@@ -51,17 +55,19 @@ void Run(const Args& args) {
         host, sim.device, sim.transfer, tree.device_nodes());
     const std::uint64_t maxima_bytes = sim.transfer.bytes_h2d() - before;
 
-    table.PrintRow(
-        {Table::Log2Size(n), Table::Num(baseline_us / 1e3, 2),
-         Table::Num(assisted_us / 1e3, 2),
-         Table::Num(baseline_us / assisted_us, 2) + "x",
-         Table::Num((host.i_segment_bytes() - maxima_bytes) / 1e6, 1) +
-             " MB"});
+    report.AddRow()
+        .Num("tuples_log2", std::log2(static_cast<double>(n)), 0)
+        .Num("cpu_upload_us", baseline_us, 0)
+        .Num("gpu_assist_us", assisted_us, 0)
+        .Num("speedup", baseline_us / assisted_us, 2)
+        .Num("saved_mb", (host.i_segment_bytes() - maxima_bytes) / 1e6, 1);
   }
+  report.PrintTable("GPU-assisted I-segment rebuild (Section 7 extension)");
   std::printf(
       "\nExpectation: a modest constant-factor win — less PCIe traffic and "
       "no CPU I-segment pass — bounded by the maxima upload, which is "
       "~7/8 of the I-segment for fanout 8.\n");
+  MaybeWriteReport(args, report);
 }
 
 }  // namespace

@@ -10,7 +10,12 @@
 //     cfg3 until the tree outgrows the four 1G TLB entries;
 // (b) multi-threaded search throughput — cfg3 > cfg2 > cfg1 because 1G
 //     page walks are also cheaper when they do happen.
+//
+// Flags: --min_log2, --max_log2, --platform, --seed, and
+// --metrics_json=<path> (hbtree.bench.v1 rows, one per tree, size and
+// page configuration; `scripts/check.sh paper` gates them).
 
+#include <cmath>
 #include <cstdio>
 
 #include "bench_support/harness.h"
@@ -34,11 +39,8 @@ constexpr PageConfig kConfigs[] = {
 
 template <typename Tree, typename K>
 void RunTree(const char* tree_name, const sim::PlatformSpec& platform,
-             const std::vector<std::size_t>& sizes, std::uint64_t seed) {
-  Table table({"tuples", "config", "tlb miss/q", "walk acc/q", "MQPS"});
-  table.PrintTitle(std::string(tree_name) +
-                   " B+-tree: page configuration (paper Fig. 7)");
-  table.PrintHeader();
+             const std::vector<std::size_t>& sizes, std::uint64_t seed,
+             BenchReport* report) {
   for (std::size_t n : sizes) {
     auto data = GenerateDataset<K>(n, seed);
     auto queries = MakeLookupQueries(data, seed + 1);
@@ -53,12 +55,16 @@ void RunTree(const char* tree_name, const sim::PlatformSpec& platform,
       SearchMeasurement m =
           MeasureCpuSearch(tree, queries, platform, registry,
                            tree_config.search_algo);
-      table.PrintRow({Table::Log2Size(n), config.name,
-                      Table::Num(m.profile.TlbMissesPerQuery(), 3),
-                      Table::Num(static_cast<double>(m.profile.walk_accesses) /
-                                     m.profile.queries,
-                                 3),
-                      Table::Num(m.estimate.mqps, 1)});
+      report->AddRow()
+          .Text("tree", tree_name)
+          .Num("tuples_log2", std::log2(static_cast<double>(n)), 0)
+          .Text("config", config.name)
+          .Num("tlb_misses_per_query", m.profile.TlbMissesPerQuery(), 3)
+          .Num("walk_accesses_per_query",
+               static_cast<double>(m.profile.walk_accesses) /
+                   m.profile.queries,
+               3)
+          .Num("mqps", m.estimate.mqps, 1);
     }
   }
 }
@@ -77,11 +83,18 @@ int main(int argc, char** argv) {
 
   std::printf("Platform: %s (%s)\n", platform.name.c_str(),
               platform.cpu.name.c_str());
-  RunTree<ImplicitBTree<Key64>, Key64>("implicit", platform, sizes, seed);
-  RunTree<RegularBTree<Key64>, Key64>("regular", platform, sizes, seed);
+  BenchReport report("fig07_page_config");
+  report.Meta("platform", platform.name);
+  report.MetaNum("seed", static_cast<double>(seed));
+  RunTree<ImplicitBTree<Key64>, Key64>("implicit", platform, sizes, seed,
+                                       &report);
+  RunTree<RegularBTree<Key64>, Key64>("regular", platform, sizes, seed,
+                                      &report);
+  report.PrintTable("page configuration (paper Fig. 7)");
   std::printf(
       "\nPaper expectation: cfg1 misses grow with tree size; cfg2 bounded "
       "by ~1 miss/query; cfg3 ~0 for trees < 4GB; throughput cfg3 >= cfg2 "
       "> cfg1.\n");
+  MaybeWriteReport(args, report);
   return 0;
 }

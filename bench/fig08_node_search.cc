@@ -6,7 +6,12 @@
 // Expected: SWP improves throughput by ~108-152%; hierarchical SIMD is
 // the fastest, and both SIMD variants lose their edge as the tree becomes
 // memory-latency bound.
+//
+// Flags: --min_log2, --max_log2, --platform, --seed, and
+// --metrics_json=<path> (hbtree.bench.v1 rows, one per size and search
+// setup; `scripts/check.sh paper` gates them).
 
+#include <cmath>
 #include <cstdio>
 
 #include "bench_support/harness.h"
@@ -34,9 +39,9 @@ void Run(const Args& args) {
 
   std::printf("Platform: %s (%s)\n", platform.name.c_str(),
               platform.cpu.name.c_str());
-  Table table({"tuples", "algorithm", "MQPS", "vs no-SWP"});
-  table.PrintTitle("node search / software pipelining (paper Fig. 8)");
-  table.PrintHeader();
+  BenchReport report("fig08_node_search");
+  report.Meta("platform", platform.name);
+  report.MetaNum("seed", static_cast<double>(seed));
   for (std::size_t n : sizes) {
     auto data = GenerateDataset<Key64>(n, seed);
     auto queries = MakeLookupQueries(data, seed + 1);
@@ -52,14 +57,18 @@ void Run(const Args& args) {
       SearchMeasurement m = MeasureCpuSearch(tree, queries, platform,
                                              registry, setup.algo, options);
       if (baseline == 0) baseline = m.estimate.mqps;
-      table.PrintRow({Table::Log2Size(n), setup.name,
-                      Table::Num(m.estimate.mqps, 1),
-                      Table::Num(m.estimate.mqps / baseline, 2) + "x"});
+      report.AddRow()
+          .Num("tuples_log2", std::log2(static_cast<double>(n)), 0)
+          .Text("algorithm", setup.name)
+          .Num("mqps", m.estimate.mqps, 1)
+          .Num("vs_no_swp", m.estimate.mqps / baseline, 2);
     }
   }
+  report.PrintTable("node search / software pipelining (paper Fig. 8)");
   std::printf(
       "\nPaper expectation: SWP gains 108-152%%; hierarchical SIMD "
       "slightly beats linear; SIMD's edge shrinks for large trees.\n");
+  MaybeWriteReport(args, report);
 }
 
 }  // namespace

@@ -5,7 +5,12 @@
 // same simulated platform. The paper reports the B+-tree ~1.3X faster on
 // average — its 8-key-per-line fanout uses each fetched cache line better
 // than FAST's 3-level binary blocks.
+//
+// Flags: --min_log2, --max_log2, --platform, --seed, and
+// --metrics_json=<path> (hbtree.bench.v1 rows, one per size;
+// `scripts/check.sh paper` gates them).
 
+#include <cmath>
 #include <cstdio>
 
 #include "bench_support/harness.h"
@@ -22,13 +27,9 @@ void Run(const Args& args) {
 
   std::printf("Platform: %s (%s)\n", platform.name.c_str(),
               platform.cpu.name.c_str());
-  Table table({"tuples", "B+tree MQPS", "FAST MQPS", "speedup",
-               "B+ acc/q", "FAST acc/q"});
-  table.PrintTitle("implicit B+-tree vs FAST (paper Fig. 9)");
-  table.PrintHeader();
-
-  double speedup_sum = 0;
-  int rows = 0;
+  BenchReport report("fig09_fast_compare");
+  report.Meta("platform", platform.name);
+  report.MetaNum("seed", static_cast<double>(seed));
   for (std::size_t n : sizes) {
     auto data = GenerateDataset<Key64>(n, seed);
     auto queries = MakeLookupQueries(data, seed + 1);
@@ -50,17 +51,17 @@ void Run(const Args& args) {
         MeasureCpuSearch(fast, queries, platform, fast_registry,
                          NodeSearchAlgo::kLinearSimd);
 
-    const double speedup = mb.estimate.mqps / mf.estimate.mqps;
-    speedup_sum += speedup;
-    ++rows;
-    table.PrintRow({Table::Log2Size(n), Table::Num(mb.estimate.mqps, 1),
-                    Table::Num(mf.estimate.mqps, 1),
-                    Table::Num(speedup, 2) + "x",
-                    Table::Num(mb.profile.AccessesPerQuery(), 2),
-                    Table::Num(mf.profile.AccessesPerQuery(), 2)});
+    report.AddRow()
+        .Num("tuples_log2", std::log2(static_cast<double>(n)), 0)
+        .Num("btree_mqps", mb.estimate.mqps, 1)
+        .Num("fast_mqps", mf.estimate.mqps, 1)
+        .Num("speedup", mb.estimate.mqps / mf.estimate.mqps, 2)
+        .Num("btree_accesses_per_query", mb.profile.AccessesPerQuery(), 2)
+        .Num("fast_accesses_per_query", mf.profile.AccessesPerQuery(), 2);
   }
-  std::printf("\naverage speedup: %.2fx (paper: ~1.3x)\n",
-              speedup_sum / rows);
+  report.PrintTable("implicit B+-tree vs FAST (paper Fig. 9)");
+  std::printf("\nPaper expectation: the B+-tree ~1.3x faster on average.\n");
+  MaybeWriteReport(args, report);
 }
 
 }  // namespace

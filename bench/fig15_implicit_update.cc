@@ -5,7 +5,12 @@
 // device memory. The bars break the cost into those three phases; the
 // paper finds the transfer is only 3-7% of the total rebuild cost —
 // i.e. hybridization adds little to the implicit tree's update price.
+//
+// Flags: --min_log2, --max_log2, --platform, --seed, and
+// --metrics_json=<path> (hbtree.bench.v1 rows, one per size;
+// `scripts/check.sh paper` gates them).
 
+#include <cmath>
 #include <cstdio>
 
 #include "bench_support/hb_runner.h"
@@ -19,10 +24,9 @@ void Run(const Args& args) {
   std::uint64_t seed = args.GetInt("seed", 42);
 
   std::printf("Platform: %s\n", platform.name.c_str());
-  Table table({"tuples", "L-build ms", "I-build ms", "transfer ms",
-               "transfer %"});
-  table.PrintTitle("implicit HB+-tree rebuild phases (paper Fig. 15)");
-  table.PrintHeader();
+  BenchReport report("fig15_implicit_update");
+  report.Meta("platform", platform.name);
+  report.MetaNum("seed", static_cast<double>(seed));
   for (std::size_t n : sizes) {
     auto data = GenerateDataset<Key64>(n, seed);
     SimPlatform sim(platform);
@@ -39,14 +43,18 @@ void Run(const Args& args) {
         tree.host_tree().i_segment_bytes(), platform);
     const double total_us =
         model.l_build_us + model.i_build_us + measured_transfer_us;
-    table.PrintRow({Table::Log2Size(n), Table::Num(model.l_build_us / 1e3, 2),
-                    Table::Num(model.i_build_us / 1e3, 2),
-                    Table::Num(measured_transfer_us / 1e3, 2),
-                    Table::Num(100.0 * measured_transfer_us / total_us, 1)});
+    report.AddRow()
+        .Num("tuples_log2", std::log2(static_cast<double>(n)), 0)
+        .Num("l_build_us", model.l_build_us, 0)
+        .Num("i_build_us", model.i_build_us, 0)
+        .Num("transfer_us", measured_transfer_us, 0)
+        .Num("transfer_pct", 100.0 * measured_transfer_us / total_us, 1);
   }
+  report.PrintTable("implicit HB+-tree rebuild phases (paper Fig. 15)");
   std::printf(
       "\nPaper expectation: I-segment transfer is 3-7%% of the total "
       "rebuild cost.\n");
+  MaybeWriteReport(args, report);
 }
 
 }  // namespace

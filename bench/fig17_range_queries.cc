@@ -12,9 +12,9 @@
 #include <cstdio>
 
 #include "bench_support/hb_runner.h"
-#include "bench_support/report.h"
 #include "cpubtree/implicit_btree.h"
 #include "cpubtree/regular_btree.h"
+#include "hybrid/range_pipeline.h"
 
 namespace hbtree::bench {
 namespace {
@@ -35,26 +35,30 @@ double CpuRangeMqps(const Tree& tree, const std::vector<RangeQuery<K>>& rq,
   return m.estimate.mqps;
 }
 
-/// HB tree: GPU resolves the start position, CPU scans leaves; the CPU
-/// share per query is the leaf scan, calibrated per match count.
-template <typename Bench, typename HostTree, typename K, typename StartFn>
-double HbRangeMqps(Bench& bench, const HostTree& host,
-                   const std::vector<RangeQuery<K>>& rq,
-                   const std::vector<K>& start_keys,
-                   const sim::PlatformSpec& platform, StartFn&& scan) {
-  // Calibrate the leaf-scan rate for this match count.
-  auto m = MeasureCpuOp(platform, bench.registry(), host.config().search_algo,
-                        ModelOptions{},
-                        [&](sim::CpuTracer& tracer, std::size_t i) {
-                          scan(tracer, rq[i % rq.size()]);
-                        });
-  PipelineConfig config = bench.MakeConfig();
-  const double threads = platform.cpu.threads;
-  const double thread_time_ns = threads * 1e3 / m.estimate.mqps +
-                                platform.cpu.hybrid_overhead_ns;
-  config.cpu_queries_per_us = threads * 1e3 / thread_time_ns;
-  PipelineStats stats = bench.Run(start_keys, config);
-  return stats.mqps;
+/// HB tree: the GPU resolves each range's start position and the CPU
+/// scans the leaf chain (RunRangePipeline). The leaf stage runs at the
+/// scan rate traced for this match count.
+template <typename Bench, typename K>
+double HbRangeMqps(Bench& bench, const std::vector<RangeQuery<K>>& rq,
+                   int matches, const sim::PlatformSpec& platform) {
+  const auto& host = bench.tree().host_tree();
+  std::vector<KeyValue<K>> out(matches);
+  HbCpuRates rates = bench.rates();
+  rates.leaf_queries_per_us =
+      MeasureCpuOp(platform, bench.registry(), host.config().search_algo,
+                   ModelOptions{},
+                   [&](sim::CpuTracer& tracer, std::size_t i) {
+                     const RangeQuery<K>& query = rq[i % rq.size()];
+                     const auto leaf = LeafOf(host, query.first_key);
+                     tracer.OnQueryStart();
+                     host.ScanLeaves(leaf, query.first_key,
+                                     query.match_count, out.data(), &tracer);
+                     tracer.OnQueryEnd();
+                   })
+          .estimate.mqps;
+  return RunRangePipeline(bench.tree(), rq.data(), rq.size(), matches,
+                          PipelineCosts(rates, platform))
+      .mqps;
 }
 
 void Run(const Args& args) {
@@ -89,37 +93,12 @@ void Run(const Args& args) {
 
   for (int matches : {1, 2, 4, 8, 16, 32}) {
     auto rq = MakeRangeQueries(data, q, matches, seed + matches);
-    std::vector<Key64> start_keys(rq.size());
-    for (std::size_t i = 0; i < rq.size(); ++i) {
-      start_keys[i] = rq[i].first_key;
-    }
-
     double ci = CpuRangeMqps<ImplicitBTree<Key64>, Key64>(
         cpu_implicit, rq, platform, ci_registry);
     double cr = CpuRangeMqps<RegularBTree<Key64>, Key64>(
         cpu_regular, rq, platform, cr_registry);
-
-    std::vector<KeyValue<Key64>> out(64);
-    double hi = HbRangeMqps(
-        hb_implicit, hb_implicit.tree().host_tree(), rq, start_keys,
-        platform, [&](sim::CpuTracer& tracer, const RangeQuery<Key64>& query) {
-          const auto& host = hb_implicit.tree().host_tree();
-          std::uint64_t line = host.FindLeafLine(query.first_key);
-          tracer.OnQueryStart();
-          host.ScanLeaves(line, query.first_key, query.match_count,
-                          out.data(), &tracer);
-          tracer.OnQueryEnd();
-        });
-    double hr = HbRangeMqps(
-        hb_regular, hb_regular.tree().host_tree(), rq, start_keys, platform,
-        [&](sim::CpuTracer& tracer, const RangeQuery<Key64>& query) {
-          const auto& host = hb_regular.tree().host_tree();
-          auto pos = host.FindLeafPosition(query.first_key);
-          tracer.OnQueryStart();
-          host.ScanLeaves(pos, query.first_key, query.match_count,
-                          out.data(), &tracer);
-          tracer.OnQueryEnd();
-        });
+    double hi = HbRangeMqps(hb_implicit, rq, matches, platform);
+    double hr = HbRangeMqps(hb_regular, rq, matches, platform);
 
     report.AddRow()
         .Num("matches", matches, 0)

@@ -5,7 +5,12 @@
 // (same node structures); the CPU-optimized implicit tree slightly beats
 // the implicit HB+-tree, whose fanout is decremented by one for the
 // benefit of the GPU kernel (8 vs 9 for 64-bit keys), making it taller.
+//
+// Flags: --min_log2, --max_log2, --platform, --seed, and
+// --metrics_json=<path> (hbtree.bench.v1 rows, one per size;
+// `scripts/check.sh paper` gates them).
 
+#include <cmath>
 #include <cstdio>
 
 #include "bench_support/harness.h"
@@ -21,10 +26,9 @@ void Run(const Args& args) {
   std::uint64_t seed = args.GetInt("seed", 42);
 
   std::printf("Platform: %s\n", platform.name.c_str());
-  Table table({"tuples", "cpu-impl", "hb-impl(cpu)", "impl ratio",
-               "regular", "hb height", "cpu height"});
-  table.PrintTitle("CPU-only lookup: HB vs CPU layouts (paper Fig. 19)");
-  table.PrintHeader();
+  BenchReport report("fig19_cpu_lookup");
+  report.Meta("platform", platform.name);
+  report.MetaNum("seed", static_cast<double>(seed));
   for (std::size_t n : sizes) {
     auto data = GenerateDataset<Key64>(n, seed);
     auto queries = MakeLookupQueries(data, seed + 1);
@@ -51,17 +55,21 @@ void Run(const Args& args) {
     auto reg = MeasureCpuSearch(reg_tree, queries, platform, r3,
                                 reg_config.search_algo);
 
-    table.PrintRow(
-        {Table::Log2Size(n), Table::Num(cpu.estimate.mqps, 1),
-         Table::Num(hb.estimate.mqps, 1),
-         Table::Num(cpu.estimate.mqps / hb.estimate.mqps, 2) + "x",
-         Table::Num(reg.estimate.mqps, 1), std::to_string(hb_tree.height()),
-         std::to_string(cpu_tree.height())});
+    report.AddRow()
+        .Num("tuples_log2", std::log2(static_cast<double>(n)), 0)
+        .Num("cpu_impl_mqps", cpu.estimate.mqps, 1)
+        .Num("hb_impl_mqps", hb.estimate.mqps, 1)
+        .Num("impl_ratio", cpu.estimate.mqps / hb.estimate.mqps, 2)
+        .Num("regular_mqps", reg.estimate.mqps, 1)
+        .Num("cpu_height", cpu_tree.height(), 0)
+        .Num("hb_height", hb_tree.height(), 0);
   }
+  report.PrintTable("CPU-only lookup: HB vs CPU layouts (paper Fig. 19)");
   std::printf(
       "\nPaper expectation: regular layouts identical by construction; "
       "CPU-optimized implicit slightly ahead of the HB implicit layout "
       "(fanout 9 vs 8 -> shallower tree).\n");
+  MaybeWriteReport(args, report);
 }
 
 }  // namespace

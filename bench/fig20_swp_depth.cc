@@ -5,6 +5,10 @@
 // ~2.5X from depth 1 to 16 with flattening gains (memory-level
 // parallelism saturates), while latency grows roughly linearly with the
 // depth — ~6X at depth 16.
+//
+// Flags: --n_log2, --platform, --seed, and --metrics_json=<path>
+// (hbtree.bench.v1 rows, one per depth; `scripts/check.sh paper` gates
+// them).
 
 #include <cstdio>
 
@@ -28,9 +32,10 @@ void Run(const Args& args) {
   ImplicitBTree<Key64> tree(config, &registry);
   tree.Build(data);
 
-  Table table({"depth", "MQPS", "vs depth 1", "latency us", "lat ratio"});
-  table.PrintTitle("software pipeline depth (paper Fig. 20)");
-  table.PrintHeader();
+  BenchReport report("fig20_swp_depth");
+  report.Meta("platform", platform.name);
+  report.MetaNum("n", static_cast<double>(n));
+  report.MetaNum("seed", static_cast<double>(seed));
   double base_mqps = 0, base_latency = 0;
   for (int depth : {1, 2, 4, 8, 16, 32}) {
     ModelOptions options;
@@ -41,15 +46,18 @@ void Run(const Args& args) {
       base_mqps = m.estimate.mqps;
       base_latency = m.estimate.latency_us;
     }
-    table.PrintRow({std::to_string(depth), Table::Num(m.estimate.mqps, 1),
-                    Table::Num(m.estimate.mqps / base_mqps, 2) + "x",
-                    Table::Num(m.estimate.latency_us, 2),
-                    Table::Num(m.estimate.latency_us / base_latency, 1) +
-                        "x"});
+    report.AddRow()
+        .Num("depth", depth, 0)
+        .Num("mqps", m.estimate.mqps, 1)
+        .Num("vs_depth1", m.estimate.mqps / base_mqps, 2)
+        .Num("latency_us", m.estimate.latency_us, 2)
+        .Num("latency_ratio", m.estimate.latency_us / base_latency, 1);
   }
+  report.PrintTable("software pipeline depth (paper Fig. 20)");
   std::printf(
       "\nPaper expectation: ~2.5x throughput by depth 16, little beyond; "
       "latency ~6x at depth 16 and rising with depth.\n");
+  MaybeWriteReport(args, report);
 }
 
 }  // namespace

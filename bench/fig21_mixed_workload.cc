@@ -13,12 +13,11 @@
 // observability pair: --metrics_json=<path> (hbtree.bench.v1 rows with
 // the default metrics registry embedded) and --trace_out=<path> (Chrome
 // trace JSON — update.batch/update.sync spans show the maintenance
-// work; load in Perfetto).
+// work; load in Perfetto). `scripts/check.sh paper` gates the rows.
 
 #include <cstdio>
 
 #include "bench_support/hb_runner.h"
-#include "bench_support/report.h"
 #include "hybrid/batch_update.h"
 
 namespace hbtree::bench {
@@ -74,8 +73,8 @@ void Run(const Args& args) {
     }
     report.AddRow()
         .Num("update_pct", ratio * 100, 0)
-        .Num("sync_mops", mops[0], 2)
-        .Num("async_mops", mops[1], 2)
+        .Num("sync_mqps", mops[0], 2)
+        .Num("async_mqps", mops[1], 2)
         .Num("sync_over_async", mops[0] / mops[1], 2);
   }
   report.PrintTable("concurrent search/update (paper Fig. 21)");
@@ -83,13 +82,9 @@ void Run(const Args& args) {
   std::printf(
       "\nPaper expectation: synchronous throughput decays faster as the "
       "update share grows; asynchronous holds up better.\n");
-  if (args.Has("metrics_json")) {
-    const obs::MetricsSnapshot snapshot =
-        obs::MetricsRegistry::Default().Collect();
-    if (!report.WriteJson(args.GetString("metrics_json", ""), &snapshot)) {
-      std::exit(1);
-    }
-  }
+  const obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::Default().Collect();
+  MaybeWriteReport(args, report, &snapshot);
 }
 
 }  // namespace

@@ -46,7 +46,6 @@
 #include "bench_support/report.h"
 #include "bench_support/seeds.h"
 #include "bench_support/serve_runner.h"
-#include "bench_support/table.h"
 #include "core/workload.h"
 #include "obs/span_aggregator.h"
 #include "obs/trace.h"

@@ -47,13 +47,9 @@ int main() {
       found += tree.host_tree().Search(queries[i]).found;
     }
 
-    PipelineConfig pipeline;
-    const double threads = platform.cpu.threads;
-    pipeline.cpu_queries_per_us =
-        threads * 1e3 / (threads * 1e3 / rates.leaf_queries_per_us +
-                         platform.cpu.hybrid_overhead_ns);
-    PipelineStats stats = RunSearchPipeline(tree, queries.data(),
-                                            queries.size(), pipeline);
+    PipelineStats stats =
+        RunSearchPipeline(tree, queries.data(), queries.size(),
+                          bench::PipelineCosts(rates, platform));
     const double l2_rate =
         static_cast<double>(stats.kernel.l2_bytes) /
         (stats.kernel.l2_bytes + stats.kernel.dram_bytes);

@@ -40,13 +40,7 @@ int main(int argc, char** argv) {
 
   auto rates = CalibrateHbCpuRates(tree.host_tree(), queries, platform,
                                    registry);
-  const double threads = platform.cpu.threads;
-  PipelineConfig base;
-  base.cpu_queries_per_us =
-      threads * 1e3 / (threads * 1e3 / rates.leaf_queries_per_us +
-                       platform.cpu.hybrid_overhead_ns);
-  base.cpu_descend_us_per_level = rates.descend_us_per_level;
-  base.cpu_descend_us_by_depth = rates.descend_us_by_depth;
+  PipelineConfig base = bench::PipelineCosts(rates, platform);
 
   // 1. Bucket size: largest throughput subject to a latency budget.
   std::printf("\n-- bucket size sweep (latency budget 300 us) --\n");

@@ -9,14 +9,15 @@ or meta), 0 otherwise — so check.sh (mode `regress`) and CI can gate on
 it directly.
 
 Direction matters: throughput-like columns (reads_per_s, mqps, any
-*_mqps, ...) regress when they DROP; latency-like columns (any *_us)
-regress when they RISE. Improvements are reported but never fail the
-run. Stage waterfall shares are compared by absolute difference (a
-share moving from 0.30 to 0.45 means the pipeline's shape changed,
-whatever the totals did). When both reports carry a "heat" section its
-shape is banded the same way: hot-range concentration (top-1/top-8
-share of sketched accesses), per-stage level-traffic byte shares, and
-the top range's hot flag (--heat-tolerance, absolute, default 0.15).
+*_mqps, ...) regress when they DROP; latency-like columns (any *_us,
+tlb_misses_per_query) regress when they RISE. Improvements are
+reported but never fail the run. Stage waterfall shares are compared
+by absolute difference (a share moving from 0.30 to 0.45 means the
+pipeline's shape changed, whatever the totals did). When both reports
+carry a "heat" section its shape is banded the same way: hot-range
+concentration (top-1/top-8 share of sketched accesses), per-stage
+level-traffic byte shares, and the top range's hot flag
+(--heat-tolerance, absolute, default 0.15).
 
 Rows are matched by (shards, read_workers) when both reports carry those
 columns, else by index plus the row's text cells (the paper figures'
@@ -47,7 +48,12 @@ HIGHER_BETTER = {
     # (served ops per second under overload) — a drop means the fair
     # scheduler stopped protecting the tenant.
     "goodput_per_s", "served",
+    # Paper-figure columns: Fig 13's update rate and the device-side
+    # I-segment build's PCIe saving.
+    "mups", "saved_mb",
 }
+# Lower is better beyond the *_us rule: Fig 7's TLB misses per query.
+LOWER_BETTER = {"tlb_misses_per_query"}
 # Columns that are workload/topology identity or noisy bookkeeping, not
 # performance: never compared.
 SKIP = {
@@ -113,7 +119,7 @@ def higher_better(column):
 
 
 def lower_better(column):
-    return column.endswith("_us")
+    return column in LOWER_BETTER or column.endswith("_us")
 
 
 def watched(column):

@@ -29,8 +29,8 @@
 #                               #   assertions
 #   scripts/check.sh bench      # + hbbench build against src/ and its
 #                               #   two smoke tests
-#   scripts/check.sh paper      # + paper-figure gate: Figs 10-12, 16-18
-#                               #   and the HB-FAST extension at their
+#   scripts/check.sh paper      # + paper-figure gate: Figs 7-21 and the
+#                               #   two Section 7 extensions at their
 #                               #   default sizes, each report's verdict
 #                               #   asserted and diffed against the
 #                               #   BENCH_paper/ baselines
@@ -281,9 +281,12 @@ run_heat() {
 run_paper() {
   echo "==> paper figures (verdicts + BENCH_paper/ baselines)"
   cmake --preset release >/dev/null
-  local benches=(fig10_bucket_strategies fig11_bucket_size
-                 fig12_distributions fig16_throughput fig17_range_queries
-                 fig18_load_balancing ext_hb_fast)
+  local benches=(fig07_page_config fig08_node_search fig09_fast_compare
+                 fig10_bucket_strategies fig11_bucket_size
+                 fig12_distributions fig13_update_methods fig14_batch_size
+                 fig15_implicit_update fig16_throughput fig17_range_queries
+                 fig18_load_balancing fig19_cpu_lookup fig20_swp_depth
+                 fig21_mixed_workload ext_hb_fast ext_gpu_build)
   cmake --build --preset release -j "$jobs" --target "${benches[@]}"
   mkdir -p build/PAPER
   local b reports=()

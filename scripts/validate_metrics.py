@@ -24,8 +24,8 @@ from other sessions are skipped — a lifetime registry can outlive a
 trace session).
 
 With --paper-verdicts every report must be a paper-figure report
-(bench/fig*, bench/ext_hb_fast) whose rows uphold the figure's verdict
-in EXPERIMENTS.md: who wins, the orderings, and the ratio thresholds.
+(bench/fig*, bench/ext_*) whose rows uphold the figure's verdict in
+EXPERIMENTS.md: who wins, the orderings, and the ratio thresholds.
 On M1 the Figs 10-12 runs must also stage no bucket in key order: their
 CPU stage bounds the pipeline, so a sort can only lengthen it. On M2 the
 Fig 18 regular-tree runs must sort buckets: their kernel is slow enough
@@ -462,6 +462,79 @@ def trees(rows):
     return sorted({r["tree"] for r in rows})
 
 
+def by_size(rows):
+    return sorted(rows, key=lambda r: r["tuples_log2"])
+
+
+def log2_sizes(rows):
+    return sorted({r["tuples_log2"] for r in rows})
+
+
+def rising(values):
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
+def verdict_fig07(rows):
+    r = by_label(rows, "tree", "tuples_log2", "config")
+    log2s = log2_sizes(rows)
+    claims = []
+    for tree in trees(rows):
+        cfg1 = [r[(tree, n, "4K/4K")]["tlb_misses_per_query"] for n in log2s]
+        claims.append((rising(cfg1),
+                       f"{tree}: 4K/4K TLB misses grow with size "
+                       f"({', '.join(f'{m:.3f}' for m in cfg1)}/query)"))
+        for n in log2s:
+            cfg1, cfg2, cfg3 = (r[(tree, n, c)]["mqps"]
+                                for c in ("4K/4K", "1G/4K", "1G/1G"))
+            strict = n == log2s[-1]
+            claims.append((cfg3 >= cfg2 > cfg1 if strict
+                           else cfg3 >= cfg2 >= cfg1,
+                           f"{tree} 2^{n:g}: 1G/1G {cfg3:.1f} >= 1G/4K "
+                           f"{cfg2:.1f} {'>' if strict else '>='} 4K/4K "
+                           f"{cfg1:.1f} MQPS"))
+    # The huge-page TLB bounds hold for the implicit tree only: the
+    # regular tree's node pools put every 2048-node chunk on its own
+    # synthetic 1 GB page (EXPERIMENTS.md deviation 7).
+    for n in log2s:
+        cfg2, cfg3 = (r[("implicit", n, c)]["tlb_misses_per_query"]
+                      for c in ("1G/4K", "1G/1G"))
+        claims.append((cfg2 <= 1.0, f"implicit 2^{n:g}: 1G/4K {cfg2:.3f} "
+                                    f"<= 1 TLB miss/query"))
+        claims.append((cfg3 < 0.01, f"implicit 2^{n:g}: 1G/1G {cfg3:.3f} "
+                                    f"~ 0 TLB misses/query"))
+    return claims
+
+
+def verdict_fig08(rows):
+    r = by_label(rows, "tuples_log2", "algorithm")
+    log2s = log2_sizes(rows)
+    claims = []
+    for n in log2s:
+        plain, seq, lin, hier = (r[(n, a)]["mqps"] for a in (
+            "seq (no SWP)", "sequential", "linear", "hierarchical"))
+        claims.append((hier > lin > seq >= plain,
+                       f"2^{n:g}: hierarchical {hier:.1f} > linear "
+                       f"{lin:.1f} > sequential {seq:.1f} >= no-SWP "
+                       f"{plain:.1f} MQPS"))
+    edge = [r[(n, "hierarchical")]["mqps"] / r[(n, "sequential")]["mqps"]
+            for n in log2s]
+    claims.append((all(a >= b for a, b in zip(edge, edge[1:]))
+                   and edge[-1] < edge[0],
+                   f"the SIMD edge shrinks with size (hierarchical / "
+                   f"sequential {edge[0]:.2f}x -> {edge[-1]:.2f}x)"))
+    return claims
+
+
+def verdict_fig09(rows):
+    speedups = [r["btree_mqps"] / r["fast_mqps"] for r in rows]
+    average = sum(speedups) / len(speedups)
+    return [(min(speedups) > 1,
+             f"the B+-tree beats FAST at every size (min "
+             f"{min(speedups):.2f}x)"),
+            (1.2 <= average <= 1.4,
+             f"average speedup {average:.2f}x ~ 1.3x")]
+
+
 def verdict_fig10(rows):
     r = by_label(rows, "tree", "strategy")
     claims = []
@@ -501,6 +574,54 @@ def verdict_fig12(rows):
     return claims
 
 
+def verdict_fig13(rows):
+    r = by_label(rows, "tuples_log2", "method")
+    log2s = log2_sizes(rows)
+    claims = []
+    for n in log2s:
+        single, parallel, synced = (r[(n, m)] for m in (
+            "async-1t", "async-parallel", "synchronized"))
+        gain = parallel["mups"] / single["mups"]
+        claims.append((2.5 <= gain <= 3.5,
+                       f"2^{n:g}: parallel async {gain:.2f}x "
+                       f"single-threaded ~ 3x"))
+        claims.append((synced["mups"] < single["mups"],
+                       f"2^{n:g}: synchronized {synced['mups']:.2f} < "
+                       f"async-1t {single['mups']:.2f} Mupd/s"))
+    # Fig 13b: the async methods' one bulk I-segment upload.
+    for a, b in zip(log2s, log2s[1:]):
+        sync_a = r[(a, "async-1t")]["sync_us"]
+        sync_b = r[(b, "async-1t")]["sync_us"]
+        growth = (sync_b / sync_a) / 2 ** (b - a)
+        claims.append((0.8 <= growth <= 1.25,
+                       f"Fig 13b: sync {sync_a / 1e3:.2f} -> "
+                       f"{sync_b / 1e3:.2f} ms from 2^{a:g} to 2^{b:g} "
+                       f"keys grows linearly ({growth:.2f}x the size "
+                       f"ratio)"))
+    return claims
+
+
+def verdict_fig14(rows):
+    sweep = sorted(rows, key=lambda r: r["batch"])
+    sync_wins = [r["batch"] for r in sweep if r["sync_us"] < r["async_us"]]
+    last = sync_wins[-1] if sync_wins else None
+    return [(last is not None and last < sweep[-1]["batch"],
+             f"a crossover: sync wins at batch "
+             f"{'/'.join(f'{b / 1024:.0f}K' for b in sync_wins) or 'none'}, "
+             f"async at every larger batch")]
+
+
+def verdict_fig15(rows):
+    claims = []
+    for r in by_size(rows):
+        share = 100 * r["transfer_us"] / (r["l_build_us"] + r["i_build_us"] +
+                                          r["transfer_us"])
+        claims.append((3 <= share <= 7,
+                       f"2^{r['tuples_log2']:g}: transfer {share:.1f}% of "
+                       f"the rebuild (3-7%)"))
+    return claims
+
+
 def verdict_fig16(rows):
     wide = [r for r in rows if r["width"] == "64-bit"]
     return [(bool(wide), "the report has 64-bit rows")] + [
@@ -523,6 +644,47 @@ def verdict_fig18(rows):
         for r in rows]
 
 
+def verdict_fig19(rows):
+    # The HB layout gives up one key per inner node (fanout 8 vs 9): the
+    # CPU layout is slightly ahead, strictly where the HB tree is taller.
+    claims = []
+    for r in by_size(rows):
+        ratio = r["cpu_impl_mqps"] / r["hb_impl_mqps"]
+        taller = r["hb_height"] > r["cpu_height"]
+        ahead = ratio > 1 if taller else ratio >= 1
+        claims.append((ahead and ratio <= 1.2,
+                       f"2^{r['tuples_log2']:g}: CPU implicit {ratio:.2f}x "
+                       f"the HB layout (heights {r['cpu_height']:g} / "
+                       f"{r['hb_height']:g}), {'>' if taller else '>='} 1x "
+                       f"and <= 1.2x"))
+    return claims
+
+
+def verdict_fig20(rows):
+    r = {row["depth"]: row for row in rows}
+    depths = sorted(r)
+    mqps = [r[d]["mqps"] for d in depths]
+    latency = [r[d]["latency_us"] for d in depths]
+    gain16 = r[16]["mqps"] / r[1]["mqps"]
+    beyond = r[32]["mqps"] / r[16]["mqps"]
+    lat16 = r[16]["latency_us"] / r[1]["latency_us"]
+    return [(rising(mqps), "throughput rises with the depth"),
+            (2.0 <= gain16 <= 3.0, f"depth 16: {gain16:.2f}x ~ 2.5x depth 1"),
+            (beyond <= 1.1, f"little beyond 16 (+{beyond - 1:.1%} at 32)"),
+            (rising(latency), "latency rises with the depth"),
+            (4.5 <= lat16 <= 7.5, f"depth 16 latency {lat16:.1f}x ~ 6x")]
+
+
+def verdict_fig21(rows):
+    sweep = sorted(rows, key=lambda r: r["update_pct"])
+    ratios = [r["sync_mqps"] / r["async_mqps"] for r in sweep]
+    return [(all(a >= b for a, b in zip(ratios, ratios[1:])),
+             "sync / async throughput never rises with the update share"),
+            (ratios[-1] < 1,
+             f"at {sweep[-1]['update_pct']:g}% updates sync runs at "
+             f"{ratios[-1]:.2f}x async")]
+
+
 def verdict_ext_hb_fast(rows):
     r = by_label(rows, "tree")
     hb, fast = r[("hb-implicit",)], r[("hb-fast",)]
@@ -533,14 +695,32 @@ def verdict_ext_hb_fast(rows):
              f"{hb['tx_per_warp_level']:.2f} transactions/warp/level")]
 
 
+def verdict_ext_gpu_build(rows):
+    return [(r["gpu_assist_us"] < r["cpu_upload_us"] and r["saved_mb"] > 0,
+             f"2^{r['tuples_log2']:g}: device build "
+             f"{r['cpu_upload_us'] / r['gpu_assist_us']:.2f}x faster, "
+             f"{r['saved_mb']:.1f} MB less PCIe traffic")
+            for r in by_size(rows)]
+
+
 PAPER_VERDICTS = {
+    "fig07_page_config": verdict_fig07,
+    "fig08_node_search": verdict_fig08,
+    "fig09_fast_compare": verdict_fig09,
     "fig10_bucket_strategies": verdict_fig10,
     "fig11_bucket_size": verdict_fig11,
     "fig12_distributions": verdict_fig12,
+    "fig13_update_methods": verdict_fig13,
+    "fig14_batch_size": verdict_fig14,
+    "fig15_implicit_update": verdict_fig15,
     "fig16_throughput": verdict_fig16,
     "fig17_range_queries": verdict_fig17,
     "fig18_load_balancing": verdict_fig18,
+    "fig19_cpu_lookup": verdict_fig19,
+    "fig20_swp_depth": verdict_fig20,
+    "fig21_mixed_workload": verdict_fig21,
     "ext_hb_fast": verdict_ext_hb_fast,
+    "ext_gpu_build": verdict_ext_gpu_build,
 }
 
 

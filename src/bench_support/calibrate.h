@@ -8,6 +8,7 @@
 #include "core/types.h"
 #include "cpubtree/implicit_btree.h"
 #include "cpubtree/regular_btree.h"
+#include "hybrid/bucket_pipeline.h"
 #include "mem/page_allocator.h"
 #include "sim/cpu_cost_model.h"
 #include "sim/platform.h"
@@ -33,23 +34,10 @@ struct SearchMeasurement {
   sim::CpuEstimate estimate;
 };
 
-namespace calibrate_internal {
-
-inline sim::CpuExecutionParams MakeParams(const sim::PlatformSpec& platform,
-                                          NodeSearchAlgo algo,
-                                          const ModelOptions& options) {
-  sim::CpuExecutionParams params;
-  params.threads =
-      options.threads > 0 ? options.threads : platform.cpu.threads;
-  params.pipeline_depth = options.pipeline_depth;
-  params.compute_ns_per_access = sim::ComputeNsPerAccess(platform.cpu, algo);
-  return params;
-}
-
-}  // namespace calibrate_internal
-
 /// Generic traced measurement: `op(tracer, i)` performs the i-th query
 /// (bracketing it with OnQueryStart/End itself or relying on the callee).
+/// Queries [0, warmup) warm the simulated caches and TLB, the next
+/// `measured` ones are profiled.
 template <typename Fn>
 SearchMeasurement MeasureCpuOp(const sim::PlatformSpec& platform,
                                const PageRegistry& registry,
@@ -61,11 +49,14 @@ SearchMeasurement MeasureCpuOp(const sim::PlatformSpec& platform,
   for (std::size_t i = 0; i < options.measured; ++i) {
     op(tracer, options.warmup + i);
   }
+  sim::CpuExecutionParams params;
+  params.threads =
+      options.threads > 0 ? options.threads : platform.cpu.threads;
+  params.pipeline_depth = options.pipeline_depth;
+  params.compute_ns_per_access = sim::ComputeNsPerAccess(platform.cpu, algo);
   SearchMeasurement m;
   m.profile = tracer.profile();
-  m.estimate = sim::EstimateCpuThroughput(
-      platform.cpu, m.profile,
-      calibrate_internal::MakeParams(platform, algo, options));
+  m.estimate = sim::EstimateCpuThroughput(platform.cpu, m.profile, params);
   return m;
 }
 
@@ -79,21 +70,35 @@ SearchMeasurement MeasureCpuSearch(const Tree& tree,
                                    NodeSearchAlgo algo,
                                    const ModelOptions& options = {}) {
   HBTREE_CHECK(!queries.empty());
-  sim::CpuTracer tracer(platform.cpu, &registry);
-  const std::size_t total = queries.size();
-  for (std::size_t i = 0; i < options.warmup; ++i) {
-    tree.Search(queries[i % total], &tracer);
-  }
-  tracer.ResetStats();
-  for (std::size_t i = 0; i < options.measured; ++i) {
-    tree.Search(queries[(options.warmup + i) % total], &tracer);
-  }
-  SearchMeasurement m;
-  m.profile = tracer.profile();
-  m.estimate = sim::EstimateCpuThroughput(
-      platform.cpu, m.profile,
-      calibrate_internal::MakeParams(platform, algo, options));
-  return m;
+  return MeasureCpuOp(platform, registry, algo, options,
+                      [&](sim::CpuTracer& tracer, std::size_t i) {
+                        tree.Search(queries[i % queries.size()], &tracer);
+                      });
+}
+
+/// The leaf handle the GPU hands the CPU for `key` (Section 5.4, step 4):
+/// a leaf line of the implicit tree, a (last-inner, line) position of the
+/// regular one. Untraced — the inner descent is the GPU's share.
+template <typename K>
+std::uint64_t LeafOf(const ImplicitBTree<K>& tree, K key) {
+  return tree.FindLeafLine(key);
+}
+template <typename K>
+typename RegularBTree<K>::LeafPosition LeafOf(const RegularBTree<K>& tree,
+                                              K key) {
+  return tree.FindLeafPosition(key);
+}
+
+/// Inner levels the CPU may descend under load balancing (Section 5.5):
+/// every implicit level, every regular level but the last, whose node
+/// the leaf step reads anyway.
+template <typename K>
+int DescendableLevels(const ImplicitBTree<K>& tree) {
+  return tree.height();
+}
+template <typename K>
+int DescendableLevels(const RegularBTree<K>& tree) {
+  return tree.height() - 1;
 }
 
 /// CPU rates needed by the heterogeneous pipeline (Section 5.4/5.5):
@@ -109,9 +114,12 @@ struct HbCpuRates {
   std::vector<double> descend_us_by_depth = {0.0};
 };
 
-/// Implicit HB+-tree: leaf step = one L-segment line search per query.
-template <typename K>
-HbCpuRates CalibrateHbCpuRates(const ImplicitBTree<K>& tree,
+/// Calibrates an HB+-tree's host tree (implicit or regular): the leaf
+/// step is one leaf-line search per query, and every descendable depth
+/// gets its own traced partial descent on a quarter-size sample, which
+/// keeps calibration cheap.
+template <typename Tree, typename K>
+HbCpuRates CalibrateHbCpuRates(const Tree& tree,
                                const std::vector<K>& queries,
                                const sim::PlatformSpec& platform,
                                const PageRegistry& registry,
@@ -120,117 +128,51 @@ HbCpuRates CalibrateHbCpuRates(const ImplicitBTree<K>& tree,
   const NodeSearchAlgo algo = tree.config().search_algo;
   const std::size_t total = queries.size();
   HbCpuRates rates;
-  {
-    sim::CpuTracer tracer(platform.cpu, &registry);
-    auto run = [&](std::size_t begin, std::size_t count, bool traced) {
-      for (std::size_t i = 0; i < count; ++i) {
-        const K q = queries[(begin + i) % total];
-        const std::uint64_t line = tree.FindLeafLine(q);
-        if (traced) {
-          tracer.OnQueryStart();
-          tree.SearchLeafLine(line, q, &tracer);
-          tracer.OnQueryEnd();
-        }
-      }
-    };
-    run(0, options.warmup, true);
-    tracer.ResetStats();
-    run(options.warmup, options.measured, true);
-    rates.leaf_queries_per_us =
-        sim::EstimateCpuThroughput(
-            platform.cpu, tracer.profile(),
-            calibrate_internal::MakeParams(platform, algo, options))
-            .mqps;
+  rates.leaf_queries_per_us =
+      MeasureCpuOp(platform, registry, algo, options,
+                   [&](sim::CpuTracer& tracer, std::size_t i) {
+                     const K q = queries[i % total];
+                     const auto leaf = LeafOf(tree, q);
+                     tracer.OnQueryStart();
+                     tree.SearchLeafLine(leaf, q, &tracer);
+                     tracer.OnQueryEnd();
+                   })
+          .estimate.mqps;
+  const int levels = DescendableLevels(tree);
+  ModelOptions depth_options = options;
+  depth_options.warmup = options.warmup / 4;
+  depth_options.measured = options.measured / 4;
+  for (int depth = 1; depth <= levels; ++depth) {
+    const double mqps =
+        MeasureCpuOp(platform, registry, algo, depth_options,
+                     [&](sim::CpuTracer& tracer, std::size_t i) {
+                       tracer.OnQueryStart();
+                       tree.DescendLevels(queries[i % total], depth, &tracer);
+                       tracer.OnQueryEnd();
+                     })
+            .estimate.mqps;
+    rates.descend_us_by_depth.push_back(1.0 / mqps);
   }
-  if (tree.height() > 0) {
-    // Inner-descent cost: trace partial descents of every depth. Using a
-    // smaller sample per depth keeps calibration cheap.
-    ModelOptions depth_options = options;
-    depth_options.warmup = options.warmup / 4;
-    depth_options.measured = options.measured / 4;
-    for (int depth = 1; depth <= tree.height(); ++depth) {
-      sim::CpuTracer tracer(platform.cpu, &registry);
-      auto run = [&](std::size_t begin, std::size_t count) {
-        for (std::size_t i = 0; i < count; ++i) {
-          tracer.OnQueryStart();
-          tree.DescendLevels(queries[(begin + i) % total], depth, &tracer);
-          tracer.OnQueryEnd();
-        }
-      };
-      run(0, depth_options.warmup);
-      tracer.ResetStats();
-      run(depth_options.warmup, depth_options.measured);
-      const double mqps =
-          sim::EstimateCpuThroughput(
-              platform.cpu, tracer.profile(),
-              calibrate_internal::MakeParams(platform, algo, depth_options))
-              .mqps;
-      rates.descend_us_by_depth.push_back(1.0 / mqps);
-    }
-    rates.descend_us_per_level =
-        rates.descend_us_by_depth.back() / tree.height();
+  if (levels > 0) {
+    rates.descend_us_per_level = rates.descend_us_by_depth.back() / levels;
   }
   return rates;
 }
 
-/// Regular HB+-tree: leaf step = one big-leaf line search per query.
-template <typename K>
-HbCpuRates CalibrateHbCpuRates(const RegularBTree<K>& tree,
-                               const std::vector<K>& queries,
-                               const sim::PlatformSpec& platform,
-                               const PageRegistry& registry,
-                               const ModelOptions& options = {}) {
-  HBTREE_CHECK(!queries.empty());
-  const NodeSearchAlgo algo = tree.config().search_algo;
-  const std::size_t total = queries.size();
-  HbCpuRates rates;
-  {
-    sim::CpuTracer tracer(platform.cpu, &registry);
-    auto run = [&](std::size_t begin, std::size_t count) {
-      for (std::size_t i = 0; i < count; ++i) {
-        const K q = queries[(begin + i) % total];
-        auto pos = tree.FindLeafPosition(q);
-        tracer.OnQueryStart();
-        tree.SearchLeafLine(pos, q, &tracer);
-        tracer.OnQueryEnd();
-      }
-    };
-    run(0, options.warmup);
-    tracer.ResetStats();
-    run(options.warmup, options.measured);
-    rates.leaf_queries_per_us =
-        sim::EstimateCpuThroughput(
-            platform.cpu, tracer.profile(),
-            calibrate_internal::MakeParams(platform, algo, options))
-            .mqps;
-  }
-  if (tree.height() > 1) {
-    ModelOptions depth_options = options;
-    depth_options.warmup = options.warmup / 4;
-    depth_options.measured = options.measured / 4;
-    for (int depth = 1; depth <= tree.height() - 1; ++depth) {
-      sim::CpuTracer tracer(platform.cpu, &registry);
-      auto run = [&](std::size_t begin, std::size_t count) {
-        for (std::size_t i = 0; i < count; ++i) {
-          tracer.OnQueryStart();
-          tree.DescendLevels(queries[(begin + i) % total], depth, &tracer);
-          tracer.OnQueryEnd();
-        }
-      };
-      run(0, depth_options.warmup);
-      tracer.ResetStats();
-      run(depth_options.warmup, depth_options.measured);
-      const double mqps =
-          sim::EstimateCpuThroughput(
-              platform.cpu, tracer.profile(),
-              calibrate_internal::MakeParams(platform, algo, depth_options))
-              .mqps;
-      rates.descend_us_by_depth.push_back(1.0 / mqps);
-    }
-    rates.descend_us_per_level =
-        rates.descend_us_by_depth.back() / (tree.height() - 1);
-  }
-  return rates;
+/// The bucket pipeline's CPU cost fields from calibrated rates. Each
+/// thread pays the platform's per-query hybrid overhead (bucket
+/// management, reading the intermediate results, writing outputs) on top
+/// of the traced leaf search; the descent costs pass through unchanged.
+inline PipelineConfig PipelineCosts(const HbCpuRates& rates,
+                                    const sim::PlatformSpec& platform) {
+  const double threads = platform.cpu.threads;
+  PipelineConfig config;
+  config.cpu_queries_per_us =
+      threads * 1e3 / (threads * 1e3 / rates.leaf_queries_per_us +
+                       platform.cpu.hybrid_overhead_ns);
+  config.cpu_descend_us_per_level = rates.descend_us_per_level;
+  config.cpu_descend_us_by_depth = rates.descend_us_by_depth;
+  return config;
 }
 
 /// Modelled single-thread cost of one update query (inner descent + leaf

@@ -6,6 +6,7 @@
 #include "bench_support/calibrate.h"
 #include "bench_support/harness.h"
 #include "core/status.h"
+#include "hybrid/batch_update.h"
 #include "hybrid/bucket_pipeline.h"
 #include "hybrid/hb_implicit.h"
 #include "hybrid/hb_regular.h"
@@ -29,25 +30,14 @@ class HbBench {
                                  sim->spec, registry_);
   }
 
-  /// The leaf rate seen by the pipeline: calibrated leaf-search rate with
-  /// the per-query pipeline overhead added to each thread's time.
-  double EffectiveLeafRate() const {
-    const double threads = sim_->spec.cpu.threads;
-    const double thread_time_ns =
-        threads * 1e3 / rates_.leaf_queries_per_us +
-        sim_->spec.cpu.hybrid_overhead_ns;
-    return threads * 1e3 / thread_time_ns;
-  }
-
+  /// The pipeline configuration for this tree: its calibrated CPU costs
+  /// (PipelineCosts) under the given strategy and bucket size.
   PipelineConfig MakeConfig(
       BucketStrategy strategy = BucketStrategy::kDoubleBuffered,
       int bucket_size = 16 * 1024) const {
-    PipelineConfig config;
+    PipelineConfig config = PipelineCosts(rates_, sim_->spec);
     config.bucket_size = bucket_size;
     config.strategy = strategy;
-    config.cpu_queries_per_us = EffectiveLeafRate();
-    config.cpu_descend_us_per_level = rates_.descend_us_per_level;
-    config.cpu_descend_us_by_depth = rates_.descend_us_by_depth;
     return config;
   }
 
@@ -68,6 +58,35 @@ class HbBench {
   HBTreeT tree_;
   HbCpuRates rates_;
 };
+
+/// Applies `batch` with `method` to a fresh regular HB+-tree built from
+/// `data` at 70% leaf fill, with the per-update cost calibrated on
+/// `probes` — one point of the update figures (13, 14). A
+/// `delta_sync_cost_margin` of 0 ends every asynchronous batch that
+/// dirties a hot fragment with the paper's one bulk I-segment upload.
+template <typename K>
+BatchUpdateStats RunUpdateBatch(const sim::PlatformSpec& platform,
+                                const std::vector<KeyValue<K>>& data,
+                                const std::vector<K>& probes,
+                                const std::vector<UpdateQuery<K>>& batch,
+                                UpdateMethod method,
+                                double delta_sync_cost_margin,
+                                std::size_t* i_segment_bytes = nullptr) {
+  SimPlatform sim(platform);
+  PageRegistry registry;
+  typename HBRegularTree<K>::Config config;
+  config.tree.leaf_fill = 0.7;
+  config.delta_sync_cost_margin = delta_sync_cost_margin;
+  HBRegularTree<K> tree(config, &registry, &sim.device, &sim.transfer);
+  HBTREE_CHECK(tree.Build(data));
+  if (i_segment_bytes != nullptr) *i_segment_bytes = tree.i_segment_bytes();
+  BatchUpdateConfig uconfig;
+  uconfig.real_threads = 2;
+  uconfig.model_threads = platform.cpu.threads;
+  uconfig.cpu_update_us =
+      EstimateUpdateCostUs(tree.host_tree(), probes, platform, registry);
+  return RunBatchUpdate(tree, batch, method, uconfig);
+}
 
 template <typename K>
 using HbImplicitBench = HbBench<K, HBImplicitTree<K>>;

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "bench_support/table.h"
 #include "obs/json_writer.h"
 #include "obs/trace.h"
 
@@ -110,14 +109,10 @@ void BenchReport::PrintTable(const std::string& title,
   std::vector<std::string> columns;
   for (const Row& row : rows_) {
     for (const auto& [column, cell] : row.cells_) {
-      bool known = false;
-      for (const std::string& c : columns) {
-        if (c == column) {
-          known = true;
-          break;
-        }
+      if (std::find(columns.begin(), columns.end(), column) ==
+          columns.end()) {
+        columns.push_back(column);
       }
-      if (!known) columns.push_back(column);
     }
   }
   // Widen uniformly so long canonical names ("cpu_fallback_buckets") keep
@@ -125,30 +120,35 @@ void BenchReport::PrintTable(const std::string& title,
   for (const std::string& c : columns) {
     column_width = std::max(column_width, static_cast<int>(c.size()) + 2);
   }
-  Table table(columns, column_width);
-  table.PrintTitle(title);
-  table.PrintHeader();
-  for (const Row& row : rows_) {
-    std::vector<std::string> cells;
-    cells.reserve(columns.size());
-    for (const std::string& column : columns) {
-      const Cell* found = nullptr;
-      for (const auto& [name, cell] : row.cells_) {
-        if (name == column) {
-          found = &cell;
-          break;
-        }
-      }
-      if (found == nullptr) {
-        cells.push_back("-");
-      } else if (found->numeric) {
-        cells.push_back(Table::Num(found->number, found->precision));
-      } else {
-        cells.push_back(found->text);
-      }
-    }
-    table.PrintRow(cells);
+  std::printf("\n=== %s ===\n", title.c_str());
+  for (const std::string& c : columns) {
+    std::printf("%-*s", column_width, c.c_str());
   }
+  std::printf("\n");
+  const std::string rule(column_width - 2, '-');
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    std::printf("%s  ", rule.c_str());
+  }
+  std::printf("\n");
+  for (const Row& row : rows_) {
+    for (const std::string& column : columns) {
+      const auto found = std::find_if(
+          row.cells_.begin(), row.cells_.end(),
+          [&column](const auto& named) { return named.first == column; });
+      std::string text = "-";
+      if (found != row.cells_.end() && found->second.numeric) {
+        char buffer[64];
+        std::snprintf(buffer, sizeof(buffer), "%.*f",
+                      found->second.precision, found->second.number);
+        text = buffer;
+      } else if (found != row.cells_.end()) {
+        text = found->second.text;
+      }
+      std::printf("%-*s", column_width, text.c_str());
+    }
+    std::printf("\n");
+  }
+  std::fflush(stdout);
 }
 
 std::string BenchReport::ToJson(const obs::MetricsSnapshot* metrics) const {

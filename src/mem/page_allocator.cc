@@ -113,13 +113,13 @@ void PagedBuffer::Reset(std::size_t size, PageSize page_size,
   page_size_ = page_size;
   registry_ = registry;
   if (size == 0) return;
-  // Align to the page size (capped at 2 MB of real alignment to avoid
-  // wasting host memory on simulated 1 GB pages: the *tag*, not the host
-  // alignment, drives TLB behaviour; cache-line alignment is what the node
-  // layouts actually require).
-  std::size_t alignment =
-      std::min<std::size_t>(PageBytes(page_size), 2ull * 1024 * 1024);
-  alignment = std::max<std::size_t>(alignment, kCacheLineSize);
+  // Align to 2 MB whatever the page size. The *tag*, not the host
+  // alignment, drives TLB behaviour, but the cache simulator indexes its
+  // sets by raw address bits (up to bit 19 for M1's L3): a buffer aligned
+  // to less would let ASLR move its set mapping, and with it the modelled
+  // rates, from run to run. 2 MB also caps the real alignment of simulated
+  // 1 GB pages, which would waste host memory.
+  constexpr std::size_t alignment = 2ull * 1024 * 1024;
   std::size_t rounded = (size + alignment - 1) / alignment * alignment;
   data_ = static_cast<std::byte*>(std::aligned_alloc(alignment, rounded));
   HBTREE_CHECK_MSG(data_ != nullptr, "allocation of %zu bytes failed", size);

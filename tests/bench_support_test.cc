@@ -7,8 +7,8 @@
 #include "bench_support/calibrate.h"
 #include "bench_support/harness.h"
 #include "bench_support/report.h"
-#include "bench_support/table.h"
 #include "cpubtree/implicit_btree.h"
+#include "cpubtree/regular_btree.h"
 
 namespace hbtree::bench {
 namespace {
@@ -36,13 +36,20 @@ TEST(Harness, SizeSweepRespectsBoundsAndStep) {
   EXPECT_EQ(sizes[2], 16384u);
 }
 
-TEST(TableFormat, NumbersAndSizes) {
-  EXPECT_EQ(Table::Num(3.14159, 2), "3.14");
-  EXPECT_EQ(Table::Num(10, 0), "10");
-  EXPECT_EQ(Table::Log2Size(1 << 20), "1M (2^20)");
-  EXPECT_EQ(Table::Log2Size(8 << 20), "8M (2^23)");
-  EXPECT_EQ(Table::Log2Size(1 << 12), "4K (2^12)");
-  EXPECT_EQ(Table::Log2Size(std::size_t{1} << 30), "1G (2^30)");
+TEST(BenchReport, PrintTableFormatsEveryRowInTheColumnUnion) {
+  BenchReport report("unit");
+  report.AddRow().Text("tree", "implicit").Num("mqps", 3.14159, 2);
+  report.AddRow().Text("tree", "regular").Num("depth", 10, 0);
+  testing::internal::CaptureStdout();
+  report.PrintTable("unit table", 10);
+  // Numbers print at their cell's precision; a column the row lacks
+  // prints "-".
+  EXPECT_EQ(testing::internal::GetCapturedStdout(),
+            "\n=== unit table ===\n"
+            "tree      mqps      depth     \n"
+            "--------  --------  --------  \n"
+            "implicit  3.14      -         \n"
+            "regular   -         10        \n");
 }
 
 TEST(Calibrate, BiggerTreesAreSlower) {
@@ -84,6 +91,65 @@ TEST(Calibrate, LeafRateExceedsFullSearchRate) {
     EXPECT_GT(rates.descend_us_by_depth[d],
               rates.descend_us_by_depth[d - 1]);
   }
+}
+
+/// Calibrates a 2^16-key tree on M1 and expects exactly the rates and
+/// full-search estimate recorded before CalibrateHbCpuRates and
+/// MeasureCpuSearch shared MeasureCpuOp's loop: the fold moved no number.
+template <typename Tree>
+void ExpectPinnedCalibration(double leaf_queries_per_us,
+                             double descend_us_per_level,
+                             const std::vector<double>& descend_us_by_depth,
+                             double search_mqps, double search_latency_us) {
+  const sim::PlatformSpec platform = sim::PlatformSpec::M1();
+  PageRegistry registry;
+  typename Tree::Config config;
+  Tree tree(config, &registry);
+  const auto data = GenerateDataset<Key64>(std::size_t{1} << 16, 1);
+  tree.Build(data);
+  const auto queries = MakeLookupQueries(data, 2);
+  const HbCpuRates rates =
+      CalibrateHbCpuRates(tree, queries, platform, registry);
+  EXPECT_EQ(rates.leaf_queries_per_us, leaf_queries_per_us);
+  EXPECT_EQ(rates.descend_us_per_level, descend_us_per_level);
+  EXPECT_EQ(rates.descend_us_by_depth, descend_us_by_depth);
+  const SearchMeasurement m = MeasureCpuSearch(tree, queries, platform,
+                                               registry, config.search_algo);
+  EXPECT_EQ(m.estimate.mqps, search_mqps);
+  EXPECT_EQ(m.estimate.latency_us, search_latency_us);
+}
+
+TEST(Calibrate, ImplicitRatesMatchThePinnedValues) {
+  ExpectPinnedCalibration<ImplicitBTree<Key64>>(
+      1428.5714285714287, 0.00069999999999999999,
+      {0, 0.00069999999999999999, 0.0014, 0.0020999999999999999, 0.0028,
+       0.0035000000000000001},
+      238.0952380952381, 1.0752000000000002);
+}
+
+TEST(Calibrate, RegularRatesMatchThePinnedValues) {
+  ExpectPinnedCalibration<RegularBTree<Key64>>(
+      1428.5714285714287, 0.0020999999999999999,
+      {0, 0.0020999999999999999, 0.0041999999999999997},
+      158.73015873015873, 1.6128);
+}
+
+TEST(Calibrate, PipelineCostsChargeTheHybridOverheadPerThread) {
+  sim::PlatformSpec platform = sim::PlatformSpec::M1();
+  HbCpuRates rates;
+  rates.leaf_queries_per_us = 400;
+  rates.descend_us_per_level = 0.01;
+  rates.descend_us_by_depth = {0.0, 0.01, 0.03};
+  // M1: 16 threads each spend 16e3 / 400 = 40 ns of leaf search per
+  // query, plus 35 ns of hybrid overhead: 16e3 / 75 queries per µs.
+  const PipelineConfig config = PipelineCosts(rates, platform);
+  EXPECT_DOUBLE_EQ(config.cpu_queries_per_us, 16e3 / 75);
+  EXPECT_EQ(config.cpu_descend_us_per_level, 0.01);
+  EXPECT_EQ(config.cpu_descend_us_by_depth, rates.descend_us_by_depth);
+  EXPECT_EQ(config.bucket_size, PipelineConfig{}.bucket_size);
+  // Without the overhead the leaf rate passes through.
+  platform.cpu.hybrid_overhead_ns = 0;
+  EXPECT_DOUBLE_EQ(PipelineCosts(rates, platform).cpu_queries_per_us, 400);
 }
 
 TEST(BenchReport, RowsKeepInsertionOrderInJson) {
