@@ -7,6 +7,9 @@
 // help); the (D, R) discovery algorithm (Algorithm 1) moves the top
 // inner levels back to the CPU, improving the HB+-tree by ~65% and
 // beating the CPU tree by up to 32% (implicit) / 65% (regular).
+// `hb_3set_mqps` is the control: plain HB with the balanced run's three
+// buffer sets and no descent, so `hb_lb_mqps >= hb_3set_mqps` credits
+// the descent alone.
 //
 // Flags: --n_log2, --queries_log2, --platform, --seed, and
 // --metrics_json=<path> (hbtree.bench.v1 rows, one per tree;
@@ -47,13 +50,24 @@ void RunTree(const char* name, const sim::PlatformSpec& platform,
   LoadBalanceSetting setting =
       DiscoverLoadBalance(bench.tree(), sample.data(), sample.size(),
                           bench.MakeConfig());
+  const sim::CacheLevel l2_before = sim.device.l2();
   PipelineStats balanced = bench.Run(
       queries, WithLoadBalance(bench.MakeConfig(), setting));
+
+  // The like-for-like control: plain HB with the balanced run's three
+  // buffer sets and no descent, from the device L2 state the balanced run
+  // started with. It separates what the extra buffer set gives from what
+  // the descent gives.
+  sim.device.l2() = l2_before;
+  PipelineConfig three_sets = bench.MakeConfig();
+  three_sets.buckets_in_flight = 3;
+  PipelineStats plain_3set = bench.Run(queries, three_sets);
 
   report->AddRow()
       .Text("tree", name)
       .Num("cpu_mqps", cpu.estimate.mqps, 1)
       .Num("hb_mqps", plain.mqps, 1)
+      .Num("hb_3set_mqps", plain_3set.mqps, 1)
       .Num("hb_lb_mqps", balanced.mqps, 1)
       .Num("d", setting.d, 0)
       .Num("r", setting.r, 4)

@@ -158,12 +158,17 @@ run_workloads() {
   # Default flags reproduce the checked-in baselines' workloads exactly
   # (bench_compare.py's meta check enforces scenario/mix/seed identity).
   ./build/bench/ycsb_workloads --out_dir=build/WORKLOADS
+  # Every scenario is validated and compared before the gate fails, so a
+  # red run lists all the scenarios that moved, not just the first.
+  local base cand scenarios=0 failed=()
   for base in BENCH_workloads/*.json; do
     cand="build/WORKLOADS/$(basename "$base")"
+    scenarios=$((scenarios + 1))
+    local ok=1
     python3 scripts/validate_metrics.py \
         --require-counter serve.lookups \
         --require-counter serve.shard0.read_buckets \
-        "$cand"
+        "$cand" || ok=0
     # The op streams are seeded, so the workload-shape columns (scans,
     # scan_items, inserts, hit_rate) are near-deterministic and get
     # tight bands — they catch harness/semantic drift. The timing
@@ -181,8 +186,14 @@ run_workloads() {
         --metric-tolerance read_p50_us=4.0 \
         --metric-tolerance read_p99_us=4.0 \
         --metric-tolerance queue_wait_p99_us=6.0 \
-        "$base" "$cand"
+        "$base" "$cand" || ok=0
+    ((ok)) || failed+=("$(basename "$base" .json)")
   done
+  if ((${#failed[@]})); then
+    echo "==> workloads: ${#failed[@]} of $scenarios scenario(s) failed:" \
+        "${failed[*]}" >&2
+    return 1
+  fi
 }
 
 run_regress() {

@@ -637,11 +637,19 @@ def verdict_fig17(rows):
 
 
 def verdict_fig18(rows):
-    return [(trees(rows) == ["implicit", "regular"],
-             "the report has an implicit and a regular row")] + [
-        (r["lb_gain"] >= 1.0,
-         f"{r['tree']}: load-balanced / plain HB {r['lb_gain']:.2f}x >= 1")
-        for r in rows]
+    claims = [(trees(rows) == ["implicit", "regular"],
+               "the report has an implicit and a regular row")]
+    for r in rows:
+        claims.append((r["lb_gain"] >= 1.0,
+                       f"{r['tree']}: load-balanced / plain HB "
+                       f"{r['lb_gain']:.2f}x >= 1"))
+        # Like for like: plain HB with the same three buffer sets and no
+        # descent, so the extra set's gain is not credited to the scheme.
+        claims.append((r["hb_lb_mqps"] >= r["hb_3set_mqps"],
+                       f"{r['tree']}: load-balanced {r['hb_lb_mqps']:.1f} "
+                       f">= three-set plain HB {r['hb_3set_mqps']:.1f} "
+                       f"MQPS"))
+    return claims
 
 
 def verdict_fig19(rows):

@@ -5,6 +5,7 @@
 namespace hbtree::gpu {
 
 KernelTime EstimateKernelTime(const sim::GpuSpec& spec,
+                              const sim::PcieSpec& pcie,
                               const KernelStats& stats) {
   KernelTime t;
   t.launch_us = spec.kernel_launch_us;
@@ -50,6 +51,9 @@ KernelTime EstimateKernelTime(const sim::GpuSpec& spec,
   t.latency_us = static_cast<double>(stats.memory_gathers) *
                  blended_latency_ns / resident / 1e3;
 
+  t.stream_us = static_cast<double>(stats.mapped_bytes) /
+                (pcie.bandwidth_d2h_gbps * 1e3);
+
   double body = std::max({t.memory_us, t.compute_us, t.latency_us});
   if (body == t.memory_us) {
     t.bound = "memory";
@@ -57,6 +61,10 @@ KernelTime EstimateKernelTime(const sim::GpuSpec& spec,
     t.bound = "compute";
   } else {
     t.bound = "latency";
+  }
+  if (t.stream_us > body) {
+    body = t.stream_us;
+    t.bound = "stream";
   }
   t.total_us = t.launch_us + body;
   return t;

@@ -13,6 +13,9 @@ struct KernelTime {
   double memory_us = 0;    // bandwidth-bound component
   double compute_us = 0;   // instruction-issue-bound component
   double latency_us = 0;   // latency-bound component (low occupancy)
+  /// Link time of the kernel's stores into host-mapped memory:
+  /// mapped_bytes / PCIe D2H bandwidth. The stream overlaps the body.
+  double stream_us = 0;
   /// Achieved occupancy: resident warps / max resident warps, in [0, 1].
   /// Small bucket launches under-fill the machine and score low here.
   double occupancy = 0;
@@ -28,7 +31,13 @@ struct KernelTime {
 /// launch is too small to fill the machine (few resident warps), the
 /// latency term dominates — which is exactly why the bucket size M matters
 /// in Figure 11 and why K_init punishes small buckets.
+///
+/// Stores into host-mapped memory stream over the PCIe link while the
+/// body runs, so the kernel takes K_init + max(body, stream). No T_init
+/// is charged: no copy is submitted. This overlap rule is a model
+/// assumption (DESIGN.md §1), not a fit to measured hardware.
 KernelTime EstimateKernelTime(const sim::GpuSpec& spec,
+                              const sim::PcieSpec& pcie,
                               const KernelStats& stats);
 
 }  // namespace hbtree::gpu

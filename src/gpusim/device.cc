@@ -48,10 +48,12 @@ bool Device::AccessL2(DevicePtr ptr) {
   return l2_.Access(segment);
 }
 
-DevicePtr Device::TryMalloc(std::size_t bytes) {
+DevicePtr Device::TryMalloc(std::size_t bytes, MemoryKind kind) {
   if (bytes == 0) return DevicePtr{};
+  const bool host_mapped = kind == MemoryKind::kHostMapped;
   std::lock_guard<std::mutex> lock(arena_mutex_);
-  if (used_.load(std::memory_order_relaxed) + bytes > spec_.memory_bytes) {
+  if (!host_mapped &&
+      used_.load(std::memory_order_relaxed) + bytes > spec_.memory_bytes) {
     return DevicePtr{};
   }
   if (injector_ != nullptr &&
@@ -81,8 +83,10 @@ DevicePtr Device::TryMalloc(std::size_t bytes) {
       chunks_[id >> kChunkShift].load(std::memory_order_relaxed)
           [id & (kChunkSlots - 1)];
   slot.size.store(bytes, std::memory_order_relaxed);
+  slot.host_mapped.store(host_mapped, std::memory_order_relaxed);
   // Publication point: readers acquire on `data` and then see `size`.
   slot.data.store(new std::byte[bytes], std::memory_order_release);
+  if (host_mapped) return DevicePtr{id, 0};
   used_.fetch_add(bytes, std::memory_order_relaxed);
   if (metrics_.used_bytes != nullptr) {
     metrics_.used_bytes->Set(
@@ -112,6 +116,7 @@ void Device::Free(DevicePtr ptr) {
   slot.size.store(0, std::memory_order_relaxed);
   delete[] data;
   free_slots_.push_back(ptr.alloc_id);
+  if (slot.host_mapped.load(std::memory_order_relaxed)) return;
   used_.fetch_sub(bytes, std::memory_order_relaxed);
   if (metrics_.used_bytes != nullptr) {
     metrics_.used_bytes->Set(
@@ -148,6 +153,15 @@ std::size_t Device::AllocationSize(DevicePtr ptr) const {
   Allocation& slot = SlotRef(ptr);
   HBTREE_CHECK(slot.data.load(std::memory_order_acquire) != nullptr);
   return slot.size.load(std::memory_order_relaxed);
+}
+
+bool Device::IsHostMapped(DevicePtr ptr) const {
+  return SlotRef(ptr).host_mapped.load(std::memory_order_relaxed);
+}
+
+void Device::RecordMappedStore(std::uint64_t bytes) {
+  mapped_store_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  if (metrics_.bytes_d2h != nullptr) metrics_.bytes_d2h->Add(bytes);
 }
 
 TransferEngine::TransferEngine(Device* device, const sim::PcieSpec& pcie)

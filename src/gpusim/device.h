@@ -33,6 +33,13 @@ struct DevicePtr {
   }
 };
 
+/// Where an allocation lives. Device memory is the GPU's own capacity-
+/// limited GDDR. Host-mapped memory is pinned host memory mapped into the
+/// device's address space (CUDA's zero-copy memory): a kernel's stores to
+/// it stream over PCIe as the kernel runs, and the host reads it in place,
+/// so no copy is ever submitted for it.
+enum class MemoryKind { kDevice, kHostMapped };
+
 /// A simulated discrete GPU: a capacity-limited device memory plus the
 /// spec numbers the kernel cost model consumes.
 ///
@@ -67,8 +74,11 @@ class Device {
 
   /// Allocates device memory; returns a null pointer if `bytes` does not
   /// fit into the remaining capacity (the CUDA out-of-memory analogue) or
-  /// if the armed fault injector fails the allocation.
-  DevicePtr TryMalloc(std::size_t bytes);
+  /// if the armed fault injector fails the allocation. A host-mapped
+  /// allocation lives in host memory: it does not count toward
+  /// used_bytes() and fails only on an injected allocation fault.
+  DevicePtr TryMalloc(std::size_t bytes,
+                      MemoryKind kind = MemoryKind::kDevice);
   /// Allocates device memory; aborts on out-of-memory. Reserved for call
   /// sites that sized the allocation beforehand and genuinely cannot
   /// recover — recoverable paths use TryMalloc and propagate a Status.
@@ -123,6 +133,17 @@ class Device {
 
   std::size_t AllocationSize(DevicePtr ptr) const;
 
+  /// True when `ptr` points into a host-mapped allocation. Lock-free.
+  bool IsHostMapped(DevicePtr ptr) const;
+
+  /// Accounts `bytes` of kernel stores into host-mapped memory: they
+  /// cross the link device -> host (WarpScope::RecordAccess calls this).
+  void RecordMappedStore(std::uint64_t bytes);
+  /// Total bytes kernels stored into this device's host-mapped memory.
+  std::uint64_t mapped_store_bytes() const {
+    return mapped_store_bytes_.load(std::memory_order_relaxed);
+  }
+
   std::size_t used_bytes() const {
     return used_.load(std::memory_order_relaxed);
   }
@@ -149,6 +170,7 @@ class Device {
   struct Allocation {
     std::atomic<std::byte*> data{nullptr};
     std::atomic<std::size_t> size{0};
+    std::atomic<bool> host_mapped{false};
   };
 
   static constexpr std::uint32_t kChunkShift = 10;  // 1024 slots per chunk
@@ -167,6 +189,7 @@ class Device {
   std::atomic<std::uint32_t> slot_count_{0};   // high-water mark
   std::vector<std::uint32_t> free_slots_;      // dead ids for reuse
   std::atomic<std::size_t> used_{0};
+  std::atomic<std::uint64_t> mapped_store_bytes_{0};
 
   /// The L2 model mutates LRU state on every access; one mutex makes the
   /// shared cache safe for concurrent kernel streams.
@@ -182,9 +205,10 @@ class Device {
 /// error paths that return early cannot leak device memory.
 class ScopedDeviceAlloc {
  public:
-  ScopedDeviceAlloc(Device* device, std::size_t bytes)
+  ScopedDeviceAlloc(Device* device, std::size_t bytes,
+                    MemoryKind kind = MemoryKind::kDevice)
       : device_(device),
-        ptr_(bytes > 0 ? device->TryMalloc(bytes) : DevicePtr{}) {}
+        ptr_(bytes > 0 ? device->TryMalloc(bytes, kind) : DevicePtr{}) {}
   ~ScopedDeviceAlloc() {
     if (!ptr_.is_null()) device_->Free(ptr_);
   }
@@ -229,6 +253,7 @@ class TransferEngine {
 
   double HostToDeviceUs(std::size_t bytes) const;
   double DeviceToHostUs(std::size_t bytes) const;
+  const sim::PcieSpec& pcie() const { return pcie_; }
   /// Modelled cost of one streamed (queued) H2D transfer of `bytes`,
   /// without performing it — planning input for the delta-vs-full
   /// I-segment sync decision.
@@ -243,8 +268,12 @@ class TransferEngine {
   std::uint64_t bytes_h2d() const {
     return bytes_h2d_.load(std::memory_order_relaxed);
   }
+  /// Bytes the link carried device -> host: this engine's copies plus
+  /// every kernel store into the device's host-mapped memory (each owner
+  /// here pairs one engine with one device).
   std::uint64_t bytes_d2h() const {
-    return bytes_d2h_.load(std::memory_order_relaxed);
+    return bytes_d2h_.load(std::memory_order_relaxed) +
+           device_->mapped_store_bytes();
   }
   std::uint64_t transfers() const {
     return transfers_.load(std::memory_order_relaxed);

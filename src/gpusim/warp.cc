@@ -17,6 +17,16 @@ WarpScope::~WarpScope() { ++stats_->warps_executed; }
 void WarpScope::RecordAccess(DevicePtr base,
                              const std::uint64_t* lane_offsets, int lanes,
                              std::size_t width) {
+  stats_->warp_instructions += 1;  // the load/store instruction itself
+  stats_->memory_gathers += 1;
+  if (device_->IsHostMapped(base)) {
+    // A store into host-mapped memory is written through to the host over
+    // PCIe: it touches neither the device L2 nor DRAM.
+    const std::uint64_t bytes = static_cast<std::uint64_t>(lanes) * width;
+    stats_->mapped_bytes += bytes;
+    device_->RecordMappedStore(bytes);
+    return;
+  }
   // Coalescing: collect the distinct aligned 64-byte segments the lanes
   // touch; each distinct segment is one memory transaction (the GPU
   // "translates the access into one or more aligned data transfers",
@@ -48,8 +58,6 @@ void WarpScope::RecordAccess(DevicePtr base,
       stats_->dram_bytes += kTransactionBytes;
     }
   }
-  stats_->warp_instructions += 1;  // the load/store instruction itself
-  stats_->memory_gathers += 1;
 }
 
 void WarpScope::SharedAccess(const int* lane_banks, int lanes) {

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <vector>
 
+#include "core/macros.h"
 #include "gpusim/device.h"
 
 namespace hbtree::gpu {
@@ -18,6 +19,9 @@ struct KernelStats {
   std::uint64_t memory_transactions = 0;  // coalesced 64 B segments
   std::uint64_t dram_bytes = 0;           // segment bytes missing device L2
   std::uint64_t l2_bytes = 0;             // segment bytes served by L2
+  /// Payload bytes stored into host-mapped memory: they stream over PCIe
+  /// as the kernel runs and touch neither the L2 nor device DRAM.
+  std::uint64_t mapped_bytes = 0;
   std::uint64_t shared_accesses = 0;
   std::uint64_t shared_bank_conflicts = 0;
   std::uint64_t divergent_branches = 0;
@@ -38,6 +42,7 @@ struct KernelStats {
     memory_transactions += other.memory_transactions;
     dram_bytes += other.dram_bytes;
     l2_bytes += other.l2_bytes;
+    mapped_bytes += other.mapped_bytes;
     shared_accesses += other.shared_accesses;
     shared_bank_conflicts += other.shared_bank_conflicts;
     divergent_branches += other.divergent_branches;
@@ -65,7 +70,9 @@ struct KernelStats {
 ///  * `Gather` / `Scatter` — per-lane device memory accesses, coalesced
 ///    into aligned 32/64/128-byte transactions exactly as the CUDA
 ///    programming guide describes (Appendix C); the transaction count is
-///    what makes 64-byte-node layouts win (Section 5.2).
+///    what makes 64-byte-node layouts win (Section 5.2). A store into
+///    host-mapped memory is no transaction: its payload streams over
+///    PCIe (KernelStats::mapped_bytes).
 ///  * `SharedAccess` — shared memory with 32-bank conflict modelling.
 ///  * `Instruction` — warp-wide instruction issue (the compute side of the
 ///    cost model).
@@ -81,9 +88,11 @@ class WarpScope {
 
   int active_lanes() const { return active_lanes_; }
 
-  /// Per-lane gather: lane i reads one element of `width` bytes at
+  /// Per-lane access: lane i touches one element of `width` bytes at
   /// `base + lane_offsets[i]`. Returns nothing; callers read through the
-  /// typed helpers below. Counts coalesced transactions.
+  /// typed helpers below. Counts coalesced transactions. Kernels only
+  /// store into host-mapped memory; such an access adds its payload to
+  /// `mapped_bytes` and to the device's mapped-store count instead.
   void RecordAccess(DevicePtr base, const std::uint64_t* lane_offsets,
                     int lanes, std::size_t width);
 
@@ -92,6 +101,7 @@ class WarpScope {
   template <typename T>
   void Gather(DevicePtr base, const std::uint64_t* lane_offsets, int lanes,
               T* out) {
+    HBTREE_DCHECK(!device_->IsHostMapped(base));
     RecordAccess(base, lane_offsets, lanes, sizeof(T));
     for (int i = 0; i < lanes; ++i) {
       // memcpy, not a typed load: lane offsets need not be aligned to T

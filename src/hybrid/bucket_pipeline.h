@@ -28,11 +28,11 @@ enum class BucketStrategy {
   /// Load and resolve each bucket strictly in sequence (baseline).
   kSequential,
   /// CPU-GPU pipelining (Figure 5): CPU leaf search overlaps the next
-  /// bucket's GPU work, but the GPU-side steps (transfer in, kernel,
-  /// transfer out) of consecutive buckets share one engine.
+  /// bucket's GPU work, but the GPU-side steps (transfer in, kernel and
+  /// its result stream) of consecutive buckets share one engine.
   kPipelined,
   /// Pipelining with double buffering (Figure 6): two buffer sets let
-  /// transfers overlap kernel execution on separate engines.
+  /// the upload overlap kernel execution on separate engines.
   kDoubleBuffered,
 };
 
@@ -103,8 +103,11 @@ struct PipelineStats {
   double avg_latency_us = 0;
   // Average per-bucket step times of the Section 5.4 cost model.
   double t1_us = 0;   // host->device transfer
-  double t2_us = 0;   // GPU inner-search kernel
-  double t3_us = 0;   // device->host transfer of intermediate results
+  double t2_us = 0;   // GPU inner-search kernel, result stream included
+  /// Link time of the kernel's result stream into host-mapped memory. It
+  /// lies inside t2 (the kernel takes K_init + max(body, stream)); no
+  /// bucket waits on a separate download.
+  double t3_us = 0;
   double t4_us = 0;   // CPU share (leaf search + LB descent)
   gpu::KernelStats kernel;  // aggregated over all buckets
   double gpu_busy_us = 0;
@@ -124,20 +127,20 @@ struct PipelineStats {
   std::uint64_t sorted_buckets = 0;
 };
 
-/// Device bytes of one in-flight bucket of `m` keys: the query keys, one
-/// result word per key, and with load balancing (Section 5.5) a 32-bit
-/// start node per key. The pipeline allocates exactly these; the serving
-/// layer reserves their total per read worker.
+/// Device bytes of one in-flight bucket of `m` keys: the query keys and,
+/// with load balancing (Section 5.5), a 32-bit start node per key. The
+/// pipeline allocates exactly these; the serving layer reserves their
+/// total per read worker. The result words live in host-mapped memory,
+/// outside the device arena.
 template <typename K>
 struct BucketBuffers {
-  std::size_t queries, results, start_nodes;
+  std::size_t queries, start_nodes;
 
   BucketBuffers(std::size_t m, bool balanced)
       : queries(m * sizeof(K)),
-        results(m * sizeof(ResultWord)),
         start_nodes(balanced ? m * sizeof(std::uint32_t) : 0) {}
 
-  std::size_t total() const { return queries + results + start_nodes; }
+  std::size_t total() const { return queries + start_nodes; }
 };
 
 namespace pipeline_internal {
@@ -151,14 +154,16 @@ struct StageTimeline {
   double pre_start = 0, pre_end = 0;        // CPU pre-descent (LB only)
   double h2d_start = 0, h2d_end = 0;        // T1
   double kernel_start = 0, kernel_end = 0;  // T2
-  double d2h_start = 0, d2h_end = 0;        // T3
+  double d2h_start = 0, d2h_end = 0;        // T3, inside the kernel span
   double cpu_start = 0, cpu_end = 0;        // T4 (+ LB CPU capacity)
 };
 
 /// Job-shop scheduler over the simulated platform resources; encodes the
 /// overlap rules of the three strategies and the buffer-set cycle:
 /// `buckets_in_flight` buffer sets, each held by one bucket from its
-/// ready time to its completion.
+/// ready time to its completion. A bucket's chain is tpre -> T1 -> T2 ->
+/// T4: the kernel stores its results straight into host-mapped memory,
+/// so the result stream (T3) runs on the D2H engine inside T2.
 class Scheduler {
  public:
   Scheduler(BucketStrategy strategy, int buckets_in_flight)
@@ -169,10 +174,13 @@ class Scheduler {
   /// Schedules the next bucket; returns its completion time. The bucket
   /// is ready when the bucket `buckets_in_flight` places earlier completed
   /// and freed its buffer set. `tpre` is the CPU pre-descent time (load
-  /// balancing, plus the key sort; 0 otherwise). `timeline` (optional)
-  /// receives the per-stage intervals the scheduler chose.
+  /// balancing, plus the key sort; 0 otherwise). `t3` is the result
+  /// stream's link time, at most `t2`: it is charged to the D2H engine
+  /// and ends with the kernel. `timeline` (optional) receives the
+  /// per-stage intervals the scheduler chose.
   double ScheduleBucket(double tpre, double t1, double t2, double t3,
                         double t4, StageTimeline* timeline = nullptr) {
+    HBTREE_DCHECK(t3 <= t2);
     const std::size_t b = ends_.size();
     const std::size_t k = static_cast<std::size_t>(buckets_in_flight_);
     double start = b >= k ? ends_[b - k] : 0.0;
@@ -188,68 +196,45 @@ class Scheduler {
           tl.pre_end = sp + tpre;
           start = sp + tpre;
         }
-        {
-          double s1 = h2d_.Acquire(start, t1);
-          double s2 = gpu_.Acquire(s1 + t1, t2);
-          double s3 = d2h_.Acquire(s2 + t2, t3);
-          double s4 = cpu_.Acquire(s3 + t3, t4);
-          last_end_ = s4 + t4;
-          tl.h2d_start = s1;
-          tl.h2d_end = s1 + t1;
-          tl.kernel_start = s2;
-          tl.kernel_end = s2 + t2;
-          tl.d2h_start = s3;
-          tl.d2h_end = s3 + t3;
-          tl.cpu_start = s4;
-          tl.cpu_end = s4 + t4;
-        }
+        tl.h2d_start = h2d_.Acquire(start, t1);
+        tl.kernel_start = gpu_.Acquire(tl.h2d_start + t1, t2);
+        tl.cpu_start = cpu_.Acquire(tl.kernel_start + t2, t4);
+        tl.cpu_end = tl.cpu_start + t4;
         break;
-      case BucketStrategy::kPipelined: {
-        // One GPU-side engine serializes T1+T2+T3 across buckets; only
-        // the CPU step overlaps (Figure 5). A load-balancing pre-descent
+      case BucketStrategy::kPipelined:
+        // One GPU-side engine serializes T1+T2 across buckets; only the
+        // CPU step overlaps (Figure 5). A load-balancing pre-descent
         // delays this bucket's upload (latency) but its CPU *capacity* is
         // charged together with the leaf stage: the CPU threads
         // interleave descents of future buckets with current finishes, so
         // a strict descend-then-finish ordering on one timeline would
         // falsely serialize the whole pipeline.
-        double s_gpu = gpu_.Acquire(start + tpre, t1 + t2 + t3);
-        h2d_.Acquire(s_gpu, t1);              // utilization accounting
-        d2h_.Acquire(s_gpu + t1 + t2, t3);    // utilization accounting
-        double s4 = cpu_.Acquire(s_gpu + t1 + t2 + t3, t4 + tpre);
-        last_end_ = s4 + t4;
         tl.pre_start = start;
         tl.pre_end = start + tpre;
-        tl.h2d_start = s_gpu;
-        tl.h2d_end = s_gpu + t1;
-        tl.kernel_start = s_gpu + t1;
-        tl.kernel_end = s_gpu + t1 + t2;
-        tl.d2h_start = s_gpu + t1 + t2;
-        tl.d2h_end = s_gpu + t1 + t2 + t3;
-        tl.cpu_start = s4;
-        tl.cpu_end = s4 + t4 + tpre;
+        tl.h2d_start = gpu_.Acquire(start + tpre, t1 + t2);
+        h2d_.Acquire(tl.h2d_start, t1);  // utilization accounting
+        tl.kernel_start = tl.h2d_start + t1;
+        tl.cpu_start = cpu_.Acquire(tl.kernel_start + t2, t4 + tpre);
+        tl.cpu_end = tl.cpu_start + t4 + tpre;
         break;
-      }
-      case BucketStrategy::kDoubleBuffered: {
-        // Transfers, kernel, and CPU each on their own engine (Figure 6).
+      case BucketStrategy::kDoubleBuffered:
+        // Upload, kernel, and CPU each on their own engine (Figure 6).
         // Pre-descent is handled as in the pipelined case.
-        double s1 = h2d_.Acquire(start + tpre, t1);
-        double s2 = gpu_.Acquire(s1 + t1, t2);
-        double s3 = d2h_.Acquire(s2 + t2, t3);
-        double s4 = cpu_.Acquire(s3 + t3, t4 + tpre);
-        last_end_ = s4 + t4;
         tl.pre_start = start;
         tl.pre_end = start + tpre;
-        tl.h2d_start = s1;
-        tl.h2d_end = s1 + t1;
-        tl.kernel_start = s2;
-        tl.kernel_end = s2 + t2;
-        tl.d2h_start = s3;
-        tl.d2h_end = s3 + t3;
-        tl.cpu_start = s4;
-        tl.cpu_end = s4 + t4 + tpre;
+        tl.h2d_start = h2d_.Acquire(start + tpre, t1);
+        tl.kernel_start = gpu_.Acquire(tl.h2d_start + t1, t2);
+        tl.cpu_start = cpu_.Acquire(tl.kernel_start + t2, t4 + tpre);
+        tl.cpu_end = tl.cpu_start + t4 + tpre;
         break;
-      }
     }
+    tl.h2d_end = tl.h2d_start + t1;
+    tl.kernel_end = tl.kernel_start + t2;
+    // Kernels serialize and every stream ends with its kernel, so the D2H
+    // engine is always free when the stream starts.
+    tl.d2h_start = d2h_.Acquire(tl.kernel_end - t3, t3);
+    tl.d2h_end = tl.d2h_start + t3;
+    last_end_ = tl.cpu_start + t4;
     if (timeline != nullptr) *timeline = tl;
     ends_.push_back(last_end_);
     return last_end_;
@@ -259,25 +244,24 @@ class Scheduler {
   /// they complete once the pipeline is full. That is the busiest engine
   /// under the overlap rules ScheduleBucket encodes, or the buffer-set
   /// cycle: a bucket holds its set through its whole chain, so with k sets
-  /// buckets complete at least (tpre + t1 + t2 + t3 + t4) / k apart. With
-  /// two or more sets the cycle binds only under double buffering; the
-  /// other strategies' engines already serialize at least that much.
-  double Period(double tpre, double t1, double t2, double t3,
-                double t4) const {
+  /// buckets complete at least (tpre + t1 + t2 + t4) / k apart. With two
+  /// or more sets the cycle binds only under double buffering; the other
+  /// strategies' engines already serialize at least that much. The result
+  /// stream lies inside t2 and never binds.
+  double Period(double tpre, double t1, double t2, double t4) const {
     double engines = 0;
     switch (strategy_) {
       case BucketStrategy::kSequential:
-        engines = tpre + t1 + t2 + t3 + t4;
+        engines = tpre + t1 + t2 + t4;
         break;
       case BucketStrategy::kPipelined:
-        engines = std::max(t1 + t2 + t3, tpre + t4);
+        engines = std::max(t1 + t2, tpre + t4);
         break;
       case BucketStrategy::kDoubleBuffered:
-        engines = std::max({t1, t2, t3, tpre + t4});
+        engines = std::max({t1, t2, tpre + t4});
         break;
     }
-    return std::max(engines,
-                    (tpre + t1 + t2 + t3 + t4) / buckets_in_flight_);
+    return std::max(engines, (tpre + t1 + t2 + t4) / buckets_in_flight_);
   }
 
   double gpu_busy() const { return gpu_.busy_time(); }
@@ -422,9 +406,11 @@ struct FastAdapter {
 
 /// The bucket loop every pipeline run shares (Section 5.4): per bucket of
 /// M keys, an optional key sort and CPU pre-descent, T1 upload, T2 kernel,
-/// T3 download, then T4 = `finish(i, intermediate, key)` for every key,
-/// where i indexes `queries` in the caller's order. With a heat sink, T4
-/// runs under the sink's mutex.
+/// then T4 = `finish(i, intermediate, key)` for every key, where i indexes
+/// `queries` in the caller's order. The kernel stores each result word
+/// straight into host-mapped memory, where T4 reads it in place: the
+/// result stream (T3) runs inside T2 and no bucket waits on a download.
+/// With a heat sink, T4 runs under the sink's mutex.
 ///
 /// `sort` allows staging buckets in key order so the kernel's run dedup
 /// fires, at `sort_us_per_query` on the CPU side. A one-bucket run sorts.
@@ -461,11 +447,13 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
   const std::uint32_t m = static_cast<std::uint32_t>(config.bucket_size);
   const BucketBuffers<K> bytes(m, balanced);
   gpu::ScopedDeviceAlloc q_dev(&device, bytes.queries);
-  gpu::ScopedDeviceAlloc r_dev(&device, bytes.results);
+  gpu::ScopedDeviceAlloc r_dev(&device, m * sizeof(ResultWord),
+                               gpu::MemoryKind::kHostMapped);
   gpu::ScopedDeviceAlloc s_dev(&device, bytes.start_nodes);
   if (!q_dev.ok() || !r_dev.ok() || (balanced && !s_dev.ok())) {
     return Status::DeviceOom("bucket buffers do not fit in device memory");
   }
+  const ResultWord* result_words = device.HostViewAs<ResultWord>(r_dev.get());
 
   PipelineStats& stats = *stats_out;
   stats = PipelineStats{};
@@ -478,7 +466,6 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
   // Start-node indices travel as 32-bit values: every level a partial
   // descent can reach has fewer than 2^32 nodes.
   std::vector<std::uint32_t> start_nodes(m);
-  std::vector<ResultWord> intermediate(m);
   // Sorted dispatch: per-bucket sort permutation and sorted staging
   // buffer. The device sees the sorted keys; T4 maps each result back
   // through `order` so callers keep their original query order.
@@ -594,8 +581,10 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
     const double t1_fault_free = transfer.HostToDeviceUs(t1_bytes);
     const double t1 = t1_fault_free + backoff_us;
 
-    // -- T2: kernel launch(es). A launch attempt is all-or-nothing, so a
-    // retried attempt overwrites (not accumulates) the kernel stats.
+    // -- T2: kernel launch(es), each storing its result words into the
+    // host-mapped buffer as it runs. A launch attempt is all-or-nothing,
+    // so a retried attempt overwrites (not accumulates) the kernel stats
+    // and rewrites every result: the retry covers delivery too.
     gpu::KernelStats ks;
     backoff_us = 0;
     HBTREE_RETURN_IF_ERROR(fault::RetryTransient(
@@ -644,46 +633,35 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
       heat.kernel_l2_bytes += ks.l2_bytes;
       heat.kernel_launches += balanced && part1 > 0 && part1 < n ? 2 : 1;
     }
-    const gpu::KernelTime kt = gpu::EstimateKernelTime(device.spec(), ks);
+    const gpu::KernelTime kt =
+        gpu::EstimateKernelTime(device.spec(), transfer.pcie(), ks);
     if (const gpu::Device::DeviceMetrics* m = device.metrics()) {
       m->kernel_launches->Increment();
       m->occupancy->Set(kt.occupancy);
     }
     const double t2 = kt.total_us + backoff_us;
+    const double t3 = kt.stream_us;
 
-    // -- T3: intermediate results back ------------------------------------
-    double t3 = 0;
-    backoff_us = 0;
-    HBTREE_RETURN_IF_ERROR(fault::RetryTransient(
-        retry,
-        [&] {
-          return transfer.TryCopyToHost(intermediate.data(), r_dev.get(),
-                                        n * sizeof(ResultWord), &t3);
-        },
-        &stats.transfer_retries, &backoff_us));
-    const double t3_fault_free = t3;
-    t3 += backoff_us;
-
-    // -- T4: the caller's per-key finish (results map back through the
-    // sort permutation when the bucket was sorted). ----------------------
+    // -- T4: the caller's per-key finish, reading the result words in
+    // place (they map back through the sort permutation when the bucket
+    // was sorted). -------------------------------------------------------
     {
       std::unique_lock<std::mutex> heat_lock;
       if (config.heat != nullptr) {
         heat_lock = std::unique_lock<std::mutex>(config.heat->mu);
       }
       for (std::uint32_t i = 0; i < n; ++i) {
-        finish(base + (sorted ? order[i] : i), intermediate[i], bq[i]);
+        finish(base + (sorted ? order[i] : i), result_words[i], bq[i]);
       }
     }
     const double t4 = n / config.cpu_queries_per_us;
     if (probing && b < 2) {
-      const double period = scheduler.Period(tpre, t1_fault_free,
-                                             kt.total_us, t3_fault_free, t4);
+      const double period =
+          scheduler.Period(tpre, t1_fault_free, kt.total_us, t4);
       (sorted ? sorted_us : unsorted_us) = period / n;
       if (b == 0) {
         ideal_sort_us = scheduler.Period(tpre + n * config.sort_us_per_query,
-                                         t1_fault_free, 0, t3_fault_free,
-                                         t4) /
+                                         t1_fault_free, 0, t4) /
                         n;
       }
     }
@@ -815,8 +793,8 @@ Status TryRunSearchPipeline(HBFastTree<K>& tree, const K* queries,
 }
 
 /// Runs the heterogeneous search pipeline: buckets go to the device, the
-/// GPU kernel resolves inner nodes, intermediate results come back, and
-/// the CPU finishes in the L-segment. Fully functional — `results`
+/// GPU kernel resolves inner nodes and stores the intermediate results
+/// into host-mapped memory, and the CPU finishes in the L-segment. Fully functional — `results`
 /// (optional) receives every lookup — while the returned stats carry the
 /// simulated platform timing. The implicit tree's intermediate result is
 /// a leaf-line index, the regular tree's packs (last inner node, leaf

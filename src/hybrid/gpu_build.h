@@ -199,7 +199,8 @@ Status TryBuildISegmentOnDevice(const ImplicitBTree<K>& host,
       },
       nullptr, &backoff_us));
   if (stats_out != nullptr) *stats_out = stats;
-  total_us += gpu::EstimateKernelTime(device.spec(), stats).total_us;
+  total_us +=
+      gpu::EstimateKernelTime(device.spec(), transfer.pcie(), stats).total_us;
   total_us += backoff_us;
 
   if (us_out != nullptr) *us_out = total_us;

@@ -40,8 +40,9 @@ namespace hbtree {
 
 /// The kernels' intermediate result, one 32-bit word per query: the
 /// implicit tree's leaf-line index, the regular tree's packed (last-inner
-/// node, leaf line) and HB-FAST's lower-bound position. A bucket's T3
-/// download is this word per query. The hybrid trees refuse, with
+/// node, leaf line) and HB-FAST's lower-bound position. The pipeline's
+/// kernels store this word per query into host-mapped memory, so it is
+/// all a bucket's result stream carries. The hybrid trees refuse, with
 /// kOutOfRange, to mirror a tree whose results the word cannot address.
 using ResultWord = std::uint32_t;
 inline constexpr int kResultWordBits = 8 * sizeof(ResultWord);

@@ -18,9 +18,12 @@ struct LoadBalanceSetting {
 
 /// Runs the paper's discovery algorithm: starting from (D = 0, R = 1) —
 /// maximum GPU load — it raises D while the GPU is the bottleneck, then
-/// binary-searches R for four steps. `getSample` is realized by running
-/// the pipeline over `sample_queries` and reading the average per-bucket
-/// GPU and CPU times.
+/// binary-searches R for four steps. When the first (0, 1) sample is not
+/// GPU-bound there is no GPU work to move, and the discovery keeps
+/// (0, 1): the search would otherwise start at R = 1/2 and, after four
+/// +-1/2^k steps, could never return to R = 1. `getSample` is realized by
+/// running the pipeline over `sample_queries` and reading the average
+/// per-bucket GPU and CPU times.
 ///
 /// `base` must carry the platform-derived CPU rates
 /// (cpu_queries_per_us, cpu_descend_us_per_level); buckets_in_flight is
@@ -56,6 +59,11 @@ LoadBalanceSetting DiscoverLoadBalance(HB& tree, const K* sample_queries,
   setting.d = 0;
   setting.r = 1.0;
   PipelineStats sample = get_sample(setting.d, setting.r);
+  if (sample.sample_gpu_us <= sample.sample_cpu_us) {
+    setting.sample_gpu_us = sample.sample_gpu_us;
+    setting.sample_cpu_us = sample.sample_cpu_us;
+    return setting;
+  }
   while (sample.sample_gpu_us > sample.sample_cpu_us && setting.d < max_d) {
     ++setting.d;
     sample = get_sample(setting.d, setting.r);

@@ -1065,9 +1065,9 @@ class Server {
     return Status::Ok();
   }
 
-  /// Every concurrent dispatch needs its own query/result buffers in the
-  /// slot's device arena, on top of the I-segment mirror Build() already
-  /// placed there. Failing now with an actionable message beats
+  /// Every concurrent dispatch needs its own query (and start-node)
+  /// buffers in the slot's device arena, on top of the I-segment mirror
+  /// Build() already placed there; result words go to host-mapped memory. Failing now with an actionable message beats
   /// degenerate serving where every bucket OOMs onto the CPU path.
   Status ValidateBucketBacking(Shard& shard) const {
     const bool balanced = options_.pipeline.cpu_descend_levels > 0 ||

@@ -12,6 +12,7 @@ namespace hbtree::gpu {
 namespace {
 
 sim::GpuSpec TestSpec() { return sim::PlatformSpec::M1().gpu; }
+sim::PcieSpec TestLink() { return sim::PlatformSpec::M1().pcie; }
 
 TEST(Device, AllocFreeTracksCapacity) {
   sim::GpuSpec spec = TestSpec();
@@ -102,6 +103,41 @@ TEST(Warp, GatherScatterAreFunctional) {
   for (int lane = 0; lane < 8; ++lane) EXPECT_EQ(readback[lane], values[lane]);
 }
 
+TEST(Warp, MappedStoreStreamsItsPayloadOverTheLink) {
+  sim::PlatformSpec platform = sim::PlatformSpec::M1();
+  Device device(platform.gpu);
+  TransferEngine transfer(&device, platform.pcie);
+  DevicePtr mapped = device.TryMalloc(4096, MemoryKind::kHostMapped);
+  ASSERT_FALSE(mapped.is_null());
+  EXPECT_TRUE(device.IsHostMapped(mapped));
+  EXPECT_EQ(device.used_bytes(), 0u);  // host memory, not device memory
+
+  KernelStats stats;
+  {
+    WarpScope warp(&device, &stats, 8);
+    std::uint64_t offsets[8];
+    std::uint32_t values[8];
+    for (int lane = 0; lane < 8; ++lane) {
+      offsets[lane] = lane * 64;  // eight distinct segments
+      values[lane] = 7u * lane + 1;
+    }
+    warp.Scatter(mapped, offsets, 8, values);
+    // The host reads the stored words in place.
+    for (int lane = 0; lane < 8; ++lane) {
+      EXPECT_EQ(device.HostViewAs<std::uint32_t>(mapped + lane * 64)[0],
+                values[lane]);
+    }
+  }
+  EXPECT_EQ(stats.mapped_bytes, 8u * sizeof(std::uint32_t));
+  EXPECT_EQ(transfer.bytes_d2h(), 8u * sizeof(std::uint32_t));
+  EXPECT_EQ(transfer.transfers(), 0u);  // no copy was submitted
+  EXPECT_EQ(stats.memory_transactions, 0u);
+  EXPECT_EQ(stats.dram_bytes + stats.l2_bytes, 0u);
+  EXPECT_EQ(device.l2().hits() + device.l2().misses(), 0u);  // no L2 access
+  device.Free(mapped);
+  EXPECT_EQ(device.used_bytes(), 0u);
+}
+
 TEST(Warp, SharedMemoryBankConflicts) {
   Device device(TestSpec());
   KernelStats stats;
@@ -148,7 +184,7 @@ TEST(KernelCostModel, MemoryBoundVsComputeBound) {
   stats.memory_transactions = 10000 * 32;
   stats.dram_bytes = stats.memory_transactions * 64;
   stats.warp_instructions = 10000 * 10;
-  KernelTime memory_bound = EstimateKernelTime(spec, stats);
+  KernelTime memory_bound = EstimateKernelTime(spec, TestLink(), stats);
   EXPECT_STREQ(memory_bound.bound, "memory");
 
   stats.dram_bytes = 64;
@@ -156,7 +192,7 @@ TEST(KernelCostModel, MemoryBoundVsComputeBound) {
   stats.memory_transactions = 1;
   stats.memory_gathers = 1;
   stats.warp_instructions = 100000000;
-  KernelTime compute_bound = EstimateKernelTime(spec, stats);
+  KernelTime compute_bound = EstimateKernelTime(spec, TestLink(), stats);
   EXPECT_STREQ(compute_bound.bound, "compute");
   EXPECT_GT(compute_bound.total_us, spec.kernel_launch_us);
 }
@@ -169,8 +205,37 @@ TEST(KernelCostModel, LowOccupancyIsLatencyBound) {
   stats.memory_transactions = 4 * 1000;
   stats.dram_bytes = stats.memory_transactions * 64;
   stats.warp_instructions = 4 * 1000;
-  KernelTime t = EstimateKernelTime(spec, stats);
+  KernelTime t = EstimateKernelTime(spec, TestLink(), stats);
   EXPECT_STREQ(t.bound, "latency");
+}
+
+TEST(KernelCostModel, MappedStreamOverlapsTheBody) {
+  const sim::GpuSpec spec = TestSpec();
+  const sim::PcieSpec link = TestLink();
+  KernelStats stats;
+  stats.warps_executed = 1;
+  stats.memory_gathers = 2;
+  stats.memory_transactions = 1;
+  stats.dram_bytes = 64;
+  stats.warp_instructions = 4;
+  const KernelTime body = EstimateKernelTime(spec, link, stats);
+
+  // A tiny body with a large mapped store: the stream is the kernel time,
+  // K_init on top and no transfer T_init.
+  stats.mapped_bytes = 1 << 20;
+  const double stream = (1 << 20) / (link.bandwidth_d2h_gbps * 1e3);
+  const KernelTime streamed = EstimateKernelTime(spec, link, stats);
+  EXPECT_GT(stream, body.total_us - body.launch_us);
+  EXPECT_DOUBLE_EQ(streamed.stream_us, stream);
+  EXPECT_DOUBLE_EQ(streamed.total_us, spec.kernel_launch_us + stream);
+  EXPECT_STREQ(streamed.bound, "stream");
+
+  // A stream shorter than the body hides inside it.
+  stats.mapped_bytes = 64;
+  const KernelTime hidden = EstimateKernelTime(spec, link, stats);
+  EXPECT_LT(hidden.stream_us, body.total_us - body.launch_us);
+  EXPECT_DOUBLE_EQ(hidden.total_us, body.total_us);
+  EXPECT_STREQ(hidden.bound, body.bound);
 }
 
 TEST(KernelCostModel, LaunchOverheadDominatesTinyKernels) {
@@ -181,7 +246,7 @@ TEST(KernelCostModel, LaunchOverheadDominatesTinyKernels) {
   stats.memory_transactions = 1;
   stats.dram_bytes = 64;
   stats.warp_instructions = 4;
-  KernelTime t = EstimateKernelTime(spec, stats);
+  KernelTime t = EstimateKernelTime(spec, TestLink(), stats);
   EXPECT_GT(t.launch_us / t.total_us, 0.9);
 }
 

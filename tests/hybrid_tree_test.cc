@@ -274,8 +274,9 @@ TEST(HybridScheduling, StrategiesOrderAsInFigure10) {
   double dbl = run(BucketStrategy::kDoubleBuffered);
   EXPECT_GT(seq, pip);
   EXPECT_GT(pip, dbl);
-  // Sequential period ~ T1+T2+T3+T4; double-buffered ~ max(T2, T4).
-  EXPECT_NEAR(seq, 125.0, 2.0);
+  // Sequential period ~ T1+T2+T4 (the result stream T3 lies inside T2);
+  // double-buffered ~ max(T2, T4).
+  EXPECT_NEAR(seq, 120.0, 2.0);
   EXPECT_NEAR(dbl, 60.0, 5.0);  // startup transient amortized over 50 buckets
 }
 
@@ -303,6 +304,28 @@ TEST(HybridLoadBalance, DiscoveryMovesWorkToTheCpuWhenGpuIsWeak) {
   EXPECT_GT(setting.d, 0);
   EXPECT_GE(setting.r, 0.0);
   EXPECT_LE(setting.r, 1.0);
+}
+
+TEST(HybridLoadBalance, CpuBoundDiscoveryKeepsEveryInnerLevelOnTheGpu) {
+  // The default leaf rate (1 query/us) makes the CPU stage bind from the
+  // first (0, 1) sample: there is no GPU work to move, so the discovery
+  // keeps D = 0 and R = 1 exactly instead of starting a search on R.
+  Fixture64 fx;
+  HBImplicitTree<Key64>::Config config;
+  HBImplicitTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
+  auto data = GenerateDataset<Key64>(100000, /*seed=*/20);
+  ASSERT_TRUE(tree.Build(data));
+  auto queries = MakeLookupQueries(data, /*seed=*/21);
+  queries.resize(8192);
+
+  PipelineConfig base;
+  base.bucket_size = 2048;
+  base.cpu_descend_us_per_level = 0.005;
+  const LoadBalanceSetting setting =
+      DiscoverLoadBalance(tree, queries.data(), queries.size(), base);
+  EXPECT_EQ(setting.d, 0);
+  EXPECT_EQ(setting.r, 1.0);
+  EXPECT_LE(setting.sample_gpu_us, setting.sample_cpu_us);
 }
 
 TEST(HybridKernels, KernelStatsAreAccumulated) {

@@ -548,10 +548,12 @@ TEST(SortDecision, CpuBoundRunSortsNoBucket) {
 }
 
 /// Runs five 4096-key buckets through the regular tree on M2 with a free
-/// CPU stage (KernelBound) and `buckets_in_flight` buffer sets, checks the
-/// answers and that t4_us carries one sort charge per sorted bucket, and
-/// returns how many buckets sorted.
-std::uint64_t KernelBoundSortedBuckets(int buckets_in_flight) {
+/// CPU stage (KernelBound), `buckets_in_flight` buffer sets and the given
+/// sort charge, checks the answers and that t4_us carries one sort charge
+/// per sorted bucket, and returns how many buckets sorted.
+std::uint64_t KernelBoundSortedBuckets(
+    int buckets_in_flight,
+    double sort_us_per_query = PipelineConfig{}.sort_us_per_query) {
   KernelFixture fx(sim::PlatformSpec::M2());
   HBRegularTree<Key64>::Config tree_config;
   HBRegularTree<Key64> tree(tree_config, &fx.registry, &fx.device,
@@ -564,6 +566,7 @@ std::uint64_t KernelBoundSortedBuckets(int buckets_in_flight) {
   PipelineConfig config = KernelBound();
   config.bucket_size = 4096;
   config.buckets_in_flight = buckets_in_flight;
+  config.sort_us_per_query = sort_us_per_query;
   PipelineStats stats;
   ExpectHostResults(tree, queries, config, &stats);
   const double sort_us = 4096 * config.sort_us_per_query;
@@ -576,28 +579,37 @@ std::uint64_t KernelBoundSortedBuckets(int buckets_in_flight) {
 
 TEST(SortDecision, KernelBoundRunSortsEveryBucketAfterTheFirst) {
   // M2's weak GPU makes the kernel the slowest stage once the CPU is free.
-  // With three buffer sets (as load balancing runs) the buffer cycle does
-  // not bind, so sorting shortens the period by more than its charge: the
-  // sorted bucket-1 probe beats the unsorted bucket 0, and buckets 1-4
-  // sort.
+  // With two buffer sets, or three as load balancing runs, the buffer
+  // cycle does not bind, so sorting shortens the period by more than its
+  // charge: the sorted bucket-1 probe beats the unsorted bucket 0, and
+  // buckets 1-4 sort.
   EXPECT_EQ(KernelBoundSortedBuckets(3), 4u);
+  EXPECT_EQ(KernelBoundSortedBuckets(2), 4u);
 }
 
 TEST(SortDecision, CycleBoundRunSortsOnlyTheProbe) {
-  // The same run with two buffer sets is bound by the buffer cycle, which
-  // the sort's charge lengthens by more than its shorter kernel shortens
-  // it. The ideal-sort floor (a free kernel) still lets bucket 1 probe
-  // sorted, but the probe loses to the unsorted bucket 0, so buckets 2-4
-  // stay unsorted.
-  EXPECT_EQ(KernelBoundSortedBuckets(2), 1u);
+  // With one buffer set every bucket holds it through its whole chain, so
+  // the cycle tpre + t1 + t2 + t4 spaces the buckets by construction.
+  // Sorting then pays only if its charge is below the kernel time it
+  // saves. This run's unsorted bucket 0 takes a 39.6 us kernel and the
+  // sorted bucket 1 a 27.4 us one; a sort charge of 4096 x 0.006 =
+  // 24.6 us lies between the 12.2 us that sorting saves and the whole
+  // unsorted kernel. So the ideal-sort floor (a free kernel) lets bucket
+  // 1 probe sorted, the probe loses to the unsorted bucket 0, and buckets
+  // 2-4 stay unsorted.
+  EXPECT_EQ(KernelBoundSortedBuckets(1, /*sort_us_per_query=*/0.006), 1u);
 }
 
 TEST(SortDecision, OneBucketRunMatchesTheAlwaysSortedLoop) {
   // A run of one bucket never probes: it sorts, as the loop that sorted
   // every bucket did. The values below were recorded from that loop and
   // re-recorded where the 4-byte result word moved them (t3, PCIe busy
-  // time, total and latency, the kernel's DRAM/L2 split); a change to the
-  // cost model or the generators re-records them from a failing run.
+  // time, total and latency, the kernel's DRAM/L2 split), then where the
+  // result stream into host-mapped memory did: the 1.37 us stream exceeds
+  // this small kernel's body and sets t2, t3 is the stream's link time,
+  // and the result stores leave the L2 and the transaction count. A
+  // change to the cost model or the generators re-records them from a
+  // failing run.
   KernelFixture fx;
   HBRegularTree<Key64>::Config tree_config;
   HBRegularTree<Key64> tree(tree_config, &fx.registry, &fx.device,
@@ -612,25 +624,27 @@ TEST(SortDecision, OneBucketRunMatchesTheAlwaysSortedLoop) {
       RunSearchPipeline(tree, queries.data(), queries.size(), config);
 
   EXPECT_EQ(stats.sorted_buckets, 1u);
-  EXPECT_EQ(stats.total_us, 4138.6179861111113);
-  EXPECT_EQ(stats.avg_latency_us, 4138.6179861111113);
+  EXPECT_EQ(stats.total_us, 4129.4799999999996);
+  EXPECT_EQ(stats.avg_latency_us, 4129.4799999999996);
   EXPECT_EQ(stats.t1_us, 10.730666666666666);
-  EXPECT_EQ(stats.t2_us, 6.1379861111111111);
-  EXPECT_EQ(stats.t3_us, 9.365333333333334);
+  EXPECT_EQ(stats.t2_us, 6.3653333333333331);
+  EXPECT_EQ(stats.t3_us, 1.3653333333333333);
   EXPECT_EQ(stats.t4_us, 4112.384);
-  EXPECT_EQ(stats.gpu_busy_us, 6.1379861111111111);
+  EXPECT_EQ(stats.gpu_busy_us, 6.3653333333333331);
   EXPECT_EQ(stats.cpu_busy_us, 4112.384);
-  EXPECT_EQ(stats.pcie_busy_us, 20.096);
+  EXPECT_EQ(stats.pcie_busy_us, 12.096);
   EXPECT_EQ(stats.kernel.warp_instructions, 49161u);
   EXPECT_EQ(stats.kernel.memory_gathers, 2057u);
-  EXPECT_EQ(stats.kernel.memory_transactions, 2057u);
-  EXPECT_EQ(stats.kernel.dram_bytes, 49728u);
-  EXPECT_EQ(stats.kernel.l2_bytes, 81920u);
+  EXPECT_EQ(stats.kernel.memory_transactions, 1033u);
+  EXPECT_EQ(stats.kernel.dram_bytes, 33344u);
+  EXPECT_EQ(stats.kernel.l2_bytes, 32768u);
+  EXPECT_EQ(stats.kernel.mapped_bytes, 4096u * sizeof(ResultWord));
 }
 
-TEST(SortDecision, BucketDownloadIsOneResultWordPerQuery) {
-  // T3 moves one 32-bit result word per query, whichever order a bucket
-  // took: the transfer engine's D2H byte count grows by 4 bytes per query.
+TEST(SortDecision, ResultStreamIsOneResultWordPerQuery) {
+  // The kernel streams one 32-bit result word per query into host-mapped
+  // memory, whichever order a bucket took: the link's D2H byte count
+  // grows by 4 bytes per query, and no copy is submitted for it.
   KernelFixture fx;
   HBImplicitTree<Key64>::Config tree_config;
   HBImplicitTree<Key64> tree(tree_config, &fx.registry, &fx.device,
@@ -641,8 +655,12 @@ TEST(SortDecision, BucketDownloadIsOneResultWordPerQuery) {
   PipelineConfig config;
   config.bucket_size = 4096;
   const std::uint64_t before = fx.transfer.bytes_d2h();
-  RunSearchPipeline(tree, queries.data(), queries.size(), config);
+  const std::uint64_t copies = fx.transfer.transfers();
+  const PipelineStats stats =
+      RunSearchPipeline(tree, queries.data(), queries.size(), config);
   EXPECT_EQ(fx.transfer.bytes_d2h() - before, 4 * queries.size());
+  EXPECT_EQ(stats.kernel.mapped_bytes, 4 * queries.size());
+  EXPECT_EQ(fx.transfer.transfers() - copies, 3u);  // one upload per bucket
 }
 
 TEST(SortDecision, HeatTouchesCountRunsPerBucketAcrossMixedOrders) {
