@@ -17,11 +17,12 @@ don't reconcile with the merged total, tenant counts that don't sum to
 their range, hit-level bytes that don't sum back to a cell's bytes,
 pool temperature classes that don't sum to the segment count).
 
-With --trace TRACE.json the exemplars are cross-checked against the
-exported Chrome trace: every exemplar stamped with the trace's session
-id must carry a span_id that resolves to a recorded span (exemplars
-from other sessions are skipped — a lifetime registry can outlive a
-trace session).
+With --trace TRACE.json the exported Chrome trace must parse, carry a
+top-level traceId and hold at least one event, and the exemplars are
+cross-checked against it: every exemplar stamped with the trace's
+session id must carry a span_id that resolves to a recorded span
+(exemplars from other sessions are skipped — a lifetime registry can
+outlive a trace session).
 
 With --paper-verdicts every report must be a paper-figure report
 (bench/fig*, bench/ext_*) whose rows uphold the figure's verdict in
@@ -386,7 +387,8 @@ def validate_bench_v1(path, doc):
 
 
 def load_trace_spans(path):
-    """Returns (trace_id, set of span_ids) from a Chrome trace export."""
+    """Returns (trace_id, set of span_ids, event count) from a Chrome
+    trace export; fails on a trace without events."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             trace = json.load(f)
@@ -395,12 +397,15 @@ def load_trace_spans(path):
     trace_id = trace.get("traceId")
     if not isinstance(trace_id, int) or trace_id <= 0:
         fail(path, f"trace has no usable top-level traceId: {trace_id!r}")
+    events = trace.get("traceEvents")
+    if not isinstance(events, list) or not events:
+        fail(path, "trace has no events")
     span_ids = set()
-    for event in trace.get("traceEvents", []):
+    for event in events:
         span_id = event.get("args", {}).get("span_id")
         if isinstance(span_id, int) and span_id > 0:
             span_ids.add(span_id)
-    return trace_id, span_ids
+    return trace_id, span_ids, len(events)
 
 
 def iter_histograms(doc):
@@ -806,7 +811,8 @@ def validate_file(path, args, trace):
     if trace is not None:
         resolved, skipped = check_exemplars_against_trace(
             path, doc, trace[0], trace[1])
-        detail += f"; {resolved} exemplar(s) resolved in trace"
+        detail += (f"; {resolved} exemplar(s) resolved in trace "
+                   f"({trace[2]} events)")
         if skipped:
             detail += f", {skipped} from other sessions skipped"
         if args.require_exemplars and resolved == 0:

@@ -10,26 +10,16 @@ const char* SiteName(Site site) {
       return "device-alloc";
     case Site::kTransferH2D:
       return "transfer-h2d";
-    case Site::kTransferD2H:
-      return "transfer-d2h";
     case Site::kKernel:
       return "kernel";
   }
   return "unknown";
 }
 
-FaultConfig FaultConfig::Uniform(double probability, std::uint64_t seed) {
-  FaultConfig config;
-  config.seed = seed;
-  for (SitePolicy& policy : config.sites) policy.probability = probability;
-  return config;
-}
-
 FaultConfig FaultConfig::Transfers(double probability, std::uint64_t seed) {
   FaultConfig config;
   config.seed = seed;
   config.site(Site::kTransferH2D).probability = probability;
-  config.site(Site::kTransferD2H).probability = probability;
   return config;
 }
 
@@ -68,8 +58,6 @@ Status FaultInjector::ErrorFor(Site site) {
       return Status::DeviceOom("injected device allocation failure");
     case Site::kTransferH2D:
       return Status::TransferFailure("injected H2D transfer fault");
-    case Site::kTransferD2H:
-      return Status::TransferFailure("injected D2H transfer fault");
     case Site::kKernel:
       return Status::KernelFailure("injected kernel execution fault");
   }

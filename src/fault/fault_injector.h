@@ -12,15 +12,16 @@ namespace hbtree::fault {
 
 /// Device-side operations that can be made to fail. The sites mirror the
 /// failure modes a real CUDA deployment survives: allocation (OOM /
-/// fragmentation), H2D and D2H transfers (bus faults, ECC retries), and
-/// kernel execution (launch failures, preemption timeouts).
+/// fragmentation), H2D transfers (bus faults, ECC retries), and kernel
+/// execution (launch failures, preemption timeouts). No D2H site exists:
+/// kernels store their results into host-mapped memory as they run, so a
+/// lost result is a kernel fault and its retry rewrites every result.
 enum class Site : int {
   kDeviceAlloc = 0,
   kTransferH2D = 1,
-  kTransferD2H = 2,
-  kKernel = 3,
+  kKernel = 2,
 };
-inline constexpr int kSiteCount = 4;
+inline constexpr int kSiteCount = 3;
 
 const char* SiteName(Site site);
 
@@ -55,10 +56,8 @@ struct FaultConfig {
     return false;
   }
 
-  /// Convenience: the same probability on every site.
-  static FaultConfig Uniform(double probability, std::uint64_t seed);
-  /// Convenience: probability on the transfer sites only (the fault class
-  /// the retry/backoff policy targets).
+  /// Convenience: probability on the H2D transfer site only (the fault
+  /// class the retry/backoff policy targets).
   static FaultConfig Transfers(double probability, std::uint64_t seed);
 };
 

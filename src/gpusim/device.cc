@@ -181,18 +181,6 @@ double TransferEngine::CopyToDevice(DevicePtr dst, const void* src,
   return HostToDeviceUs(bytes);
 }
 
-double TransferEngine::CopyToHost(void* dst, DevicePtr src,
-                                  std::size_t bytes) {
-  std::memcpy(dst, device_->HostView(src), bytes);
-  bytes_d2h_.fetch_add(bytes, std::memory_order_relaxed);
-  transfers_.fetch_add(1, std::memory_order_relaxed);
-  if (const Device::DeviceMetrics* m = device_->metrics()) {
-    m->bytes_d2h->Add(bytes);
-    m->transfers->Increment();
-  }
-  return DeviceToHostUs(bytes);
-}
-
 Status TransferEngine::TryCopyToDevice(DevicePtr dst, const void* src,
                                        std::size_t bytes, double* us) {
   fault::FaultInjector* injector = device_->fault_injector();
@@ -202,24 +190,6 @@ Status TransferEngine::TryCopyToDevice(DevicePtr dst, const void* src,
   const double t = CopyToDevice(dst, src, bytes);
   if (us != nullptr) *us = t;
   return Status::Ok();
-}
-
-Status TransferEngine::TryCopyToHost(void* dst, DevicePtr src,
-                                     std::size_t bytes, double* us) {
-  fault::FaultInjector* injector = device_->fault_injector();
-  if (injector != nullptr) {
-    HBTREE_RETURN_IF_ERROR(injector->Check(fault::Site::kTransferD2H));
-  }
-  const double t = CopyToHost(dst, src, bytes);
-  if (us != nullptr) *us = t;
-  return Status::Ok();
-}
-
-double TransferEngine::CopyOnDevice(DevicePtr dst, DevicePtr src,
-                                    std::size_t bytes) {
-  std::memmove(device_->HostView(dst), device_->HostView(src), bytes);
-  // Device-local copies move at device bandwidth (read + write).
-  return bytes * 2.0 / (device_->spec().memory_bandwidth_gbps * 1e3);
 }
 
 double TransferEngine::StreamedCopyToDevice(DevicePtr dst, const void* src,
@@ -243,11 +213,6 @@ double TransferEngine::StreamedHostToDeviceUs(std::size_t bytes) const {
 double TransferEngine::HostToDeviceUs(std::size_t bytes) const {
   return pcie_.transfer_init_us +
          static_cast<double>(bytes) / (pcie_.bandwidth_h2d_gbps * 1e3);
-}
-
-double TransferEngine::DeviceToHostUs(std::size_t bytes) const {
-  return pcie_.transfer_init_us +
-         static_cast<double>(bytes) / (pcie_.bandwidth_d2h_gbps * 1e3);
 }
 
 }  // namespace hbtree::gpu

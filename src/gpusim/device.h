@@ -223,9 +223,12 @@ class ScopedDeviceAlloc {
   DevicePtr ptr_;
 };
 
-/// Host<->device transfer engine. Copies are functional (the data really
+/// Host -> device transfer engine. Copies are functional (the data really
 /// moves, so results are verifiable); the returned times follow the
 /// paper's own transfer model T = T_init + bytes / Bandwidth (Section 5.4).
+/// Nothing is ever copied device -> host: kernels store their results
+/// into host-mapped memory (MemoryKind::kHostMapped), and the host reads
+/// a device buffer in place through Device::HostView.
 ///
 /// Thread-safe: copies into distinct allocations proceed concurrently
 /// (memcpy into disjoint buffers); the byte/transfer counters are relaxed
@@ -236,23 +239,16 @@ class TransferEngine {
 
   /// Copies host → device; returns the modelled transfer time in µs.
   double CopyToDevice(DevicePtr dst, const void* src, std::size_t bytes);
-  /// Copies device → host; returns the modelled transfer time in µs.
-  double CopyToHost(void* dst, DevicePtr src, std::size_t bytes);
 
-  /// Fault-aware copies: consult the device's armed injector before
+  /// Fault-aware copy: consults the device's armed injector before
   /// moving data. On an injected fault nothing is copied and a typed
   /// transient Status is returned; on success `*us` (optional) receives
-  /// the modelled transfer time. With no injector armed these are
-  /// identical to the unconditional copies above.
+  /// the modelled transfer time. With no injector armed this is
+  /// identical to CopyToDevice.
   Status TryCopyToDevice(DevicePtr dst, const void* src, std::size_t bytes,
                          double* us = nullptr);
-  Status TryCopyToHost(void* dst, DevicePtr src, std::size_t bytes,
-                       double* us = nullptr);
-  /// Copies device → device (same GPU); charged at device bandwidth.
-  double CopyOnDevice(DevicePtr dst, DevicePtr src, std::size_t bytes);
 
   double HostToDeviceUs(std::size_t bytes) const;
-  double DeviceToHostUs(std::size_t bytes) const;
   const sim::PcieSpec& pcie() const { return pcie_; }
   /// Modelled cost of one streamed (queued) H2D transfer of `bytes`,
   /// without performing it — planning input for the delta-vs-full
@@ -268,13 +264,10 @@ class TransferEngine {
   std::uint64_t bytes_h2d() const {
     return bytes_h2d_.load(std::memory_order_relaxed);
   }
-  /// Bytes the link carried device -> host: this engine's copies plus
-  /// every kernel store into the device's host-mapped memory (each owner
-  /// here pairs one engine with one device).
-  std::uint64_t bytes_d2h() const {
-    return bytes_d2h_.load(std::memory_order_relaxed) +
-           device_->mapped_store_bytes();
-  }
+  /// Bytes the link carried device -> host: every kernel store into the
+  /// device's host-mapped memory (each owner here pairs one engine with
+  /// one device).
+  std::uint64_t bytes_d2h() const { return device_->mapped_store_bytes(); }
   std::uint64_t transfers() const {
     return transfers_.load(std::memory_order_relaxed);
   }
@@ -283,7 +276,6 @@ class TransferEngine {
   Device* device_;
   sim::PcieSpec pcie_;
   std::atomic<std::uint64_t> bytes_h2d_{0};
-  std::atomic<std::uint64_t> bytes_d2h_{0};
   std::atomic<std::uint64_t> transfers_{0};
 };
 

@@ -24,7 +24,6 @@ struct KernelStats {
   std::uint64_t mapped_bytes = 0;
   std::uint64_t shared_accesses = 0;
   std::uint64_t shared_bank_conflicts = 0;
-  std::uint64_t divergent_branches = 0;
 
   /// Level-wise dispatch accounting (DESIGN.md §14), indexed by tree
   /// level: `node_loads_by_level[l]` counts the inner nodes the launch
@@ -45,7 +44,6 @@ struct KernelStats {
     mapped_bytes += other.mapped_bytes;
     shared_accesses += other.shared_accesses;
     shared_bank_conflicts += other.shared_bank_conflicts;
-    divergent_branches += other.divergent_branches;
     MergeLevels(&node_loads_by_level, other.node_loads_by_level);
     MergeLevels(&node_queries_by_level, other.node_queries_by_level);
     return *this;
@@ -76,7 +74,6 @@ struct KernelStats {
 ///  * `SharedAccess` — shared memory with 32-bank conflict modelling.
 ///  * `Instruction` — warp-wide instruction issue (the compute side of the
 ///    cost model).
-///  * `DivergentBranch` — a warp fork that serializes both paths.
 class WarpScope {
  public:
   static constexpr int kWarpSize = 32;
@@ -143,15 +140,6 @@ class WarpScope {
   /// `count` warp-wide ALU/control instructions.
   void Instruction(int count = 1) {
     stats_->warp_instructions += static_cast<std::uint64_t>(count);
-  }
-
-  /// A data-dependent branch where `paths` distinct code paths are taken
-  /// within the warp; the hardware serializes them (Appendix C).
-  void DivergentBranch(int paths) {
-    if (paths > 1) {
-      stats_->divergent_branches += 1;
-      stats_->warp_instructions += static_cast<std::uint64_t>(paths - 1);
-    }
   }
 
   Device* device() { return device_; }

@@ -74,10 +74,6 @@ struct BatchUpdateStats {
   double update_us = 0;  // modelled tree-update time
   double sync_us = 0;    // modelled I-segment synchronization time
   double total_us = 0;   // method-dependent combination
-
-  double UpdatesPerUs() const {
-    return total_us > 0 ? queries / total_us : 0;
-  }
 };
 
 /// Executes `batch` against the tree with the chosen method. The host
@@ -235,6 +231,16 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
         K cached_bound{};
         for (std::size_t i = lo; i < hi; ++i) {
           const auto& update = batch[order[i]];
+          // Ops on one key keep their batch order: once one is deferred
+          // to the single-threaded pass, the ones after it (adjacent in
+          // the sorted slice) are deferred behind it, or an insert
+          // deferred for a split would land after the delete that
+          // followed it.
+          if (!deferred[w].empty() &&
+              deferred[w].back()->pair.key == update.pair.key) {
+            deferred[w].push_back(&update);
+            continue;
+          }
           const bool is_insert =
               update.kind == UpdateQuery<K>::Kind::kInsert;
           // Descent reuse is safe here because every structural query is
@@ -333,6 +339,13 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
   return sync_status;
 }
 
+/// Unwraps the Status of a mirror sync that cannot fail: without an armed
+/// fault injector, sync failures are unreachable (see CheckPipelineOk).
+inline void CheckMirrorSyncOk(const Status& status) {
+  HBTREE_CHECK_MSG(status.ok(), "device mirror sync failed: %s",
+                   status.message().c_str());
+}
+
 /// Aborting convenience wrapper with the original signature.
 template <typename K>
 BatchUpdateStats RunBatchUpdate(HBRegularTree<K>& tree,
@@ -340,11 +353,7 @@ BatchUpdateStats RunBatchUpdate(HBRegularTree<K>& tree,
                                 UpdateMethod method,
                                 const BatchUpdateConfig& config) {
   BatchUpdateStats stats;
-  const Status status =
-      TryRunBatchUpdate(tree, batch, method, config, &stats);
-  // Unreachable without an armed fault injector (see CheckPipelineOk).
-  HBTREE_CHECK_MSG(status.ok(), "batch update device sync failed: %s",
-                   status.message().c_str());
+  CheckMirrorSyncOk(TryRunBatchUpdate(tree, batch, method, config, &stats));
   return stats;
 }
 
@@ -395,7 +404,11 @@ MixedWorkloadStats RunMixedWorkload(HBRegularTree<K>& tree,
       }
       modified_count += local.size();
       if (method == UpdateMethod::kSynchronized) {
-        for (const auto& node : local) sync_us += tree.SyncNode(node);
+        for (const auto& node : local) {
+          double node_us = 0;
+          CheckMirrorSyncOk(tree.TrySyncNode(node, &node_us));
+          sync_us += node_us;
+        }
       }
       ++stats.updates;
     } else if (search_next < search_queries.size()) {
@@ -405,7 +418,7 @@ MixedWorkloadStats RunMixedWorkload(HBRegularTree<K>& tree,
   }
   stats.modified_nodes = modified_count;
   if (method != UpdateMethod::kSynchronized) {
-    sync_us = tree.SyncISegment();
+    CheckMirrorSyncOk(tree.TrySyncISegment(&sync_us));
   }
 
   // Every operation pays the mutex/synchronization overhead the paper

@@ -9,6 +9,7 @@
 
 #include "core/macros.h"
 #include "core/status.h"
+#include "core/trace.h"
 #include "core/types.h"
 #include "fault/fault_injector.h"
 #include "fault/retry.h"
@@ -88,10 +89,10 @@ struct PipelineConfig {
   int trace_track_base = 0;
 
   /// Per-level traffic attribution sink (DESIGN.md Section 13). When set,
-  /// the CPU-side stages (pre-descent, leaf search) run with a heat
-  /// tracer under the sink's mutex, taken once per stage loop. Null (the
-  /// default, and always null when heat is compiled out) keeps the
-  /// untraced fast path.
+  /// the CPU-side stages (pre-descent, leaf search or range scan) run
+  /// with a heat tracer under the sink's mutex, taken once per stage
+  /// loop. Null (the default, and always null when heat is compiled out)
+  /// runs them with a NullTracer, which compiles away.
   obs::PipelineHeat* heat = nullptr;
 };
 
@@ -113,10 +114,6 @@ struct PipelineStats {
   double gpu_busy_us = 0;
   double cpu_busy_us = 0;
   double pcie_busy_us = 0;
-  /// Average kernel and CPU time per bucket — the discovery algorithm's
-  /// getSample() observables (Algorithm 1).
-  double sample_gpu_us = 0;
-  double sample_cpu_us = 0;
   // Fault-handling outcome (nonzero only with an armed injector).
   std::uint64_t transfer_retries = 0;
   std::uint64_t kernel_retries = 0;
@@ -276,31 +273,21 @@ class Scheduler {
   std::vector<double> ends_;
 };
 
-/// Forwards a stage's heat tracer into the host tree when its traversal
-/// entry point accepts one; trees without a traced overload silently run
-/// untraced (their traffic shows up only in the modelled stage times).
-template <typename Adapter, typename Tree, typename K, typename Tracer>
-std::uint64_t DescendTraced(const Tree& tree, K query, int depth,
-                            Tracer* tracer) {
-  if constexpr (requires {
-                  tree.host_tree().DescendLevels(query, depth, tracer);
-                }) {
-    return tree.host_tree().DescendLevels(query, depth, tracer);
-  } else {
-    return Adapter::Descend(tree, query, depth);
-  }
-}
-
 /// Tree-variant adapters: how to pre-descend on the CPU, launch the GPU
-/// kernel, and finish a query from its intermediate result.
+/// kernel, and finish a query (or, for the B+-trees, start its range
+/// scan) from its result word. Every host step takes the stage's tracer:
+/// a heat tracer, or a NullTracer that compiles away (RunStage picks one
+/// per stage loop).
 template <typename K>
 struct ImplicitAdapter {
   using Tree = HBImplicitTree<K>;
 
   static int Height(const Tree& tree) { return tree.host_tree().height(); }
 
-  static std::uint64_t Descend(const Tree& tree, K query, int depth) {
-    return tree.host_tree().DescendLevels(query, depth);
+  template <typename Tracer>
+  static std::uint64_t Descend(const Tree& tree, K query, int depth,
+                               Tracer* tracer) {
+    return tree.host_tree().DescendLevels(query, depth, tracer);
   }
 
   static gpu::KernelStats Launch(Tree& tree, gpu::DevicePtr queries,
@@ -312,22 +299,17 @@ struct ImplicitAdapter {
     return RunImplicitInnerSearch<K>(tree.device(), params);
   }
 
-  static LookupResult<K> Finish(const Tree& tree, ResultWord intermediate,
-                                K query) {
-    return tree.host_tree().SearchLeafLine(intermediate, query);
+  template <typename Tracer>
+  static LookupResult<K> Finish(const Tree& tree, ResultWord word, K query,
+                                Tracer* tracer) {
+    return tree.host_tree().SearchLeafLine(word, query, tracer);
   }
 
   template <typename Tracer>
-  static LookupResult<K> Finish(const Tree& tree, ResultWord intermediate,
-                                K query, Tracer* tracer) {
-    if constexpr (requires {
-                    tree.host_tree().SearchLeafLine(intermediate, query,
-                                                    tracer);
-                  }) {
-      return tree.host_tree().SearchLeafLine(intermediate, query, tracer);
-    } else {
-      return Finish(tree, intermediate, query);
-    }
+  static int Scan(const Tree& tree, ResultWord word, K first_key,
+                  int max_matches, KeyValue<K>* out, Tracer* tracer) {
+    return tree.host_tree().ScanLeaves(word, first_key, max_matches, out,
+                                       tracer);
   }
 };
 
@@ -337,8 +319,10 @@ struct RegularAdapter {
 
   static int Height(const Tree& tree) { return tree.host_tree().height(); }
 
-  static std::uint64_t Descend(const Tree& tree, K query, int depth) {
-    return tree.host_tree().DescendLevels(query, depth);
+  template <typename Tracer>
+  static std::uint64_t Descend(const Tree& tree, K query, int depth,
+                               Tracer* tracer) {
+    return tree.host_tree().DescendLevels(query, depth, tracer);
   }
 
   static gpu::KernelStats Launch(Tree& tree, gpu::DevicePtr queries,
@@ -350,31 +334,37 @@ struct RegularAdapter {
     return RunRegularInnerSearch<K>(tree.device(), params);
   }
 
-  static LookupResult<K> Finish(const Tree& tree, ResultWord intermediate,
-                                K query) {
-    typename RegularBTree<K>::LeafPosition pos{UnpackLeafNode(intermediate),
-                                               UnpackLeafLine(intermediate)};
-    return tree.host_tree().SearchLeafLine(pos, query);
+  /// The regular kernel's result word: (last-inner node, leaf line).
+  static typename RegularBTree<K>::LeafPosition Position(ResultWord word) {
+    return {UnpackLeafNode(word), UnpackLeafLine(word)};
   }
 
   template <typename Tracer>
-  static LookupResult<K> Finish(const Tree& tree, ResultWord intermediate,
-                                K query, Tracer* tracer) {
-    typename RegularBTree<K>::LeafPosition pos{UnpackLeafNode(intermediate),
-                                               UnpackLeafLine(intermediate)};
-    return tree.host_tree().SearchLeafLine(pos, query, tracer);
+  static LookupResult<K> Finish(const Tree& tree, ResultWord word, K query,
+                                Tracer* tracer) {
+    return tree.host_tree().SearchLeafLine(Position(word), query, tracer);
+  }
+
+  template <typename Tracer>
+  static int Scan(const Tree& tree, ResultWord word, K first_key,
+                  int max_matches, KeyValue<K>* out, Tracer* tracer) {
+    return tree.host_tree().ScanLeaves(Position(word), first_key,
+                                       max_matches, out, tracer);
   }
 };
 
 template <typename K>
 struct FastAdapter {
   using Tree = HBFastTree<K>;
+
   static int Height(const Tree& tree) {
     return tree.host_tree().block_levels();
   }
 
-  static std::uint64_t Descend(const Tree& tree, K query, int depth) {
-    return tree.host_tree().DescendBlocks(query, depth);
+  template <typename Tracer>
+  static std::uint64_t Descend(const Tree& tree, K query, int depth,
+                               Tracer* tracer) {
+    return tree.host_tree().DescendBlocks(query, depth, tracer);
   }
 
   static gpu::KernelStats Launch(Tree& tree, gpu::DevicePtr queries,
@@ -386,31 +376,38 @@ struct FastAdapter {
     return RunFastSearch<K>(tree.device(), params);
   }
 
-  static LookupResult<K> Finish(const Tree& tree, ResultWord intermediate,
-                                K query) {
-    return tree.host_tree().VerifyAt(intermediate, query);
-  }
-
   template <typename Tracer>
-  static LookupResult<K> Finish(const Tree& tree, ResultWord intermediate,
-                                K query, Tracer* tracer) {
-    if constexpr (requires {
-                    tree.host_tree().VerifyAt(intermediate, query, tracer);
-                  }) {
-      return tree.host_tree().VerifyAt(intermediate, query, tracer);
-    } else {
-      return Finish(tree, intermediate, query);
-    }
+  static LookupResult<K> Finish(const Tree& tree, ResultWord word, K query,
+                                Tracer* tracer) {
+    return tree.host_tree().VerifyAt(word, query, tracer);
   }
 };
 
+/// A heat sink's tracer for one CPU-side stage of the bucket loop.
+using HeatStage = obs::LevelHeatTracer obs::PipelineHeat::*;
+
+/// Runs one CPU stage loop, `loop(tracer)`: with the sink's `stage`
+/// tracer under the sink's mutex, or with a NullTracer when the run has
+/// no heat sink. The tracer is chosen once per loop, not once per query.
+template <typename Loop>
+void RunStage(obs::PipelineHeat* heat, HeatStage stage, Loop&& loop) {
+  if (heat == nullptr) {
+    NullTracer untraced;
+    loop(&untraced);
+    return;
+  }
+  std::lock_guard<std::mutex> lock(heat->mu);
+  loop(&(heat->*stage));
+}
+
 /// The bucket loop every pipeline run shares (Section 5.4): per bucket of
 /// M keys, an optional key sort and CPU pre-descent, T1 upload, T2 kernel,
-/// then T4 = `finish(i, intermediate, key)` for every key, where i indexes
+/// then T4 = `finish(i, word, key, tracer)` for every key, where i indexes
 /// `queries` in the caller's order. The kernel stores each result word
 /// straight into host-mapped memory, where T4 reads it in place: the
 /// result stream (T3) runs inside T2 and no bucket waits on a download.
-/// With a heat sink, T4 runs under the sink's mutex.
+/// With a heat sink, the pre-descent traces into its `pre_descend` stage
+/// and T4 into the caller's `t4_stage`, each under the sink's mutex.
 ///
 /// `sort` allows staging buckets in key order so the kernel's run dedup
 /// fires, at `sort_us_per_query` on the CPU side. A one-bucket run sorts.
@@ -423,7 +420,7 @@ struct FastAdapter {
 template <typename K, typename Adapter, typename Finish>
 Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
                           std::size_t count, const PipelineConfig& config,
-                          bool sort, Finish&& finish,
+                          bool sort, HeatStage t4_stage, Finish&& finish,
                           PipelineStats* stats_out) {
   gpu::Device& device = tree.device();
   gpu::TransferEngine& transfer = tree.transfer();
@@ -487,7 +484,7 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
     // collapse, and the memo resets at every bucket boundary below.
     std::lock_guard<std::mutex> lock(config.heat->mu);
     config.heat->pre_descend.set_collapse_repeats(true);
-    config.heat->cpu_leaf.set_collapse_repeats(true);
+    (config.heat->*t4_stage).set_collapse_repeats(true);
   }
 
   for (std::size_t base = 0; base < count; base += m) {
@@ -503,7 +500,7 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
     if (sort && config.heat != nullptr) {
       std::lock_guard<std::mutex> lock(config.heat->mu);
       config.heat->pre_descend.ResetRepeatMemo();
-      config.heat->cpu_leaf.ResetRepeatMemo();
+      (config.heat->*t4_stage).ResetRepeatMemo();
     }
 
     // -- Sorted dispatch: stage this bucket in sorted key order so
@@ -537,21 +534,14 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
         if (depth < static_cast<int>(table.size())) return table[depth];
         return depth * config.cpu_descend_us_per_level;
       };
-      if (config.heat != nullptr) {
-        std::lock_guard<std::mutex> lock(config.heat->mu);
-        for (std::uint32_t i = 0; i < n; ++i) {
-          const int depth = i < part1 ? d_levels : d_levels + 1;
-          start_nodes[i] = static_cast<std::uint32_t>(
-              DescendTraced<Adapter>(tree, bq[i], depth,
-                                     &config.heat->pre_descend));
-        }
-      } else {
-        for (std::uint32_t i = 0; i < n; ++i) {
-          const int depth = i < part1 ? d_levels : d_levels + 1;
-          start_nodes[i] = static_cast<std::uint32_t>(
-              Adapter::Descend(tree, bq[i], depth));
-        }
-      }
+      RunStage(config.heat, &obs::PipelineHeat::pre_descend,
+               [&](auto* tracer) {
+                 for (std::uint32_t i = 0; i < n; ++i) {
+                   const int depth = i < part1 ? d_levels : d_levels + 1;
+                   start_nodes[i] = static_cast<std::uint32_t>(
+                       Adapter::Descend(tree, bq[i], depth, tracer));
+                 }
+               });
       tpre = part1 * descend_cost(d_levels) +
              (n - part1) * descend_cost(d_levels + 1);
     }
@@ -645,15 +635,12 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
     // -- T4: the caller's per-key finish, reading the result words in
     // place (they map back through the sort permutation when the bucket
     // was sorted). -------------------------------------------------------
-    {
-      std::unique_lock<std::mutex> heat_lock;
-      if (config.heat != nullptr) {
-        heat_lock = std::unique_lock<std::mutex>(config.heat->mu);
-      }
+    RunStage(config.heat, t4_stage, [&](auto* tracer) {
       for (std::uint32_t i = 0; i < n; ++i) {
-        finish(base + (sorted ? order[i] : i), result_words[i], bq[i]);
+        finish(base + (sorted ? order[i] : i), result_words[i], bq[i],
+               tracer);
       }
-    }
+    });
     const double t4 = n / config.cpu_queries_per_us;
     if (probing && b < 2) {
       const double period =
@@ -698,8 +685,6 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
     stats.t2_us += t2;
     stats.t3_us += t3;
     stats.t4_us += t4 + tpre;
-    stats.sample_gpu_us += t2;
-    stats.sample_cpu_us += t4 + tpre;
   }
 
   stats.queries = count;
@@ -712,8 +697,6 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
     stats.t2_us /= nb;
     stats.t3_us /= nb;
     stats.t4_us /= nb;
-    stats.sample_gpu_us /= nb;
-    stats.sample_cpu_us /= nb;
   }
   stats.gpu_busy_us = scheduler.gpu_busy();
   stats.cpu_busy_us = scheduler.cpu_busy();
@@ -721,7 +704,8 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
   return Status::Ok();
 }
 
-/// Point lookups through the shared loop: T4 is the leaf search.
+/// Point lookups through the shared loop: T4 is the leaf search, traced
+/// as the `cpu_leaf` stage.
 template <typename K, typename Adapter>
 Status RunLookupsChecked(typename Adapter::Tree& tree, const K* queries,
                          std::size_t count, const PipelineConfig& config,
@@ -729,13 +713,9 @@ Status RunLookupsChecked(typename Adapter::Tree& tree, const K* queries,
                          PipelineStats* stats) {
   if (results != nullptr) results->resize(count);
   return RunPipelineChecked<K, Adapter>(
-      tree, queries, count, config, sort,
-      [&](std::size_t i, ResultWord intermediate, K query) {
-        const LookupResult<K> r =
-            config.heat != nullptr
-                ? Adapter::Finish(tree, intermediate, query,
-                                  &config.heat->cpu_leaf)
-                : Adapter::Finish(tree, intermediate, query);
+      tree, queries, count, config, sort, &obs::PipelineHeat::cpu_leaf,
+      [&](std::size_t i, ResultWord word, K query, auto* tracer) {
+        const LookupResult<K> r = Adapter::Finish(tree, word, query, tracer);
         if (results != nullptr) (*results)[i] = r;
       },
       stats);

@@ -27,10 +27,12 @@ namespace hbtree {
 /// indices without translation. Cold fragments and big leaves stay on the
 /// CPU only.
 ///
-/// Synchronization (Section 5.6) offers the paper's two granularities:
-///  * SyncNode — one hot fragment per modified node (the synchronous
+/// Synchronization (Section 5.6) offers the paper's two granularities,
+/// both fault-aware:
+///  * TrySyncNode — one hot fragment per modified node (the synchronous
 ///    method's unit of transfer);
-///  * SyncISegment — the whole mirror at once (the asynchronous method).
+///  * TrySyncISegment — the mirror at once (the asynchronous method),
+///    streaming only the dirty fragments when that is cheaper.
 template <typename K>
 class HBRegularTree {
  public:
@@ -75,32 +77,14 @@ class HBRegularTree {
     return TryBuild(sorted_pairs).ok();
   }
 
-  /// Copies one modified node's hot fragment to the device; returns the
-  /// modelled transfer time in µs. Grows the device arrays first if the
-  /// node lies beyond them (rare; costed as a full sync).
-  double SyncNode(const ModifiedNode& node) {
-    if (node.ref >= (node.last_level ? last_capacity_ : inner_capacity_)) {
-      return ReallocAndSyncTimed();
-    }
-    const Hot& hot = node.last_level ? host_tree_.last_hot(node.ref)
-                                     : host_tree_.inner_hot(node.ref);
-    gpu::DevicePtr dst =
-        (node.last_level ? device_last_ : device_inner_) +
-        static_cast<std::uint64_t>(node.ref) * sizeof(Hot);
-    sync_epoch_.fetch_add(1, std::memory_order_relaxed);
-    return transfer_->StreamedCopyToDevice(dst, &hot, sizeof(Hot));
-  }
-
-  /// Re-uploads the whole I-segment (both pools); returns the modelled
-  /// transfer time in µs.
-  double SyncISegment() { return ReallocAndSyncTimed(); }
-
-  /// Fault-aware node sync. On an injected transfer fault nothing is
-  /// copied, the mirror is marked stale (mirror_valid() == false — the
-  /// host node changed but the device copy did not) and a transient
-  /// Status is returned. On success `*us` (optional) receives the
-  /// modelled transfer time; a node-granular success does NOT restore a
-  /// mirror already marked stale.
+  /// Copies one modified node's hot fragment to the device. A node beyond
+  /// the device arrays (rare) grows them through TrySyncISegment, costed
+  /// as a full upload. On an injected transfer fault nothing is copied,
+  /// the mirror is marked stale (mirror_valid() == false — the host node
+  /// changed but the device copy did not) and a transient Status is
+  /// returned. On success `*us` (optional) receives the modelled transfer
+  /// time in µs; a node-granular success does NOT restore a mirror
+  /// already marked stale.
   Status TrySyncNode(const ModifiedNode& node, double* us = nullptr) {
     if (node.ref >= (node.last_level ? last_capacity_ : inner_capacity_)) {
       return TrySyncISegment(us);
@@ -248,8 +232,6 @@ class HBRegularTree {
     inner_capacity_ = last_capacity_ = 0;
   }
 
-  bool ReallocAndSync() { return TryReallocAndSync().ok(); }
-
   Status TryReallocAndSync() {
     const std::size_t need_inner = host_tree_.inner_pool().high_water();
     const std::size_t need_last = host_tree_.leaf_pool().high_water();
@@ -300,12 +282,6 @@ class HBRegularTree {
     sync_epoch_.fetch_add(1, std::memory_order_relaxed);
     mirror_valid_.store(true, std::memory_order_relaxed);
     return Status::Ok();
-  }
-
-  double ReallocAndSyncTimed() {
-    HBTREE_CHECK(ReallocAndSync());
-    // One bulk transfer of the live I-segment.
-    return transfer_->HostToDeviceUs(i_segment_bytes());
   }
 
   /// Chunk-wise copy of both pools' hot fragments into the device arrays.

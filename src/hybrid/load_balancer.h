@@ -23,7 +23,7 @@ struct LoadBalanceSetting {
 /// (0, 1): the search would otherwise start at R = 1/2 and, after four
 /// +-1/2^k steps, could never return to R = 1. `getSample` is realized by
 /// running the pipeline over `sample_queries` and reading the average
-/// per-bucket GPU and CPU times.
+/// per-bucket GPU and CPU times (PipelineStats::t2_us and t4_us).
 ///
 /// `base` must carry the platform-derived CPU rates
 /// (cpu_queries_per_us, cpu_descend_us_per_level); buckets_in_flight is
@@ -59,12 +59,12 @@ LoadBalanceSetting DiscoverLoadBalance(HB& tree, const K* sample_queries,
   setting.d = 0;
   setting.r = 1.0;
   PipelineStats sample = get_sample(setting.d, setting.r);
-  if (sample.sample_gpu_us <= sample.sample_cpu_us) {
-    setting.sample_gpu_us = sample.sample_gpu_us;
-    setting.sample_cpu_us = sample.sample_cpu_us;
+  if (sample.t2_us <= sample.t4_us) {
+    setting.sample_gpu_us = sample.t2_us;
+    setting.sample_cpu_us = sample.t4_us;
     return setting;
   }
-  while (sample.sample_gpu_us > sample.sample_cpu_us && setting.d < max_d) {
+  while (sample.t2_us > sample.t4_us && setting.d < max_d) {
     ++setting.d;
     sample = get_sample(setting.d, setting.r);
   }
@@ -75,7 +75,7 @@ LoadBalanceSetting DiscoverLoadBalance(HB& tree, const K* sample_queries,
     // CPU, so a *smaller* R moves work to the CPU. (The paper's text and
     // its Equation 4 use opposite conventions for R; we follow the text
     // and adjust the update direction accordingly.)
-    if (sample.sample_gpu_us > sample.sample_cpu_us) {
+    if (sample.t2_us > sample.t4_us) {
       setting.r -= 1.0 / (1 << step);
     } else {
       setting.r += 1.0 / (1 << step);
@@ -88,8 +88,8 @@ LoadBalanceSetting DiscoverLoadBalance(HB& tree, const K* sample_queries,
   // would misreport what was discovered).
   setting.d = std::clamp(setting.d, 0, max_d);
   setting.r = std::clamp(setting.r, 0.0, 1.0);
-  setting.sample_gpu_us = sample.sample_gpu_us;
-  setting.sample_cpu_us = sample.sample_cpu_us;
+  setting.sample_gpu_us = sample.t2_us;
+  setting.sample_cpu_us = sample.t4_us;
   return setting;
 }
 

@@ -22,58 +22,11 @@ namespace hbtree {
 
 namespace range_internal {
 
-template <typename K>
-struct ImplicitRangeAdapter {
-  using Tree = HBImplicitTree<K>;
-  using Base = pipeline_internal::ImplicitAdapter<K>;
-
-  static int Scan(const Tree& tree, ResultWord intermediate, K first_key,
-                  int max_matches, KeyValue<K>* out) {
-    return tree.host_tree().ScanLeaves(intermediate, first_key, max_matches,
-                                       out);
-  }
-
-  template <typename Tracer>
-  static int Scan(const Tree& tree, ResultWord intermediate, K first_key,
-                  int max_matches, KeyValue<K>* out, Tracer* tracer) {
-    if constexpr (requires {
-                    tree.host_tree().ScanLeaves(intermediate, first_key,
-                                                max_matches, out, tracer);
-                  }) {
-      return tree.host_tree().ScanLeaves(intermediate, first_key, max_matches,
-                                         out, tracer);
-    } else {
-      return Scan(tree, intermediate, first_key, max_matches, out);
-    }
-  }
-};
-
-template <typename K>
-struct RegularRangeAdapter {
-  using Tree = HBRegularTree<K>;
-  using Base = pipeline_internal::RegularAdapter<K>;
-
-  static int Scan(const Tree& tree, ResultWord intermediate, K first_key,
-                  int max_matches, KeyValue<K>* out) {
-    typename RegularBTree<K>::LeafPosition pos{UnpackLeafNode(intermediate),
-                                               UnpackLeafLine(intermediate)};
-    return tree.host_tree().ScanLeaves(pos, first_key, max_matches, out);
-  }
-
-  template <typename Tracer>
-  static int Scan(const Tree& tree, ResultWord intermediate, K first_key,
-                  int max_matches, KeyValue<K>* out, Tracer* tracer) {
-    typename RegularBTree<K>::LeafPosition pos{UnpackLeafNode(intermediate),
-                                               UnpackLeafLine(intermediate)};
-    return tree.host_tree().ScanLeaves(pos, first_key, max_matches, out,
-                                       tracer);
-  }
-};
-
-/// Range queries through the lookup pipeline's bucket loop: the kernel
-/// resolves each start key's position, T4 scans the leaf chain. Buckets
-/// stay unsorted and unsplit (no sort charge, no pre-descent), so every
-/// bucket's T1..T4 are those of a plain kernel launch over its start keys.
+/// Range queries through the lookup pipeline's bucket loop and adapters:
+/// the kernel resolves each start key's position, T4 scans the leaf
+/// chain, traced as the `scan` stage. Buckets stay unsorted and unsplit
+/// (no sort charge, no pre-descent), so every bucket's T1..T4 are those
+/// of a plain kernel launch over its start keys.
 template <typename K, typename Adapter>
 PipelineStats RunRange(typename Adapter::Tree& tree,
                        const RangeQuery<K>* queries, std::size_t count,
@@ -96,17 +49,15 @@ PipelineStats RunRange(typename Adapter::Tree& tree,
 
   PipelineStats stats;
   pipeline_internal::CheckPipelineOk(
-      pipeline_internal::RunPipelineChecked<K, typename Adapter::Base>(
+      pipeline_internal::RunPipelineChecked<K, Adapter>(
           tree, first_keys.data(), count, unsplit, /*sort=*/false,
-          [&](std::size_t i, ResultWord intermediate, K first_key) {
+          &obs::PipelineHeat::scan,
+          [&](std::size_t i, ResultWord word, K first_key, auto* tracer) {
             const int want = std::min(max_matches, queries[i].match_count);
             KeyValue<K>* out =
                 pairs != nullptr ? pairs->data() + i * stride : scratch.data();
             const int got =
-                config.heat != nullptr
-                    ? Adapter::Scan(tree, intermediate, first_key, want, out,
-                                    &config.heat->scan)
-                    : Adapter::Scan(tree, intermediate, first_key, want, out);
+                Adapter::Scan(tree, word, first_key, want, out, tracer);
             if (counts != nullptr) (*counts)[i] = got;
           },
           &stats));
@@ -126,7 +77,7 @@ PipelineStats RunRangePipeline(HBImplicitTree<K>& tree,
                                const PipelineConfig& config,
                                std::vector<KeyValue<K>>* pairs = nullptr,
                                std::vector<int>* counts = nullptr) {
-  return range_internal::RunRange<K, range_internal::ImplicitRangeAdapter<K>>(
+  return range_internal::RunRange<K, pipeline_internal::ImplicitAdapter<K>>(
       tree, queries, count, max_matches, config, pairs, counts);
 }
 
@@ -138,7 +89,7 @@ PipelineStats RunRangePipeline(HBRegularTree<K>& tree,
                                const PipelineConfig& config,
                                std::vector<KeyValue<K>>* pairs = nullptr,
                                std::vector<int>* counts = nullptr) {
-  return range_internal::RunRange<K, range_internal::RegularRangeAdapter<K>>(
+  return range_internal::RunRange<K, pipeline_internal::RegularAdapter<K>>(
       tree, queries, count, max_matches, config, pairs, counts);
 }
 

@@ -1187,29 +1187,13 @@ class Server {
     return result;
   }
 
-  void RecordLatency(obs::Histogram* histogram, Clock::time_point start) {
-    histogram->Record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             start)
-            .count()));
-  }
-
-  /// RecordLatency plus tail-exemplar capture: when tracing is compiled
-  /// in and the serving span has an identity, the sample carries a link
-  /// back to that span (p99+ buckets keep it; see
-  /// obs::Histogram::RecordWithExemplar). Compiled-out builds reduce to
-  /// plain RecordLatency — the hot path pays nothing for exemplars.
-  void RecordLatencyWithExemplar(obs::Histogram* histogram,
-                                 Clock::time_point start, int shard_index,
-                                 std::uint64_t span_id, double modelled_us) {
-    RecordLatencyWithExemplar(histogram, start, Clock::now(), shard_index,
-                              span_id, modelled_us);
-  }
-
-  /// Overload with a caller-supplied completion timestamp: the bucket /
-  /// batch completion loops resolve every op in one pass, so one
-  /// Clock::now() per loop is exact while saving two clock reads per op
-  /// on the hottest path in the server.
+  /// Records the op's wall latency, `now - start`, with tail-exemplar
+  /// capture: when tracing is compiled in and the serving span has an
+  /// identity, the sample carries a link back to that span (p99+ buckets
+  /// keep it; see obs::Histogram::RecordWithExemplar). Compiled-out builds
+  /// record the plain sample — the hot path pays nothing for exemplars.
+  /// The bucket / batch completion loops resolve every op in one pass, so
+  /// they pass one Clock::now() per loop.
   void RecordLatencyWithExemplar(obs::Histogram* histogram,
                                  Clock::time_point start, Clock::time_point now,
                                  int shard_index, std::uint64_t span_id,

@@ -39,10 +39,6 @@ struct WorkloadSpec {
   /// workloads tenant-oblivious.
   int tenant = 0;
 
-  bool HasMutations() const {
-    return update_bp + insert_bp + rmw_bp > 0;
-  }
-
   /// Standard mix for 'a'..'f'.
   static WorkloadSpec YcsbMix(char mix);
 

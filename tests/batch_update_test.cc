@@ -146,6 +146,54 @@ TEST(BatchUpdate, ParallelWithManyThreadsMatchesSingleThread) {
   }
 }
 
+TEST(BatchUpdate, ParallelKeepsSameKeyOrderAcrossADeferredSplit) {
+  // Default leaf_fill 1.0 fills every big leaf, so inserting an absent key
+  // needs a split: the parallel phase defers it to the single-threaded
+  // pass. A later op on the same key in the same batch must not overtake
+  // it — insert-then-delete must leave the key absent, and
+  // delete-then-insert (the delete a no-op) must leave it present.
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE(threads);
+    Fixture fx;
+    HBRegularTree<Key64>::Config config;
+    HBRegularTree<Key64> tree(config, &fx.registry, &fx.device,
+                              &fx.transfer);
+    auto data = GenerateDataset<Key64>(40000, /*seed=*/21);
+    ASSERT_TRUE(tree.Build(data));
+    // Absent keys strictly between two dataset keys, in distinct leaves.
+    std::vector<Key64> absent;
+    for (std::size_t i = 1000; i + 1 < data.size() && absent.size() < 8;
+         i += 4000) {
+      if (data[i].key + 1 < data[i + 1].key) absent.push_back(data[i].key + 1);
+    }
+    ASSERT_EQ(absent.size(), 8u);
+    std::vector<UpdateQuery<Key64>> batch;
+    for (std::size_t j = 0; j < absent.size(); ++j) {
+      const KeyValue<Key64> pair{absent[j], absent[j] + 5};
+      const UpdateQuery<Key64> insert{UpdateQuery<Key64>::Kind::kInsert,
+                                      pair};
+      const UpdateQuery<Key64> erase{UpdateQuery<Key64>::Kind::kDelete,
+                                     pair};
+      if (j % 2 == 0) {
+        batch.push_back(insert);
+        batch.push_back(erase);
+      } else {
+        batch.push_back(erase);
+        batch.push_back(insert);
+      }
+    }
+    BatchUpdateConfig uconfig;
+    uconfig.real_threads = threads;
+    RunBatchUpdate(tree, batch, UpdateMethod::kAsyncParallel, uconfig);
+    tree.host_tree().Validate();
+    for (std::size_t j = 0; j < absent.size(); ++j) {
+      EXPECT_EQ(tree.host_tree().Search(absent[j]).found, j % 2 == 1)
+          << "key " << absent[j];
+    }
+    EXPECT_EQ(tree.host_tree().size(), data.size() + absent.size() / 2);
+  }
+}
+
 TEST(BatchUpdate, TimingModelOrdering) {
   // Async-parallel must be modelled faster than async-single-thread. With
   // the delta-first mirror sync turned off (margin 0, the paper's method

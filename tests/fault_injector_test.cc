@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "fault/fault_injector.h"
@@ -69,12 +70,32 @@ TEST(FaultInjector, ProbabilityIsSeededAndDeterministic) {
   EXPECT_TRUE(diverged);
 }
 
+TEST(FaultInjector, TransfersScheduleIsPinned) {
+  // The first 256 H2D decisions of a seeded transfer config (bit i of
+  // word i / 64 set when decision i faults), pinned because every seeded
+  // fault test and bench replays this stream. A draw is consumed only
+  // when a site with a probability is checked, so the sites a config
+  // names but no caller checks cannot shift it. (The bits are
+  // libstdc++'s mt19937_64 and uniform_real_distribution.)
+  constexpr std::uint64_t kExpected[4] = {
+      0xd0d9120671501188ULL, 0x221000604a6c8134ULL, 0x91404e0028062d06ULL,
+      0x00200c080e8227a4ULL};
+  FaultInjector injector(FaultConfig::Transfers(0.3, 99));
+  std::uint64_t words[4] = {0, 0, 0, 0};
+  for (int i = 0; i < 256; ++i) {
+    if (injector.ShouldFail(Site::kTransferH2D)) {
+      words[i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+  }
+  for (int w = 0; w < 4; ++w) EXPECT_EQ(words[w], kExpected[w]) << w;
+  EXPECT_EQ(injector.injected(Site::kTransferH2D), 73u);
+  EXPECT_EQ(injector.checks(Site::kKernel), 0u);
+}
+
 TEST(FaultInjector, ErrorForMapsSitesToTypedCodes) {
   EXPECT_EQ(FaultInjector::ErrorFor(Site::kDeviceAlloc).code(),
             StatusCode::kDeviceOom);
   EXPECT_EQ(FaultInjector::ErrorFor(Site::kTransferH2D).code(),
-            StatusCode::kTransferFailure);
-  EXPECT_EQ(FaultInjector::ErrorFor(Site::kTransferD2H).code(),
             StatusCode::kTransferFailure);
   EXPECT_EQ(FaultInjector::ErrorFor(Site::kKernel).code(),
             StatusCode::kKernelFailure);
@@ -151,31 +172,28 @@ TEST(DeviceWiring, InjectedTransferFaultCopiesNothing) {
   gpu::TransferEngine transfer(&device, platform.pcie);
   FaultConfig config;
   config.site(Site::kTransferH2D).fail_ordinals = {1};
-  config.site(Site::kTransferD2H).fail_ordinals = {2};
   FaultInjector injector(config);
   device.set_fault_injector(&injector);
 
   gpu::ScopedDeviceAlloc buffer(&device, sizeof(std::uint64_t));
   ASSERT_TRUE(buffer.ok());
+  std::uint64_t read_back = 0;
+  std::memcpy(device.HostView(buffer.get()), &read_back, sizeof(read_back));
   const std::uint64_t sentinel = 0xdeadbeef;
   EXPECT_EQ(transfer.TryCopyToDevice(buffer.get(), &sentinel,
                                      sizeof(sentinel)).code(),
             StatusCode::kTransferFailure);
+  std::memcpy(&read_back, device.HostView(buffer.get()), sizeof(read_back));
+  EXPECT_EQ(read_back, 0u);  // the faulted copy moved nothing
   double us = 0;
   ASSERT_TRUE(transfer
                   .TryCopyToDevice(buffer.get(), &sentinel, sizeof(sentinel),
                                    &us)
                   .ok());
   EXPECT_GT(us, 0);
-  std::uint64_t read_back = 0;
-  ASSERT_TRUE(
-      transfer.TryCopyToHost(&read_back, buffer.get(), sizeof(read_back))
-          .ok());
+  std::memcpy(&read_back, device.HostView(buffer.get()), sizeof(read_back));
   EXPECT_EQ(read_back, sentinel);
-  EXPECT_EQ(transfer.TryCopyToHost(&read_back, buffer.get(),
-                                   sizeof(read_back)).code(),
-            StatusCode::kTransferFailure);
-  EXPECT_EQ(injector.total_injected(), 2u);
+  EXPECT_EQ(injector.total_injected(), 1u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <vector>
 
@@ -226,8 +227,8 @@ void ExpectKernelFinds(SyncFixture& fx, HBRegularTree<K>& tree,
   auto params = tree.MakeKernelParams(q_dev, r_dev, count);
   RunRegularInnerSearch<K>(fx.device, params);
   std::vector<ResultWord> results(count);
-  fx.transfer.CopyToHost(results.data(), r_dev,
-                         count * sizeof(ResultWord));
+  std::memcpy(results.data(), fx.device.HostView(r_dev),
+              count * sizeof(ResultWord));
   for (std::uint32_t i = 0; i < count; ++i) {
     typename RegularBTree<K>::LeafPosition pos{UnpackLeafNode(results[i]),
                                                UnpackLeafLine(results[i])};

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -66,8 +67,8 @@ TEST_P(ImplicitKernelTest, MatchesHostTraversalFromAnyStartLevel) {
   gpu::KernelStats stats = RunImplicitInnerSearch<Key64>(fx.device, params);
 
   std::vector<ResultWord> results(kCount);
-  fx.transfer.CopyToHost(results.data(), r_dev,
-                         kCount * sizeof(ResultWord));
+  std::memcpy(results.data(), fx.device.HostView(r_dev),
+              kCount * sizeof(ResultWord));
   for (std::uint32_t i = 0; i < kCount; ++i) {
     EXPECT_EQ(results[i], host.FindLeafLine(queries[i])) << "query " << i;
   }
@@ -101,8 +102,8 @@ TEST(ImplicitKernel32, TeamOf16MatchesHost) {
   auto params = tree.MakeKernelParams(q_dev, r_dev, kCount);
   gpu::KernelStats stats = RunImplicitInnerSearch<Key32>(fx.device, params);
   std::vector<ResultWord> results(kCount);
-  fx.transfer.CopyToHost(results.data(), r_dev,
-                         kCount * sizeof(ResultWord));
+  std::memcpy(results.data(), fx.device.HostView(r_dev),
+              kCount * sizeof(ResultWord));
   for (std::uint32_t i = 0; i < kCount; ++i) {
     ASSERT_EQ(results[i], host.FindLeafLine(queries[i]));
   }
@@ -127,8 +128,8 @@ TEST(RegularKernel, MatchesHostFindLeafPosition) {
   auto params = tree.MakeKernelParams(q_dev, r_dev, kCount);
   RunRegularInnerSearch<Key64>(fx.device, params);
   std::vector<ResultWord> results(kCount);
-  fx.transfer.CopyToHost(results.data(), r_dev,
-                         kCount * sizeof(ResultWord));
+  std::memcpy(results.data(), fx.device.HostView(r_dev),
+              kCount * sizeof(ResultWord));
   for (std::uint32_t i = 0; i < kCount; ++i) {
     auto expect = host.FindLeafPosition(queries[i]);
     EXPECT_EQ(UnpackLeafNode(results[i]), expect.last_inner) << i;
@@ -151,7 +152,9 @@ TEST(RegularKernel, StaysCorrectAfterNodeSync) {
   for (const auto& update : batch) {
     std::vector<ModifiedNode> modified;
     tree.host_tree().Insert(update.pair, &modified);
-    for (const auto& node : modified) tree.SyncNode(node);
+    for (const auto& node : modified) {
+      ASSERT_TRUE(tree.TrySyncNode(node).ok());
+    }
   }
 
   constexpr std::uint32_t kCount = 1500;
@@ -165,8 +168,8 @@ TEST(RegularKernel, StaysCorrectAfterNodeSync) {
   auto params = tree.MakeKernelParams(q_dev, r_dev, kCount);
   RunRegularInnerSearch<Key64>(fx.device, params);
   std::vector<ResultWord> results(kCount);
-  fx.transfer.CopyToHost(results.data(), r_dev,
-                         kCount * sizeof(ResultWord));
+  std::memcpy(results.data(), fx.device.HostView(r_dev),
+              kCount * sizeof(ResultWord));
   for (std::uint32_t i = 0; i < kCount; ++i) {
     typename RegularBTree<Key64>::LeafPosition pos{
         UnpackLeafNode(results[i]), UnpackLeafLine(results[i])};

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "core/workload.h"
@@ -45,8 +46,8 @@ TYPED_TEST(HbFastTypedTest, KernelMatchesHostLowerBound) {
   auto params = tree.MakeKernelParams(q_dev, r_dev, kCount);
   gpu::KernelStats stats = RunFastSearch<K>(fx.device, params);
   std::vector<ResultWord> results(kCount);
-  fx.transfer.CopyToHost(results.data(), r_dev,
-                         kCount * sizeof(ResultWord));
+  std::memcpy(results.data(), fx.device.HostView(r_dev),
+              kCount * sizeof(ResultWord));
   for (std::uint32_t i = 0; i < kCount; ++i) {
     EXPECT_EQ(results[i], tree.host_tree().LowerBoundIndex(queries[i])) << i;
   }

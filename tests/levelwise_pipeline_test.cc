@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <mutex>
 #include <type_traits>
 #include <utility>
@@ -14,6 +15,7 @@
 #include "hybrid/gpu_kernels.h"
 #include "hybrid/hb_implicit.h"
 #include "hybrid/hb_regular.h"
+#include "hybrid/range_pipeline.h"
 #include "obs/heat.h"
 #include "sim/platform.h"
 
@@ -29,6 +31,7 @@ namespace {
 /// search does. Plus answer equivalence with host lookups through the
 /// full pipeline, and the per-bucket sort decision: a bucket is sorted
 /// only when its probe showed that sorting shortens the pipeline period.
+/// Last, a heat sink only observes: it changes no result and no stat.
 
 struct KernelFixture {
   explicit KernelFixture(sim::PlatformSpec spec = sim::PlatformSpec::M1())
@@ -105,8 +108,8 @@ gpu::KernelStats Launch(KernelFixture& fx, const Tree& tree,
   }
   if (results != nullptr) {
     results->resize(count);
-    fx.transfer.CopyToHost(results->data(), r_dev,
-                           count * sizeof(ResultWord));
+    std::memcpy(results->data(), fx.device.HostView(r_dev),
+                count * sizeof(ResultWord));
   }
   fx.device.Free(q_dev);
   fx.device.Free(r_dev);
@@ -723,6 +726,163 @@ TEST(SortDecision, HeatTouchesCountRunsPerBucketAcrossMixedOrders) {
     }
     EXPECT_EQ(leaf_touches, heat.kernel_launches);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Heat sink: it traces the CPU stages and changes nothing else
+// ---------------------------------------------------------------------------
+
+/// Every PipelineStats field, compared exactly.
+void ExpectSameStats(const PipelineStats& a, const PipelineStats& b) {
+  EXPECT_EQ(a.queries, b.queries);
+  EXPECT_EQ(a.total_us, b.total_us);
+  EXPECT_EQ(a.mqps, b.mqps);
+  EXPECT_EQ(a.avg_latency_us, b.avg_latency_us);
+  EXPECT_EQ(a.t1_us, b.t1_us);
+  EXPECT_EQ(a.t2_us, b.t2_us);
+  EXPECT_EQ(a.t3_us, b.t3_us);
+  EXPECT_EQ(a.t4_us, b.t4_us);
+  EXPECT_EQ(a.kernel.warps_executed, b.kernel.warps_executed);
+  EXPECT_EQ(a.kernel.warp_instructions, b.kernel.warp_instructions);
+  EXPECT_EQ(a.kernel.memory_gathers, b.kernel.memory_gathers);
+  EXPECT_EQ(a.kernel.memory_transactions, b.kernel.memory_transactions);
+  EXPECT_EQ(a.kernel.dram_bytes, b.kernel.dram_bytes);
+  EXPECT_EQ(a.kernel.l2_bytes, b.kernel.l2_bytes);
+  EXPECT_EQ(a.kernel.mapped_bytes, b.kernel.mapped_bytes);
+  EXPECT_EQ(a.kernel.shared_accesses, b.kernel.shared_accesses);
+  EXPECT_EQ(a.kernel.shared_bank_conflicts, b.kernel.shared_bank_conflicts);
+  EXPECT_EQ(a.kernel.node_loads_by_level, b.kernel.node_loads_by_level);
+  EXPECT_EQ(a.kernel.node_queries_by_level, b.kernel.node_queries_by_level);
+  EXPECT_EQ(a.gpu_busy_us, b.gpu_busy_us);
+  EXPECT_EQ(a.cpu_busy_us, b.cpu_busy_us);
+  EXPECT_EQ(a.pcie_busy_us, b.pcie_busy_us);
+  EXPECT_EQ(a.transfer_retries, b.transfer_retries);
+  EXPECT_EQ(a.kernel_retries, b.kernel_retries);
+  EXPECT_EQ(a.sorted_buckets, b.sorted_buckets);
+}
+
+/// What one run returned, plus the bytes its two CPU stage loops traced
+/// into the heat sink (0 without a sink).
+struct Observed {
+  PipelineStats stats;
+  std::vector<LookupResult<Key64>> results;
+  std::vector<KeyValue<Key64>> pairs;
+  std::vector<int> counts;
+  std::uint64_t pre_descend_bytes = 0;
+  std::uint64_t t4_bytes = 0;
+};
+
+/// Kernel-bound and load-balanced on M2: lookup buckets after the first
+/// sort, and every bucket splits into two pre-descended launches, so both
+/// CPU stage loops run. (Ranges drop the split and the sort themselves.)
+PipelineConfig BalancedKernelBound() {
+  PipelineConfig config = KernelBound();
+  config.bucket_size = 4096;
+  config.cpu_descend_levels = 1;
+  config.cpu_split_ratio = 0.5;
+  config.cpu_descend_us_per_level = 0.001;
+  return config;
+}
+
+/// Builds `Tree` on a fresh fixture, so the device L2 starts cold, and
+/// runs `run(tree, data, config)` with or without a heat sink.
+template <typename Tree, typename Run>
+Observed ObserveOnFreshTree(bool with_heat, Run&& run) {
+  KernelFixture fx(sim::PlatformSpec::M2());
+  typename Tree::Config tree_config;
+  Tree tree(tree_config, &fx.registry, &fx.device, &fx.transfer);
+  const auto data = GenerateDataset<Key64>(200000, /*seed=*/40);
+  EXPECT_TRUE(tree.Build(data));
+  obs::PipelineHeat heat(fx.platform.cpu.cache_levels);
+  PipelineConfig config = BalancedKernelBound();
+  if (with_heat) config.heat = &heat;
+  Observed out = run(tree, data, config);
+  std::lock_guard<std::mutex> lock(heat.mu);
+  out.pre_descend_bytes = heat.pre_descend.total_bytes();
+  out.t4_bytes = heat.cpu_leaf.total_bytes() + heat.scan.total_bytes();
+  return out;
+}
+
+template <typename Tree>
+Observed ObserveLookups(bool with_heat) {
+  return ObserveOnFreshTree<Tree>(
+      with_heat, [](Tree& tree, const std::vector<KeyValue<Key64>>& data,
+                    const PipelineConfig& config) {
+        auto queries = MakeDistributedQueries<Key64>(
+            16384, Distribution::kUniform, /*seed=*/41);
+        for (std::size_t i = 0; i < queries.size(); i += 2) {
+          queries[i] = data[(i * 17) % data.size()].key;
+        }
+        Observed out;
+        out.stats = RunSearchPipeline(tree, queries.data(), queries.size(),
+                                      config, &out.results);
+        return out;
+      });
+}
+
+template <typename Tree>
+Observed ObserveRanges(bool with_heat) {
+  return ObserveOnFreshTree<Tree>(
+      with_heat, [](Tree& tree, const std::vector<KeyValue<Key64>>& data,
+                    const PipelineConfig& config) {
+        constexpr int kMatches = 8;
+        const auto rq = MakeRangeQueries(data, 4000, kMatches, /*seed=*/42);
+        Observed out;
+        out.stats = RunRangePipeline(tree, rq.data(), rq.size(), kMatches,
+                                     config, &out.pairs, &out.counts);
+        return out;
+      });
+}
+
+void ExpectSameRun(const Observed& traced, const Observed& untraced) {
+  ExpectSameStats(traced.stats, untraced.stats);
+  EXPECT_EQ(traced.results, untraced.results);
+  EXPECT_EQ(traced.pairs, untraced.pairs);
+  EXPECT_EQ(traced.counts, untraced.counts);
+  EXPECT_EQ(untraced.pre_descend_bytes + untraced.t4_bytes, 0u);
+  EXPECT_GT(traced.t4_bytes, 0u);  // the sink did trace the leaf stage
+}
+
+TEST(HeatSink, ChangesNoLookupResultAndNoStat) {
+  {
+    SCOPED_TRACE("implicit");
+    const Observed traced = ObserveLookups<HBImplicitTree<Key64>>(true);
+    ExpectSameRun(traced, ObserveLookups<HBImplicitTree<Key64>>(false));
+    EXPECT_GT(traced.stats.sorted_buckets, 0u);
+    EXPECT_GT(traced.pre_descend_bytes, 0u);
+  }
+  {
+    SCOPED_TRACE("regular");
+    const Observed traced = ObserveLookups<HBRegularTree<Key64>>(true);
+    ExpectSameRun(traced, ObserveLookups<HBRegularTree<Key64>>(false));
+    EXPECT_GT(traced.stats.sorted_buckets, 0u);
+    EXPECT_GT(traced.pre_descend_bytes, 0u);
+  }
+  {
+    SCOPED_TRACE("hb-fast");
+    ExpectSameRun(ObserveLookups<HBFastTree<Key64>>(true),
+                  ObserveLookups<HBFastTree<Key64>>(false));
+  }
+}
+
+TEST(HeatSink, ChangesNoRangeResultAndNoStat) {
+  {
+    SCOPED_TRACE("implicit");
+    ExpectSameRun(ObserveRanges<HBImplicitTree<Key64>>(true),
+                  ObserveRanges<HBImplicitTree<Key64>>(false));
+  }
+  {
+    SCOPED_TRACE("regular");
+    ExpectSameRun(ObserveRanges<HBRegularTree<Key64>>(true),
+                  ObserveRanges<HBRegularTree<Key64>>(false));
+  }
+}
+
+TEST(HeatSink, BalancedFastRunTracesItsPreDescent) {
+  // HB-FAST pre-descends through FastTree::DescendBlocks, so a balanced
+  // run's heat sink must see that stage's bytes like the B+-trees' do.
+  const Observed traced = ObserveLookups<HBFastTree<Key64>>(true);
+  EXPECT_GT(traced.pre_descend_bytes, 0u);
 }
 
 }  // namespace
