@@ -1,37 +1,32 @@
-// Observability overhead microbench: proves the tracing macros are free
-// when compiled out and bounds their cost when compiled in.
+// Observability overhead microbench: reports what the tracing and heat
+// hooks cost when compiled in, and emits the compiled-out shapes whose
+// machine code the `obs` gate compares with the hook-free baselines.
 //
 // Each mode runs the same hot loop — a leaf-style binary search over a
-// 4096-key node per iteration — wrapped in a different span policy:
+// 4096-key node per iteration — wrapped in a different hook policy:
 //
-//   baseline      no span object at all
-//   compiled_out  obs::NullSpan, the exact expansion the HBTREE_TRACE_*
-//                 macros produce when HBTREE_OBS_TRACING=0 (the default
-//                 for every library target); must be within 2% of
-//                 baseline or the bench exits 1
+//   baseline      no span object at all (LoopOnce<NoSpan>)
 //   disabled      obs::ScopedSpan with no active session (one relaxed
 //                 load + branch per iteration)
 //   enabled       obs::ScopedSpan recording into an active session (two
 //                 clock reads + a thread-local vector push)
+//   heat_enabled  one KeyRangeSketch::Record (bin multiply + relaxed add)
+//                 plus an OnNodeTouch into a LevelHeatTracer and the
+//                 pool's touch counter per iteration — the serving
+//                 dispatch path's per-op heat cost (HeatLoop<EnabledHeat>)
 //
-// A second pair of modes bounds the heat-observability hooks (obs/heat.h)
-// the same way:
-//
-//   heat_compiled_out  the exact expansion of the heat hooks when
-//                      HBTREE_OBS_HEAT=0: TraceNodeTouch against a
-//                      NullTracer (if-constexpr'd away) and an
-//                      HBTREE_HEAT_ONLY record site deleted by the
-//                      preprocessor — identical machine code to baseline,
-//                      same <2% budget, same exit-1 gate
-//   heat_enabled       one KeyRangeSketch::Record (bin multiply + relaxed
-//                      add) plus an OnNodeTouch into a LevelHeatTracer and
-//                      the pool's touch counter per iteration — the
-//                      serving dispatch path's per-op heat cost
+// The compiled-out shapes are not timed: a timing of identical machine
+// code against itself measures only noise. LoopOnce<obs::NullSpan> is the
+// exact expansion of the HBTREE_TRACE_* macros when HBTREE_OBS_TRACING=0,
+// and HeatLoop<CompiledOutHeat> that of the heat hooks when
+// HBTREE_OBS_HEAT=0. `scripts/check.sh obs` asserts, through
+// `validate_metrics.py --same-code`, that each is the same machine code as
+// its baseline (LoopOnce<NoSpan>, HeatLoop<NoHeat>). The loops are
+// noinline and noclone, so that each instantiation keeps one symbol of
+// its own, with no inlined or specialized copy, to compare.
 //
 // Times are min-of-reps ns/op with the modes interleaved round-robin
-// (so frequency ramp or a noisy neighbour hits every mode equally); the
-// compiled_out vs baseline delta is measurement noise on identical
-// machine code, not a real cost.
+// (so frequency ramp or a noisy neighbour hits every mode equally).
 //
 // Flags: --iters (per rep), --reps, --metrics_json=<path> (hbtree.bench.v1
 // rows; no metrics snapshot — this bench exercises no devices).
@@ -74,8 +69,8 @@ std::vector<std::uint64_t> MakeNode(std::size_t n) {
 }
 
 template <typename SpanT>
-std::uint64_t LoopOnce(const std::vector<std::uint64_t>& keys,
-                       std::size_t iters) {
+[[gnu::noinline, gnu::noclone]] std::uint64_t LoopOnce(
+    const std::vector<std::uint64_t>& keys, std::size_t iters) {
   std::uint64_t sink = 0;
   std::uint64_t state = 1;
   for (std::size_t i = 0; i < iters; ++i) {
@@ -100,37 +95,45 @@ struct PoolStub {
   }
 };
 
-/// The hot loop with the heat hooks in their compiled-out shape: a
-/// NullTracer has no OnNodeTouch, so TraceNodeTouch is if-constexpr'd to
-/// nothing and the sketch record site is deleted outright — this must
-/// time identical to baseline.
-std::uint64_t HeatCompiledOutLoop(const std::vector<std::uint64_t>& keys,
-                                  std::size_t iters, const PoolStub& pool) {
-  std::uint64_t sink = 0;
-  std::uint64_t state = 1;
-  NullTracer tracer;
-  for (std::size_t i = 0; i < iters; ++i) {
-    state = Mix(state);
-    TraceNodeTouch(&tracer, pool, 0, NodeClass::kBigLeaf, 0u);
-    const auto it = std::lower_bound(keys.begin(), keys.end(), state);
-    sink += static_cast<std::uint64_t>(it - keys.begin());
-  }
-  return sink;
-}
+/// Heat-hook policies for HeatLoop: `Touch(key)` is the per-op hook site.
+struct NoHeat {
+  void Touch(std::uint64_t /*key*/) const {}
+};
 
-/// The hot loop paying the full per-op heat cost: one sketch record (the
-/// serving dispatch hook) plus a traced node touch (tracer cell update +
-/// pool touch counter).
-std::uint64_t HeatEnabledLoop(const std::vector<std::uint64_t>& keys,
-                              std::size_t iters, const PoolStub& pool,
-                              obs::KeyRangeSketch* sketch,
-                              obs::LevelHeatTracer* tracer) {
+/// The exact expansion of the heat hooks when HBTREE_OBS_HEAT=0: the
+/// sketch record site is an HBTREE_HEAT_ONLY(...) the preprocessor
+/// deletes, and a NullTracer has no OnNodeTouch, so TraceNodeTouch is
+/// if-constexpr'd to nothing.
+struct CompiledOutHeat {
+  const PoolStub* pool;
+  void Touch(std::uint64_t /*key*/) const {
+    NullTracer tracer;
+    TraceNodeTouch(&tracer, *pool, 0, NodeClass::kBigLeaf, 0u);
+  }
+};
+
+/// The full per-op heat cost: one sketch record (the serving dispatch
+/// hook) plus a traced node touch (tracer cell update + pool touch
+/// counter).
+struct EnabledHeat {
+  const PoolStub* pool;
+  obs::KeyRangeSketch* sketch;
+  obs::LevelHeatTracer* tracer;
+  void Touch(std::uint64_t key) const {
+    sketch->Record(key);
+    TraceNodeTouch(tracer, *pool, 0, NodeClass::kBigLeaf, 0u);
+  }
+};
+
+template <typename Heat>
+[[gnu::noinline, gnu::noclone]] std::uint64_t HeatLoop(
+    const std::vector<std::uint64_t>& keys, std::size_t iters,
+    const Heat& heat) {
   std::uint64_t sink = 0;
   std::uint64_t state = 1;
   for (std::size_t i = 0; i < iters; ++i) {
     state = Mix(state);
-    sketch->Record(state);
-    TraceNodeTouch(tracer, pool, 0, NodeClass::kBigLeaf, 0u);
+    heat.Touch(state);
     const auto it = std::lower_bound(keys.begin(), keys.end(), state);
     sink += static_cast<std::uint64_t>(it - keys.begin());
   }
@@ -164,28 +167,25 @@ int Main(int argc, char** argv) {
   // enough to construct the tracer.
   sim::CacheHierarchy caches({{"L1", 32 * 1024, 8, 64}});
   obs::LevelHeatTracer heat_tracer(&caches);
+  const EnabledHeat heat{&pool, &sketch, &heat_tracer};
 
-  // Warm up caches and the branch predictor before any timed rep.
+  // Warm up caches and the branch predictor before any timed rep. The
+  // compiled-out shapes run here only, so that each keeps its symbol.
   sink ^= LoopOnce<NoSpan>(keys, iters);
   sink ^= LoopOnce<obs::NullSpan>(keys, iters);
   sink ^= LoopOnce<obs::ScopedSpan>(keys, iters);
-  sink ^= HeatCompiledOutLoop(keys, iters, pool);
-  sink ^= HeatEnabledLoop(keys, iters, pool, &sketch, &heat_tracer);
+  sink ^= HeatLoop(keys, iters, NoHeat{});
+  sink ^= HeatLoop(keys, iters, CompiledOutHeat{&pool});
+  sink ^= HeatLoop(keys, iters, heat);
 
-  double baseline_ns = 1e300, compiled_out_ns = 1e300;
-  double disabled_ns = 1e300, enabled_ns = 1e300;
-  double heat_compiled_out_ns = 1e300, heat_enabled_ns = 1e300;
+  double baseline_ns = 1e300, disabled_ns = 1e300, enabled_ns = 1e300;
+  double heat_enabled_ns = 1e300;
   for (int r = 0; r < reps; ++r) {
     obs::TraceSession::Stop();  // make "disabled" explicit
     baseline_ns = std::min(
         baseline_ns,
         TimeNs([&](std::size_t n) { return LoopOnce<NoSpan>(keys, n); },
                iters, &sink));
-    compiled_out_ns = std::min(
-        compiled_out_ns,
-        TimeNs(
-            [&](std::size_t n) { return LoopOnce<obs::NullSpan>(keys, n); },
-            iters, &sink));
     disabled_ns = std::min(
         disabled_ns,
         TimeNs(
@@ -193,18 +193,10 @@ int Main(int argc, char** argv) {
               return LoopOnce<obs::ScopedSpan>(keys, n);
             },
             iters, &sink));
-    heat_compiled_out_ns = std::min(
-        heat_compiled_out_ns,
-        TimeNs(
-            [&](std::size_t n) { return HeatCompiledOutLoop(keys, n, pool); },
-            iters, &sink));
     heat_enabled_ns = std::min(
         heat_enabled_ns,
-        TimeNs(
-            [&](std::size_t n) {
-              return HeatEnabledLoop(keys, n, pool, &sketch, &heat_tracer);
-            },
-            iters, &sink));
+        TimeNs([&](std::size_t n) { return HeatLoop(keys, n, heat); },
+               iters, &sink));
     obs::TraceSession::Start();  // also clears the event buffers
     enabled_ns = std::min(
         enabled_ns,
@@ -227,10 +219,6 @@ int Main(int argc, char** argv) {
   report.MetaNum("node_keys", static_cast<double>(keys.size()));
   report.AddRow().Text("mode", "baseline").Num("ns_per_op", baseline_ns, 2);
   report.AddRow()
-      .Text("mode", "compiled_out")
-      .Num("ns_per_op", compiled_out_ns, 2)
-      .Num("overhead_pct", pct(compiled_out_ns), 2);
-  report.AddRow()
       .Text("mode", "disabled")
       .Num("ns_per_op", disabled_ns, 2)
       .Num("overhead_pct", pct(disabled_ns), 2);
@@ -238,10 +226,6 @@ int Main(int argc, char** argv) {
       .Text("mode", "enabled")
       .Num("ns_per_op", enabled_ns, 2)
       .Num("overhead_pct", pct(enabled_ns), 2);
-  report.AddRow()
-      .Text("mode", "heat_compiled_out")
-      .Num("ns_per_op", heat_compiled_out_ns, 2)
-      .Num("overhead_pct", pct(heat_compiled_out_ns), 2);
   report.AddRow()
       .Text("mode", "heat_enabled")
       .Num("ns_per_op", heat_enabled_ns, 2)
@@ -251,17 +235,8 @@ int Main(int argc, char** argv) {
   if (args.Has("metrics_json")) {
     if (!report.WriteJson(args.GetString("metrics_json", ""))) return 1;
   }
-
-  const double compiled_out_pct = pct(compiled_out_ns);
-  const double heat_compiled_out_pct = pct(heat_compiled_out_ns);
-  const bool ok = compiled_out_pct < 2.0 && heat_compiled_out_pct < 2.0;
-  std::printf("compiled-out overhead: %.2f%% (budget 2%%) — %s\n",
-              compiled_out_pct, compiled_out_pct < 2.0 ? "PASS" : "FAIL");
-  std::printf("heat compiled-out overhead: %.2f%% (budget 2%%) — %s\n",
-              heat_compiled_out_pct,
-              heat_compiled_out_pct < 2.0 ? "PASS" : "FAIL");
   std::printf("(sink %llu)\n", static_cast<unsigned long long>(sink));
-  return ok ? 0 : 1;
+  return 0;
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 #   scripts/check.sh tsan       # + ThreadSanitizer build, concurrency tests
 #   scripts/check.sh fault      # + fault-injection smoke under asan and tsan
 #   scripts/check.sh obs        # + observability smoke: fault-injected serve
-#                               #   bench, metrics JSON + trace validation
+#                               #   bench, metrics JSON + trace validation,
+#                               #   compiled-out hooks as the same machine
+#                               #   code as none
 #   scripts/check.sh shard      # + sharded serving stress under asan and
 #                               #   tsan, plus a multi-shard bench smoke
 #   scripts/check.sh regress    # + bench regression sentinel: rerun the
@@ -141,10 +143,17 @@ run_obs() {
       --require-counter gpusim.bytes_h2d \
       --trace build/OBS_fault_trace.json \
       build/OBS_fault_metrics.json
-  # Tracing must stay free when compiled out (<2% on the hot loop).
+  # Compiled-out tracing and heat hooks must be free: the same machine
+  # code as the loops without hooks. The bench reports the compiled-in
+  # costs; the code identity is the gate, since no timing can show it.
   ./build/bench/obs_overhead --iters=131072 --reps=9 \
       --metrics_json=build/OBS_overhead.json
-  python3 scripts/validate_metrics.py build/OBS_overhead.json
+  python3 scripts/validate_metrics.py \
+      --same-code build/bench/obs_overhead \
+          'LoopOnce<.*NoSpan>' 'LoopOnce<.*NullSpan>' \
+      --same-code build/bench/obs_overhead \
+          'HeatLoop<.*NoHeat>' 'HeatLoop<.*CompiledOutHeat>' \
+      build/OBS_overhead.json
 }
 
 run_workloads() {
@@ -270,18 +279,16 @@ run_heat() {
   cmake --build --preset release -j "$jobs" --target ycsb_workloads
   # Fixed-seed runs of the two skewed scenarios plus the uniform negative
   # control. Every report must carry a heat section whose internals
-  # reconcile (validate_metrics.py: per-level kernel node loads in
-  # [1, queries], collapsing below one load per query), the keyspace
-  # heatmap must attribute >= 90% of the modelled hot mass to the
-  # injected hot prefix — with no false hot range on the flat workload —
-  # and the kernel block must record launches (check_heat.py).
+  # reconcile (per-level kernel node loads in [1, queries], collapsing
+  # below one load per query), the keyspace heatmap must attribute >= 90%
+  # of the modelled hot mass to the injected hot prefix — with no false
+  # hot range on the flat workload — and the kernel block must record
+  # launches (--heat-verdicts).
   for s in zipfian hotspot uniform; do
     ./build/bench/ycsb_workloads --scenario="$s" --out_dir=build/HEAT
   done
-  python3 scripts/validate_metrics.py --require-heat \
+  python3 scripts/validate_metrics.py --require-heat --heat-verdicts \
       --require-counter serve.lookups \
-      build/HEAT/zipfian.json build/HEAT/hotspot.json build/HEAT/uniform.json
-  python3 scripts/check_heat.py \
       build/HEAT/zipfian.json build/HEAT/hotspot.json build/HEAT/uniform.json
 }
 

@@ -32,16 +32,49 @@ CPU stage bounds the pipeline, so a sort can only lengthen it. On M2 the
 Fig 18 regular-tree runs must sort buckets: their kernel is slow enough
 that sorting pays.
 
+With --heat-verdicts every report must be a ycsb_workloads report with a
+heat section, and its keyspace heatmap must attribute the skew its key
+chooser (meta.chooser) injected:
+  zipfian  — unscrambled zipf(0.99) ranks map onto the sorted key order,
+             so the modelled hot mass of the first 10% of keys is the
+             generalized harmonic ratio H_m(theta)/H_n(theta); the top-K
+             ranges overlapping that prefix must attribute >= 90% of it,
+             and the top range must be flagged hot.
+  hotspot  — the chooser sends hot_op_fraction (0.9, as checked into the
+             scenario matrix) of ops to the first hot_key_fraction (0.1)
+             of keys; same >= 90% attribution bar and hot top range.
+  uniform  — the negative control: flat popularity sits ~4x under the
+             hot threshold, so no range may be flagged hot.
+Every such report must also record accesses and GPU kernel launches
+(heat.kernel.launches > 0): the serve run's reads went through the
+device, so an empty kernel block means the pipeline stopped reporting
+into the heat sink. The prefix boundary assumes the sequential bootstrap
+layout the workload harness uses (key of record i is (i+1) * 8, see
+workload/dataset.cc); meta.n supplies the record count.
+
+With --same-code BINARY BASELINE CANDIDATE the two functions of BINARY
+whose demangled names match the regexes BASELINE and CANDIDATE (nm) must
+be the same machine code: one address after the linker or compiler
+folded them, or the same instructions (objdump) once addresses are made
+function-relative. bench/obs_overhead states its compiled-out hooks this
+way: free means the same code as no hooks, which no timing can show.
+
 Usage: scripts/validate_metrics.py FILE [FILE ...]
        scripts/validate_metrics.py --require-counter serve.lookups FILE
        scripts/validate_metrics.py --trace trace.json \\
            --require-exemplars serve.read_latency BENCH_serve.json
        scripts/validate_metrics.py --paper-verdicts build/PAPER/*.json
+       scripts/validate_metrics.py --require-heat --heat-verdicts \\
+           build/HEAT/zipfian.json build/HEAT/uniform.json
+       scripts/validate_metrics.py --same-code build/bench/obs_overhead \\
+           'LoopOnce<.*NoSpan>' 'LoopOnce<.*NullSpan>' build/OBS_overhead.json
 """
 
 import argparse
 import json
 import math
+import re
+import subprocess
 import sys
 
 # Set when a bench is expected to have exercised the serving layer; lets
@@ -759,6 +792,16 @@ def sorted_on_m2(rows):
              f"(kernel-bound runs must)")]
 
 
+def assert_claims(path, name, claims):
+    """Prints each (holds, claim) pair and fails on any broken claim."""
+    for holds, claim in claims:
+        print(f"  {'holds ' if holds else 'BROKEN'} {name}: {claim}")
+    broken = [claim for holds, claim in claims if not holds]
+    if broken:
+        fail(path, f"{len(broken)} verdict(s) broken: " + "; ".join(broken))
+    return f"{len(claims)} verdict(s) hold"
+
+
 def check_paper_verdicts(path, doc):
     verdict = PAPER_VERDICTS.get(doc.get("bench"))
     if verdict is None:
@@ -774,13 +817,169 @@ def check_paper_verdicts(path, doc):
     except KeyError as e:
         fail(path, f"the verdict reads a row or column the report lacks: "
                    f"{e}")
-    for holds, claim in claims:
-        print(f"  {'holds ' if holds else 'BROKEN'} {doc['bench']}: {claim}")
-    broken = [claim for holds, claim in claims if not holds]
-    if broken:
-        fail(path, f"{len(broken)} paper verdict(s) broken: "
-                   + "; ".join(broken))
-    return f"{len(claims)} paper verdict(s) hold"
+    return "paper: " + assert_claims(path, doc["bench"], claims)
+
+
+# -- Heat verdicts ----------------------------------------------------------
+
+# Mirrors the checked-in scenario matrix (src/workload/spec.cc) and the
+# fixed-point zipf default (workload/key_chooser.h).
+ZIPF_THETA = 0.99
+HOT_KEY_FRACTION = 0.1
+HOT_OP_FRACTION = 0.9
+ATTRIBUTION_BAR = 0.9
+KEY_STRIDE = 8  # sequential dataset: key of record i is (i + 1) * stride
+
+
+def harmonic(n, theta):
+    return sum(i ** -theta for i in range(1, n + 1))
+
+
+def hot_prefix(meta):
+    """(record count, hot key count, boundary key) of the hot prefix."""
+    n = int(meta["n"])
+    hot_keys = math.ceil(HOT_KEY_FRACTION * n)
+    return n, hot_keys, KEY_STRIDE * hot_keys
+
+
+def hot_attribution(doc, expected_share):
+    """The top-K ranges must attribute >= 90% of the modelled hot mass of
+    the prefix, and the top range must be flagged hot. A bin-width range
+    straddling the boundary counts fully: the sketch resolution, not the
+    attribution, owns that rounding."""
+    keyspace = doc["heat"]["keyspace"]
+    _, hot_keys, boundary_key = hot_prefix(doc["meta"])
+    expected = expected_share * keyspace["total"]
+    attributed = sum(r["count"] for r in keyspace["ranges"]
+                     if r["lo"] <= boundary_key)
+    ratio = attributed / expected if expected > 0 else 0.0
+    ranges = keyspace["ranges"]
+    return [(ratio >= ATTRIBUTION_BAR,
+             f"top-K attributes {attributed} of the modelled hot mass "
+             f"{expected_share:.3f} x {keyspace['total']} accesses in the "
+             f"first {hot_keys} keys (<= key {boundary_key}): {ratio:.1%}, "
+             f"bar {ATTRIBUTION_BAR:.0%}"),
+            (bool(ranges) and ranges[0]["hot"],
+             "the top range is flagged hot")]
+
+
+def heat_zipfian(doc):
+    n, hot_keys, _ = hot_prefix(doc["meta"])
+    return hot_attribution(
+        doc, harmonic(hot_keys, ZIPF_THETA) / harmonic(n, ZIPF_THETA))
+
+
+def heat_hotspot(doc):
+    return hot_attribution(doc, HOT_OP_FRACTION)
+
+
+def heat_uniform(doc):
+    keyspace = doc["heat"]["keyspace"]
+    hot = [r for r in keyspace["ranges"] if r["hot"]]
+    top_share = keyspace["ranges"][0]["share"] if keyspace["ranges"] else 0.0
+    return [(not hot,
+             f"{len(hot)} range(s) flagged hot (top share {top_share:.4f}, "
+             f"threshold {keyspace['hot_threshold_share']:.4f}); the flat "
+             f"control must have none")]
+
+
+HEAT_VERDICTS = {
+    "zipfian": heat_zipfian,
+    "hotspot": heat_hotspot,
+    "uniform": heat_uniform,
+}
+
+
+def check_heat_verdicts(path, doc):
+    chooser = doc.get("meta", {}).get("chooser")
+    verdict = HEAT_VERDICTS.get(chooser)
+    if verdict is None:
+        fail(path, f"no heat verdict for chooser {chooser!r} "
+                   f"(expected one of {sorted(HEAT_VERDICTS)})")
+    if "heat" not in doc:
+        fail(path, "no heat section (built without HBTREE_OBS_TRACING?)")
+    heat = doc["heat"]
+    launches = heat.get("kernel", {}).get("launches", 0)
+    claims = [(heat["keyspace"]["total"] > 0,
+               f"the heat section recorded {heat['keyspace']['total']} "
+               f"accesses"),
+              (launches > 0, f"heat.kernel records {launches} launches")]
+    try:
+        claims += verdict(doc)
+    except KeyError as e:
+        fail(path, f"the verdict reads a field the report lacks: {e}")
+    return "heat: " + assert_claims(path, chooser, claims)
+
+
+# -- Same machine code ------------------------------------------------------
+
+def function_symbols(binary):
+    """(address, size, demangled name) of each function nm finds."""
+    out = subprocess.run(["nm", "-C", "-S", "--defined-only", binary],
+                         capture_output=True, text=True, check=True).stdout
+    symbols = []
+    for line in out.splitlines():
+        parts = line.split(" ", 3)
+        if len(parts) == 4 and parts[2] in ("t", "T", "W"):
+            symbols.append((int(parts[0], 16), int(parts[1], 16), parts[3]))
+    return symbols
+
+
+def find_function(binary, symbols, pattern):
+    found = {(a, size) for a, size, name in symbols if re.search(pattern, name)}
+    if len(found) != 1:
+        fail(binary, f"{len(found)} functions match {pattern!r} "
+                     f"(expected exactly one)")
+    return found.pop()
+
+
+def instructions(binary, address, size):
+    """The function's instructions, with every address made relative to
+    its start: the two copies of one body differ only in where they sit."""
+    out = subprocess.run(
+        ["objdump", "-d", "--no-show-raw-insn",
+         f"--start-address={address:#x}",
+         f"--stop-address={address + size:#x}", binary],
+        capture_output=True, text=True, check=True).stdout
+
+    def relative(match):
+        # objdump prints a branch or rip-relative target as "addr <sym>".
+        target = int(match.group(1), 16)
+        if address <= target < address + size:
+            return f".+{target - address:#x}"
+        return match.group(1)
+
+    body = []
+    for line in out.splitlines():
+        m = re.match(r"\s*[0-9a-f]+:\t(.*)$", line)
+        if not m:
+            continue
+        insn = re.sub(r"\b([0-9a-f]+) <[^>]*>", relative, m.group(1))
+        # A rip-relative operand's displacement depends on where the
+        # instruction sits; objdump's "# target" comment keeps its target.
+        insn = re.sub(r"-?0x[0-9a-f]+\(%rip\)", "(%rip)", insn)
+        body.append(" ".join(insn.split()))
+    return body
+
+
+def check_same_code(binary, baseline, candidate):
+    symbols = function_symbols(binary)
+    base = find_function(binary, symbols, baseline)
+    cand = find_function(binary, symbols, candidate)
+    if base[0] == cand[0]:
+        return f"{candidate} folded into {baseline} at {base[0]:#x}"
+    base_code = instructions(binary, *base)
+    cand_code = instructions(binary, *cand)
+    if base_code != cand_code:
+        diff = next((i for i, (a, b) in enumerate(zip(base_code, cand_code))
+                     if a != b), min(len(base_code), len(cand_code)))
+        fail(binary, f"{candidate} ({len(cand_code)} instructions) is not "
+                     f"the machine code of {baseline} ({len(base_code)}); "
+                     f"first difference at instruction {diff}: "
+                     f"{base_code[diff:diff + 1]} vs "
+                     f"{cand_code[diff:diff + 1]}")
+    return (f"{candidate}: the {len(cand_code)} instructions of "
+            f"{baseline}")
 
 
 def validate_file(path, args, trace):
@@ -801,6 +1000,8 @@ def validate_file(path, args, trace):
                        "was the binary built with HBTREE_OBS_TRACING?)")
         if args.paper_verdicts:
             detail += "; " + check_paper_verdicts(path, doc)
+        if args.heat_verdicts:
+            detail += "; " + check_heat_verdicts(path, doc)
     else:
         fail(path, f"unknown schema: {schema!r}")
     for name in args.require_counter:
@@ -823,7 +1024,7 @@ def validate_file(path, args, trace):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("files", nargs="+")
+    parser.add_argument("files", nargs="*")
     parser.add_argument("--require-counter", action="append", default=[],
                         metavar="NAME",
                         help="fail unless this counter exists in the "
@@ -839,10 +1040,20 @@ def main():
     parser.add_argument("--paper-verdicts", action="store_true",
                         help="fail any report that is not a paper-figure "
                              "report upholding its figure's verdict")
+    parser.add_argument("--heat-verdicts", action="store_true",
+                        help="fail any report that is not a ycsb_workloads "
+                             "report whose heatmap attributes the skew its "
+                             "key chooser injected")
+    parser.add_argument("--same-code", action="append", nargs=3, default=[],
+                        metavar=("BINARY", "BASELINE", "CANDIDATE"),
+                        help="fail unless the functions matching the two "
+                             "regexes are the same machine code")
     parser.add_argument("--trace", metavar="TRACE_JSON",
                         help="Chrome trace export to resolve exemplar "
                              "trace_id/span_id pairs against")
     args = parser.parse_args()
+    if not args.files and not args.same_code:
+        parser.error("nothing to validate: give a FILE or --same-code")
     status = 0
     trace = None
     if args.trace:
@@ -855,6 +1066,13 @@ def main():
         try:
             validate_file(path, args, trace)
         except ValidationError as e:
+            print(f"FAIL {e}", file=sys.stderr)
+            status = 1
+    for binary, baseline, candidate in args.same_code:
+        try:
+            print(f"{binary}: OK (same code; "
+                  f"{check_same_code(binary, baseline, candidate)})")
+        except (ValidationError, subprocess.CalledProcessError) as e:
             print(f"FAIL {e}", file=sys.stderr)
             status = 1
     return status

@@ -1,6 +1,7 @@
 #ifndef HBTREE_HYBRID_GPU_KERNELS_H_
 #define HBTREE_HYBRID_GPU_KERNELS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -26,9 +27,11 @@ namespace hbtree {
 /// the team loads into 64-byte transactions, and `SharedAccess`/
 /// `Instruction` charge the flag exchange and ALU work.
 ///
-/// Each tree has exactly one kernel, and it dedupes runs (DESIGN.md §14):
-/// a team whose node at the current level equals the previous team's node
-/// takes the line from shared memory instead of issuing a global load.
+/// The kernels share their frame. `RunTeamSearch` is the warp loop: it
+/// loads each team's query and start node and stores its result word, so
+/// a kernel supplies only its per-level search. `GatherRuns` is the
+/// run-dedup fetch (DESIGN.md §14): a team whose line equals the previous
+/// team's takes it from shared memory instead of issuing a global load.
 /// Sorted launches turn that into one load per distinct node per level
 /// (the level-wise batch search of PAPERS.md mapped onto warps); on a
 /// launch where no two consecutive teams share a node every team leads
@@ -57,6 +60,107 @@ inline Status CheckResultWordField(std::uint64_t count, int bits,
                             "-bit field of the kernels' result word");
 }
 
+/// One launch of a search kernel: `count` queries in device memory, the
+/// optional per-query start nodes of a partial CPU descent, and the
+/// ResultWord[count] the kernel stores its results into.
+struct SearchLaunch {
+  gpu::DevicePtr queries;      // K[count]
+  gpu::DevicePtr start_nodes;  // uint32[count]; null -> all start at root
+  gpu::DevicePtr results;      // ResultWord[count]
+  std::uint32_t count = 0;
+};
+
+/// The warp loop of a team search: `kTeam` threads per query, so
+/// kWarpSize / kTeam queries per warp. For each warp it gathers the teams'
+/// queries and start nodes (every team starts at `root` when the launch
+/// has none), runs `descend(warp, teams, query, node, word)`, which must
+/// fill `word[0, teams)`, and stores the result words.
+template <typename K, int kTeam, typename Descend>
+void RunTeamSearch(gpu::Device& device, gpu::KernelStats* stats,
+                   const SearchLaunch& launch, std::uint64_t root,
+                   Descend&& descend) {
+  constexpr int kWarp = gpu::WarpScope::kWarpSize;
+  constexpr std::uint32_t kTeamsPerWarp = kWarp / kTeam;
+  for (std::uint32_t base = 0; base < launch.count; base += kTeamsPerWarp) {
+    const int teams = static_cast<int>(
+        std::min<std::uint32_t>(kTeamsPerWarp, launch.count - base));
+    gpu::WarpScope warp(&device, stats, teams * kTeam);
+
+    std::uint64_t offsets[kWarp];
+    K query[kWarp];
+    for (int t = 0; t < teams; ++t) offsets[t] = (base + t) * sizeof(K);
+    warp.Gather(launch.queries, offsets, teams, query);
+
+    std::uint64_t node[kWarp];
+    if (launch.start_nodes.is_null()) {
+      std::fill(node, node + teams, root);
+    } else {
+      std::uint32_t start[kWarp];
+      for (int t = 0; t < teams; ++t) {
+        offsets[t] = (base + t) * sizeof(std::uint32_t);
+      }
+      warp.Gather(launch.start_nodes, offsets, teams, start);
+      std::copy(start, start + teams, node);
+    }
+
+    // One lane per team stores its word; consecutive 4-byte results
+    // coalesce into one transaction per warp.
+    ResultWord word[kWarp];
+    descend(warp, teams, query, node, word);
+    for (int t = 0; t < teams; ++t) {
+      offsets[t] = (base + t) * sizeof(ResultWord);
+    }
+    warp.Scatter(launch.results, offsets, teams, word);
+  }
+}
+
+/// The run carry of a level before its first team: matches no run.
+inline constexpr std::uint64_t kNoRun = ~0ull;
+
+/// The run-dedup fetch of one line per team: team t reads `team_lanes`
+/// elements of T at `base + line[t]`, into `out[t * team_lanes, ...)`.
+/// A team whose `run` key differs from the previous team's — `*carry` for
+/// the first team, the last run of the previous warp — leads a run and
+/// issues the global gather; a follower takes the leader's line from
+/// shared memory, charged as one broadcast over the follower lanes.
+/// Updates `*carry` and returns the number of run leaders.
+template <typename T>
+int GatherRuns(gpu::WarpScope& warp, gpu::DevicePtr base,
+               const std::uint64_t* run, const std::uint64_t* line,
+               int teams, int team_lanes, std::uint64_t* carry, T* out) {
+  std::uint64_t offsets[gpu::WarpScope::kWarpSize];
+  int gathered = 0;
+  int leaders = 0;
+  for (int t = 0; t < teams; ++t) {
+    if (run[t] == (t == 0 ? *carry : run[t - 1])) continue;
+    ++leaders;
+    for (int lane = 0; lane < team_lanes; ++lane) {
+      offsets[gathered++] = line[t] + lane * sizeof(T);
+    }
+  }
+  *carry = run[teams - 1];
+  if (gathered > 0) warp.RecordAccess(base, offsets, gathered, sizeof(T));
+  const int followers = teams * team_lanes - gathered;
+  if (followers > 0) warp.SharedAccessUniform(followers);
+  for (int t = 0; t < teams; ++t) {
+    std::memcpy(&out[t * team_lanes], warp.device()->HostView(base + line[t]),
+                team_lanes * sizeof(T));
+  }
+  return leaders;
+}
+
+/// A team's search result (Snippet 3): the lane whose flag is 1 while its
+/// left neighbour's is 0, which is the number of the team's keys smaller
+/// than the query.
+template <typename K>
+int CountLess(const K* keys, int team, K query) {
+  int result = 0;
+  for (int lane = 0; lane < team; ++lane) {
+    if (keys[lane] < query) ++result;
+  }
+  return result;
+}
+
 /// Launch parameters for the implicit-tree inner search.
 template <typename K>
 struct ImplicitKernelParams {
@@ -67,139 +171,69 @@ struct ImplicitKernelParams {
   /// Materialized node count per level (index 0 = leaf lines); child
   /// indices are clamped to it, mirroring the host-side descent.
   std::vector<std::uint64_t> level_alloc;
-  int height = 0;       // inner levels in the tree
-  int start_level = 0;  // first level the GPU searches (== height unless
-                        // the CPU pre-descended, Section 5.5)
+  int start_level = 0;  // first level the GPU searches (the tree height
+                        // unless the CPU pre-descended, Section 5.5)
   int fanout = 0;       // == keys per node (hybrid layout)
-
-  gpu::DevicePtr queries;      // K[count]
-  gpu::DevicePtr start_nodes;  // uint32[count]; null -> all start at node 0
-  gpu::DevicePtr results;      // ResultWord[count]: leaf line index
-  std::uint32_t count = 0;
+  SearchLaunch launch;  // results: leaf line index
 };
 
 /// Runs the implicit inner-node search kernel (Snippet 3); returns
 /// per-launch stats for the kernel cost model. Functionally computes
 /// results in device memory exactly as Snippet 3 would.
 ///
-/// Teams whose node at the current level equals the previous team's node
-/// (a "run") reuse the leader's node line from shared memory instead of
-/// re-issuing the global gather. The compute side (flag exchange, compare,
-/// clamp) is per query either way. Run boundaries carry across warps, so
-/// the per-level node loads equal the number of runs in the launch — the
-/// distinct start nodes at that level when the queries arrive sorted.
+/// Teams at the same node as the previous team (a "run") reuse the
+/// leader's node line (GatherRuns); the compute side (flag exchange,
+/// compare, clamp) is per query either way. Run boundaries carry across
+/// warps, so the per-level node loads equal the number of runs in the
+/// launch — the distinct start nodes at that level when the queries
+/// arrive sorted.
 template <typename K>
 gpu::KernelStats RunImplicitInnerSearch(
     gpu::Device& device, const ImplicitKernelParams<K>& p) {
   gpu::KernelStats stats;
   constexpr int kTeam = KeyTraits<K>::kPerCacheLine;
-  const int teams_per_warp = gpu::WarpScope::kWarpSize / kTeam;
-  if (p.count == 0) return stats;
+  if (p.launch.count == 0) return stats;
 
   stats.node_loads_by_level.assign(p.start_level + 1, 0);
   stats.node_queries_by_level.assign(p.start_level + 1, 0);
-  // Run-leader carry across warps: the node the previous team visited at
-  // each level (sorted launches make equal-node runs consecutive).
-  constexpr std::uint64_t kNone = ~0ull;
-  std::vector<std::uint64_t> prev_node(p.start_level + 1, kNone);
-
-  for (std::uint32_t warp_base = 0; warp_base < p.count;
-       warp_base += teams_per_warp) {
-    const int teams =
-        static_cast<int>(std::min<std::uint32_t>(teams_per_warp,
-                                                 p.count - warp_base));
-    const int lanes = teams * kTeam;
-    gpu::WarpScope warp(&device, &stats, lanes);
-
-    K team_query[gpu::WarpScope::kWarpSize];
-    {
-      std::uint64_t qoff[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) qoff[t] = (warp_base + t) * sizeof(K);
-      warp.Gather(p.queries, qoff, teams, team_query);
-    }
-
-    std::uint64_t node[gpu::WarpScope::kWarpSize];
-    if (p.start_nodes.is_null()) {
-      for (int t = 0; t < teams; ++t) node[t] = 0;
-    } else {
-      std::uint64_t soff[gpu::WarpScope::kWarpSize];
-      std::uint32_t start32[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) {
-        soff[t] = (warp_base + t) * sizeof(std::uint32_t);
-      }
-      warp.Gather(p.start_nodes, soff, teams, start32);
-      for (int t = 0; t < teams; ++t) node[t] = start32[t];
-    }
-
-    for (int level = p.start_level; level >= 1; --level) {
-      // Run leaders issue the node-line gather; followers reuse it.
-      std::uint64_t goff[gpu::WarpScope::kWarpSize];
-      int gl = 0;
-      int leaders = 0;
-      for (int t = 0; t < teams; ++t) {
-        const std::uint64_t prev = t == 0 ? prev_node[level] : node[t - 1];
-        if (node[t] != prev) {
-          ++leaders;
-          const std::uint64_t node_byte =
-              (p.level_offsets[level] + node[t]) * kCacheLineSize;
-          for (int lane = 0; lane < kTeam; ++lane) {
-            goff[gl++] = node_byte + lane * sizeof(K);
+  std::vector<std::uint64_t> carry(p.start_level + 1, kNoRun);
+  RunTeamSearch<K, kTeam>(
+      device, &stats, p.launch, /*root=*/0,
+      [&](gpu::WarpScope& warp, int teams, const K* query,
+          std::uint64_t* node, ResultWord* word) {
+        const int lanes = teams * kTeam;
+        for (int level = p.start_level; level >= 1; --level) {
+          std::uint64_t line[gpu::WarpScope::kWarpSize];
+          for (int t = 0; t < teams; ++t) {
+            line[t] = (p.level_offsets[level] + node[t]) * kCacheLineSize;
           }
+          K key[gpu::WarpScope::kWarpSize];
+          const int leaders = GatherRuns(warp, p.nodes, node, line, teams,
+                                         kTeam, &carry[level], key);
+
+          // flag[threadIdx] = (teamQuery <= selfKey); write + barrier +
+          // read neighbour flag + conditional result write (Snippet 3
+          // lines 13-24). Every team resolves its own query.
+          warp.SharedAccessUniform(lanes);  // flag store
+          warp.Instruction(2);              // compare + selfFlag
+          warp.SharedAccessUniform(lanes);  // neighbour flag load
+          warp.Instruction(2);              // transition test + result store
+          warp.Instruction(2);              // __syncthreads x2 (warp-level)
+          for (int t = 0; t < teams; ++t) {
+            const int result = CountLess(&key[t * kTeam], kTeam, query[t]);
+            HBTREE_DCHECK(result < p.fanout);
+            node[t] = std::min(node[t] * p.fanout + result,
+                               p.level_alloc[level - 1] - 1);
+          }
+          warp.Instruction(1);  // the clamp
+
+          stats.node_loads_by_level[level] += leaders;
+          stats.node_queries_by_level[level] += teams;
         }
-      }
-      prev_node[level] = node[teams - 1];
-      if (gl > 0) warp.RecordAccess(p.nodes, goff, gl, sizeof(K));
-      const int follower_lanes = lanes - gl;
-      if (follower_lanes > 0) {
-        warp.SharedAccessUniform(follower_lanes);  // leader-line broadcast
-      }
-      // Functional node read for every team (followers take the leader's
-      // line from shared memory; the broadcast above is its charge).
-      K self_key[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) {
-        const std::uint64_t node_byte =
-            (p.level_offsets[level] + node[t]) * kCacheLineSize;
-        std::memcpy(&self_key[t * kTeam],
-                    device.HostView(p.nodes + node_byte), kTeam * sizeof(K));
-      }
-
-      // flag[threadIdx] = (teamQuery <= selfKey); write + barrier + read
-      // neighbour flag + conditional result write (Snippet 3 lines 13-24).
-      // Every team resolves its own query, leader or follower.
-      warp.SharedAccessUniform(lanes);  // flag store
-      warp.Instruction(2);              // compare + selfFlag
-      warp.SharedAccessUniform(lanes);  // neighbour flag load
-      warp.Instruction(2);              // transition test + result store
-      warp.Instruction(2);              // __syncthreads x2 (warp-level)
-
-      for (int t = 0; t < teams; ++t) {
-        // result = the lane whose flag is 1 while its left neighbour's is
-        // 0 == the number of keys smaller than the query.
-        int result = 0;
-        for (int lane = 0; lane < kTeam; ++lane) {
-          if (self_key[t * kTeam + lane] < team_query[t]) ++result;
+        for (int t = 0; t < teams; ++t) {
+          word[t] = static_cast<ResultWord>(node[t]);
         }
-        HBTREE_DCHECK(result < p.fanout);
-        node[t] = node[t] * p.fanout + static_cast<std::uint64_t>(result);
-        const std::uint64_t bound = p.level_alloc[level - 1];
-        if (node[t] >= bound) node[t] = bound - 1;
-      }
-      warp.Instruction(1);  // the clamp
-
-      stats.node_loads_by_level[level] += static_cast<std::uint64_t>(leaders);
-      stats.node_queries_by_level[level] += static_cast<std::uint64_t>(teams);
-    }
-
-    // Scatter leaf line indices (one lane per team writes; consecutive
-    // 4-byte results coalesce into one transaction per warp).
-    ResultWord line[gpu::WarpScope::kWarpSize];
-    std::uint64_t roff[gpu::WarpScope::kWarpSize];
-    for (int t = 0; t < teams; ++t) {
-      line[t] = static_cast<ResultWord>(node[t]);
-      roff[t] = (warp_base + t) * sizeof(ResultWord);
-    }
-    warp.Scatter(p.results, roff, teams, line);
-  }
+      });
   return stats;
 }
 
@@ -209,13 +243,8 @@ struct RegularKernelParams {
   gpu::DevicePtr inner_hot;  // RegularInnerHot<K>[] indexed by pool slot
   gpu::DevicePtr last_hot;   // RegularInnerHot<K>[] for the last level
   NodeRef root = kNullRef;
-  int root_level = 0;   // levels counted down to 1 (last inner level)
-  int start_level = 0;  // == root_level unless the CPU pre-descended
-
-  gpu::DevicePtr queries;      // K[count]
-  gpu::DevicePtr start_nodes;  // uint32[count]; null -> all start at root
-  gpu::DevicePtr results;      // ResultWord[count]: PackLeafPosition
-  std::uint32_t count = 0;
+  int start_level = 0;  // the tree height unless the CPU pre-descended
+  SearchLaunch launch;  // results: PackLeafPosition
 };
 
 /// The regular kernel's result packs the leaf line into the low
@@ -245,190 +274,98 @@ inline int UnpackLeafLine(ResultWord packed) {
 /// lane fetches the child reference — "three memory accesses instead of
 /// one" (Section 5.3).
 ///
-/// Runs dedupe as in RunImplicitInnerSearch: the run leader issues the
-/// global gathers (index line, key line, child ref); followers take the
-/// lines from shared memory. Key-line and child-ref gathers additionally
-/// dedupe on the selected line — queries of one run that fall into the
-/// same key line share that fetch too. Per-level node loads (the
-/// index-line leaders) equal the runs of the launch at that level.
+/// Each of the three fetches dedupes runs (GatherRuns): the index line on
+/// the node, the key line on (node, selected line) and the child ref on
+/// (node, result line), so queries of one run that fall into the same key
+/// line share that fetch too. Per-level node loads (the index-line
+/// leaders) equal the runs of the launch at that level.
 template <typename K>
 gpu::KernelStats RunRegularInnerSearch(
     gpu::Device& device, const RegularKernelParams<K>& p) {
   gpu::KernelStats stats;
   using Shape = RegularShape<K>;
   constexpr int kTeam = Shape::kIdx;
-  const int teams_per_warp = gpu::WarpScope::kWarpSize / kTeam;
   constexpr std::uint64_t kHotBytes = sizeof(RegularInnerHot<K>);
   constexpr std::uint64_t kKeysBase = Shape::kIdx * sizeof(K);
   constexpr std::uint64_t kRefsBase =
       kKeysBase + Shape::kFanout * sizeof(K);
-  if (p.count == 0) return stats;
+  if (p.launch.count == 0) return stats;
 
   stats.node_loads_by_level.assign(p.start_level + 1, 0);
   stats.node_queries_by_level.assign(p.start_level + 1, 0);
-  // Cross-warp run carries: previous team's node, (node, key line) and
-  // (node, result line) per level. Lines fit in 16 bits, so the packed
-  // carries can never collide with the ~0 sentinel.
-  constexpr std::uint64_t kNone = ~0ull;
-  std::vector<std::uint64_t> prev_node(p.start_level + 1, kNone);
-  std::vector<std::uint64_t> prev_kline(p.start_level + 1, kNone);
-  std::vector<std::uint64_t> prev_rline(p.start_level + 1, kNone);
+  // Cross-warp run carries per level. Lines fit in 16 bits, so the packed
+  // (node, line) runs can never collide with kNoRun.
+  std::vector<std::uint64_t> node_carry(p.start_level + 1, kNoRun);
+  std::vector<std::uint64_t> kline_carry(p.start_level + 1, kNoRun);
+  std::vector<std::uint64_t> rline_carry(p.start_level + 1, kNoRun);
+  RunTeamSearch<K, kTeam>(
+      device, &stats, p.launch, p.root,
+      [&](gpu::WarpScope& warp, int teams, const K* query,
+          std::uint64_t* node, ResultWord* word) {
+        constexpr int kWarp = gpu::WarpScope::kWarpSize;
+        const int lanes = teams * kTeam;
+        std::uint64_t run[kWarp];
+        std::uint64_t line[kWarp];
+        K key[kWarp];
+        int s[kWarp];
+        int line_result[kWarp];
+        for (int level = p.start_level; level >= 1; --level) {
+          const gpu::DevicePtr pool = level == 1 ? p.last_hot : p.inner_hot;
 
-  for (std::uint32_t warp_base = 0; warp_base < p.count;
-       warp_base += teams_per_warp) {
-    const int teams =
-        static_cast<int>(std::min<std::uint32_t>(teams_per_warp,
-                                                 p.count - warp_base));
-    const int lanes = teams * kTeam;
-    gpu::WarpScope warp(&device, &stats, lanes);
+          // Step 1: the index line, selecting a key line.
+          for (int t = 0; t < teams; ++t) line[t] = node[t] * kHotBytes;
+          const int leaders = GatherRuns(warp, pool, node, line, teams,
+                                         kTeam, &node_carry[level], key);
+          warp.SharedAccessUniform(lanes);
+          warp.Instruction(4);
+          warp.SharedAccessUniform(lanes);
+          for (int t = 0; t < teams; ++t) {
+            s[t] = CountLess(&key[t * kTeam], kTeam, query[t]);
+            HBTREE_DCHECK(s[t] < kTeam);
+          }
 
-    K team_query[gpu::WarpScope::kWarpSize];
-    {
-      std::uint64_t qoff[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) qoff[t] = (warp_base + t) * sizeof(K);
-      warp.Gather(p.queries, qoff, teams, team_query);
-    }
+          // Step 2: the selected key line; sorted runs make equal
+          // selections consecutive here too.
+          for (int t = 0; t < teams; ++t) {
+            run[t] = (node[t] << 16) | static_cast<std::uint64_t>(s[t]);
+            line[t] = node[t] * kHotBytes + kKeysBase +
+                      static_cast<std::uint64_t>(s[t]) * kTeam * sizeof(K);
+          }
+          GatherRuns(warp, pool, run, line, teams, kTeam, &kline_carry[level],
+                     key);
+          warp.SharedAccessUniform(lanes);
+          warp.Instruction(4);
+          warp.SharedAccessUniform(lanes);
+          for (int t = 0; t < teams; ++t) {
+            const int count_less = CountLess(&key[t * kTeam], kTeam, query[t]);
+            HBTREE_DCHECK(count_less < kTeam);
+            line_result[t] = s[t] * kTeam + count_less;
+          }
 
-    std::uint64_t node[gpu::WarpScope::kWarpSize];
-    if (p.start_nodes.is_null()) {
-      for (int t = 0; t < teams; ++t) node[t] = p.root;
-    } else {
-      std::uint64_t soff[gpu::WarpScope::kWarpSize];
-      std::uint32_t start32[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) {
-        soff[t] = (warp_base + t) * sizeof(std::uint32_t);
-      }
-      warp.Gather(p.start_nodes, soff, teams, start32);
-      for (int t = 0; t < teams; ++t) node[t] = start32[t];
-    }
+          stats.node_loads_by_level[level] += leaders;
+          stats.node_queries_by_level[level] += teams;
+          if (level == 1) break;
 
-    std::uint64_t goff[gpu::WarpScope::kWarpSize];
-    K lane_key[gpu::WarpScope::kWarpSize];
-
-    int line_result[gpu::WarpScope::kWarpSize];
-    for (int level = p.start_level; level >= 1; --level) {
-      const bool last = level == 1;
-      const gpu::DevicePtr pool = last ? p.last_hot : p.inner_hot;
-
-      // Step 1: index line — run leaders gather, followers broadcast.
-      int gl = 0;
-      int leaders = 0;
-      for (int t = 0; t < teams; ++t) {
-        const std::uint64_t prev = t == 0 ? prev_node[level] : node[t - 1];
-        if (node[t] != prev) {
-          ++leaders;
-          const std::uint64_t base = node[t] * kHotBytes;
-          for (int lane = 0; lane < kTeam; ++lane) {
-            goff[gl++] = base + lane * sizeof(K);
+          // Step 3: the child reference, one lane per team.
+          for (int t = 0; t < teams; ++t) {
+            run[t] =
+                (node[t] << 16) | static_cast<std::uint64_t>(line_result[t]);
+            line[t] = node[t] * kHotBytes + kRefsBase +
+                      static_cast<std::uint64_t>(line_result[t]) * sizeof(K);
+          }
+          K child[kWarp];
+          GatherRuns(warp, pool, run, line, teams, 1, &rline_carry[level],
+                     child);
+          warp.Instruction(1);
+          for (int t = 0; t < teams; ++t) {
+            node[t] = static_cast<std::uint64_t>(child[t]);
           }
         }
-      }
-      prev_node[level] = node[teams - 1];
-      if (gl > 0) warp.RecordAccess(pool, goff, gl, sizeof(K));
-      if (lanes - gl > 0) warp.SharedAccessUniform(lanes - gl);
-      for (int t = 0; t < teams; ++t) {
-        std::memcpy(&lane_key[t * kTeam],
-                    device.HostView(pool + node[t] * kHotBytes),
-                    kTeam * sizeof(K));
-      }
-      warp.SharedAccessUniform(lanes);
-      warp.Instruction(4);
-      warp.SharedAccessUniform(lanes);
-      int s[gpu::WarpScope::kWarpSize];
-      for (int t = 0; t < teams; ++t) {
-        int count_less = 0;
-        for (int lane = 0; lane < kTeam; ++lane) {
-          if (lane_key[t * kTeam + lane] < team_query[t]) ++count_less;
+        for (int t = 0; t < teams; ++t) {
+          word[t] = PackLeafPosition(static_cast<NodeRef>(node[t]),
+                                     line_result[t]);
         }
-        HBTREE_DCHECK(count_less < kTeam);
-        s[t] = count_less;
-      }
-
-      // Step 2: key line — dedupe on (node, selected line); sorted runs
-      // make equal selections consecutive here too.
-      gl = 0;
-      for (int t = 0; t < teams; ++t) {
-        const std::uint64_t kline =
-            (node[t] << 16) | static_cast<std::uint64_t>(s[t]);
-        const std::uint64_t prev =
-            t == 0 ? prev_kline[level]
-                   : (node[t - 1] << 16) | static_cast<std::uint64_t>(s[t - 1]);
-        if (kline != prev) {
-          const std::uint64_t base =
-              node[t] * kHotBytes + kKeysBase +
-              static_cast<std::uint64_t>(s[t]) * kTeam * sizeof(K);
-          for (int lane = 0; lane < kTeam; ++lane) {
-            goff[gl++] = base + lane * sizeof(K);
-          }
-        }
-      }
-      prev_kline[level] = (node[teams - 1] << 16) |
-                          static_cast<std::uint64_t>(s[teams - 1]);
-      if (gl > 0) warp.RecordAccess(pool, goff, gl, sizeof(K));
-      if (lanes - gl > 0) warp.SharedAccessUniform(lanes - gl);
-      for (int t = 0; t < teams; ++t) {
-        std::memcpy(&lane_key[t * kTeam],
-                    device.HostView(pool + node[t] * kHotBytes + kKeysBase +
-                                    static_cast<std::uint64_t>(s[t]) * kTeam *
-                                        sizeof(K)),
-                    kTeam * sizeof(K));
-      }
-      warp.SharedAccessUniform(lanes);
-      warp.Instruction(4);
-      warp.SharedAccessUniform(lanes);
-      for (int t = 0; t < teams; ++t) {
-        int count_less = 0;
-        for (int lane = 0; lane < kTeam; ++lane) {
-          if (lane_key[t * kTeam + lane] < team_query[t]) ++count_less;
-        }
-        HBTREE_DCHECK(count_less < kTeam);
-        line_result[t] = s[t] * kTeam + count_less;
-      }
-
-      stats.node_loads_by_level[level] += static_cast<std::uint64_t>(leaders);
-      stats.node_queries_by_level[level] += static_cast<std::uint64_t>(teams);
-
-      if (last) break;
-
-      // Step 3: child reference — dedupe on (node, result line).
-      gl = 0;
-      for (int t = 0; t < teams; ++t) {
-        const std::uint64_t rline =
-            (node[t] << 16) | static_cast<std::uint64_t>(line_result[t]);
-        const std::uint64_t prev =
-            t == 0 ? prev_rline[level]
-                   : (node[t - 1] << 16) |
-                         static_cast<std::uint64_t>(line_result[t - 1]);
-        if (rline != prev) {
-          goff[gl++] = node[t] * kHotBytes + kRefsBase +
-                       static_cast<std::uint64_t>(line_result[t]) * sizeof(K);
-        }
-      }
-      prev_rline[level] = (node[teams - 1] << 16) |
-                          static_cast<std::uint64_t>(line_result[teams - 1]);
-      if (gl > 0) warp.RecordAccess(pool, goff, gl, sizeof(K));
-      if (teams - gl > 0) warp.SharedAccessUniform(teams - gl);
-      warp.Instruction(1);
-      for (int t = 0; t < teams; ++t) {
-        K child_ref;
-        std::memcpy(&child_ref,
-                    device.HostView(pool + node[t] * kHotBytes + kRefsBase +
-                                    static_cast<std::uint64_t>(line_result[t]) *
-                                        sizeof(K)),
-                    sizeof(K));
-        node[t] = static_cast<std::uint64_t>(child_ref);
-      }
-    }
-
-    ResultWord packed[gpu::WarpScope::kWarpSize];
-    std::uint64_t roff[gpu::WarpScope::kWarpSize];
-    for (int t = 0; t < teams; ++t) {
-      packed[t] = PackLeafPosition(static_cast<NodeRef>(node[t]),
-                                   line_result[t]);
-      roff[t] = (warp_base + t) * sizeof(ResultWord);
-    }
-    warp.Scatter(p.results, roff, teams, packed);
-  }
+      });
   return stats;
 }
 

@@ -38,11 +38,8 @@ struct FastKernelParams {
   int start_block_level = 0;  // 0 unless the CPU pre-descended
   /// Base block offset of each block level (host-side kernel constant).
   std::vector<std::uint64_t> level_bases;
-
-  gpu::DevicePtr queries;      // K[count]
-  gpu::DevicePtr start_nodes;  // uint32 block indices; null -> root block
-  gpu::DevicePtr results;      // ResultWord[count]: lower-bound position
-  std::uint32_t count = 0;
+  /// Start nodes are block indices; results: lower-bound position.
+  SearchLaunch launch;
 };
 
 /// Runs the FAST descent on the device: one thread per query (FAST's
@@ -52,72 +49,36 @@ template <typename K>
 gpu::KernelStats RunFastSearch(gpu::Device& device,
                                const FastKernelParams<K>& p) {
   gpu::KernelStats stats;
-  constexpr int kWarp = gpu::WarpScope::kWarpSize;
   constexpr int kBlockDepth = FastTree<K>::kBlockDepth;
-  constexpr int kBlockSlots = FastTree<K>::kBlockSlots;
-
-  for (std::uint32_t warp_base = 0; warp_base < p.count; warp_base += kWarp) {
-    const int lanes = static_cast<int>(
-        std::min<std::uint32_t>(kWarp, p.count - warp_base));
-    gpu::WarpScope warp(&device, &stats, lanes);
-
-    K query[kWarp];
-    std::uint64_t offsets[kWarp];
-    {
-      std::uint64_t qoff[kWarp];
-      for (int lane = 0; lane < lanes; ++lane) {
-        qoff[lane] = (warp_base + lane) * sizeof(K);
-      }
-      warp.Gather(p.queries, qoff, lanes, query);
-    }
-
-    // The block index at a level equals the leaf-path prefix, so one
-    // register carries both.
-    std::uint64_t block[kWarp];
-    if (p.start_nodes.is_null()) {
-      for (int lane = 0; lane < lanes; ++lane) block[lane] = 0;
-    } else {
-      std::uint32_t start32[kWarp];
-      std::uint64_t soff[kWarp];
-      for (int lane = 0; lane < lanes; ++lane) {
-        soff[lane] = (warp_base + lane) * sizeof(std::uint32_t);
-      }
-      warp.Gather(p.start_nodes, soff, lanes, start32);
-      for (int lane = 0; lane < lanes; ++lane) block[lane] = start32[lane];
-    }
-
-    for (int bl = p.start_block_level; bl < p.block_levels; ++bl) {
-      // Each lane loads its own 64-byte block line: no team cooperation,
-      // so up to `lanes` distinct transactions per level.
-      for (int lane = 0; lane < lanes; ++lane) {
-        offsets[lane] =
-            (p.level_bases[bl] + block[lane]) * kCacheLineSize;
-      }
-      K first_slot[kWarp];
-      warp.Gather(p.blocks, offsets, lanes, first_slot);  // accounting
-      warp.Instruction(2 * kBlockDepth);  // compares + index updates
-      for (int lane = 0; lane < lanes; ++lane) {
-        const K* line = device.HostViewAs<K>(p.blocks + offsets[lane]);
-        unsigned in_block = 0;
-        for (int d = 0; d < kBlockDepth; ++d) {
-          const K sep = line[(1u << d) - 1 + in_block];
-          in_block = 2 * in_block + (sep < query[lane] ? 1 : 0);
+  // The block index at a level equals the leaf-path prefix, so one
+  // register carries both.
+  RunTeamSearch<K, /*kTeam=*/1>(
+      device, &stats, p.launch, /*root=*/0,
+      [&](gpu::WarpScope& warp, int lanes, const K* query,
+          std::uint64_t* block, ResultWord* word) {
+        std::uint64_t offsets[gpu::WarpScope::kWarpSize];
+        for (int bl = p.start_block_level; bl < p.block_levels; ++bl) {
+          // Each lane loads its own 64-byte block line: no team
+          // cooperation, so up to `lanes` distinct transactions per level.
+          for (int lane = 0; lane < lanes; ++lane) {
+            offsets[lane] = (p.level_bases[bl] + block[lane]) * kCacheLineSize;
+          }
+          warp.RecordAccess(p.blocks, offsets, lanes, sizeof(K));
+          warp.Instruction(2 * kBlockDepth);  // compares + index updates
+          for (int lane = 0; lane < lanes; ++lane) {
+            const K* line = device.HostViewAs<K>(p.blocks + offsets[lane]);
+            unsigned in_block = 0;
+            for (int d = 0; d < kBlockDepth; ++d) {
+              const K sep = line[(1u << d) - 1 + in_block];
+              in_block = 2 * in_block + (sep < query[lane] ? 1 : 0);
+            }
+            block[lane] = (block[lane] << kBlockDepth) | in_block;
+          }
         }
-        block[lane] =
-            (block[lane] << kBlockDepth) | in_block;
-      }
-      (void)first_slot;
-      (void)kBlockSlots;
-    }
-
-    ResultWord position[kWarp];
-    std::uint64_t roff[kWarp];
-    for (int lane = 0; lane < lanes; ++lane) {
-      position[lane] = static_cast<ResultWord>(block[lane]);
-      roff[lane] = (warp_base + lane) * sizeof(ResultWord);
-    }
-    warp.Scatter(p.results, roff, lanes, position);
-  }
+        for (int lane = 0; lane < lanes; ++lane) {
+          word[lane] = static_cast<ResultWord>(block[lane]);
+        }
+      });
   return stats;
 }
 
@@ -189,10 +150,7 @@ class HBFastTree {
       base += blocks_at;
       blocks_at *= FastTree<K>::kBlockFanout;
     }
-    params.queries = queries;
-    params.start_nodes = start_nodes;
-    params.results = results;
-    params.count = count;
+    params.launch = {queries, start_nodes, results, count};
     return params;
   }
 

@@ -1,8 +1,8 @@
 #ifndef HBTREE_HYBRID_HB_IMPLICIT_H_
 #define HBTREE_HYBRID_HB_IMPLICIT_H_
 
-#include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/macros.h"
@@ -71,18 +71,9 @@ class HBImplicitTree {
   /// modelled transfer time in µs (Figure 15's third phase).
   double SyncISegment() {
     HBTREE_CHECK(!device_nodes_.is_null());
-    sync_epoch_.fetch_add(1, std::memory_order_relaxed);
     return transfer_->CopyToDevice(
         device_nodes_, host_tree_.i_segment_nodes(),
         host_tree_.i_segment_node_count() * kCacheLineSize);
-  }
-
-  /// Snapshot hook: monotonically increasing count of device-mirror
-  /// uploads (initial Build and every SyncISegment). Lets a snapshot
-  /// manager tell whether the mirror changed since a reader pinned it;
-  /// readable from any thread.
-  std::uint64_t sync_epoch() const {
-    return sync_epoch_.load(std::memory_order_relaxed);
   }
 
   /// Kernel launch parameters for a bucket of `count` queries already in
@@ -102,14 +93,10 @@ class HBImplicitTree {
       params.level_offsets[level] = host_tree_.level_offset(level);
       params.level_alloc[level] = host_tree_.level_alloc(level);
     }
-    params.height = host_tree_.height();
     params.start_level =
         start_level < 0 ? host_tree_.height() : start_level;
     params.fanout = host_tree_.fanout();
-    params.queries = queries;
-    params.start_nodes = start_nodes;
-    params.results = results;
-    params.count = count;
+    params.launch = {queries, start_nodes, results, count};
     return params;
   }
 
@@ -118,7 +105,17 @@ class HBImplicitTree {
   gpu::Device& device() { return *device_; }
   gpu::TransferEngine& transfer() { return *transfer_; }
 
-  std::size_t device_bytes() const { return device_bytes_; }
+  /// Test hook, the mirror's counterpart of the host tree's Validate():
+  /// true when the device copy of the I-segment equals the host's byte
+  /// for byte.
+  bool MirrorMatchesHost() const {
+    return !device_nodes_.is_null() &&
+           std::memcmp(device_->HostView(device_nodes_),
+                       host_tree_.i_segment_nodes(),
+                       host_tree_.i_segment_node_count() * kCacheLineSize) ==
+               0;
+  }
+
   /// The device mirror allocation (used by the GPU-assisted rebuild of
   /// hybrid/gpu_build.h).
   gpu::DevicePtr device_nodes() const { return device_nodes_; }
@@ -137,8 +134,6 @@ class HBImplicitTree {
     if (device_nodes_.is_null()) {
       return Status::DeviceOom("I-segment does not fit in device memory");
     }
-    device_bytes_ = bytes;
-    sync_epoch_.fetch_add(1, std::memory_order_relaxed);
     transfer_->CopyToDevice(device_nodes_, host_tree_.i_segment_nodes(),
                             bytes);
     return Status::Ok();
@@ -149,8 +144,6 @@ class HBImplicitTree {
   gpu::Device* device_;
   gpu::TransferEngine* transfer_;
   gpu::DevicePtr device_nodes_;
-  std::size_t device_bytes_ = 0;
-  std::atomic<std::uint64_t> sync_epoch_{0};
 };
 
 }  // namespace hbtree

@@ -102,7 +102,6 @@ class HBRegularTree {
     gpu::DevicePtr dst =
         (node.last_level ? device_last_ : device_inner_) +
         static_cast<std::uint64_t>(node.ref) * sizeof(Hot);
-    sync_epoch_.fetch_add(1, std::memory_order_relaxed);
     const double t = transfer_->StreamedCopyToDevice(dst, &hot, sizeof(Hot));
     if (us != nullptr) *us = t;
     return Status::Ok();
@@ -153,7 +152,6 @@ class HBRegularTree {
     t += CopyDirtySlots(host_tree_.leaf_pool(), device_last_, &nodes);
     host_tree_.inner_pool().ClearDirty();
     host_tree_.leaf_pool().ClearDirty();
-    sync_epoch_.fetch_add(1, std::memory_order_relaxed);
     delta_syncs_.fetch_add(1, std::memory_order_relaxed);
     delta_nodes_synced_.fetch_add(nodes, std::memory_order_relaxed);
     if (us != nullptr) *us = t;
@@ -190,13 +188,9 @@ class HBRegularTree {
     params.inner_hot = device_inner_;
     params.last_hot = device_last_;
     params.root = host_tree_.root();
-    params.root_level = host_tree_.height();
     params.start_level =
         start_level < 0 ? host_tree_.height() : start_level;
-    params.queries = queries;
-    params.start_nodes = start_nodes;
-    params.results = results;
-    params.count = count;
+    params.launch = {queries, start_nodes, results, count};
     return params;
   }
 
@@ -205,18 +199,14 @@ class HBRegularTree {
   gpu::Device& device() { return *device_; }
   gpu::TransferEngine& transfer() { return *transfer_; }
 
-  /// Snapshot hook: monotonically increasing count of device-mirror
-  /// synchronizations (node-granular or whole-I-segment). A snapshot
-  /// manager serving reads from this tree can compare epochs to tell
-  /// whether the mirror changed since a reader pinned it; readable from
-  /// any thread.
-  std::uint64_t sync_epoch() const {
-    return sync_epoch_.load(std::memory_order_relaxed);
+  /// Test hook, the mirror's counterpart of the host tree's Validate():
+  /// true when slots [0, high_water) of both device arrays equal the
+  /// pools' hot fragments byte for byte.
+  bool MirrorMatchesHost() const {
+    return PoolMatches(host_tree_.inner_pool(), device_inner_) &&
+           PoolMatches(host_tree_.leaf_pool(), device_last_);
   }
 
-  std::size_t device_bytes() const {
-    return (inner_capacity_ + last_capacity_) * sizeof(Hot);
-  }
   std::size_t i_segment_bytes() const {
     return (host_tree_.inner_pool().high_water() +
             host_tree_.leaf_pool().high_water()) *
@@ -279,7 +269,6 @@ class HBRegularTree {
     // dirty lists restart empty.
     host_tree_.inner_pool().ClearDirty();
     host_tree_.leaf_pool().ClearDirty();
-    sync_epoch_.fetch_add(1, std::memory_order_relaxed);
     mirror_valid_.store(true, std::memory_order_relaxed);
     return Status::Ok();
   }
@@ -301,6 +290,17 @@ class HBRegularTree {
           pool.primary_chunk(c), here * sizeof(Hot));
       remaining -= here;
     }
+  }
+
+  template <typename Pool>
+  bool PoolMatches(const Pool& pool, gpu::DevicePtr base) const {
+    for (typename Pool::Index slot = 0; slot < pool.high_water(); ++slot) {
+      if (std::memcmp(device_->HostView(base + slot * sizeof(Hot)),
+                      &pool.primary(slot), sizeof(Hot)) != 0) {
+        return false;
+      }
+    }
+    return true;
   }
 
   /// Streams a pool's dirty hot fragments to the device mirror, sorting
@@ -340,7 +340,6 @@ class HBRegularTree {
   gpu::DevicePtr device_last_;
   std::size_t inner_capacity_ = 0;
   std::size_t last_capacity_ = 0;
-  std::atomic<std::uint64_t> sync_epoch_{0};
   std::atomic<bool> mirror_valid_{false};
   std::atomic<std::uint64_t> delta_syncs_{0};
   std::atomic<std::uint64_t> full_syncs_{0};

@@ -76,7 +76,8 @@ std::vector<Scenario> BuildMatrix() {
   matrix.push_back({zipfian, DatasetKind::kSequential});
 
   // Flat key popularity: the negative control for the heat pipeline —
-  // no range may clear the hot-range threshold (see scripts/check_heat.py).
+  // no range may clear the hot-range threshold (validate_metrics.py
+  // --heat-verdicts).
   WorkloadSpec uniform = WorkloadSpec::YcsbMix('b');
   uniform.name = "uniform";
   uniform.chooser.kind = KeyChooserKind::kUniform;

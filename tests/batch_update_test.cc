@@ -52,6 +52,7 @@ TEST_P(BatchUpdateTest, TreeMatchesReferenceModelAfterBatch) {
   uconfig.real_threads = 3;
   BatchUpdateStats stats = RunBatchUpdate(tree, batch, method, uconfig);
   tree.host_tree().Validate();
+  EXPECT_TRUE(tree.MirrorMatchesHost());
   EXPECT_EQ(tree.host_tree().size(), model.size());
   EXPECT_EQ(stats.applied, batch.size());  // batch entries never collide
 
@@ -134,6 +135,7 @@ TEST(BatchUpdate, ParallelWithManyThreadsMatchesSingleThread) {
     uconfig.real_threads = threads;
     RunBatchUpdate(tree, batch, UpdateMethod::kAsyncParallel, uconfig);
     tree.host_tree().Validate();
+    EXPECT_TRUE(tree.MirrorMatchesHost());
     sizes.push_back(tree.host_tree().size());
     for (std::size_t i = 0; i < batch.size(); i += 37) {
       const auto& update = batch[i];
@@ -186,11 +188,43 @@ TEST(BatchUpdate, ParallelKeepsSameKeyOrderAcrossADeferredSplit) {
     uconfig.real_threads = threads;
     RunBatchUpdate(tree, batch, UpdateMethod::kAsyncParallel, uconfig);
     tree.host_tree().Validate();
+    EXPECT_TRUE(tree.MirrorMatchesHost());
     for (std::size_t j = 0; j < absent.size(); ++j) {
       EXPECT_EQ(tree.host_tree().Search(absent[j]).found, j % 2 == 1)
           << "key " << absent[j];
     }
     EXPECT_EQ(tree.host_tree().size(), data.size() + absent.size() / 2);
+  }
+}
+
+TEST(BatchUpdate, MirrorMatchesHostAfterEverySmallBatch) {
+  // Small batches dirty few hot fragments, so the async methods stream
+  // them on the delta sync path; the synchronized method copies each
+  // modified node. Either way the device mirror must equal the host.
+  auto data = GenerateDataset<Key64>(100000, /*seed=*/13);
+  auto updates = MakeUpdateBatch<Key64>(data, 20 * 64,
+                                        /*insert_fraction=*/0.5, /*seed=*/14);
+  for (UpdateMethod method :
+       {UpdateMethod::kAsyncSingleThread, UpdateMethod::kAsyncParallel,
+        UpdateMethod::kSynchronized}) {
+    SCOPED_TRACE(UpdateMethodName(method));
+    Fixture fx;
+    HBRegularTree<Key64>::Config config;
+    config.tree.leaf_fill = 0.9;
+    HBRegularTree<Key64> tree(config, &fx.registry, &fx.device,
+                              &fx.transfer);
+    ASSERT_TRUE(tree.Build(data));
+    BatchUpdateConfig uconfig;
+    uconfig.real_threads = 2;
+    for (std::size_t b = 0; b < updates.size(); b += 64) {
+      const std::vector<UpdateQuery<Key64>> batch(
+          updates.begin() + b, updates.begin() + b + 64);
+      RunBatchUpdate(tree, batch, method, uconfig);
+      ASSERT_TRUE(tree.MirrorMatchesHost()) << "batch " << b / 64;
+    }
+    if (method != UpdateMethod::kSynchronized) {
+      EXPECT_GT(tree.delta_nodes_synced(), 0u);
+    }
   }
 }
 
@@ -215,6 +249,7 @@ TEST(BatchUpdate, TimingModelOrdering) {
     ASSERT_TRUE(tree.Build(data));
     BatchUpdateConfig uconfig;
     BatchUpdateStats stats = RunBatchUpdate(tree, batch, method, uconfig);
+    EXPECT_TRUE(tree.MirrorMatchesHost());
     if (method == UpdateMethod::kAsyncSingleThread) {
       single_us = stats.update_us;
     } else {
@@ -251,6 +286,7 @@ TEST(MixedWorkload, SyncDecaysFasterWithUpdateShare) {
       BatchUpdateConfig uconfig;
       MixedWorkloadStats stats = RunMixedWorkload(
           tree, searches, updates, update_ratio, method, uconfig, 0.1);
+      EXPECT_TRUE(tree.MirrorMatchesHost());
       mops[i++] = stats.mops();
     }
     if (update_ratio < 0.5) {

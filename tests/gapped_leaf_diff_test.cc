@@ -246,6 +246,7 @@ TEST(DeltaSync, SmallDirtySetStreamsDeltaAndMirrorStaysCorrect) {
   auto data = GenerateDataset<Key64>(200000, /*seed=*/31);
   ASSERT_TRUE(tree.Build(data));
   ASSERT_TRUE(tree.mirror_valid());
+  EXPECT_TRUE(tree.MirrorMatchesHost());
 
   auto keys = InsertClustered<Key64>(tree, data, 8, 16, /*seed=*/32);
   ASSERT_FALSE(keys.empty());
@@ -261,6 +262,7 @@ TEST(DeltaSync, SmallDirtySetStreamsDeltaAndMirrorStaysCorrect) {
   EXPECT_LT(us, fx.transfer.HostToDeviceUs(tree.i_segment_bytes()));
   EXPECT_EQ(tree.host_tree().leaf_pool().dirty_count(), 0u);
   EXPECT_TRUE(tree.mirror_valid());
+  EXPECT_TRUE(tree.MirrorMatchesHost());
 
   // The device mirror must now answer for the new keys.
   ExpectKernelFinds<Key64>(fx, tree, keys);
@@ -294,6 +296,7 @@ TEST(DeltaSync, LargeDirtySetTakesFullPath) {
   EXPECT_EQ(tree.full_syncs(), 1u);
   EXPECT_EQ(pool.dirty_count(), 0u);  // the bulk upload absorbs everything
   EXPECT_TRUE(tree.mirror_valid());
+  EXPECT_TRUE(tree.MirrorMatchesHost());
 }
 
 TEST(DeltaSync, FaultOnDeltaPathFallsBackToStaleMirrorThenFullRepair) {
@@ -318,6 +321,7 @@ TEST(DeltaSync, FaultOnDeltaPathFallsBackToStaleMirrorThenFullRepair) {
   fx.device.set_fault_injector(&injector);
   EXPECT_FALSE(tree.TrySyncISegment().ok());
   EXPECT_FALSE(tree.mirror_valid());
+  EXPECT_FALSE(tree.MirrorMatchesHost());
   EXPECT_EQ(tree.delta_syncs(), 0u);
   EXPECT_EQ(tree.host_tree().leaf_pool().dirty_count() +
                 tree.host_tree().inner_pool().dirty_count(),
@@ -330,6 +334,7 @@ TEST(DeltaSync, FaultOnDeltaPathFallsBackToStaleMirrorThenFullRepair) {
   ASSERT_TRUE(tree.TrySyncISegment(&us).ok());
   EXPECT_EQ(tree.full_syncs(), 1u);
   EXPECT_TRUE(tree.mirror_valid());
+  EXPECT_TRUE(tree.MirrorMatchesHost());
   EXPECT_EQ(tree.host_tree().leaf_pool().dirty_count() +
                 tree.host_tree().inner_pool().dirty_count(),
             0u);

@@ -489,6 +489,7 @@ TYPED_TEST(DifferentialTest, HybridRegularMatchesReferenceAcrossBatches) {
                                     : UpdateMethod::kSynchronized;
     RunBatchUpdate(tree, batch, method, uconfig);
     tree.host_tree().Validate();
+    ASSERT_TRUE(tree.MirrorMatchesHost()) << "round " << round;
     ASSERT_EQ(tree.host_tree().size(), reference.size());
 
     // Device-path lookups: every batch key plus its absent-side
@@ -538,6 +539,7 @@ TYPED_TEST(DifferentialTest, HybridImplicitPipelineMatchesReference) {
               return a.key < b.key;
             });
   ASSERT_TRUE(tree.Build(data));
+  ASSERT_TRUE(tree.MirrorMatchesHost());
 
   // Pipeline lookups over hits, both absent neighbours of each hit, the
   // boundary keys, and the above-maximum edge.
