@@ -71,7 +71,7 @@ run_tsan() {
   local targets=(serve_stress_test serve_shard_stress_test serve_fault_test
                  serve_workload_test admission_queue_test metrics_test
                  trace_export_test heat_test levelwise_pipeline_test
-                 gapped_leaf_diff_test)
+                 gapped_leaf_diff_test batch_update_test)
   cmake --build --preset tsan -j "$jobs" --target "${targets[@]}"
   local regex
   regex="^($(IFS='|'; echo "${targets[*]}"))\$"

@@ -626,6 +626,12 @@ def verdict_fig13(rows):
         claims.append((synced["mups"] < single["mups"],
                        f"2^{n:g}: synchronized {synced['mups']:.2f} < "
                        f"async-1t {single['mups']:.2f} Mupd/s"))
+        # The delta-first sync keeps the bulk upload as one of its plans,
+        # so it never costs more.
+        delta, bulk = single["delta_sync_us"], single["sync_us"]
+        claims.append((delta <= bulk,
+                       f"2^{n:g}: delta-first sync {delta:.0f} <= bulk "
+                       f"upload {bulk:.0f} us"))
     # Fig 13b: the async methods' one bulk I-segment upload.
     for a, b in zip(log2s, log2s[1:]):
         sync_a = r[(a, "async-1t")]["sync_us"]
@@ -643,10 +649,16 @@ def verdict_fig14(rows):
     sweep = sorted(rows, key=lambda r: r["batch"])
     sync_wins = [r["batch"] for r in sweep if r["sync_us"] < r["async_us"]]
     last = sync_wins[-1] if sync_wins else None
-    return [(last is not None and last < sweep[-1]["batch"],
-             f"a crossover: sync wins at batch "
-             f"{'/'.join(f'{b / 1024:.0f}K' for b in sync_wins) or 'none'}, "
-             f"async at every larger batch")]
+    claims = [(last is not None and last < sweep[-1]["batch"],
+               f"a crossover: sync wins at batch "
+               f"{'/'.join(f'{b / 1024:.0f}K' for b in sync_wins) or 'none'}"
+               f", async at every larger batch")]
+    for r in sweep:
+        claims.append((r["async_delta_us"] <= r["async_us"],
+                       f"{r['batch'] / 1024:.0f}K: delta-first async "
+                       f"{r['async_delta_us']:.0f} <= bulk-upload async "
+                       f"{r['async_us']:.0f} us"))
+    return claims
 
 
 def verdict_fig15(rows):

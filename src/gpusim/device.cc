@@ -49,6 +49,15 @@ bool Device::AccessL2(DevicePtr ptr) {
 }
 
 DevicePtr Device::TryMalloc(std::size_t bytes, MemoryKind kind) {
+  return Allocate(bytes, kind, /*consult_injector=*/true);
+}
+
+DevicePtr Device::TryMallocStaging(std::size_t bytes) {
+  return Allocate(bytes, MemoryKind::kDevice, /*consult_injector=*/false);
+}
+
+DevicePtr Device::Allocate(std::size_t bytes, MemoryKind kind,
+                           bool consult_injector) {
   if (bytes == 0) return DevicePtr{};
   const bool host_mapped = kind == MemoryKind::kHostMapped;
   std::lock_guard<std::mutex> lock(arena_mutex_);
@@ -56,7 +65,7 @@ DevicePtr Device::TryMalloc(std::size_t bytes, MemoryKind kind) {
       used_.load(std::memory_order_relaxed) + bytes > spec_.memory_bytes) {
     return DevicePtr{};
   }
-  if (injector_ != nullptr &&
+  if (consult_injector && injector_ != nullptr &&
       injector_->ShouldFail(fault::Site::kDeviceAlloc)) {
     return DevicePtr{};
   }

@@ -83,6 +83,11 @@ class Device {
   /// sites that sized the allocation beforehand and genuinely cannot
   /// recover — recoverable paths use TryMalloc and propagate a Status.
   DevicePtr Malloc(std::size_t bytes);
+  /// Device memory for one staged upload (a packed buffer that a kernel
+  /// unpacks on the device). The upload is the operation that can fault,
+  /// at its own kTransferH2D check, so this allocation consults no
+  /// injector: it fails only when `bytes` does not fit.
+  DevicePtr TryMallocStaging(std::size_t bytes);
   void Free(DevicePtr ptr);
 
   /// Arms (or disarms, with nullptr) a fault source consulted by
@@ -176,6 +181,9 @@ class Device {
   static constexpr std::uint32_t kChunkShift = 10;  // 1024 slots per chunk
   static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
   static constexpr std::uint32_t kMaxChunks = 4096;
+
+  DevicePtr Allocate(std::size_t bytes, MemoryKind kind,
+                     bool consult_injector);
 
   /// Bounds-checks `ptr` and returns its slot. Lock-free; the slot may be
   /// dead (data == null) — callers needing liveness check `data`.

@@ -45,7 +45,9 @@ struct BatchUpdateConfig {
   /// Modelled single-thread cost of one update query (descend + leaf
   /// edit), in µs. Derive from the CPU cost model for the tree size.
   double cpu_update_us = 0.15;
-  /// Modelled per-query lock acquisition overhead, µs.
+  /// Modelled cost of one lock acquisition, µs. The parallel apply
+  /// takes one per leaf run (BatchUpdateStats::leaf_runs); the
+  /// synchronized method and RunMixedWorkload pay one per operation.
   double lock_overhead_us = 0.02;
   /// Modelled per-query cost of the key sort that precedes the
   /// asynchronous apply (same rate the read path charges its bucket
@@ -67,10 +69,13 @@ struct BatchUpdateStats {
   std::uint64_t applied = 0;     // non-duplicate inserts + present deletes
   std::uint64_t structural = 0;  // handled via the single-threaded path
   std::uint64_t modified_nodes = 0;
+  /// Parallel apply: runs of sorted updates on one leaf, one stripe lock
+  /// each, counted as one worker would (the same for any worker count).
+  std::uint64_t leaf_runs = 0;
   std::uint64_t sync_retries = 0;  // transient sync faults retried
   std::uint64_t delta_syncs = 0;   // I-segment syncs taking the delta path
   std::uint64_t full_syncs = 0;    // I-segment syncs taking the full path
-  std::uint64_t delta_nodes = 0;   // hot fragments streamed by delta syncs
+  std::uint64_t delta_nodes = 0;   // hot fragments shipped by delta syncs
   double update_us = 0;  // modelled tree-update time
   double sync_us = 0;    // modelled I-segment synchronization time
   double total_us = 0;   // method-dependent combination
@@ -149,6 +154,7 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
   const bool parallel = method == UpdateMethod::kAsyncParallel;
   std::uint64_t applied = 0;
   std::uint64_t structural = 0;
+  std::uint64_t leaf_runs = 0;
 
   // Packed (key, index) records sort in-cache instead of chasing the
   // batch array through an index indirection; ordering by (key, index)
@@ -191,8 +197,9 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
     }
   } else {
     // Parallel phase per group: non-structural updates under striped
-    // per-node locks; structural ones deferred (paper: > 99% resolve in
-    // the parallel phase thanks to the 256-entry big leaves).
+    // per-node locks, one acquisition per leaf run; structural ones
+    // deferred (paper: > 99% resolve in the parallel phase thanks to the
+    // 256-entry big leaves).
     constexpr int kStripes = 1024;
     static std::mutex stripes[kStripes];
     const std::size_t group = static_cast<std::size_t>(config.group_size);
@@ -211,16 +218,21 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
       std::vector<std::vector<const UpdateQuery<K>*>> deferred(workers);
       std::vector<std::vector<ModifiedNode>> worker_modified(workers);
       std::vector<std::uint64_t> worker_applied(workers, 0);
+      std::vector<std::uint64_t> worker_runs(workers, 0);
       const std::size_t span = (end - begin + workers - 1) / workers;
-      // Workers take contiguous slices of the sorted order. A run of
-      // equal keys must not straddle a slice boundary — same-key ops
-      // only keep their arrival order within one worker — so boundaries
-      // advance past it (every worker computes the same adjustment).
+      // Workers take contiguous slices of the sorted order, cut only
+      // between leaves: a boundary advances past the updates that share
+      // a leaf with the one before it (every worker computes the same
+      // cut). Each leaf's updates then run on one worker in key order,
+      // so the leaves' edits, the structural checks and the leaf runs
+      // are those of a single worker, whatever the worker count. Equal
+      // keys share a leaf, so same-key ops keep their arrival order too.
       auto slice_edge = [&](std::size_t x) {
-        while (x > begin && x < end &&
-               batch[order[x]].pair.key == batch[order[x - 1]].pair.key) {
-          ++x;
-        }
+        if (x <= begin || x >= end) return x;
+        const K bound =
+            host.big_leaf(host.FindLastInner(batch[order[x - 1]].pair.key))
+                .info.upper_bound;
+        while (x < end && batch[order[x]].pair.key <= bound) ++x;
         return x;
       };
       auto run_worker = [&](int w) {
@@ -229,6 +241,12 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
             slice_edge(std::min(end, begin + (w + 1) * span));
         NodeRef cached = kNullRef;
         K cached_bound{};
+        // The stripe lock of `cached` (the paper's per-node lock): held
+        // while consecutive updates reuse its descent and released
+        // before the next descent, so a worker never holds two. The
+        // structural check reads the leaf state ApplyNonStructural
+        // writes, so it runs under the lock too.
+        std::unique_lock<std::mutex> lock;
         for (std::size_t i = lo; i < hi; ++i) {
           const auto& update = batch[order[i]];
           // Ops on one key keep their batch order: once one is deferred
@@ -247,26 +265,18 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
           // deferred: nothing in the parallel phase changes a leaf's
           // external bound, so a cached (node, bound) stays valid for
           // the whole group.
-          NodeRef ln;
-          if (cached != kNullRef && update.pair.key <= cached_bound) {
-            ln = cached;
-          } else {
-            ln = host.FindLastInner(update.pair.key);
-            cached = ln;
-            cached_bound = host.big_leaf(ln).info.upper_bound;
+          if (cached == kNullRef || update.pair.key > cached_bound) {
+            if (lock.owns_lock()) lock.unlock();
+            cached = host.FindLastInner(update.pair.key);
+            cached_bound = host.big_leaf(cached).info.upper_bound;
+            lock = std::unique_lock<std::mutex>(stripes[cached % kStripes]);
+            ++worker_runs[w];
           }
-          // The structural check reads the same leaf state a
-          // concurrent ApplyNonStructural writes, so it must run
-          // under the node's stripe lock too (an unlocked
-          // "optimistic" pre-check would be a data race; structural
-          // queries are <1% of the batch, so there is nothing to
-          // save by dodging the lock).
-          std::lock_guard<std::mutex> lock(stripes[ln % kStripes]);
-          if (host.WouldBeStructural(ln, is_insert, update.pair.key)) {
+          if (host.WouldBeStructural(cached, is_insert, update.pair.key)) {
             deferred[w].push_back(&update);
             continue;  // deferred: the leaf is untouched, cache holds
           }
-          if (host.ApplyNonStructural(ln, is_insert, update.pair,
+          if (host.ApplyNonStructural(cached, is_insert, update.pair,
                                       &worker_modified[w])) {
             ++worker_applied[w];
           }
@@ -284,6 +294,7 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
       }
       for (int w = 0; w < workers; ++w) {
         applied += worker_applied[w];
+        leaf_runs += worker_runs[w];
         modified.insert(modified.end(), worker_modified[w].begin(),
                         worker_modified[w].end());
         // Single-threaded pass over the deferred (structural) queries.
@@ -302,8 +313,9 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
   stats.applied = applied;
   stats.structural = structural;
   stats.modified_nodes = modified.size();
+  stats.leaf_runs = leaf_runs;
 
-  // One I-segment transfer: TrySyncISegment streams only the dirty hot
+  // One I-segment sync: TrySyncISegment ships only the dirty hot
   // fragments when the mirror allows it, else uploads the whole segment.
   const std::uint64_t delta0 = tree.delta_syncs();
   const std::uint64_t full0 = tree.full_syncs();
@@ -326,7 +338,7 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
       batch.size() * config.cpu_update_us +
       structural * config.cpu_update_us;  // structural queries run twice
   if (parallel) {
-    const double lock_us = batch.size() * config.lock_overhead_us;
+    const double lock_us = leaf_runs * config.lock_overhead_us;
     stats.update_us =
         sort_us +
         (single_us + lock_us) /

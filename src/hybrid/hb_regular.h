@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -12,8 +13,10 @@
 #include "core/types.h"
 #include "cpubtree/regular_btree.h"
 #include "fault/fault_injector.h"
+#include "gpusim/cost_model.h"
 #include "gpusim/device.h"
 #include "hybrid/gpu_kernels.h"
+#include "hybrid/mirror_scatter.h"
 #include "mem/page_allocator.h"
 
 namespace hbtree {
@@ -32,7 +35,7 @@ namespace hbtree {
 ///  * TrySyncNode — one hot fragment per modified node (the synchronous
 ///    method's unit of transfer);
 ///  * TrySyncISegment — the mirror at once (the asynchronous method),
-///    streaming only the dirty fragments when that is cheaper.
+///    shipping only the dirty fragments when that is cheaper.
 template <typename K>
 class HBRegularTree {
  public:
@@ -43,11 +46,10 @@ class HBRegularTree {
     /// Headroom factor for the device arrays so node allocations from
     /// updates rarely force a device realloc.
     double device_headroom = 1.25;
-    /// TrySyncISegment takes the delta path only when its worst-case
-    /// modelled cost (every dirty fragment shipped as its own streamed
-    /// transfer — run coalescing can only improve on that) stays below
-    /// this fraction of the full-mirror upload cost. Below 1.0 keeps a
-    /// margin so borderline batches prefer the simpler full path.
+    /// TrySyncISegment keeps the full-mirror upload when this fraction
+    /// of its modelled cost undercuts both delta plans' closed forms.
+    /// Below 1.0 keeps a margin so borderline batches prefer the simpler
+    /// full path; 0 keeps it for every batch that dirtied a fragment.
     double delta_sync_cost_margin = 0.9;
   };
 
@@ -107,37 +109,42 @@ class HBRegularTree {
     return Status::Ok();
   }
 
-  /// Fault-aware I-segment sync, delta-first (Section 5.6): when the
-  /// mirror is valid, the device arrays are big enough, and the pools'
-  /// dirty lists cover only a small fraction of the segment, streams just
-  /// the dirty hot fragments (coalescing slot runs) instead of
-  /// re-uploading the whole mirror. Falls back to the full upload
-  /// otherwise. A delta-path fault marks the mirror stale but KEEPS the
-  /// dirty marks, so the retry — which sees mirror_valid() == false —
-  /// takes the full path and repairs everything the delta would have
-  /// missed. Failure on the full path behaves as before (device OOM or
-  /// injected transfer fault → stale mirror); success restores it — the
-  /// recovery path a circuit breaker probes.
-  Status TrySyncISegment(double* us = nullptr) {
-    const std::size_t dirty = host_tree_.inner_pool().dirty_count() +
-                              host_tree_.leaf_pool().dirty_count();
+  /// Fault-aware I-segment sync, delta-first (Section 5.6). When the
+  /// mirror is valid and the device arrays are big enough, it prices
+  /// three plans in closed form before it touches the device, and runs
+  /// the cheapest:
+  ///  * stream: each coalesced run of dirty hot fragments as its own
+  ///    streamed transfer;
+  ///  * staged: the dirty fragments and their slots packed into one
+  ///    buffer, uploaded in one streamed transfer and written into the
+  ///    mirror by one scatter launch (hybrid/mirror_scatter.h), priced at
+  ///    the launch's all-DRAM bound and charged at its modelled time;
+  ///  * full: the whole mirror, kept whenever delta_sync_cost_margin
+  ///    times its cost undercuts both.
+  /// A stale mirror, or one whose arrays the pools outgrew, takes the
+  /// full upload. Either delta plan is one H2D transfer for fault
+  /// purposes; the staged plan's buffer is allocated per sync, and when
+  /// it does not fit the runs are streamed instead.
+  /// A delta-path fault marks the mirror stale but KEEPS the dirty marks,
+  /// so the retry — which sees mirror_valid() == false — takes the full
+  /// path and repairs everything the delta would have missed. Failure on
+  /// the full path behaves as before (device OOM or injected transfer
+  /// fault → stale mirror); success restores it — the recovery path a
+  /// circuit breaker probes. `*scatter` (optional) receives the stats of
+  /// the staged plan's launch; other plans leave it untouched.
+  Status TrySyncISegment(double* us = nullptr,
+                         gpu::KernelStats* scatter = nullptr) {
     const bool fits = host_tree_.inner_pool().high_water() <=
                           inner_capacity_ &&
                       host_tree_.leaf_pool().high_water() <= last_capacity_;
-    const double delta_worst_us =
-        static_cast<double>(dirty) *
-        transfer_->StreamedHostToDeviceUs(sizeof(Hot));
-    const bool delta_ok =
-        fits && mirror_valid() &&
-        delta_worst_us <= config_.delta_sync_cost_margin *
-                              transfer_->HostToDeviceUs(i_segment_bytes());
-    if (!delta_ok) {
-      HBTREE_RETURN_IF_ERROR(TryReallocAndSync());
-      full_syncs_.fetch_add(1, std::memory_order_relaxed);
-      if (us != nullptr) *us = transfer_->HostToDeviceUs(i_segment_bytes());
-      return Status::Ok();
+    if (!fits || !mirror_valid()) return FullSync(us);
+    const DeltaPlan plan = PlanDelta();
+    if (config_.delta_sync_cost_margin *
+            transfer_->HostToDeviceUs(i_segment_bytes()) <
+        std::min(plan.stream_us, plan.staged_us)) {
+      return FullSync(us);
     }
-    // Delta: one H2D transfer for fault purposes, like the bulk path.
+    // Either delta plan: one H2D transfer for fault purposes.
     fault::FaultInjector* injector = device_->fault_injector();
     if (injector != nullptr) {
       const Status status = injector->Check(fault::Site::kTransferH2D);
@@ -147,13 +154,17 @@ class HBRegularTree {
       }
     }
     double t = 0;
-    std::size_t nodes = 0;
-    t += CopyDirtySlots(host_tree_.inner_pool(), device_inner_, &nodes);
-    t += CopyDirtySlots(host_tree_.leaf_pool(), device_last_, &nodes);
+    const bool staged =
+        plan.staged_us < plan.stream_us && StageDirty(plan, &t, scatter);
+    if (!staged) {
+      t = StreamDirty(host_tree_.inner_pool(), plan.slots[0], device_inner_) +
+          StreamDirty(host_tree_.leaf_pool(), plan.slots[1], device_last_);
+    }
     host_tree_.inner_pool().ClearDirty();
     host_tree_.leaf_pool().ClearDirty();
     delta_syncs_.fetch_add(1, std::memory_order_relaxed);
-    delta_nodes_synced_.fetch_add(nodes, std::memory_order_relaxed);
+    delta_nodes_synced_.fetch_add(plan.slots[0].size() + plan.slots[1].size(),
+                                  std::memory_order_relaxed);
     if (us != nullptr) *us = t;
     return Status::Ok();
   }
@@ -220,6 +231,122 @@ class HBRegularTree {
     device_inner_ = gpu::DevicePtr{};
     device_last_ = gpu::DevicePtr{};
     inner_capacity_ = last_capacity_ = 0;
+  }
+
+  using Index = typename RegularBTree<K>::InnerPool::Index;
+
+  /// The delta plans' closed forms over the sorted dirty slots.
+  struct DeltaPlan {
+    std::vector<Index> slots[2];  // inner pool, last-level pool
+    double stream_us = 0;         // one streamed transfer per run
+    double staged_us = 0;         // one packed transfer + scatter bound
+  };
+
+  DeltaPlan PlanDelta() const {
+    DeltaPlan plan;
+    plan.slots[0] = host_tree_.inner_pool().dirty_slots();
+    plan.slots[1] = host_tree_.leaf_pool().dirty_slots();
+    for (std::vector<Index>& slots : plan.slots) {
+      std::sort(slots.begin(), slots.end());
+    }
+    // Summed as StreamDirty sums what it copies.
+    auto stream_us = [&](const auto& pool, const std::vector<Index>& slots) {
+      double t = 0;
+      ForEachRun(pool, slots, [&](Index, std::size_t run) {
+        t += transfer_->StreamedHostToDeviceUs(run * sizeof(Hot));
+      });
+      return t;
+    };
+    plan.stream_us = stream_us(host_tree_.inner_pool(), plan.slots[0]) +
+                     stream_us(host_tree_.leaf_pool(), plan.slots[1]);
+    const std::size_t count = plan.slots[0].size() + plan.slots[1].size();
+    plan.staged_us =
+        transfer_->StreamedHostToDeviceUs(
+            MirrorScatterParams::StagedBytes(count, sizeof(Hot))) +
+        gpu::EstimateKernelTime(device_->spec(), transfer_->pcie(),
+                                MirrorScatterBound(count, sizeof(Hot)))
+            .total_us;
+    return plan;
+  }
+
+  /// Calls fn(first, length) for each run of consecutive slots in sorted
+  /// `slots` that stays within one chunk of `pool` (host storage is
+  /// contiguous only within a chunk): one streamed transfer each.
+  template <typename Pool, typename Fn>
+  static void ForEachRun(const Pool& pool, const std::vector<Index>& slots,
+                         Fn&& fn) {
+    const std::size_t chunk_slots = pool.chunk_capacity();
+    std::size_t i = 0;
+    while (i < slots.size()) {
+      std::size_t j = i + 1;
+      while (j < slots.size() && slots[j] == slots[j - 1] + 1 &&
+             slots[j] / chunk_slots == slots[i] / chunk_slots) {
+        ++j;
+      }
+      fn(slots[i], j - i);
+      i = j;
+    }
+  }
+
+  /// The stream plan for one pool; returns its modelled time.
+  template <typename Pool>
+  double StreamDirty(const Pool& pool, const std::vector<Index>& slots,
+                     gpu::DevicePtr base) {
+    double t = 0;
+    ForEachRun(pool, slots, [&](Index first, std::size_t run) {
+      t += transfer_->StreamedCopyToDevice(
+          base + static_cast<std::uint64_t>(first) * sizeof(Hot),
+          &pool.primary(first), run * sizeof(Hot));
+    });
+    return t;
+  }
+
+  /// The staged plan: packs the dirty fragments (inner pool first), then
+  /// their slots, uploads them into a staging buffer in one streamed
+  /// transfer and scatters them with one launch. Returns false, having
+  /// touched nothing, when the staging buffer does not fit on the device.
+  bool StageDirty(const DeltaPlan& plan, double* us,
+                  gpu::KernelStats* scatter) {
+    MirrorScatterParams params;
+    params.pools[0] = device_inner_;
+    params.pools[1] = device_last_;
+    params.inner_count = static_cast<std::uint32_t>(plan.slots[0].size());
+    params.count = static_cast<std::uint32_t>(plan.slots[0].size() +
+                                              plan.slots[1].size());
+    params.fragment_bytes = sizeof(Hot);
+    const std::size_t bytes =
+        MirrorScatterParams::StagedBytes(params.count, sizeof(Hot));
+    params.staged = device_->TryMallocStaging(bytes);
+    if (params.staged.is_null()) return false;
+    std::vector<std::byte> packed(bytes);
+    std::byte* fragment = packed.data();
+    std::byte* slot = packed.data() + params.count * sizeof(Hot);
+    auto pack = [&](const auto& pool, const std::vector<Index>& slots) {
+      for (const Index s : slots) {
+        std::memcpy(fragment, &pool.primary(s), sizeof(Hot));
+        std::memcpy(slot, &s, sizeof(Index));
+        fragment += sizeof(Hot);
+        slot += sizeof(Index);
+      }
+    };
+    pack(host_tree_.inner_pool(), plan.slots[0]);
+    pack(host_tree_.leaf_pool(), plan.slots[1]);
+    const double upload_us =
+        transfer_->StreamedCopyToDevice(params.staged, packed.data(), bytes);
+    const gpu::KernelStats stats = RunMirrorScatterKernel(*device_, params);
+    device_->Free(params.staged);
+    *us = upload_us + gpu::EstimateKernelTime(device_->spec(),
+                                              transfer_->pcie(), stats)
+                          .total_us;
+    if (scatter != nullptr) *scatter = stats;
+    return true;
+  }
+
+  Status FullSync(double* us) {
+    HBTREE_RETURN_IF_ERROR(TryReallocAndSync());
+    full_syncs_.fetch_add(1, std::memory_order_relaxed);
+    if (us != nullptr) *us = transfer_->HostToDeviceUs(i_segment_bytes());
+    return Status::Ok();
   }
 
   Status TryReallocAndSync() {
@@ -301,35 +428,6 @@ class HBRegularTree {
       }
     }
     return true;
-  }
-
-  /// Streams a pool's dirty hot fragments to the device mirror, sorting
-  /// the slots and coalescing adjacent runs (split at chunk boundaries,
-  /// where host storage stops being contiguous) into single transfers.
-  /// Returns the modelled transfer time; adds the slot count to `*nodes`.
-  template <typename Pool>
-  double CopyDirtySlots(const Pool& pool, gpu::DevicePtr base,
-                        std::size_t* nodes) {
-    std::vector<typename Pool::Index> slots = pool.dirty_slots();
-    if (slots.empty()) return 0;
-    std::sort(slots.begin(), slots.end());
-    const std::size_t chunk_slots = pool.chunk_capacity();
-    double t = 0;
-    std::size_t i = 0;
-    while (i < slots.size()) {
-      std::size_t j = i + 1;
-      while (j < slots.size() && slots[j] == slots[j - 1] + 1 &&
-             slots[j] / chunk_slots == slots[i] / chunk_slots) {
-        ++j;
-      }
-      const std::size_t run = j - i;
-      t += transfer_->StreamedCopyToDevice(
-          base + static_cast<std::uint64_t>(slots[i]) * sizeof(Hot),
-          &pool.primary(slots[i]), run * sizeof(Hot));
-      i = j;
-    }
-    *nodes += slots.size();
-    return t;
   }
 
   Config config_;

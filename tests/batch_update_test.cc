@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <tuple>
 #include <vector>
@@ -145,6 +146,82 @@ TEST(BatchUpdate, ParallelWithManyThreadsMatchesSingleThread) {
   }
   for (std::size_t i = 1; i < sizes.size(); ++i) {
     EXPECT_EQ(sizes[i], sizes[0]);
+  }
+}
+
+void ExpectSameStats(const BatchUpdateStats& a, const BatchUpdateStats& b) {
+  // Fails to compile when a field is added, so it cannot go unlisted.
+  static_assert(sizeof(BatchUpdateStats) == 12 * sizeof(std::uint64_t));
+  EXPECT_EQ(a.queries, b.queries);
+  EXPECT_EQ(a.applied, b.applied);
+  EXPECT_EQ(a.structural, b.structural);
+  EXPECT_EQ(a.modified_nodes, b.modified_nodes);
+  EXPECT_EQ(a.leaf_runs, b.leaf_runs);
+  EXPECT_EQ(a.sync_retries, b.sync_retries);
+  EXPECT_EQ(a.delta_syncs, b.delta_syncs);
+  EXPECT_EQ(a.full_syncs, b.full_syncs);
+  EXPECT_EQ(a.delta_nodes, b.delta_nodes);
+  EXPECT_EQ(a.update_us, b.update_us);
+  EXPECT_EQ(a.sync_us, b.sync_us);
+  EXPECT_EQ(a.total_us, b.total_us);
+}
+
+TEST(BatchUpdate, ModelledBatchDoesNotDependOnWorkerCount) {
+  // The cost model charges the paper's 16 threads however many workers
+  // the host runs, so the stats must match field for field across worker
+  // counts. Both batches are dense (40-60 updates per leaf), so a cut by
+  // update count alone falls inside a leaf run at every worker boundary.
+  // The insert-only batch into half-full leaves defers no update as
+  // structural; the mixed one defers a few (deletes in the partly filled
+  // last leaf), which the single-threaded pass then applies.
+  struct Case {
+    double leaf_fill;
+    double insert_fraction;
+  };
+  auto data = GenerateDataset<Key64>(60000, /*seed=*/5);
+  for (const Case c : {Case{0.5, 1.0}, Case{0.7, 0.6}}) {
+    SCOPED_TRACE(c.insert_fraction);
+    auto batch = MakeUpdateBatch<Key64>(data, 20000, c.insert_fraction,
+                                        /*seed=*/6);
+    std::vector<BatchUpdateStats> stats;
+    for (int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(threads);
+      Fixture fx;
+      HBRegularTree<Key64>::Config config;
+      config.tree.leaf_fill = c.leaf_fill;
+      HBRegularTree<Key64> tree(config, &fx.registry, &fx.device,
+                                &fx.transfer);
+      ASSERT_TRUE(tree.Build(data));
+      if (threads == 1) {
+        // Every count-based cut of the sorted batch into 2 or 4 slices
+        // falls between two updates on one leaf.
+        std::vector<Key64> keys;
+        for (const auto& update : batch) keys.push_back(update.pair.key);
+        std::sort(keys.begin(), keys.end());
+        for (const std::size_t slices : {2, 4}) {
+          const std::size_t span = (keys.size() + slices - 1) / slices;
+          for (std::size_t x = span; x < keys.size(); x += span) {
+            EXPECT_EQ(tree.host_tree().FindLastInner(keys[x - 1]),
+                      tree.host_tree().FindLastInner(keys[x]))
+                << x;
+          }
+        }
+      }
+      BatchUpdateConfig uconfig;
+      uconfig.real_threads = threads;
+      stats.push_back(
+          RunBatchUpdate(tree, batch, UpdateMethod::kAsyncParallel, uconfig));
+      tree.host_tree().Validate();
+      EXPECT_TRUE(tree.MirrorMatchesHost());
+    }
+    EXPECT_EQ(stats[0].structural == 0, c.insert_fraction == 1.0)
+        << stats[0].structural;
+    EXPECT_GT(stats[0].modified_nodes, 0u);
+    EXPECT_LT(stats[0].leaf_runs, batch.size() / 10);
+    for (std::size_t i = 1; i < stats.size(); ++i) {
+      SCOPED_TRACE(i);
+      ExpectSameStats(stats[i], stats[0]);
+    }
   }
 }
 

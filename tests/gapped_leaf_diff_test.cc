@@ -8,9 +8,11 @@
 #include "core/workload.h"
 #include "cpubtree/regular_btree.h"
 #include "fault/fault_injector.h"
+#include "gpusim/cost_model.h"
 #include "gpusim/device.h"
 #include "hybrid/gpu_kernels.h"
 #include "hybrid/hb_regular.h"
+#include "hybrid/mirror_scatter.h"
 #include "sim/platform.h"
 
 namespace hbtree {
@@ -19,9 +21,10 @@ namespace {
 /// Differential coverage for the gapped-leaf insert path (DESIGN.md §14):
 /// clustered inserts drive lines full and spill into nearby gaps, deletes
 /// reopen them, and everything is replayed against std::map with full
-/// structural validation. Plus the delta I-segment sync: path selection,
-/// mirror correctness after a delta, and the injected-fault fallback to
-/// the stale-mirror + full-repair sequence.
+/// structural validation. Plus the delta I-segment sync: the choice among
+/// its three plans (stream the runs, stage and scatter, full upload),
+/// mirror correctness after each, and the injected-fault fallback to the
+/// stale-mirror + full-repair sequence.
 
 template <typename K>
 RegularBTree<K> MakeGappedTree(PageRegistry* registry,
@@ -268,6 +271,139 @@ TEST(DeltaSync, SmallDirtySetStreamsDeltaAndMirrorStaysCorrect) {
   ExpectKernelFinds<Key64>(fx, tree, keys);
 }
 
+std::size_t DirtyCount(const HBRegularTree<Key64>& tree) {
+  return tree.host_tree().inner_pool().dirty_count() +
+         tree.host_tree().leaf_pool().dirty_count();
+}
+
+/// The staged plan's closed form for `count` fragments: one streamed
+/// upload of the packed buffer plus the scatter launch's all-DRAM bound.
+double StagedBoundUs(const sim::PlatformSpec& platform, std::size_t count) {
+  using Hot = RegularInnerHot<Key64>;
+  const gpu::KernelStats bound = MirrorScatterBound(count, sizeof(Hot));
+  return platform.pcie.streamed_init_us +
+         MirrorScatterParams::StagedBytes(count, sizeof(Hot)) /
+             (platform.pcie.bandwidth_h2d_gbps * 1e3) +
+         gpu::EstimateKernelTime(platform.gpu, platform.pcie, bound).total_us;
+}
+
+TEST(DeltaSync, ScatteredDirtySetTakesStagedPlan) {
+  SyncFixture fx;
+  HBRegularTree<Key64>::Config config;
+  config.tree.leaf_fill = 0.6;
+  HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
+  auto data = GenerateDataset<Key64>(200000, /*seed=*/36);
+  ASSERT_TRUE(tree.Build(data));
+
+  // Clusters all over the keyspace dirty fragments far apart: more than
+  // the worst case of one streamed transfer per fragment would allow.
+  auto keys = InsertClustered<Key64>(tree, data, 150, 16, /*seed=*/37);
+  const std::size_t dirty = DirtyCount(tree);
+  using Hot = RegularInnerHot<Key64>;
+  const double full_us = fx.transfer.HostToDeviceUs(tree.i_segment_bytes());
+  ASSERT_GT(dirty * fx.transfer.StreamedHostToDeviceUs(sizeof(Hot)),
+            config.delta_sync_cost_margin * full_us);
+
+  const std::uint64_t transfers0 = fx.transfer.transfers();
+  const std::size_t used0 = fx.device.used_bytes();
+  double us = 0;
+  gpu::KernelStats scatter;
+  ASSERT_TRUE(tree.TrySyncISegment(&us, &scatter).ok());
+  EXPECT_EQ(tree.delta_syncs(), 1u);
+  EXPECT_EQ(tree.full_syncs(), 0u);
+  EXPECT_EQ(tree.delta_nodes_synced(), dirty);
+  // One upload and one launch, whose stats match the closed form in
+  // every field but the DRAM / L2 split.
+  EXPECT_EQ(fx.transfer.transfers() - transfers0, 1u);
+  const gpu::KernelStats bound = MirrorScatterBound(dirty, sizeof(Hot));
+  EXPECT_EQ(scatter.warps_executed, bound.warps_executed);
+  EXPECT_EQ(scatter.warp_instructions, bound.warp_instructions);
+  EXPECT_EQ(scatter.memory_gathers, bound.memory_gathers);
+  EXPECT_EQ(scatter.memory_transactions, bound.memory_transactions);
+  EXPECT_EQ(scatter.dram_bytes + scatter.l2_bytes, bound.dram_bytes);
+  EXPECT_EQ(fx.device.used_bytes(), used0);  // the staging buffer is freed
+  // Charged: the packed upload plus the launch's modelled time.
+  EXPECT_DOUBLE_EQ(
+      us, fx.transfer.StreamedHostToDeviceUs(
+              MirrorScatterParams::StagedBytes(dirty, sizeof(Hot))) +
+              gpu::EstimateKernelTime(fx.platform.gpu, fx.platform.pcie,
+                                      scatter)
+                  .total_us);
+  EXPECT_LE(us, StagedBoundUs(fx.platform, dirty));
+  EXPECT_LT(us, config.delta_sync_cost_margin * full_us);
+  EXPECT_EQ(DirtyCount(tree), 0u);
+  EXPECT_TRUE(tree.mirror_valid());
+  EXPECT_TRUE(tree.MirrorMatchesHost());
+  ExpectKernelFinds<Key64>(fx, tree, keys);
+}
+
+TEST(DeltaSync, StagingBufferThatDoesNotFitStreamsTheRuns) {
+  // The dirty set ScatteredDirtySetTakesStagedPlan stages, on a device
+  // with room for the mirror and nothing more: the staging buffer does
+  // not fit, so the sync streams the runs instead.
+  sim::PlatformSpec platform = sim::PlatformSpec::M1();
+  auto data = GenerateDataset<Key64>(200000, /*seed=*/36);
+  HBRegularTree<Key64>::Config config;
+  config.tree.leaf_fill = 0.6;
+  {
+    SyncFixture fx;
+    HBRegularTree<Key64> tree(config, &fx.registry, &fx.device,
+                              &fx.transfer);
+    ASSERT_TRUE(tree.Build(data));
+    platform.gpu.memory_bytes = fx.device.used_bytes();
+  }
+  PageRegistry registry;
+  gpu::Device device(platform.gpu);
+  gpu::TransferEngine transfer(&device, platform.pcie);
+  HBRegularTree<Key64> tree(config, &registry, &device, &transfer);
+  ASSERT_TRUE(tree.Build(data));
+  InsertClustered<Key64>(tree, data, 150, 16, /*seed=*/37);
+  const std::size_t dirty = DirtyCount(tree);
+
+  double us = 0;
+  gpu::KernelStats scatter;
+  ASSERT_TRUE(tree.TrySyncISegment(&us, &scatter).ok());
+  EXPECT_GT(transfer.transfers(), 1u);  // one per run
+  EXPECT_EQ(scatter.warps_executed, 0u);
+  EXPECT_EQ(tree.delta_syncs(), 1u);
+  EXPECT_EQ(tree.delta_nodes_synced(), dirty);
+  EXPECT_GT(us, StagedBoundUs(platform, dirty));  // what staging saved
+  EXPECT_TRUE(tree.MirrorMatchesHost());
+}
+
+TEST(DeltaSync, OneOrTwoRunsStreamPerRun) {
+  SyncFixture fx;
+  HBRegularTree<Key64>::Config config;
+  HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
+  auto data = GenerateDataset<Key64>(100000, /*seed=*/38);
+  ASSERT_TRUE(tree.Build(data));
+  using Hot = RegularInnerHot<Key64>;
+  auto& pool = tree.host_tree().leaf_pool();
+  ASSERT_GT(pool.high_water(), 40u);
+
+  // Slots 10-12, marked out of order, coalesce into one run; slot 30
+  // adds a second. Each run is one streamed transfer, charged as such.
+  const double run3_us = fx.transfer.StreamedHostToDeviceUs(3 * sizeof(Hot));
+  const double run1_us = fx.transfer.StreamedHostToDeviceUs(sizeof(Hot));
+  const std::vector<NodeRef> one_run = {12, 10, 11};
+  const std::vector<NodeRef> two_runs = {30, 12, 10, 11};
+  for (const auto& set : {one_run, two_runs}) {
+    SCOPED_TRACE(set.size());
+    for (NodeRef slot : set) pool.MarkDirty(slot);
+    double us = 0;
+    gpu::KernelStats scatter;
+    const std::uint64_t transfers0 = fx.transfer.transfers();
+    ASSERT_TRUE(tree.TrySyncISegment(&us, &scatter).ok());
+    const bool two = set.size() == two_runs.size();
+    EXPECT_EQ(fx.transfer.transfers() - transfers0, two ? 2u : 1u);
+    EXPECT_EQ(us, two ? run3_us + run1_us : run3_us);
+    EXPECT_EQ(scatter.warps_executed, 0u);  // no launch
+  }
+  EXPECT_EQ(tree.delta_syncs(), 2u);
+  EXPECT_EQ(tree.full_syncs(), 0u);
+  EXPECT_TRUE(tree.MirrorMatchesHost());
+}
+
 TEST(DeltaSync, LargeDirtySetTakesFullPath) {
   SyncFixture fx;
   HBRegularTree<Key64>::Config config;
@@ -275,70 +411,101 @@ TEST(DeltaSync, LargeDirtySetTakesFullPath) {
   auto data = GenerateDataset<Key64>(100000, /*seed=*/33);
   ASSERT_TRUE(tree.Build(data));
 
-  // Mark enough fragments dirty that even the worst-case delta estimate
-  // exceeds the margin times the full upload; the sync must prefer the
-  // bulk path (one big transfer beats thousands of streamed ones).
+  // Mark seven of every eight slots of both pools: the gaps split them
+  // into many runs, and the staged upload carries nearly the whole
+  // segment plus the scatter launch, so both delta plans cost more than
+  // the margin times the full upload.
   using Hot = RegularInnerHot<Key64>;
-  const double full_us = fx.transfer.HostToDeviceUs(tree.i_segment_bytes());
-  const double per_node_us = fx.transfer.StreamedHostToDeviceUs(sizeof(Hot));
-  const std::size_t need = static_cast<std::size_t>(
-                               config.delta_sync_cost_margin * full_us /
-                               per_node_us) +
-                           2;
-  auto& pool = tree.host_tree().leaf_pool();
-  ASSERT_GT(pool.high_water(), 0u);
-  for (std::size_t i = 0; i < need; ++i) {
-    pool.MarkDirty(static_cast<NodeRef>(i % pool.high_water()));
+  auto& inner = tree.host_tree().inner_pool();
+  auto& leaf = tree.host_tree().leaf_pool();
+  std::size_t dirty = 0, runs = 0;
+  for (NodeRef slot = 0; slot < inner.high_water(); ++slot) {
+    if (slot % 8 == 0) continue;
+    inner.MarkDirty(slot);
+    ++dirty;
+    if (slot % 8 == 1) ++runs;
   }
+  for (NodeRef slot = 0; slot < leaf.high_water(); ++slot) {
+    if (slot % 8 == 0) continue;
+    leaf.MarkDirty(slot);
+    ++dirty;
+    if (slot % 8 == 1) ++runs;
+  }
+  // Chunk boundaries can only split more runs, so this bounds the
+  // stream plan from below.
+  const sim::PcieSpec& pcie = fx.platform.pcie;
+  const double margin_us = config.delta_sync_cost_margin *
+                           fx.transfer.HostToDeviceUs(tree.i_segment_bytes());
+  ASSERT_GT(runs * pcie.streamed_init_us +
+                dirty * sizeof(Hot) / (pcie.bandwidth_h2d_gbps * 1e3),
+            margin_us);
+  ASSERT_GT(StagedBoundUs(fx.platform, dirty), margin_us);
+
   double us = 0;
   ASSERT_TRUE(tree.TrySyncISegment(&us).ok());
   EXPECT_EQ(tree.delta_syncs(), 0u);
   EXPECT_EQ(tree.full_syncs(), 1u);
-  EXPECT_EQ(pool.dirty_count(), 0u);  // the bulk upload absorbs everything
+  EXPECT_EQ(us, fx.transfer.HostToDeviceUs(tree.i_segment_bytes()));
+  EXPECT_EQ(DirtyCount(tree), 0u);  // the bulk upload absorbs everything
   EXPECT_TRUE(tree.mirror_valid());
   EXPECT_TRUE(tree.MirrorMatchesHost());
 }
 
 TEST(DeltaSync, FaultOnDeltaPathFallsBackToStaleMirrorThenFullRepair) {
-  SyncFixture fx;
-  HBRegularTree<Key64>::Config config;
-  HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(200000, /*seed=*/34);
-  ASSERT_TRUE(tree.Build(data));
+  struct DirtySet {
+    double leaf_fill;
+    int clusters, per_cluster;
+    std::uint64_t seed;
+  };
+  // A set the stream plan takes, and ScatteredDirtySetTakesStagedPlan's,
+  // which the staged plan takes.
+  for (const DirtySet set : {DirtySet{1.0, 6, 12, 34},
+                             DirtySet{0.6, 150, 16, 36}}) {
+    SCOPED_TRACE(set.clusters);
+    SyncFixture fx;
+    HBRegularTree<Key64>::Config config;
+    config.tree.leaf_fill = set.leaf_fill;
+    HBRegularTree<Key64> tree(config, &fx.registry, &fx.device,
+                              &fx.transfer);
+    auto data = GenerateDataset<Key64>(200000, set.seed);
+    ASSERT_TRUE(tree.Build(data));
 
-  auto keys = InsertClustered<Key64>(tree, data, 6, 12, /*seed=*/35);
-  ASSERT_FALSE(keys.empty());
-  const std::size_t dirty_before =
-      tree.host_tree().leaf_pool().dirty_count() +
-      tree.host_tree().inner_pool().dirty_count();
-  ASSERT_GT(dirty_before, 0u);
+    auto keys = InsertClustered<Key64>(tree, data, set.clusters,
+                                       set.per_cluster, set.seed + 1);
+    ASSERT_FALSE(keys.empty());
+    const std::size_t dirty_before = DirtyCount(tree);
+    ASSERT_GT(dirty_before, 0u);
 
-  // First H2D op faults: the delta sync must fail WITHOUT half-applying —
-  // mirror marked stale, dirty set kept for the repair pass.
-  fault::FaultConfig fault_config;
-  fault_config.site(fault::Site::kTransferH2D).fail_ordinals = {1};
-  fault::FaultInjector injector(fault_config);
-  fx.device.set_fault_injector(&injector);
-  EXPECT_FALSE(tree.TrySyncISegment().ok());
-  EXPECT_FALSE(tree.mirror_valid());
-  EXPECT_FALSE(tree.MirrorMatchesHost());
-  EXPECT_EQ(tree.delta_syncs(), 0u);
-  EXPECT_EQ(tree.host_tree().leaf_pool().dirty_count() +
-                tree.host_tree().inner_pool().dirty_count(),
-            dirty_before);
+    // First H2D op faults: the delta sync must fail WITHOUT
+    // half-applying — nothing uploaded or scattered, mirror marked
+    // stale, dirty set kept for the repair pass.
+    fault::FaultConfig fault_config;
+    fault_config.site(fault::Site::kTransferH2D).fail_ordinals = {1};
+    fault::FaultInjector injector(fault_config);
+    fx.device.set_fault_injector(&injector);
+    const std::uint64_t transfers0 = fx.transfer.transfers();
+    gpu::KernelStats scatter;
+    EXPECT_FALSE(tree.TrySyncISegment(nullptr, &scatter).ok());
+    EXPECT_EQ(fx.transfer.transfers(), transfers0);
+    EXPECT_EQ(scatter.warps_executed, 0u);
+    EXPECT_EQ(injector.checks(fault::Site::kTransferH2D), 1u);
+    EXPECT_EQ(injector.checks(fault::Site::kDeviceAlloc), 0u);
+    EXPECT_FALSE(tree.mirror_valid());
+    EXPECT_FALSE(tree.MirrorMatchesHost());
+    EXPECT_EQ(tree.delta_syncs(), 0u);
+    EXPECT_EQ(DirtyCount(tree), dirty_before);
 
-  // The retry sees the stale mirror, so it cannot take the delta path:
-  // it must run the full upload and repair everything.
-  fx.device.set_fault_injector(nullptr);
-  double us = 0;
-  ASSERT_TRUE(tree.TrySyncISegment(&us).ok());
-  EXPECT_EQ(tree.full_syncs(), 1u);
-  EXPECT_TRUE(tree.mirror_valid());
-  EXPECT_TRUE(tree.MirrorMatchesHost());
-  EXPECT_EQ(tree.host_tree().leaf_pool().dirty_count() +
-                tree.host_tree().inner_pool().dirty_count(),
-            0u);
-  ExpectKernelFinds<Key64>(fx, tree, keys);
+    // The retry sees the stale mirror, so it cannot take a delta plan:
+    // it must run the full upload and repair everything.
+    fx.device.set_fault_injector(nullptr);
+    double us = 0;
+    ASSERT_TRUE(tree.TrySyncISegment(&us).ok());
+    EXPECT_EQ(tree.full_syncs(), 1u);
+    EXPECT_TRUE(tree.mirror_valid());
+    EXPECT_TRUE(tree.MirrorMatchesHost());
+    EXPECT_EQ(DirtyCount(tree), 0u);
+    ExpectKernelFinds<Key64>(fx, tree, keys);
+  }
 }
 
 }  // namespace
