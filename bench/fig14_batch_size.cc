@@ -7,7 +7,9 @@
 // asynchronous method (one bulk I-segment transfer) wins once the batch
 // is large enough to amortize it — the paper's 64M-key tree crosses over
 // between 64K and 128K. The crossover scales with the tree (I-segment)
-// size; run with --n_log2=26 for the paper's configuration.
+// size, so the default is the paper's configuration, --n_log2=26: at
+// 2^24 keys the upload is small enough for async to win every batch
+// (EXPERIMENTS.md deviation 10).
 //
 // The asynchronous column is the paper's bulk upload: its tree runs with
 // delta_sync_cost_margin = 0, which turns off the delta-first mirror
@@ -28,7 +30,7 @@ namespace {
 
 void Run(const Args& args) {
   sim::PlatformSpec platform = PlatformFromArgs(args, "m1");
-  const std::size_t n = std::size_t{1} << args.GetInt("n_log2", 24);
+  const std::size_t n = std::size_t{1} << args.GetInt("n_log2", 26);
   std::uint64_t seed = args.GetInt("seed", 42);
 
   std::printf("Platform: %s, n=%zu\n", platform.name.c_str(), n);

@@ -59,24 +59,37 @@ struct RegularShape {
   static constexpr int kLeafCapacity = kLinesPerLeaf * kPairsPerLine;
 };
 
-/// Hot fragment of a regular inner node (Figure 2 (c)): one index line
-/// whose entry s is the maximum key of key line s, followed by the key
-/// lines and the child-reference lines. Search touches exactly three of
-/// its cache lines: the index line, one key line, one ref line.
+/// Hot fragment of a last-level inner node (Figure 2 (c) without its
+/// reference lines): one index line whose entry s is the maximum key of
+/// key line s, followed by the key lines. Its "children" are the lines of
+/// the big leaf paired with it under the same pool index, so it stores no
+/// child references. Search touches two of its cache lines: the index
+/// line and one key line.
 ///
-/// 17 cache lines for 64-bit keys, 33 for 32-bit keys.
+/// 9 cache lines for 64-bit keys, 17 for 32-bit keys.
 template <typename K>
-struct alignas(kCacheLineSize) RegularInnerHot {
+struct alignas(kCacheLineSize) RegularLastInnerHot {
   using Shape = RegularShape<K>;
 
   K indexes[Shape::kIdx];
   K keys[Shape::kFanout];
-  /// Child references: pool indices of the next level's nodes, stored in
-  /// key-sized slots as in the paper's layout. Unused for the last inner
-  /// level, whose "children" are the lines of the paired big leaf.
-  K refs[Shape::kFanout];
 };
 
+/// Hot fragment of a regular inner node above the last level (Figure
+/// 2 (c)): the last-level fragment's lines followed by the child-reference
+/// lines. Search touches exactly three of its cache lines: the index line,
+/// one key line, one ref line.
+///
+/// 17 cache lines for 64-bit keys, 33 for 32-bit keys.
+template <typename K>
+struct alignas(kCacheLineSize) RegularInnerHot : RegularLastInnerHot<K> {
+  /// Child references: pool indices of the next level's nodes, stored in
+  /// key-sized slots as in the paper's layout.
+  K refs[RegularShape<K>::kFanout];
+};
+
+static_assert(sizeof(RegularLastInnerHot<Key64>) == 9 * kCacheLineSize);
+static_assert(sizeof(RegularLastInnerHot<Key32>) == 17 * kCacheLineSize);
 static_assert(sizeof(RegularInnerHot<Key64>) == 17 * kCacheLineSize);
 static_assert(sizeof(RegularInnerHot<Key32>) == 33 * kCacheLineSize);
 
@@ -100,9 +113,9 @@ static_assert(sizeof(RegularInnerCold) == kCacheLineSize);
 
 /// A big leaf (Figure 2 (d)): kLinesPerLeaf data lines of sorted pairs
 /// plus one info line. Paired one-to-one with a last-level inner node
-/// under a shared pool index; line c of the leaf is addressed directly
-/// from the inner node's search result (key line s, slot j -> line
-/// s*kIdx+j) with no pointer dereference.
+/// (RegularLastInnerHot) under a shared pool index; line c of the leaf is
+/// addressed directly from the inner node's search result (key line s,
+/// slot j -> line s*kIdx+j) with no pointer dereference.
 template <typename K>
 struct alignas(kCacheLineSize) RegularBigLeaf {
   using Shape = RegularShape<K>;

@@ -82,7 +82,7 @@ void PipelinedSearch(const ImplicitBTree<K>& tree, const K* queries,
 
 /// Batched lookup on the regular tree. The three dependent accesses per
 /// level (index line, key line, ref line) are each pipelined across the
-/// group.
+/// group; the last level has no ref line and addresses a leaf line.
 template <typename K>
 void PipelinedSearch(const RegularBTree<K>& tree, const K* queries,
                      std::size_t count, int depth, LookupResult<K>* results) {
@@ -103,7 +103,8 @@ void PipelinedSearch(const RegularBTree<K>& tree, const K* queries,
     for (int i = 0; i < group; ++i) node[i] = tree.root();
     for (int level = tree.height(); level >= 1; --level) {
       const bool last = level == 1;
-      // Step 1: index lines.
+      // Step 1: index lines. Both levels' fragments begin with the index
+      // and key lines, so `hot` is the last-level fragment type.
       for (int i = 0; i < group; ++i) {
         const auto& hot = last ? tree.last_hot(node[i])
                                : tree.inner_hot(node[i]);
@@ -118,7 +119,7 @@ void PipelinedSearch(const RegularBTree<K>& tree, const K* queries,
                                       queries[base + i], algo);
         slot[i] = slot[i] * kIdx + j;
         if (!last) {
-          HBTREE_PREFETCH(hot.refs + slot[i]);
+          HBTREE_PREFETCH(tree.inner_hot(node[i]).refs + slot[i]);
         }
       }
       // Step 3: follow references (or address the leaf line directly).

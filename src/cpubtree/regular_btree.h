@@ -41,7 +41,9 @@ struct ModifiedNode {
 /// shared pool index, with one "big leaf" of F_I cache lines (256
 /// key-value pairs for 64-bit keys). The inner search result (key line s,
 /// slot j) addresses leaf line s*kIdx+j directly — no pointer is stored
-/// or followed.
+/// or followed, so its hot fragment is the index line and the key lines
+/// only: 9 cache lines (17 for 32-bit keys). The last level holds nearly
+/// all of the I-segment's nodes.
 ///
 /// Separator scheme: keys[c] is a fixed upper bound for child/line c
 /// (initialized to the child's max key), empty slots hold the maximum
@@ -54,6 +56,7 @@ class RegularBTree {
  public:
   using Shape = RegularShape<K>;
   using Hot = RegularInnerHot<K>;
+  using LastHot = RegularLastInnerHot<K>;
   using Cold = RegularInnerCold;
   using Leaf = RegularBigLeaf<K>;
 
@@ -202,8 +205,11 @@ class RegularBTree {
   /// Number of inner levels (1 = the root is a last-level node).
   int height() const { return root_level_; }
 
+  /// The hot fragments of every slot either pool has handed out: what a
+  /// device mirror of the I-segment holds and its full upload moves.
   std::size_t i_segment_bytes() const {
-    return inner_pool_.primary_bytes() + leaf_pool_.primary_bytes();
+    return inner_pool_.high_water() * sizeof(Hot) +
+           leaf_pool_.high_water() * sizeof(LastHot);
   }
   std::size_t l_segment_bytes() const { return leaf_pool_.secondary_bytes(); }
 
@@ -212,14 +218,16 @@ class RegularBTree {
   NodeRef head_leaf() const { return head_leaf_; }
 
   using InnerPool = PairedPool<Hot, Cold>;
-  using LeafPool = PairedPool<Hot, Leaf>;
+  using LeafPool = PairedPool<LastHot, Leaf>;
   const InnerPool& inner_pool() const { return inner_pool_; }
   const LeafPool& leaf_pool() const { return leaf_pool_; }
   /// Mutable pool access for the delta-sync driver (dirty-list handoff).
   InnerPool& inner_pool() { return inner_pool_; }
   LeafPool& leaf_pool() { return leaf_pool_; }
   const Hot& inner_hot(NodeRef ref) const { return inner_pool_.primary(ref); }
-  const Hot& last_hot(NodeRef ref) const { return leaf_pool_.primary(ref); }
+  const LastHot& last_hot(NodeRef ref) const {
+    return leaf_pool_.primary(ref);
+  }
   const Leaf& big_leaf(NodeRef ref) const { return leaf_pool_.secondary(ref); }
 
   /// Structural self-check (test support); aborts on violation.
@@ -232,8 +240,10 @@ class RegularBTree {
   };
 
   // Intra-node search: index line then key line; returns child slot c.
+  // Serves both levels' fragments: an inner fragment begins with the
+  // lines of a last-level one.
   template <typename Tracer>
-  int SearchNode(const Hot& hot, K key, Tracer* t) const {
+  int SearchNode(const LastHot& hot, K key, Tracer* t) const {
     t->OnAccess(hot.indexes, kCacheLineSize);
     int s = SearchCacheLine(hot.indexes, key, config_.search_algo);
     HBTREE_DCHECK(s < kIdx);
@@ -251,7 +261,7 @@ class RegularBTree {
   static int LastLiveLine(const Leaf& leaf);  // -1 if leaf empty
 
   /// Recomputes indexes[s] = keys[s*kIdx + kIdx - 1] for all s.
-  static void RebuildIndexes(Hot& hot);
+  static void RebuildIndexes(LastHot& hot);
 
   /// Redistributes `pairs` (sorted) evenly over the leaf's lines and
   /// rewrites the paired node's separators: each line's separator is its
@@ -361,7 +371,7 @@ typename RegularBTree<K>::LeafPosition RegularBTree<K>::FindLeafPosition(
     --level;
   }
   TraceNodeTouch(t, leaf_pool_, 1, NodeClass::kLastInner, node);
-  const Hot& hot = leaf_pool_.primary(node);
+  const LastHot& hot = leaf_pool_.primary(node);
   int c = SearchNode(hot, key, t);
   return LeafPosition{node, c};
 }
@@ -515,7 +525,7 @@ int RegularBTree<K>::LastLiveLine(const Leaf& leaf) {
 }
 
 template <typename K>
-void RegularBTree<K>::RebuildIndexes(Hot& hot) {
+void RegularBTree<K>::RebuildIndexes(LastHot& hot) {
   for (int s = 0; s < kIdx; ++s) {
     hot.indexes[s] = hot.keys[s * kIdx + kIdx - 1];
   }
@@ -526,7 +536,7 @@ void RegularBTree<K>::FillLeaf(NodeRef ref, const KeyValue<K>* pairs,
                                int count, K last_sep) {
   HBTREE_CHECK(count >= 0 && count <= kLeafCap);
   HBTREE_DCHECK(count == 0 || last_sep >= pairs[count - 1].key);
-  Hot& hot = leaf_pool_.primary(ref);
+  LastHot& hot = leaf_pool_.primary(ref);
   Leaf& leaf = leaf_pool_.secondary(ref);
   // Spread pairs evenly over the lines, front-heavy, no middle gaps.
   const int lines = Shape::kLinesPerLeaf;
@@ -595,7 +605,7 @@ template <typename K>
 bool RegularBTree<K>::ApplyNonStructural(NodeRef last_inner, bool is_insert,
                                          const KeyValue<K>& pair,
                                          std::vector<ModifiedNode>* modified) {
-  Hot& hot = leaf_pool_.primary(last_inner);
+  LastHot& hot = leaf_pool_.primary(last_inner);
   Leaf& leaf = leaf_pool_.secondary(last_inner);
   NullTracer t;
   const int line = SearchNode(hot, pair.key, &t);
@@ -662,7 +672,7 @@ bool RegularBTree<K>::ApplyNonStructural(NodeRef last_inner, bool is_insert,
 template <typename K>
 bool RegularBTree<K>::SpillIntoGap(NodeRef last_inner, int line,
                                    const KeyValue<K>& pair) {
-  Hot& hot = leaf_pool_.primary(last_inner);
+  LastHot& hot = leaf_pool_.primary(last_inner);
   Leaf& leaf = leaf_pool_.secondary(last_inner);
   // Nearest line with a free slot, preferring the closer side. Lines
   // strictly between `line` and the chosen gap are therefore full.
@@ -745,7 +755,7 @@ bool RegularBTree<K>::Insert(const KeyValue<K>& pair,
   }
   // The big leaf is full — but the key may still be a duplicate.
   {
-    Hot& hot = leaf_pool_.primary(ln);
+    const LastHot& hot = leaf_pool_.primary(ln);
     NullTracer t;
     const int line = SearchNode(hot, pair.key, &t);
     const KeyValue<K>* lp =
@@ -1165,7 +1175,7 @@ template <typename K>
 void RegularBTree<K>::ValidateSubtree(NodeRef node, int level, K upper_bound,
                                       std::size_t* pair_total) const {
   if (level == 1) {
-    const Hot& hot = leaf_pool_.primary(node);
+    const LastHot& hot = leaf_pool_.primary(node);
     const Leaf& leaf = leaf_pool_.secondary(node);
     HBTREE_CHECK(leaf.info.upper_bound == upper_bound);
     for (int s = 0; s < kIdx; ++s) {

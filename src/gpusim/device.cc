@@ -142,20 +142,22 @@ Device::Allocation& Device::SlotRef(DevicePtr ptr) const {
   return chunk[ptr.alloc_id & (kChunkSlots - 1)];
 }
 
-std::byte* Device::HostView(DevicePtr ptr) {
+Device::View Device::Resolve(DevicePtr ptr, std::size_t bytes) const {
   Allocation& slot = SlotRef(ptr);
   std::byte* data = slot.data.load(std::memory_order_acquire);
   HBTREE_CHECK(data != nullptr);
-  HBTREE_CHECK(ptr.offset <= slot.size.load(std::memory_order_relaxed));
-  return data + ptr.offset;
+  const std::size_t size = slot.size.load(std::memory_order_relaxed);
+  HBTREE_CHECK(ptr.offset <= size && bytes <= size - ptr.offset);
+  return View{data + ptr.offset,
+              slot.host_mapped.load(std::memory_order_relaxed)};
 }
 
-const std::byte* Device::HostView(DevicePtr ptr) const {
-  Allocation& slot = SlotRef(ptr);
-  std::byte* data = slot.data.load(std::memory_order_acquire);
-  HBTREE_CHECK(data != nullptr);
-  HBTREE_CHECK(ptr.offset <= slot.size.load(std::memory_order_relaxed));
-  return data + ptr.offset;
+std::byte* Device::HostView(DevicePtr ptr, std::size_t bytes) {
+  return Resolve(ptr, bytes).data;
+}
+
+const std::byte* Device::HostView(DevicePtr ptr, std::size_t bytes) const {
+  return Resolve(ptr, bytes).data;
 }
 
 std::size_t Device::AllocationSize(DevicePtr ptr) const {
@@ -178,15 +180,30 @@ TransferEngine::TransferEngine(Device* device, const sim::PcieSpec& pcie)
   HBTREE_CHECK(device != nullptr);
 }
 
-double TransferEngine::CopyToDevice(DevicePtr dst, const void* src,
-                                    std::size_t bytes) {
-  std::memcpy(device_->HostView(dst), src, bytes);
+void TransferEngine::CountTransfer(std::size_t bytes) {
   bytes_h2d_.fetch_add(bytes, std::memory_order_relaxed);
   transfers_.fetch_add(1, std::memory_order_relaxed);
   if (const Device::DeviceMetrics* m = device_->metrics()) {
     m->bytes_h2d->Add(bytes);
     m->transfers->Increment();
   }
+}
+
+double TransferEngine::CopyToDevice(DevicePtr dst, const void* src,
+                                    std::size_t bytes) {
+  std::memcpy(device_->HostView(dst, bytes), src, bytes);
+  CountTransfer(bytes);
+  return HostToDeviceUs(bytes);
+}
+
+double TransferEngine::CopyToDevice(std::span<const Piece> pieces) {
+  std::size_t bytes = 0;
+  for (const Piece& piece : pieces) {
+    std::memcpy(device_->HostView(piece.dst, piece.bytes), piece.src,
+                piece.bytes);
+    bytes += piece.bytes;
+  }
+  CountTransfer(bytes);
   return HostToDeviceUs(bytes);
 }
 
@@ -203,15 +220,9 @@ Status TransferEngine::TryCopyToDevice(DevicePtr dst, const void* src,
 
 double TransferEngine::StreamedCopyToDevice(DevicePtr dst, const void* src,
                                             std::size_t bytes) {
-  std::memcpy(device_->HostView(dst), src, bytes);
-  bytes_h2d_.fetch_add(bytes, std::memory_order_relaxed);
-  transfers_.fetch_add(1, std::memory_order_relaxed);
-  if (const Device::DeviceMetrics* m = device_->metrics()) {
-    m->bytes_h2d->Add(bytes);
-    m->transfers->Increment();
-  }
-  return pcie_.streamed_init_us +
-         static_cast<double>(bytes) / (pcie_.bandwidth_h2d_gbps * 1e3);
+  std::memcpy(device_->HostView(dst, bytes), src, bytes);
+  CountTransfer(bytes);
+  return StreamedHostToDeviceUs(bytes);
 }
 
 double TransferEngine::StreamedHostToDeviceUs(std::size_t bytes) const {

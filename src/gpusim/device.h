@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "core/status.h"
@@ -123,9 +124,18 @@ class Device {
 
   /// Host-visible backing storage of an allocation (+offset). Used by the
   /// functional kernel executor and the transfer engine — the moral
-  /// equivalent of the GDDR behind a device pointer. Lock-free.
-  std::byte* HostView(DevicePtr ptr);
-  const std::byte* HostView(DevicePtr ptr) const;
+  /// equivalent of the GDDR behind a device pointer. Checks that the
+  /// `bytes` bytes from `ptr` lie inside the allocation. Lock-free.
+  std::byte* HostView(DevicePtr ptr, std::size_t bytes = 0);
+  const std::byte* HostView(DevicePtr ptr, std::size_t bytes = 0) const;
+
+  /// What a warp-wide access needs of its allocation, resolved once:
+  /// HostView(ptr, bytes) and whether the allocation is host-mapped.
+  struct View {
+    std::byte* data;
+    bool host_mapped;
+  };
+  View Resolve(DevicePtr ptr, std::size_t bytes) const;
 
   template <typename T>
   T* HostViewAs(DevicePtr ptr) {
@@ -248,6 +258,17 @@ class TransferEngine {
   /// Copies host → device; returns the modelled transfer time in µs.
   double CopyToDevice(DevicePtr dst, const void* src, std::size_t bytes);
 
+  /// One host span of a gathered copy and its device destination.
+  struct Piece {
+    DevicePtr dst;
+    const void* src;
+    std::size_t bytes;
+  };
+  /// Copies every piece host → device as ONE transfer of their total
+  /// bytes (a gather list: a chunked host array into flat device arrays);
+  /// returns its modelled time in µs.
+  double CopyToDevice(std::span<const Piece> pieces);
+
   /// Fault-aware copy: consults the device's armed injector before
   /// moving data. On an injected fault nothing is copied and a typed
   /// transient Status is returned; on success `*us` (optional) receives
@@ -281,6 +302,9 @@ class TransferEngine {
   }
 
  private:
+  /// Counts one host → device transfer of `bytes`.
+  void CountTransfer(std::size_t bytes);
+
   Device* device_;
   sim::PcieSpec pcie_;
   std::atomic<std::uint64_t> bytes_h2d_{0};

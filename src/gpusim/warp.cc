@@ -14,18 +14,23 @@ WarpScope::WarpScope(Device* device, KernelStats* stats, int active_lanes)
 
 WarpScope::~WarpScope() { ++stats_->warps_executed; }
 
-void WarpScope::RecordAccess(DevicePtr base,
-                             const std::uint64_t* lane_offsets, int lanes,
-                             std::size_t width) {
+std::byte* WarpScope::RecordAccess(DevicePtr base,
+                                   const std::uint64_t* lane_offsets,
+                                   int lanes, std::size_t width) {
   stats_->warp_instructions += 1;  // the load/store instruction itself
   stats_->memory_gathers += 1;
-  if (device_->IsHostMapped(base)) {
+  std::uint64_t last_offset = 0;
+  for (int i = 0; i < lanes; ++i) {
+    last_offset = std::max(last_offset, lane_offsets[i]);
+  }
+  const Device::View view = device_->Resolve(base, last_offset + width);
+  if (view.host_mapped) {
     // A store into host-mapped memory is written through to the host over
     // PCIe: it touches neither the device L2 nor DRAM.
     const std::uint64_t bytes = static_cast<std::uint64_t>(lanes) * width;
     stats_->mapped_bytes += bytes;
     device_->RecordMappedStore(bytes);
-    return;
+    return view.data;
   }
   // Coalescing: collect the distinct aligned 64-byte segments the lanes
   // touch; each distinct segment is one memory transaction (the GPU
@@ -58,6 +63,7 @@ void WarpScope::RecordAccess(DevicePtr base,
       stats_->dram_bytes += kTransactionBytes;
     }
   }
+  return view.data;
 }
 
 void WarpScope::SharedAccess(const int* lane_banks, int lanes) {

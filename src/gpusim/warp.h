@@ -86,12 +86,14 @@ class WarpScope {
   int active_lanes() const { return active_lanes_; }
 
   /// Per-lane access: lane i touches one element of `width` bytes at
-  /// `base + lane_offsets[i]`. Returns nothing; callers read through the
-  /// typed helpers below. Counts coalesced transactions. Kernels only
+  /// `base + lane_offsets[i]`. Counts coalesced transactions. Kernels only
   /// store into host-mapped memory; such an access adds its payload to
   /// `mapped_bytes` and to the device's mapped-store count instead.
-  void RecordAccess(DevicePtr base, const std::uint64_t* lane_offsets,
-                    int lanes, std::size_t width);
+  /// Resolves `base`'s allocation once, checks that every lane's element
+  /// lies inside it, and returns its host view at `base`, through which
+  /// the caller moves the lanes' data.
+  std::byte* RecordAccess(DevicePtr base, const std::uint64_t* lane_offsets,
+                          int lanes, std::size_t width);
 
   /// Typed per-lane load: out[i] = *(T*)(base + lane_offsets[i]).
   /// Functional (reads the backing store) + accounted.
@@ -99,12 +101,11 @@ class WarpScope {
   void Gather(DevicePtr base, const std::uint64_t* lane_offsets, int lanes,
               T* out) {
     HBTREE_DCHECK(!device_->IsHostMapped(base));
-    RecordAccess(base, lane_offsets, lanes, sizeof(T));
+    const std::byte* view = RecordAccess(base, lane_offsets, lanes, sizeof(T));
     for (int i = 0; i < lanes; ++i) {
       // memcpy, not a typed load: lane offsets need not be aligned to T
       // (a real GPU gather has no such requirement either).
-      std::memcpy(&out[i], device_->HostView(base + lane_offsets[i]),
-                  sizeof(T));
+      std::memcpy(&out[i], view + lane_offsets[i], sizeof(T));
     }
   }
 
@@ -112,10 +113,9 @@ class WarpScope {
   template <typename T>
   void Scatter(DevicePtr base, const std::uint64_t* lane_offsets, int lanes,
                const T* values) {
-    RecordAccess(base, lane_offsets, lanes, sizeof(T));
+    std::byte* view = RecordAccess(base, lane_offsets, lanes, sizeof(T));
     for (int i = 0; i < lanes; ++i) {
-      std::memcpy(device_->HostView(base + lane_offsets[i]), &values[i],
-                  sizeof(T));
+      std::memcpy(view + lane_offsets[i], &values[i], sizeof(T));
     }
   }
 

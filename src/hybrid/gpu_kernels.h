@@ -142,8 +142,13 @@ int GatherRuns(gpu::WarpScope& warp, gpu::DevicePtr base,
   if (gathered > 0) warp.RecordAccess(base, offsets, gathered, sizeof(T));
   const int followers = teams * team_lanes - gathered;
   if (followers > 0) warp.SharedAccessUniform(followers);
+  // Followers read their leader's line, and a first-team follower the
+  // previous warp's, so the view is checked over every team's line.
+  const std::uint64_t last_line = *std::max_element(line, line + teams);
+  const std::byte* view =
+      warp.device()->HostView(base, last_line + team_lanes * sizeof(T));
   for (int t = 0; t < teams; ++t) {
-    std::memcpy(&out[t * team_lanes], warp.device()->HostView(base + line[t]),
+    std::memcpy(&out[t * team_lanes], view + line[t],
                 team_lanes * sizeof(T));
   }
   return leaders;
@@ -241,7 +246,7 @@ gpu::KernelStats RunImplicitInnerSearch(
 template <typename K>
 struct RegularKernelParams {
   gpu::DevicePtr inner_hot;  // RegularInnerHot<K>[] indexed by pool slot
-  gpu::DevicePtr last_hot;   // RegularInnerHot<K>[] for the last level
+  gpu::DevicePtr last_hot;   // RegularLastInnerHot<K>[] for the last level
   NodeRef root = kNullRef;
   int start_level = 0;  // the tree height unless the CPU pre-descended
   SearchLaunch launch;  // results: PackLeafPosition
@@ -250,7 +255,7 @@ struct RegularKernelParams {
 /// The regular kernel's result packs the leaf line into the low
 /// kLeafLineBits (a big leaf has 64 lines of 64-bit keys, 256 of 32-bit
 /// keys) and the last-inner node's pool slot into the other 24 bits:
-/// 2^24 last-level nodes, an 18 GB mirror.
+/// 2^24 last-level nodes, a 9.7 GB mirror of 576-byte fragments.
 inline constexpr int kLeafLineBits = 8;
 inline constexpr int kLeafNodeBits = kResultWordBits - kLeafLineBits;
 static_assert(RegularShape<Key32>::kLinesPerLeaf <= (1 << kLeafLineBits) &&
@@ -272,7 +277,9 @@ inline int UnpackLeafLine(ResultWord packed) {
 /// Runs the regular-tree inner search kernel: per level, the team searches
 /// the index line, fetches and searches the selected key line, then one
 /// lane fetches the child reference — "three memory accesses instead of
-/// one" (Section 5.3).
+/// one" (Section 5.3). The last level stops after the key line: its
+/// fragments carry no references, so its pool has its own, smaller
+/// stride.
 ///
 /// Each of the three fetches dedupes runs (GatherRuns): the index line on
 /// the node, the key line on (node, selected line) and the child ref on
@@ -285,10 +292,12 @@ gpu::KernelStats RunRegularInnerSearch(
   gpu::KernelStats stats;
   using Shape = RegularShape<K>;
   constexpr int kTeam = Shape::kIdx;
-  constexpr std::uint64_t kHotBytes = sizeof(RegularInnerHot<K>);
+  constexpr std::uint64_t kInnerBytes = sizeof(RegularInnerHot<K>);
+  constexpr std::uint64_t kLastBytes = sizeof(RegularLastInnerHot<K>);
   constexpr std::uint64_t kKeysBase = Shape::kIdx * sizeof(K);
-  constexpr std::uint64_t kRefsBase =
-      kKeysBase + Shape::kFanout * sizeof(K);
+  // An inner fragment's refs follow the lines it shares with a last-level
+  // fragment.
+  constexpr std::uint64_t kRefsBase = kLastBytes;
   if (p.launch.count == 0) return stats;
 
   stats.node_loads_by_level.assign(p.start_level + 1, 0);
@@ -311,9 +320,10 @@ gpu::KernelStats RunRegularInnerSearch(
         int line_result[kWarp];
         for (int level = p.start_level; level >= 1; --level) {
           const gpu::DevicePtr pool = level == 1 ? p.last_hot : p.inner_hot;
+          const std::uint64_t stride = level == 1 ? kLastBytes : kInnerBytes;
 
           // Step 1: the index line, selecting a key line.
-          for (int t = 0; t < teams; ++t) line[t] = node[t] * kHotBytes;
+          for (int t = 0; t < teams; ++t) line[t] = node[t] * stride;
           const int leaders = GatherRuns(warp, pool, node, line, teams,
                                          kTeam, &node_carry[level], key);
           warp.SharedAccessUniform(lanes);
@@ -328,7 +338,7 @@ gpu::KernelStats RunRegularInnerSearch(
           // selections consecutive here too.
           for (int t = 0; t < teams; ++t) {
             run[t] = (node[t] << 16) | static_cast<std::uint64_t>(s[t]);
-            line[t] = node[t] * kHotBytes + kKeysBase +
+            line[t] = node[t] * stride + kKeysBase +
                       static_cast<std::uint64_t>(s[t]) * kTeam * sizeof(K);
           }
           GatherRuns(warp, pool, run, line, teams, kTeam, &kline_carry[level],
@@ -350,7 +360,7 @@ gpu::KernelStats RunRegularInnerSearch(
           for (int t = 0; t < teams; ++t) {
             run[t] =
                 (node[t] << 16) | static_cast<std::uint64_t>(line_result[t]);
-            line[t] = node[t] * kHotBytes + kRefsBase +
+            line[t] = node[t] * stride + kRefsBase +
                       static_cast<std::uint64_t>(line_result[t]) * sizeof(K);
           }
           K child[kWarp];

@@ -63,10 +63,12 @@ gpu::KernelStats RunFastSearch(gpu::Device& device,
           for (int lane = 0; lane < lanes; ++lane) {
             offsets[lane] = (p.level_bases[bl] + block[lane]) * kCacheLineSize;
           }
-          warp.RecordAccess(p.blocks, offsets, lanes, sizeof(K));
+          const std::byte* blocks =
+              warp.RecordAccess(p.blocks, offsets, lanes, sizeof(K));
           warp.Instruction(2 * kBlockDepth);  // compares + index updates
           for (int lane = 0; lane < lanes; ++lane) {
-            const K* line = device.HostViewAs<K>(p.blocks + offsets[lane]);
+            const K* line =
+                reinterpret_cast<const K*>(blocks + offsets[lane]);
             unsigned in_block = 0;
             for (int d = 0; d < kBlockDepth; ++d) {
               const K sep = line[(1u << d) - 1 + in_block];

@@ -27,8 +27,9 @@ namespace hbtree {
 /// Both inner pools' hot fragments (all inner levels, including the last)
 /// form the I-segment mirrored into device memory as two flat arrays
 /// indexed by pool slot, so the host's child references are valid device
-/// indices without translation. Cold fragments and big leaves stay on the
-/// CPU only.
+/// indices without translation. Each array has its pool's fragment size:
+/// 17 cache lines above the last level, 9 at it (64-bit keys; 33 and 17
+/// for 32-bit keys). Cold fragments and big leaves stay on the CPU only.
 ///
 /// Synchronization (Section 5.6) offers the paper's two granularities,
 /// both fault-aware:
@@ -40,6 +41,7 @@ template <typename K>
 class HBRegularTree {
  public:
   using Hot = RegularInnerHot<K>;
+  using LastHot = RegularLastInnerHot<K>;
 
   struct Config {
     typename RegularBTree<K>::Config tree;
@@ -99,12 +101,10 @@ class HBRegularTree {
         return status;
       }
     }
-    const Hot& hot = node.last_level ? host_tree_.last_hot(node.ref)
-                                     : host_tree_.inner_hot(node.ref);
-    gpu::DevicePtr dst =
-        (node.last_level ? device_last_ : device_inner_) +
-        static_cast<std::uint64_t>(node.ref) * sizeof(Hot);
-    const double t = transfer_->StreamedCopyToDevice(dst, &hot, sizeof(Hot));
+    const double t =
+        node.last_level
+            ? StreamRun(host_tree_.leaf_pool(), node.ref, 1, device_last_)
+            : StreamRun(host_tree_.inner_pool(), node.ref, 1, device_inner_);
     if (us != nullptr) *us = t;
     return Status::Ok();
   }
@@ -218,11 +218,7 @@ class HBRegularTree {
            PoolMatches(host_tree_.leaf_pool(), device_last_);
   }
 
-  std::size_t i_segment_bytes() const {
-    return (host_tree_.inner_pool().high_water() +
-            host_tree_.leaf_pool().high_water()) *
-           sizeof(Hot);
-  }
+  std::size_t i_segment_bytes() const { return host_tree_.i_segment_bytes(); }
 
  private:
   void FreeDeviceArrays() {
@@ -253,20 +249,31 @@ class HBRegularTree {
     auto stream_us = [&](const auto& pool, const std::vector<Index>& slots) {
       double t = 0;
       ForEachRun(pool, slots, [&](Index, std::size_t run) {
-        t += transfer_->StreamedHostToDeviceUs(run * sizeof(Hot));
+        t += transfer_->StreamedHostToDeviceUs(run * pool.kPrimaryBytes);
       });
       return t;
     };
     plan.stream_us = stream_us(host_tree_.inner_pool(), plan.slots[0]) +
                      stream_us(host_tree_.leaf_pool(), plan.slots[1]);
-    const std::size_t count = plan.slots[0].size() + plan.slots[1].size();
+    const MirrorScatterParams scatter = ScatterParams(plan);
     plan.staged_us =
-        transfer_->StreamedHostToDeviceUs(
-            MirrorScatterParams::StagedBytes(count, sizeof(Hot))) +
+        transfer_->StreamedHostToDeviceUs(scatter.StagedBytes()) +
         gpu::EstimateKernelTime(device_->spec(), transfer_->pcie(),
-                                MirrorScatterBound(count, sizeof(Hot)))
+                                MirrorScatterBound(scatter))
             .total_us;
     return plan;
+  }
+
+  /// The staged plan's launch for `plan`, without its staging buffer.
+  MirrorScatterParams ScatterParams(const DeltaPlan& plan) const {
+    MirrorScatterParams params;
+    params.pools[0] = device_inner_;
+    params.pools[1] = device_last_;
+    params.counts[0] = static_cast<std::uint32_t>(plan.slots[0].size());
+    params.counts[1] = static_cast<std::uint32_t>(plan.slots[1].size());
+    params.fragment_bytes[0] = sizeof(Hot);
+    params.fragment_bytes[1] = sizeof(LastHot);
+    return params;
   }
 
   /// Calls fn(first, length) for each run of consecutive slots in sorted
@@ -294,11 +301,19 @@ class HBRegularTree {
                      gpu::DevicePtr base) {
     double t = 0;
     ForEachRun(pool, slots, [&](Index first, std::size_t run) {
-      t += transfer_->StreamedCopyToDevice(
-          base + static_cast<std::uint64_t>(first) * sizeof(Hot),
-          &pool.primary(first), run * sizeof(Hot));
+      t += StreamRun(pool, first, run, base);
     });
     return t;
+  }
+
+  /// Streams `run` consecutive hot fragments of `pool` from slot `first`
+  /// (within one chunk) into the mirror array at `base`.
+  template <typename Pool>
+  double StreamRun(const Pool& pool, Index first, std::size_t run,
+                   gpu::DevicePtr base) {
+    return transfer_->StreamedCopyToDevice(
+        base + static_cast<std::uint64_t>(first) * pool.kPrimaryBytes,
+        &pool.primary(first), run * pool.kPrimaryBytes);
   }
 
   /// The staged plan: packs the dirty fragments (inner pool first), then
@@ -307,25 +322,19 @@ class HBRegularTree {
   /// touched nothing, when the staging buffer does not fit on the device.
   bool StageDirty(const DeltaPlan& plan, double* us,
                   gpu::KernelStats* scatter) {
-    MirrorScatterParams params;
-    params.pools[0] = device_inner_;
-    params.pools[1] = device_last_;
-    params.inner_count = static_cast<std::uint32_t>(plan.slots[0].size());
-    params.count = static_cast<std::uint32_t>(plan.slots[0].size() +
-                                              plan.slots[1].size());
-    params.fragment_bytes = sizeof(Hot);
-    const std::size_t bytes =
-        MirrorScatterParams::StagedBytes(params.count, sizeof(Hot));
+    MirrorScatterParams params = ScatterParams(plan);
+    const std::size_t bytes = params.StagedBytes();
     params.staged = device_->TryMallocStaging(bytes);
     if (params.staged.is_null()) return false;
     std::vector<std::byte> packed(bytes);
     std::byte* fragment = packed.data();
-    std::byte* slot = packed.data() + params.count * sizeof(Hot);
+    std::byte* slot =
+        packed.data() + bytes - params.count() * sizeof(std::uint32_t);
     auto pack = [&](const auto& pool, const std::vector<Index>& slots) {
       for (const Index s : slots) {
-        std::memcpy(fragment, &pool.primary(s), sizeof(Hot));
+        std::memcpy(fragment, &pool.primary(s), pool.kPrimaryBytes);
         std::memcpy(slot, &s, sizeof(Index));
-        fragment += sizeof(Hot);
+        fragment += pool.kPrimaryBytes;
         slot += sizeof(Index);
       }
     };
@@ -343,13 +352,14 @@ class HBRegularTree {
   }
 
   Status FullSync(double* us) {
-    HBTREE_RETURN_IF_ERROR(TryReallocAndSync());
+    HBTREE_RETURN_IF_ERROR(TryReallocAndSync(us));
     full_syncs_.fetch_add(1, std::memory_order_relaxed);
-    if (us != nullptr) *us = transfer_->HostToDeviceUs(i_segment_bytes());
     return Status::Ok();
   }
 
-  Status TryReallocAndSync() {
+  /// The full upload; on success `*us` (optional) receives its modelled
+  /// time.
+  Status TryReallocAndSync(double* us = nullptr) {
     const std::size_t need_inner = host_tree_.inner_pool().high_water();
     const std::size_t need_last = host_tree_.leaf_pool().high_water();
     // The last-level slot travels in the result word's node field. The
@@ -371,7 +381,7 @@ class HBRegularTree {
           static_cast<std::size_t>(need_last * config_.device_headroom) + 64,
           kMaxLast);
       device_inner_ = device_->TryMalloc(cap_inner * sizeof(Hot));
-      device_last_ = device_->TryMalloc(cap_last * sizeof(Hot));
+      device_last_ = device_->TryMalloc(cap_last * sizeof(LastHot));
       if (device_inner_.is_null() || device_last_.is_null()) {
         FreeDeviceArrays();
         return Status::DeviceOom(
@@ -380,7 +390,7 @@ class HBRegularTree {
       inner_capacity_ = cap_inner;
       last_capacity_ = cap_last;
     }
-    // The bulk upload counts as one H2D transfer for fault purposes: an
+    // The bulk upload is one H2D transfer, for fault purposes too: an
     // injected fault leaves the (possibly freshly reallocated) arrays
     // without the new pool contents, so the mirror goes stale.
     fault::FaultInjector* injector = device_->fault_injector();
@@ -391,7 +401,8 @@ class HBRegularTree {
         return status;
       }
     }
-    CopyPools();
+    const double t = CopyPools();
+    if (us != nullptr) *us = t;
     // The full upload absorbs every host-side change, so the pools'
     // dirty lists restart empty.
     host_tree_.inner_pool().ClearDirty();
@@ -400,21 +411,25 @@ class HBRegularTree {
     return Status::Ok();
   }
 
-  /// Chunk-wise copy of both pools' hot fragments into the device arrays.
-  void CopyPools() {
-    CopyPool(host_tree_.inner_pool(), device_inner_);
-    CopyPool(host_tree_.leaf_pool(), device_last_);
+  /// Uploads both pools' hot fragments, chunk by chunk, as one gathered
+  /// transfer of i_segment_bytes(); returns its modelled time.
+  double CopyPools() {
+    std::vector<gpu::TransferEngine::Piece> pieces;
+    AddChunks(host_tree_.inner_pool(), device_inner_, &pieces);
+    AddChunks(host_tree_.leaf_pool(), device_last_, &pieces);
+    return transfer_->CopyToDevice(pieces);
   }
 
   template <typename Pool>
-  void CopyPool(const Pool& pool, gpu::DevicePtr base) {
+  static void AddChunks(const Pool& pool, gpu::DevicePtr base,
+                        std::vector<gpu::TransferEngine::Piece>* pieces) {
     const std::size_t chunk_slots = pool.chunk_capacity();
     std::size_t remaining = pool.high_water();
     for (std::size_t c = 0; c < pool.chunk_count() && remaining > 0; ++c) {
       const std::size_t here = std::min(chunk_slots, remaining);
-      std::memcpy(
-          device_->HostView(base + c * chunk_slots * sizeof(Hot)),
-          pool.primary_chunk(c), here * sizeof(Hot));
+      pieces->push_back({base + c * chunk_slots * pool.kPrimaryBytes,
+                           pool.primary_chunk(c),
+                           here * pool.kPrimaryBytes});
       remaining -= here;
     }
   }
@@ -422,8 +437,9 @@ class HBRegularTree {
   template <typename Pool>
   bool PoolMatches(const Pool& pool, gpu::DevicePtr base) const {
     for (typename Pool::Index slot = 0; slot < pool.high_water(); ++slot) {
-      if (std::memcmp(device_->HostView(base + slot * sizeof(Hot)),
-                      &pool.primary(slot), sizeof(Hot)) != 0) {
+      if (std::memcmp(device_->HostView(base + slot * pool.kPrimaryBytes,
+                                        pool.kPrimaryBytes),
+                      &pool.primary(slot), pool.kPrimaryBytes) != 0) {
         return false;
       }
     }

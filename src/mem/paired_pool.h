@@ -24,7 +24,8 @@ namespace hbtree {
 ///  * *Big-leaf pairing* — each last-level inner node is paired with
 ///    exactly one 256-entry big leaf; allocating them from two pools under
 ///    one shared index lets the lookup jump straight from the inner-node
-///    search result to the right leaf cache line.
+///    search result to the right leaf cache line, so the last-level hot
+///    fragment needs no child references.
 ///
 /// Slots are stable (chunked storage never moves) and reusable via a free
 /// list. Both element types must be trivially copyable PODs, which all
@@ -37,6 +38,9 @@ class PairedPool {
  public:
   using Index = std::uint32_t;
   static constexpr Index kInvalidIndex = 0xffffffffu;
+  /// Bytes of one primary fragment: the slot stride of primary_chunk()
+  /// and of a device mirror of the primary fragments.
+  static constexpr std::size_t kPrimaryBytes = sizeof(Primary);
 
   /// `chunk_capacity` — slots per chunk; the page sizes tag the two
   /// fragment arrays for the TLB simulator (`registry` may be null to
@@ -116,10 +120,7 @@ class PairedPool {
     return primary_chunks_.size() * chunk_capacity_;
   }
 
-  /// Bytes of primary-fragment storage, for memory-footprint reporting.
-  std::size_t primary_bytes() const {
-    return primary_chunks_.size() * chunk_capacity_ * sizeof(Primary);
-  }
+  /// Bytes of secondary-fragment storage, for memory-footprint reporting.
   std::size_t secondary_bytes() const {
     return secondary_chunks_.size() * chunk_capacity_ * sizeof(Secondary);
   }

@@ -276,15 +276,44 @@ std::size_t DirtyCount(const HBRegularTree<Key64>& tree) {
          tree.host_tree().leaf_pool().dirty_count();
 }
 
-/// The staged plan's closed form for `count` fragments: one streamed
+constexpr std::size_t kInnerBytes = sizeof(RegularInnerHot<Key64>);
+constexpr std::size_t kLastBytes = sizeof(RegularLastInnerHot<Key64>);
+
+/// The staged plan's launch for `tree`'s dirty fragments (no buffers).
+MirrorScatterParams DirtyScatter(const HBRegularTree<Key64>& tree) {
+  MirrorScatterParams params;
+  params.counts[0] =
+      static_cast<std::uint32_t>(tree.host_tree().inner_pool().dirty_count());
+  params.counts[1] =
+      static_cast<std::uint32_t>(tree.host_tree().leaf_pool().dirty_count());
+  params.fragment_bytes[0] = kInnerBytes;
+  params.fragment_bytes[1] = kLastBytes;
+  return params;
+}
+
+/// The dirty fragments' bytes, each at its pool's size.
+std::size_t DirtyBytes(const HBRegularTree<Key64>& tree) {
+  return tree.host_tree().inner_pool().dirty_count() * kInnerBytes +
+         tree.host_tree().leaf_pool().dirty_count() * kLastBytes;
+}
+
+/// The staged plan's closed form for `scatter`'s fragments: one streamed
 /// upload of the packed buffer plus the scatter launch's all-DRAM bound.
-double StagedBoundUs(const sim::PlatformSpec& platform, std::size_t count) {
-  using Hot = RegularInnerHot<Key64>;
-  const gpu::KernelStats bound = MirrorScatterBound(count, sizeof(Hot));
+double StagedBoundUs(const sim::PlatformSpec& platform,
+                     const MirrorScatterParams& scatter) {
+  const gpu::KernelStats bound = MirrorScatterBound(scatter);
   return platform.pcie.streamed_init_us +
-         MirrorScatterParams::StagedBytes(count, sizeof(Hot)) /
-             (platform.pcie.bandwidth_h2d_gbps * 1e3) +
+         scatter.StagedBytes() / (platform.pcie.bandwidth_h2d_gbps * 1e3) +
          gpu::EstimateKernelTime(platform.gpu, platform.pcie, bound).total_us;
+}
+
+/// Streaming each dirty fragment on its own: the stream plan's worst case.
+double StreamEachUs(const gpu::TransferEngine& transfer,
+                    const HBRegularTree<Key64>& tree) {
+  return tree.host_tree().inner_pool().dirty_count() *
+             transfer.StreamedHostToDeviceUs(kInnerBytes) +
+         tree.host_tree().leaf_pool().dirty_count() *
+             transfer.StreamedHostToDeviceUs(kLastBytes);
 }
 
 TEST(DeltaSync, ScatteredDirtySetTakesStagedPlan) {
@@ -299,9 +328,9 @@ TEST(DeltaSync, ScatteredDirtySetTakesStagedPlan) {
   // the worst case of one streamed transfer per fragment would allow.
   auto keys = InsertClustered<Key64>(tree, data, 150, 16, /*seed=*/37);
   const std::size_t dirty = DirtyCount(tree);
-  using Hot = RegularInnerHot<Key64>;
+  const MirrorScatterParams shape = DirtyScatter(tree);
   const double full_us = fx.transfer.HostToDeviceUs(tree.i_segment_bytes());
-  ASSERT_GT(dirty * fx.transfer.StreamedHostToDeviceUs(sizeof(Hot)),
+  ASSERT_GT(StreamEachUs(fx.transfer, tree),
             config.delta_sync_cost_margin * full_us);
 
   const std::uint64_t transfers0 = fx.transfer.transfers();
@@ -315,7 +344,7 @@ TEST(DeltaSync, ScatteredDirtySetTakesStagedPlan) {
   // One upload and one launch, whose stats match the closed form in
   // every field but the DRAM / L2 split.
   EXPECT_EQ(fx.transfer.transfers() - transfers0, 1u);
-  const gpu::KernelStats bound = MirrorScatterBound(dirty, sizeof(Hot));
+  const gpu::KernelStats bound = MirrorScatterBound(shape);
   EXPECT_EQ(scatter.warps_executed, bound.warps_executed);
   EXPECT_EQ(scatter.warp_instructions, bound.warp_instructions);
   EXPECT_EQ(scatter.memory_gathers, bound.memory_gathers);
@@ -324,17 +353,91 @@ TEST(DeltaSync, ScatteredDirtySetTakesStagedPlan) {
   EXPECT_EQ(fx.device.used_bytes(), used0);  // the staging buffer is freed
   // Charged: the packed upload plus the launch's modelled time.
   EXPECT_DOUBLE_EQ(
-      us, fx.transfer.StreamedHostToDeviceUs(
-              MirrorScatterParams::StagedBytes(dirty, sizeof(Hot))) +
+      us, fx.transfer.StreamedHostToDeviceUs(shape.StagedBytes()) +
               gpu::EstimateKernelTime(fx.platform.gpu, fx.platform.pcie,
                                       scatter)
                   .total_us);
-  EXPECT_LE(us, StagedBoundUs(fx.platform, dirty));
+  EXPECT_LE(us, StagedBoundUs(fx.platform, shape));
   EXPECT_LT(us, config.delta_sync_cost_margin * full_us);
   EXPECT_EQ(DirtyCount(tree), 0u);
   EXPECT_TRUE(tree.mirror_valid());
   EXPECT_TRUE(tree.MirrorMatchesHost());
   ExpectKernelFinds<Key64>(fx, tree, keys);
+}
+
+TEST(DeltaSync, SplitsStageBothPoolsInOneLaunch) {
+  // Full leaves split on their first insert, so a batch of scattered
+  // inserts dirties both pools: the split halves in the last-level pool,
+  // their parents (which split too, being full) and the root in the inner
+  // pool. The one scatter launch writes each fragment at its own pool's
+  // stride.
+  SyncFixture fx;
+  HBRegularTree<Key64>::Config config;
+  HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
+  auto data = GenerateDataset<Key64>(200000, /*seed=*/39);
+  ASSERT_TRUE(tree.Build(data));
+  std::vector<Key64> keys;
+  for (std::size_t i = 0; i < data.size(); i += 2003) {
+    keys.push_back(data[i].key + 1);
+    ASSERT_TRUE(tree.host_tree().Insert({keys.back(), 1}));
+  }
+  const MirrorScatterParams shape = DirtyScatter(tree);
+  ASSERT_GT(shape.counts[0], 0u);
+  ASSERT_GT(shape.counts[1], 0u);
+  const auto inner_dirty = tree.host_tree().inner_pool().dirty_slots();
+  const auto last_dirty = tree.host_tree().leaf_pool().dirty_slots();
+
+  double us = 0;
+  gpu::KernelStats scatter;
+  ASSERT_TRUE(tree.TrySyncISegment(&us, &scatter).ok());
+  EXPECT_EQ(tree.delta_syncs(), 1u);
+  EXPECT_EQ(tree.delta_nodes_synced(), shape.count());
+  const gpu::KernelStats bound = MirrorScatterBound(shape);
+  EXPECT_EQ(scatter.warps_executed, bound.warps_executed);
+  EXPECT_EQ(scatter.warp_instructions, bound.warp_instructions);
+  EXPECT_EQ(scatter.memory_gathers, bound.memory_gathers);
+  EXPECT_EQ(scatter.memory_transactions, bound.memory_transactions);
+  EXPECT_EQ(scatter.dram_bytes + scatter.l2_bytes, bound.dram_bytes);
+  // Each fragment sits at its slot times its own pool's fragment size.
+  const auto params = tree.MakeKernelParams({}, {}, 0);
+  auto mirrored = [&](gpu::DevicePtr pool, NodeRef slot, const void* host,
+                      std::size_t bytes) {
+    return std::memcmp(fx.device.HostView(pool + slot * bytes, bytes), host,
+                       bytes) == 0;
+  };
+  for (const NodeRef slot : inner_dirty) {
+    EXPECT_TRUE(mirrored(params.inner_hot, slot,
+                         &tree.host_tree().inner_hot(slot), kInnerBytes))
+        << slot;
+  }
+  for (const NodeRef slot : last_dirty) {
+    EXPECT_TRUE(mirrored(params.last_hot, slot,
+                         &tree.host_tree().last_hot(slot), kLastBytes))
+        << slot;
+  }
+  EXPECT_TRUE(tree.MirrorMatchesHost());
+  ExpectKernelFinds<Key64>(fx, tree, keys);
+}
+
+TEST(DeltaSync, FullUploadIsOneTransferOfTheISegment) {
+  SyncFixture fx;
+  HBRegularTree<Key64>::Config config;
+  config.delta_sync_cost_margin = 0;  // every dirty batch takes the full path
+  HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
+  auto data = GenerateDataset<Key64>(100000, /*seed=*/40);
+  ASSERT_TRUE(tree.Build(data));
+  EXPECT_EQ(fx.transfer.transfers(), 1u);
+  EXPECT_EQ(fx.transfer.bytes_h2d(), tree.i_segment_bytes());
+
+  ASSERT_TRUE(tree.host_tree().Insert({data[500].key + 1, 1}));  // splits
+  const std::uint64_t bytes0 = fx.transfer.bytes_h2d();
+  double us = 0;
+  ASSERT_TRUE(tree.TrySyncISegment(&us).ok());
+  EXPECT_EQ(tree.full_syncs(), 1u);
+  EXPECT_EQ(fx.transfer.transfers(), 2u);
+  EXPECT_EQ(fx.transfer.bytes_h2d() - bytes0, tree.i_segment_bytes());
+  EXPECT_EQ(us, fx.transfer.HostToDeviceUs(tree.i_segment_bytes()));
+  EXPECT_TRUE(tree.MirrorMatchesHost());
 }
 
 TEST(DeltaSync, StagingBufferThatDoesNotFitStreamsTheRuns) {
@@ -359,15 +462,17 @@ TEST(DeltaSync, StagingBufferThatDoesNotFitStreamsTheRuns) {
   ASSERT_TRUE(tree.Build(data));
   InsertClustered<Key64>(tree, data, 150, 16, /*seed=*/37);
   const std::size_t dirty = DirtyCount(tree);
+  const MirrorScatterParams shape = DirtyScatter(tree);
 
   double us = 0;
   gpu::KernelStats scatter;
+  const std::uint64_t transfers0 = transfer.transfers();
   ASSERT_TRUE(tree.TrySyncISegment(&us, &scatter).ok());
-  EXPECT_GT(transfer.transfers(), 1u);  // one per run
+  EXPECT_GT(transfer.transfers() - transfers0, 1u);  // one per run
   EXPECT_EQ(scatter.warps_executed, 0u);
   EXPECT_EQ(tree.delta_syncs(), 1u);
   EXPECT_EQ(tree.delta_nodes_synced(), dirty);
-  EXPECT_GT(us, StagedBoundUs(platform, dirty));  // what staging saved
+  EXPECT_GT(us, StagedBoundUs(platform, shape));  // what staging saved
   EXPECT_TRUE(tree.MirrorMatchesHost());
 }
 
@@ -377,14 +482,14 @@ TEST(DeltaSync, OneOrTwoRunsStreamPerRun) {
   HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
   auto data = GenerateDataset<Key64>(100000, /*seed=*/38);
   ASSERT_TRUE(tree.Build(data));
-  using Hot = RegularInnerHot<Key64>;
   auto& pool = tree.host_tree().leaf_pool();
   ASSERT_GT(pool.high_water(), 40u);
 
   // Slots 10-12, marked out of order, coalesce into one run; slot 30
-  // adds a second. Each run is one streamed transfer, charged as such.
-  const double run3_us = fx.transfer.StreamedHostToDeviceUs(3 * sizeof(Hot));
-  const double run1_us = fx.transfer.StreamedHostToDeviceUs(sizeof(Hot));
+  // adds a second. Each run is one streamed transfer of last-level
+  // fragments, charged as such.
+  const double run3_us = fx.transfer.StreamedHostToDeviceUs(3 * kLastBytes);
+  const double run1_us = fx.transfer.StreamedHostToDeviceUs(kLastBytes);
   const std::vector<NodeRef> one_run = {12, 10, 11};
   const std::vector<NodeRef> two_runs = {30, 12, 10, 11};
   for (const auto& set : {one_run, two_runs}) {
@@ -415,20 +520,17 @@ TEST(DeltaSync, LargeDirtySetTakesFullPath) {
   // into many runs, and the staged upload carries nearly the whole
   // segment plus the scatter launch, so both delta plans cost more than
   // the margin times the full upload.
-  using Hot = RegularInnerHot<Key64>;
   auto& inner = tree.host_tree().inner_pool();
   auto& leaf = tree.host_tree().leaf_pool();
-  std::size_t dirty = 0, runs = 0;
+  std::size_t runs = 0;
   for (NodeRef slot = 0; slot < inner.high_water(); ++slot) {
     if (slot % 8 == 0) continue;
     inner.MarkDirty(slot);
-    ++dirty;
     if (slot % 8 == 1) ++runs;
   }
   for (NodeRef slot = 0; slot < leaf.high_water(); ++slot) {
     if (slot % 8 == 0) continue;
     leaf.MarkDirty(slot);
-    ++dirty;
     if (slot % 8 == 1) ++runs;
   }
   // Chunk boundaries can only split more runs, so this bounds the
@@ -437,9 +539,9 @@ TEST(DeltaSync, LargeDirtySetTakesFullPath) {
   const double margin_us = config.delta_sync_cost_margin *
                            fx.transfer.HostToDeviceUs(tree.i_segment_bytes());
   ASSERT_GT(runs * pcie.streamed_init_us +
-                dirty * sizeof(Hot) / (pcie.bandwidth_h2d_gbps * 1e3),
+                DirtyBytes(tree) / (pcie.bandwidth_h2d_gbps * 1e3),
             margin_us);
-  ASSERT_GT(StagedBoundUs(fx.platform, dirty), margin_us);
+  ASSERT_GT(StagedBoundUs(fx.platform, DirtyScatter(tree)), margin_us);
 
   double us = 0;
   ASSERT_TRUE(tree.TrySyncISegment(&us).ok());

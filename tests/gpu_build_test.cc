@@ -84,49 +84,52 @@ TEST(GpuBuild, TransfersLessThanFullSegmentUpload) {
 }
 
 TEST(MirrorScatter, WritesEachFragmentIntoItsSlotAtTheBound) {
-  // Both regular-tree fragment sizes: 17 lines (Key64), where the last
-  // warp of a fragment runs 4 of its lanes, and 33 lines (Key32).
-  for (const std::size_t fragment_bytes : {17 * kCacheLineSize,
-                                           33 * kCacheLineSize}) {
-    SCOPED_TRACE(fragment_bytes);
+  // The regular tree's two pools, inner then last level, for both key
+  // widths: 17 and 9 lines (Key64), 33 and 17 lines (Key32). A line is
+  // four lanes' words, so each size's last warp runs 4 of its lanes.
+  struct Pair {
+    std::size_t lines[2];
+  };
+  for (const Pair pair : {Pair{{17, 9}}, Pair{{33, 17}}}) {
+    SCOPED_TRACE(pair.lines[0]);
     Fixture fx;
     constexpr std::uint32_t kSlots = 64;
-    gpu::DevicePtr pools[2] = {fx.device.Malloc(kSlots * fragment_bytes),
-                               fx.device.Malloc(kSlots * fragment_bytes)};
-    for (gpu::DevicePtr pool : pools) {
-      std::memset(fx.device.HostView(pool), 0, kSlots * fragment_bytes);
+    MirrorScatterParams params;
+    for (int p = 0; p < 2; ++p) {
+      params.fragment_bytes[p] = pair.lines[p] * kCacheLineSize;
+      params.pools[p] = fx.device.Malloc(kSlots * params.fragment_bytes[p]);
+      std::memset(fx.device.HostView(params.pools[p]), 0,
+                  kSlots * params.fragment_bytes[p]);
     }
     // Three inner fragments, then five last-level ones, out of order.
     const std::vector<std::uint32_t> slots = {7, 0, 63, 5, 6, 40, 1, 33};
-    MirrorScatterParams params;
-    params.pools[0] = pools[0];
-    params.pools[1] = pools[1];
-    params.inner_count = 3;
-    params.count = static_cast<std::uint32_t>(slots.size());
-    params.fragment_bytes = fragment_bytes;
-    const std::size_t bytes =
-        MirrorScatterParams::StagedBytes(slots.size(), fragment_bytes);
+    params.counts[0] = 3;
+    params.counts[1] = static_cast<std::uint32_t>(slots.size()) - 3;
+    const std::size_t bytes = params.StagedBytes();
+    const std::size_t fragments = bytes - slots.size() * sizeof(std::uint32_t);
     std::vector<std::uint8_t> staged(bytes);
-    for (std::size_t i = 0; i < slots.size() * fragment_bytes; ++i) {
-      staged[i] = static_cast<std::uint8_t>(i * 131 + i / fragment_bytes);
+    for (std::size_t i = 0; i < fragments; ++i) {
+      staged[i] = static_cast<std::uint8_t>(i * 131 + i / 64);
     }
-    std::memcpy(staged.data() + slots.size() * fragment_bytes, slots.data(),
+    std::memcpy(staged.data() + fragments, slots.data(),
                 slots.size() * sizeof(std::uint32_t));
     params.staged = fx.device.Malloc(bytes);
     fx.transfer.CopyToDevice(params.staged, staged.data(), bytes);
 
     const gpu::KernelStats stats = RunMirrorScatterKernel(fx.device, params);
+    std::size_t at = 0;  // fragment f's staged offset
     for (std::size_t f = 0; f < slots.size(); ++f) {
-      const gpu::DevicePtr pool = pools[f < params.inner_count ? 0 : 1];
-      EXPECT_EQ(std::memcmp(fx.device.HostView(pool +
-                                               slots[f] * fragment_bytes),
-                            staged.data() + f * fragment_bytes,
-                            fragment_bytes),
+      const int p = f < params.counts[0] ? 0 : 1;
+      const std::size_t size = params.fragment_bytes[p];
+      EXPECT_EQ(std::memcmp(fx.device.HostView(params.pools[p] +
+                                               slots[f] * size),
+                            staged.data() + at, size),
                 0)
           << f;
+      at += size;
     }
-    const gpu::KernelStats bound =
-        MirrorScatterBound(slots.size(), fragment_bytes);
+    EXPECT_EQ(at, fragments);
+    const gpu::KernelStats bound = MirrorScatterBound(params);
     EXPECT_EQ(stats.warps_executed, bound.warps_executed);
     EXPECT_EQ(stats.warp_instructions, bound.warp_instructions);
     EXPECT_EQ(stats.memory_gathers, bound.memory_gathers);

@@ -102,6 +102,33 @@ TEST(Warp, GatherScatterAreFunctional) {
   for (int lane = 0; lane < 8; ++lane) EXPECT_EQ(readback[lane], values[lane]);
 }
 
+TEST(WarpDeathTest, LaneStraddlingTheAllocationEndAborts) {
+  // Lane 1's element starts inside the 64-byte allocation and ends 4
+  // bytes past it. The access is checked once, over every lane, before
+  // any lane's data moves; lane 1 at offset 56 would end exactly at it.
+  Device device(TestSpec());
+  DevicePtr buffer = device.Malloc(64);
+  KernelStats stats;
+  const std::uint64_t offsets[2] = {0, 60};
+  std::uint64_t values[2] = {1, 2};
+  EXPECT_DEATH(
+      {
+        WarpScope warp(&device, &stats, 2);
+        warp.Gather(buffer, offsets, 2, values);
+      },
+      "HBTREE_CHECK failed");
+  EXPECT_DEATH(
+      {
+        WarpScope warp(&device, &stats, 2);
+        warp.Scatter(buffer, offsets, 2, values);
+      },
+      "HBTREE_CHECK failed");
+  const std::uint64_t fits[2] = {0, 56};
+  WarpScope warp(&device, &stats, 2);
+  warp.Scatter(buffer, fits, 2, values);
+  EXPECT_EQ(device.HostViewAs<std::uint64_t>(buffer)[7], 2u);
+}
+
 TEST(Warp, MappedStoreStreamsItsPayloadOverTheLink) {
   sim::PlatformSpec platform = sim::PlatformSpec::M1();
   Device device(platform.gpu);

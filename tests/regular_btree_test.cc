@@ -7,6 +7,9 @@
 #include <vector>
 
 #include "core/workload.h"
+#include "gpusim/device.h"
+#include "hybrid/hb_regular.h"
+#include "sim/platform.h"
 
 namespace hbtree {
 namespace {
@@ -229,12 +232,15 @@ TYPED_TEST(RegularBTreeTypedTest, ModifiedNodeReporting) {
 }
 
 TEST(RegularBTreeGeometry, ShapeConstantsMatchPaper) {
-  // Section 4.1: F_I = 64 (64-bit) / 256 (32-bit); 17 / 33 cache lines;
-  // big leaf 256 / 2048 pairs.
+  // Section 4.1: F_I = 64 (64-bit) / 256 (32-bit); 17 / 33 cache lines
+  // above the last inner level, 9 / 17 at it, which stores no child
+  // references; big leaf 256 / 2048 pairs.
   EXPECT_EQ(RegularBTree<Key64>::kFanout, 64);
   EXPECT_EQ(RegularBTree<Key32>::kFanout, 256);
   EXPECT_EQ(sizeof(RegularInnerHot<Key64>), 17u * kCacheLineSize);
   EXPECT_EQ(sizeof(RegularInnerHot<Key32>), 33u * kCacheLineSize);
+  EXPECT_EQ(sizeof(RegularLastInnerHot<Key64>), 9u * kCacheLineSize);
+  EXPECT_EQ(sizeof(RegularLastInnerHot<Key32>), 17u * kCacheLineSize);
   EXPECT_EQ(RegularBTree<Key64>::kLeafCap, 256);
   EXPECT_EQ(RegularBTree<Key32>::kLeafCap, 2048);
 }
@@ -257,6 +263,48 @@ TEST(RegularBTreeGeometry, TracedSearchTouchesThreeLinesPerLevel) {
   // line, so exactly 3(H-1) + 2 + 1).
   const int h = tree.height();
   EXPECT_EQ(tracer.accesses, 3 * (h - 1) + 2 + 1);
+}
+
+TEST(RegularBTreeGeometry, ISegmentIsEachPoolsSlotsAtItsFragmentSize) {
+  // 64-slot chunks and 3 children per inner node spread both pools over
+  // several chunks, the last one part-used. The host tree's I-segment,
+  // the HB tree's mirror and its full upload all count each pool's
+  // high-water slots at that pool's fragment size.
+  sim::PlatformSpec platform = sim::PlatformSpec::M1();
+  PageRegistry registry;
+  gpu::Device device(platform.gpu);
+  gpu::TransferEngine transfer(&device, platform.pcie);
+  HBRegularTree<Key64>::Config config;
+  config.tree.pool_chunk_nodes = 64;
+  config.tree.inner_fill = 0.05;
+  HBRegularTree<Key64> tree(config, &registry, &device, &transfer);
+  auto data = GenerateDataset<Key64>(100000, /*seed=*/15);
+  ASSERT_TRUE(tree.Build(data));
+  const RegularBTree<Key64>& host = tree.host_tree();
+  ASSERT_GT(host.inner_pool().chunk_count(), 1u);
+  ASSERT_GT(host.leaf_pool().chunk_count(), 1u);
+  ASSERT_NE(host.leaf_pool().high_water() % 64, 0u);
+  auto expected = [&] {
+    return host.inner_pool().high_water() * 1088 +
+           host.leaf_pool().high_water() * 576;
+  };
+  EXPECT_EQ(host.i_segment_bytes(), expected());
+  EXPECT_EQ(tree.i_segment_bytes(), expected());
+  EXPECT_TRUE(tree.MirrorMatchesHost());
+
+  // A run of ascending inserts splits one leaf after another until their
+  // parent fills and splits too, allocating slots in both pools.
+  const std::size_t inner0 = host.inner_pool().high_water();
+  const std::size_t last0 = host.leaf_pool().high_water();
+  for (Key64 i = 1; i <= 10000; ++i) {
+    ASSERT_TRUE(tree.host_tree().Insert({data[50000].key + i, i}));
+  }
+  ASSERT_GT(host.inner_pool().high_water(), inner0);
+  ASSERT_GT(host.leaf_pool().high_water(), last0);
+  ASSERT_TRUE(tree.TrySyncISegment().ok());
+  EXPECT_EQ(host.i_segment_bytes(), expected());
+  EXPECT_EQ(tree.i_segment_bytes(), expected());
+  EXPECT_TRUE(tree.MirrorMatchesHost());
 }
 
 }  // namespace
