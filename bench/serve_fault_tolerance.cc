@@ -62,10 +62,9 @@ int Main(int argc, char** argv) {
   auto data = GenerateDataset<Key64>(n, seeds.dataset);
   serve::ServerOptions base_options =
       CalibratedServerOptions(platform, data, seeds.calibrate, bucket);
-  base_options.pipeline.max_device_retries = retries;
+  base_options.max_device_retries = retries;
   base_options.pipeline_depth =
       static_cast<int>(args.GetInt("pipeline_depth", 4));
-  base_options.default_deadline = deadline;
   base_options.num_shards = static_cast<int>(args.GetInt("shards", 1));
   base_options.num_read_workers =
       static_cast<int>(args.GetInt("read_workers", 1));
@@ -102,7 +101,7 @@ int Main(int argc, char** argv) {
       std::vector<std::future<serve::UpdateResult>> pending;
       pending.reserve(updates.size());
       for (const auto& update : updates) {
-        pending.push_back(server.SubmitUpdate(update));
+        pending.push_back(server.SubmitUpdate(update, deadline));
       }
       for (auto& f : pending) f.get();
     });
@@ -116,7 +115,8 @@ int Main(int argc, char** argv) {
         std::uint64_t local_served = 0;
         for (std::size_t i = 0; i < lookups_per_client; ++i) {
           window.push_back(server.SubmitLookup(
-              queries[(c * lookups_per_client + i) % queries.size()]));
+              queries[(c * lookups_per_client + i) % queries.size()],
+              deadline));
           if (window.size() == 1024) {
             for (auto& f : window) local_served += f.get().status.ok();
             window.clear();

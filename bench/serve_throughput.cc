@@ -136,8 +136,8 @@ bool RunOne(const serve::ServerOptions& options,
   for (auto& t : lookup_clients) t.join();
   update_client.join();
 
-  // Shutdown first: its final CollectWindow() flush feeds the SLO
-  // tracker, so Stats() below reports burn rates covering the whole run.
+  // Shutdown first: its metrics window feeds the SLO tracker, so Stats()
+  // below reports burn rates covering the whole run.
   server.Shutdown();
   obs::TraceSession::Stop();
 

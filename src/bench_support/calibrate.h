@@ -114,30 +114,40 @@ struct HbCpuRates {
   std::vector<double> descend_us_by_depth = {0.0};
 };
 
+/// The leaf-step rate of an HB+-tree's host tree (implicit or regular),
+/// queries per µs: one traced leaf-line search per query.
+template <typename Tree, typename K>
+double MeasureLeafRate(const Tree& tree, const std::vector<K>& queries,
+                       const sim::PlatformSpec& platform,
+                       const PageRegistry& registry,
+                       const ModelOptions& options = {}) {
+  HBTREE_CHECK(!queries.empty());
+  return MeasureCpuOp(platform, registry, tree.config().search_algo, options,
+                      [&](sim::CpuTracer& tracer, std::size_t i) {
+                        const K q = queries[i % queries.size()];
+                        const auto leaf = LeafOf(tree, q);
+                        tracer.OnQueryStart();
+                        tree.SearchLeafLine(leaf, q, &tracer);
+                        tracer.OnQueryEnd();
+                      })
+      .estimate.mqps;
+}
+
 /// Calibrates an HB+-tree's host tree (implicit or regular): the leaf
-/// step is one leaf-line search per query, and every descendable depth
-/// gets its own traced partial descent on a quarter-size sample, which
-/// keeps calibration cheap.
+/// rate (MeasureLeafRate), and every descendable depth's own traced
+/// partial descent on a quarter-size sample, which keeps calibration
+/// cheap.
 template <typename Tree, typename K>
 HbCpuRates CalibrateHbCpuRates(const Tree& tree,
                                const std::vector<K>& queries,
                                const sim::PlatformSpec& platform,
                                const PageRegistry& registry,
                                const ModelOptions& options = {}) {
-  HBTREE_CHECK(!queries.empty());
   const NodeSearchAlgo algo = tree.config().search_algo;
   const std::size_t total = queries.size();
   HbCpuRates rates;
   rates.leaf_queries_per_us =
-      MeasureCpuOp(platform, registry, algo, options,
-                   [&](sim::CpuTracer& tracer, std::size_t i) {
-                     const K q = queries[i % total];
-                     const auto leaf = LeafOf(tree, q);
-                     tracer.OnQueryStart();
-                     tree.SearchLeafLine(leaf, q, &tracer);
-                     tracer.OnQueryEnd();
-                   })
-          .estimate.mqps;
+      MeasureLeafRate(tree, queries, platform, registry, options);
   const int levels = DescendableLevels(tree);
   ModelOptions depth_options = options;
   depth_options.warmup = options.warmup / 4;

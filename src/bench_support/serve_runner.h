@@ -10,30 +10,27 @@
 
 namespace hbtree::bench {
 
-/// Builds ServerOptions with the pipeline's CPU rates calibrated for
-/// `data` on `platform` — the serve-layer analogue of HbBench's setup.
-/// A throwaway host tree is built once for calibration; the server then
-/// builds its own snapshot pair from the same data.
+/// Builds ServerOptions with the CPU leaf rate and update cost
+/// calibrated for `data` on `platform` — the serve-layer analogue of
+/// HbBench's setup. A throwaway host tree is built once for calibration;
+/// the server then builds its own snapshot pair from the same data.
 template <typename K>
 serve::ServerOptions CalibratedServerOptions(
     const sim::PlatformSpec& platform, const std::vector<KeyValue<K>>& data,
     std::uint64_t seed, int bucket_size = 16 * 1024) {
   serve::ServerOptions options;
   options.platform = platform;
-  options.pipeline.bucket_size = bucket_size;
+  options.bucket_size = bucket_size;
 
   PageRegistry registry;
   typename RegularBTree<K>::Config config;
-  config.leaf_fill = options.leaf_fill;
+  config.leaf_fill = serve::ServerOptions::leaf_fill;
   RegularBTree<K> tree(config, &registry);
   tree.Build(data);
   const std::vector<K> queries = MakeLookupQueries(data, seed);
-  const HbCpuRates rates =
-      CalibrateHbCpuRates(tree, queries, platform, registry);
-  options.pipeline.cpu_queries_per_us = rates.leaf_queries_per_us;
-  options.pipeline.cpu_descend_us_per_level = rates.descend_us_per_level;
-  options.pipeline.cpu_descend_us_by_depth = rates.descend_us_by_depth;
-  options.update.cpu_update_us =
+  options.cpu_queries_per_us =
+      MeasureLeafRate(tree, queries, platform, registry);
+  options.cpu_update_us =
       EstimateUpdateCostUs(tree, queries, platform, registry);
   return options;
 }

@@ -12,6 +12,7 @@
 #include "core/status.h"
 #include "core/workload.h"
 #include "fault/retry.h"
+#include "hybrid/bucket_pipeline.h"
 #include "hybrid/hb_regular.h"
 #include "obs/trace.h"
 
@@ -40,28 +41,25 @@ struct BatchUpdateConfig {
   /// Worker threads assumed by the cost model (the paper's machine runs
   /// 16 hardware threads; this host may have fewer).
   int model_threads = 16;
-  /// Queries per parallel group (the paper processes groups of 16K).
-  int group_size = 16 * 1024;
   /// Modelled single-thread cost of one update query (descend + leaf
   /// edit), in µs. Derive from the CPU cost model for the tree size.
   double cpu_update_us = 0.15;
+
+  /// Queries per parallel group (the paper processes groups of 16K).
+  static constexpr int group_size = 16 * 1024;
   /// Modelled cost of one lock acquisition, µs. The parallel apply
   /// takes one per leaf run (BatchUpdateStats::leaf_runs); the
   /// synchronized method and RunMixedWorkload pay one per operation.
-  double lock_overhead_us = 0.02;
+  static constexpr double lock_overhead_us = 0.02;
   /// Modelled per-query cost of the key sort that precedes the
-  /// asynchronous apply (same rate the read path charges its bucket
-  /// sort). Serial: it runs before the workers fan out.
-  double sort_us_per_query = 0.004;
+  /// asynchronous apply: the read path's bucket-sort rate. Serial: it
+  /// runs before the workers fan out.
+  static constexpr double sort_us_per_query = kSortUsPerQuery;
   /// Parallel scaling efficiency of the lock-based phase. Updates are
   /// dependent random accesses, so extra threads mostly hide latency the
   /// way software pipelining would; the paper measures only ~3x from 16
   /// hardware threads (Section 6.3).
-  double parallel_efficiency = 0.2;
-  /// Bounded retries for transient device-sync faults (TryRunBatchUpdate
-  /// only; the aborting path never sees them without an armed injector).
-  int max_sync_retries = 3;
-  double sync_retry_backoff_us = 25.0;
+  static constexpr double parallel_efficiency = 0.2;
 };
 
 struct BatchUpdateStats {
@@ -102,8 +100,10 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
                         static_cast<double>(batch.size()));
   RegularBTree<K>& host = tree.host_tree();
   std::vector<ModifiedNode> modified;
-  const fault::RetryPolicy retry{config.max_sync_retries,
-                                 config.sync_retry_backoff_us, 2.0};
+  // Transient device-sync faults retry under the default policy
+  // (TryRunBatchUpdate only; the aborting path never sees them without an
+  // armed injector).
+  const fault::RetryPolicy retry;
   Status sync_status = Status::Ok();
 
   if (method == UpdateMethod::kSynchronized) {

@@ -39,6 +39,11 @@ enum class BucketStrategy {
 
 const char* BucketStrategyName(BucketStrategy s);
 
+/// Modelled host cost of sorting keys, µs per key (~250 M keys/s radix):
+/// what a sorted lookup bucket and an asynchronous update batch charge by
+/// default.
+inline constexpr double kSortUsPerQuery = 0.004;
+
 /// Execution parameters for the heterogeneous search pipeline.
 struct PipelineConfig {
   int bucket_size = 16 * 1024;  // M (Section 6.3 settles on 16K)
@@ -56,8 +61,8 @@ struct PipelineConfig {
   /// caller's original query order.
   static constexpr bool level_wise = true;
   /// Modelled CPU cost of the bucket key sort, µs per query (charged to
-  /// the pre-GPU stage of every sorted bucket; ~250 M keys/s radix).
-  double sort_us_per_query = 0.004;
+  /// the pre-GPU stage of every sorted bucket).
+  double sort_us_per_query = kSortUsPerQuery;
 
   // -- Load balancing (Section 5.5). Defaults = all inner levels on GPU. --
   int cpu_descend_levels = 0;    // D
@@ -76,11 +81,9 @@ struct PipelineConfig {
   // -- Fault handling (only reachable when the device has an armed
   // fault injector; see fault/fault_injector.h). --
   /// Bounded retries per transfer/kernel operation before the bucket
-  /// fails with a typed Status.
+  /// fails with a typed Status. Each retry waits out the default
+  /// fault::RetryPolicy backoff, charged to the failing step's timeline.
   int max_device_retries = 3;
-  /// Modelled exponential-backoff delay before the first retry, µs
-  /// (doubled per retry); charged to the failing step's timeline.
-  double retry_backoff_us = 25.0;
 
   /// Model-track block this run's trace spans land on (a multiple of
   /// TraceSession::kModelTrackStride; the serving layer assigns one block
@@ -425,8 +428,7 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
   gpu::Device& device = tree.device();
   gpu::TransferEngine& transfer = tree.transfer();
   fault::FaultInjector* injector = device.fault_injector();
-  const fault::RetryPolicy retry{config.max_device_retries,
-                                 config.retry_backoff_us, 2.0};
+  const fault::RetryPolicy retry{config.max_device_retries};
   const int height = Adapter::Height(tree);
   // D is capped so that even the D+1 part leaves the GPU at least the
   // last inner level to search.

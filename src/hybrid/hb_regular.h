@@ -45,9 +45,6 @@ class HBRegularTree {
 
   struct Config {
     typename RegularBTree<K>::Config tree;
-    /// Headroom factor for the device arrays so node allocations from
-    /// updates rarely force a device realloc.
-    double device_headroom = 1.25;
     /// TrySyncISegment keeps the full-mirror upload when this fraction
     /// of its modelled cost undercuts both delta plans' closed forms.
     /// Below 1.0 keeps a margin so borderline batches prefer the simpler
@@ -93,14 +90,7 @@ class HBRegularTree {
     if (node.ref >= (node.last_level ? last_capacity_ : inner_capacity_)) {
       return TrySyncISegment(us);
     }
-    fault::FaultInjector* injector = device_->fault_injector();
-    if (injector != nullptr) {
-      const Status status = injector->Check(fault::Site::kTransferH2D);
-      if (!status.ok()) {
-        mirror_valid_.store(false, std::memory_order_relaxed);
-        return status;
-      }
-    }
+    HBTREE_RETURN_IF_ERROR(CheckUpload());
     const double t =
         node.last_level
             ? StreamRun(host_tree_.leaf_pool(), node.ref, 1, device_last_)
@@ -145,14 +135,7 @@ class HBRegularTree {
       return FullSync(us);
     }
     // Either delta plan: one H2D transfer for fault purposes.
-    fault::FaultInjector* injector = device_->fault_injector();
-    if (injector != nullptr) {
-      const Status status = injector->Check(fault::Site::kTransferH2D);
-      if (!status.ok()) {
-        mirror_valid_.store(false, std::memory_order_relaxed);
-        return status;
-      }
-    }
+    HBTREE_RETURN_IF_ERROR(CheckUpload());
     double t = 0;
     const bool staged =
         plan.staged_us < plan.stream_us && StageDirty(plan, &t, scatter);
@@ -230,6 +213,21 @@ class HBRegularTree {
   }
 
   using Index = typename RegularBTree<K>::InnerPool::Index;
+
+  /// Headroom factor for the device arrays so node allocations from
+  /// updates rarely force a device realloc.
+  static constexpr double kDeviceHeadroom = 1.25;
+
+  /// The fault check of one H2D upload into the mirror. An injected fault
+  /// copies nothing, so the mirror goes stale (the host changed, the
+  /// device copy did not) and the fault's status is returned.
+  Status CheckUpload() {
+    fault::FaultInjector* injector = device_->fault_injector();
+    if (injector == nullptr) return Status::Ok();
+    Status status = injector->Check(fault::Site::kTransferH2D);
+    if (!status.ok()) mirror_valid_.store(false, std::memory_order_relaxed);
+    return status;
+  }
 
   /// The delta plans' closed forms over the sorted dirty slots.
   struct DeltaPlan {
@@ -375,10 +373,10 @@ class HBRegularTree {
     if (need_inner > inner_capacity_ || need_last > last_capacity_) {
       FreeDeviceArrays();
       mirror_valid_.store(false, std::memory_order_relaxed);
-      std::size_t cap_inner = static_cast<std::size_t>(
-          need_inner * config_.device_headroom) + 64;
+      std::size_t cap_inner =
+          static_cast<std::size_t>(need_inner * kDeviceHeadroom) + 64;
       std::size_t cap_last = std::min(
-          static_cast<std::size_t>(need_last * config_.device_headroom) + 64,
+          static_cast<std::size_t>(need_last * kDeviceHeadroom) + 64,
           kMaxLast);
       device_inner_ = device_->TryMalloc(cap_inner * sizeof(Hot));
       device_last_ = device_->TryMalloc(cap_last * sizeof(LastHot));
@@ -392,15 +390,8 @@ class HBRegularTree {
     }
     // The bulk upload is one H2D transfer, for fault purposes too: an
     // injected fault leaves the (possibly freshly reallocated) arrays
-    // without the new pool contents, so the mirror goes stale.
-    fault::FaultInjector* injector = device_->fault_injector();
-    if (injector != nullptr) {
-      const Status status = injector->Check(fault::Site::kTransferH2D);
-      if (!status.ok()) {
-        mirror_valid_.store(false, std::memory_order_relaxed);
-        return status;
-      }
-    }
+    // without the new pool contents.
+    HBTREE_RETURN_IF_ERROR(CheckUpload());
     const double t = CopyPools();
     if (us != nullptr) *us = t;
     // The full upload absorbs every host-side change, so the pools'

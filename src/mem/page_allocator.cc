@@ -25,8 +25,13 @@ void PageRegistry::Register(const void* base, std::size_t size,
   Region region{reinterpret_cast<std::uintptr_t>(base),
                 reinterpret_cast<std::uintptr_t>(base) + size, page_size,
                 next_page_base_};
+  // A region is 2 MB-aligned (see PagedBuffer::Reset), so the next one
+  // starts no earlier than this one's size rounded up to 2 MB; its page
+  // numbers start past that extent too.
+  const std::uint64_t extent =
+      (size + kRegionAlignment - 1) / kRegionAlignment * kRegionAlignment;
   const std::uint64_t bytes = PageBytes(page_size);
-  next_page_base_ += (size + bytes - 1) / bytes + (size == 0 ? 1 : 0);
+  next_page_base_ += (extent + bytes - 1) / bytes + (size == 0 ? 1 : 0);
   auto it = std::lower_bound(
       regions_.begin(), regions_.end(), region,
       [](const Region& a, const Region& b) { return a.base < b.base; });
@@ -118,12 +123,14 @@ void PagedBuffer::Reset(std::size_t size, PageSize page_size,
   // sets by raw address bits (up to bit 19 for M1's L3): a buffer aligned
   // to less would let ASLR move its set mapping, and with it the modelled
   // rates, from run to run. 2 MB also caps the real alignment of simulated
-  // 1 GB pages, which would waste host memory.
-  constexpr std::size_t alignment = 2ull * 1024 * 1024;
-  std::size_t rounded = (size + alignment - 1) / alignment * alignment;
-  data_ = static_cast<std::byte*>(std::aligned_alloc(alignment, rounded));
-  HBTREE_CHECK_MSG(data_ != nullptr, "allocation of %zu bytes failed", size);
-  if (registry_ != nullptr) registry_->Register(data_, rounded, page_size_);
+  // 1 GB pages, which would waste host memory. The size stays exact
+  // (posix_memalign, unlike aligned_alloc under ASan, takes any size).
+  void* data = nullptr;
+  const int error =
+      posix_memalign(&data, PageRegistry::kRegionAlignment, size);
+  HBTREE_CHECK_MSG(error == 0, "allocation of %zu bytes failed", size);
+  data_ = static_cast<std::byte*>(data);
+  if (registry_ != nullptr) registry_->Register(data_, size, page_size_);
 }
 
 void PagedBuffer::Release() {

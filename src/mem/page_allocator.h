@@ -33,6 +33,10 @@ inline std::uint64_t PageBytes(PageSize s) {
 /// (single-threaded) trace simulation.
 class PageRegistry {
  public:
+  /// Host alignment of every PagedBuffer, and the unit in which regions
+  /// advance the synthetic page numbering.
+  static constexpr std::size_t kRegionAlignment = 2ull * 1024 * 1024;
+
   struct Region {
     std::uintptr_t base;
     std::uintptr_t end;  // one past the last byte

@@ -135,8 +135,8 @@ class PairedPool {
 
   /// Records one traversal touching `idx`'s chunk, feeding the
   /// segment-temperature classifier (DESIGN.md Section 13). Concurrent
-  /// with reads; a relaxed counter is enough — temperature is sampled at
-  /// reporter granularity, not per-access.
+  /// with reads; a relaxed counter is enough — temperature is sampled
+  /// once per observation, not per-access.
   void NoteTouch(Index idx) const {
     HBTREE_DCHECK(idx / chunk_capacity_ < chunk_touches_.size());
     chunk_touches_[idx / chunk_capacity_].fetch_add(

@@ -59,10 +59,9 @@ struct SloStatus {
 /// Multi-window burn-rate accounting fed from CollectWindow() deltas.
 ///
 /// The owner calls Observe() with each windowed snapshot (the serving
-/// layer's reporter loop does this on its reporting interval and once
-/// more at shutdown); the tracker keeps a bounded ring of per-window
-/// (bad, total) pairs per target and publishes burn rates back into the
-/// registry as gauges `slo.<name>.burn_short` / `.burn_long` /
+/// layer does this once, at shutdown); the tracker keeps a bounded ring
+/// of per-window (bad, total) pairs per target and publishes burn rates
+/// back into the registry as gauges `slo.<name>.burn_short` / `.burn_long` /
 /// `.bad_fraction`, so they ride every metrics export without extra
 /// plumbing. Thread-safe.
 class SloTracker {

@@ -41,7 +41,7 @@ double TotalUs(const std::map<std::string, StageStats>& stages) {
 }
 
 /// "serve.shard3.read1" → "shard3"; threads outside the per-shard naming
-/// scheme (clients, the reporter) contribute to the aggregate only.
+/// scheme (clients, for one) contribute to the aggregate only.
 std::string ShardGroupFromThreadName(const std::string& thread_name) {
   const char* prefix = "serve.shard";
   if (thread_name.rfind(prefix, 0) != 0) return {};

@@ -148,8 +148,8 @@ struct ServeStats {
   std::uint64_t faults_injected = 0;
 
   // Burn-rate state of every tracked SLO (ServerOptions::slos), as of
-  // the last observed metrics window. Empty until a window has been
-  // observed (reporter tick or Shutdown's final flush).
+  // the last observed metrics window: none until Shutdown() observes the
+  // run's one window.
   std::vector<obs::SloStatus> slos;
 
   // Per-tenant breakdown (ServerOptions::tenants order; a single default

@@ -4,10 +4,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -160,11 +158,17 @@ struct ServerOptions {
   /// I-segment syncs).
   sim::PlatformSpec platform = sim::PlatformSpec::Parse("m1");
 
-  /// Pipeline configuration for read buckets. `bucket_size` is the
-  /// admission bucket M (the paper settles on 16K, Section 6.3); the CPU
-  /// rate fields should come from calibration (see
-  /// bench_support/serve_runner.h).
-  PipelineConfig pipeline;
+  /// Admission bucket M (the paper settles on 16K, Section 6.3). Read
+  /// buckets run the offline pipeline's shape: double buffering over two
+  /// buffer sets, every inner level on the GPU.
+  int bucket_size = 16 * 1024;
+
+  /// Modelled CPU costs, from calibration (see
+  /// bench_support/serve_runner.h): the leaf-search rate of a read
+  /// bucket's CPU stage, queries per µs, and the single-thread cost of
+  /// one update, µs. A commit models the platform's hardware threads.
+  double cpu_queries_per_us = 1.0;
+  double cpu_update_us = 0.15;
 
   /// GPU sub-buckets per admission bucket. 1 ships each admission bucket
   /// as a single pipeline bucket (no intra-dispatch overlap); >1 splits
@@ -197,10 +201,6 @@ struct ServerOptions {
   /// memory, which Create() validates up front.
   int num_read_workers = 1;
 
-  /// Batch-update configuration (Section 5.6; the method is
-  /// kUpdateMethod).
-  BatchUpdateConfig update;
-
   /// Tree build configuration. Leaf slack keeps most online inserts
   /// non-structural, as the paper's update analysis assumes — and it
   /// must sit BELOW the tree's gap_spill_occupancy (0.85): at 0.7 fill
@@ -209,7 +209,7 @@ struct ServerOptions {
   /// line instead of a whole-leaf redistribution. 0.9 fill looked
   /// denser but started every leaf above the spill threshold, turning
   /// most line-full inserts into 256-pair rewrites.
-  double leaf_fill = 0.7;
+  static constexpr double leaf_fill = 0.7;
 
   /// Admission-queue capacity per lane (reads / updates, per shard);
   /// producers block when a lane is full (backpressure).
@@ -224,17 +224,9 @@ struct ServerOptions {
 
   // -- Observability -------------------------------------------------------
 
-  /// When positive, a background reporter thread collects
-  /// MetricsRegistry::CollectWindow() every interval while the server is
-  /// running and hands the windowed snapshot to `metrics_report_sink`
-  /// (or dumps it as text to stderr when no sink is set).
-  std::chrono::milliseconds metrics_report_interval{0};
-  std::function<void(const obs::MetricsSnapshot&)> metrics_report_sink;
-
-  /// Service-level objectives fed from the reporter's windowed snapshots
-  /// (and a final window at Shutdown()). Burn rates surface in
-  /// ServeStats::slos and as `slo.<name>.*` registry gauges. Clear to
-  /// disable tracking.
+  /// Service-level objectives fed the run's metrics window at
+  /// Shutdown(). Burn rates surface in ServeStats::slos and as
+  /// `slo.<name>.*` registry gauges. Clear to disable tracking.
   std::vector<obs::SloSpec> slos = DefaultServeSlos();
 
   // -- Fault tolerance ----------------------------------------------------
@@ -244,6 +236,10 @@ struct ServerOptions {
   /// default; arm it in fault-tolerance tests and benches.
   fault::FaultConfig fault;
 
+  /// Bounded retries per device transfer or kernel before a read bucket
+  /// counts as a GPU failure (see PipelineConfig::max_device_retries).
+  int max_device_retries = 3;
+
   /// Circuit breaker: after this many consecutive GPU bucket failures the
   /// slot's device path opens (buckets serve CPU-only) ...
   int breaker_failure_threshold = 3;
@@ -251,11 +247,6 @@ struct ServerOptions {
   /// if stale, then one pipelined bucket); a successful probe closes the
   /// breaker.
   int breaker_probe_interval = 4;
-
-  /// Default per-request deadline budget; zero means no deadline. A
-  /// request whose deadline passes before it is dispatched resolves with
-  /// kDeadlineExceeded instead of occupying the pipeline (load shedding).
-  std::chrono::microseconds default_deadline{0};
 
   // -- Multi-tenant QoS ----------------------------------------------------
 
@@ -277,9 +268,8 @@ struct ServerOptions {
   /// restores it under sustained full windows (streaks kAdaptShrinkAfter
   /// / kAdaptGrowAfter). Decisions surface as serve.shard<N>.bucket_m /
   /// m_shrinks / m_grows and as bucket.m_shrink / bucket.m_grow trace
-  /// instants. The effective M only ever shrinks below
-  /// pipeline.bucket_size, so the bucket buffers validated at startup
-  /// always suffice.
+  /// instants. The effective M only ever shrinks below bucket_size, so
+  /// the bucket buffers validated at startup always suffice.
   ///
   /// Smallest effective M the controller may reach; 0 derives
   /// max(min_sub_bucket, bucket_size/16), clamped to bucket_size.
@@ -346,8 +336,8 @@ struct UpdateResult {
 /// never abort the process and every future resolves.
 ///
 /// Threads: any number of producers; per shard, `num_read_workers` read
-/// workers and one update committer; plus an optional metrics reporter.
-/// All Submit* methods are thread-safe and return futures.
+/// workers and one update committer. All Submit* methods are thread-safe
+/// and return futures.
 template <typename K>
 class Server {
  public:
@@ -379,9 +369,10 @@ class Server {
   /// Admits a point lookup on behalf of `tenant` (an index into
   /// ServerOptions::tenants; 0 is always valid). Blocks if the tenant's
   /// lane on the owning shard is full (until the deadline, if one
-  /// applies) unless the tenant is configured shed_on_full. `deadline`
-  /// overrides options.default_deadline for this request; zero keeps the
-  /// default.
+  /// applies) unless the tenant is configured shed_on_full. A nonzero
+  /// `deadline` is the request's budget: one whose deadline passes before
+  /// it is dispatched resolves with kDeadlineExceeded instead of
+  /// occupying the pipeline (load shedding).
   std::future<ReadResult<K>> SubmitLookup(
       K key, std::chrono::microseconds deadline = {}, TenantId tenant = 0) {
     ReadOp op;
@@ -653,34 +644,14 @@ class Server {
       }
       if (shard->update_worker.joinable()) shard->update_worker.join();
     }
-    {
-      std::lock_guard<std::mutex> lock(reporter_mutex_);
-      reporter_stop_ = true;
-    }
-    reporter_cv_.notify_all();
-    if (reporter_thread_.joinable()) reporter_thread_.join();
-    // Final temperature epoch: with the workers joined the pools are
-    // quiescent, so the last observation (and the mem.pool.* gauges it
-    // publishes) reflects the run's end state even when no reporter ever
-    // ticked.
+    // The temperature epoch: with the workers joined the pools are
+    // quiescent, so the observation (and the mem.pool.* gauges it
+    // publishes) reflects the run's end state.
     HBTREE_HEAT_ONLY(ObservePoolTemperatures();)
-    // Flush the tail window: a run shorter than the reporting interval
-    // would otherwise never report (or feed the SLO tracker) at all. The
-    // flush also runs with no reporter configured when SLOs are tracked,
-    // so Stats().slos reflects the run — silently to the tracker only,
-    // never to stderr (that channel belongs to an explicitly configured
-    // reporter).
-    if (options_.metrics_report_interval.count() > 0 ||
-        !options_.slos.empty()) {
-      const obs::MetricsSnapshot window = metrics_.CollectWindow();
-      slo_tracker_.Observe(window);
-      if (options_.metrics_report_sink) {
-        options_.metrics_report_sink(window);
-      } else if (options_.metrics_report_interval.count() > 0) {
-        std::fprintf(stderr, "[serve.metrics final window %.2fs]\n%s\n",
-                     window.window_seconds,
-                     obs::MetricsRegistry::ToText(window).c_str());
-      }
+    // The run's one metrics window feeds the SLO tracker, so Stats().slos
+    // reflects the whole run.
+    if (!options_.slos.empty()) {
+      slo_tracker_.Observe(metrics_.CollectWindow());
     }
   }
 
@@ -715,15 +686,14 @@ class Server {
     TreeSlot(const ServerOptions& options, std::uint64_t slot_index)
         : device(options.platform.gpu),
           transfer(&device, options.platform.pcie),
-          tree(MakeTreeConfig(options), &registry, &device, &transfer),
+          tree(MakeTreeConfig(), &registry, &device, &transfer),
           injector(SlotFaultConfig(options.fault, slot_index)),
           track_base(static_cast<int>(slot_index + 1) *
                      obs::TraceSession::kModelTrackStride) {}
 
-    static typename HBRegularTree<K>::Config MakeTreeConfig(
-        const ServerOptions& options) {
+    static typename HBRegularTree<K>::Config MakeTreeConfig() {
       typename HBRegularTree<K>::Config config;
-      config.tree.leaf_fill = options.leaf_fill;
+      config.tree.leaf_fill = ServerOptions::leaf_fill;
       return config;
     }
 
@@ -829,9 +799,9 @@ class Server {
     std::unique_ptr<obs::KeyRangeSketch> heat_sketch;
     std::unique_ptr<obs::PipelineHeat> heat_pipeline;
 
-    // Segment-temperature state, one observation per reporter epoch over
-    // the pinned snapshot's pools; heat_mutex guards the classifiers and
-    // the last observation (pool_inner / pool_leaf).
+    // Segment-temperature state, observed at Shutdown over the pinned
+    // snapshot's pools; heat_mutex guards the classifiers and the last
+    // observation (pool_inner / pool_leaf).
     std::mutex heat_mutex;
     obs::SegmentTemperature temp_inner;
     obs::SegmentTemperature temp_leaf;
@@ -874,12 +844,8 @@ class Server {
   }
 
   Status Init(const std::vector<KeyValue<K>>& sorted_pairs) {
-    if (options_.pipeline.bucket_size <= 0) {
-      return Status::InvalidArgument("pipeline.bucket_size must be positive");
-    }
-    if (options_.pipeline.buckets_in_flight <= 0) {
-      return Status::InvalidArgument(
-          "pipeline.buckets_in_flight must be positive");
+    if (options_.bucket_size <= 0) {
+      return Status::InvalidArgument("bucket_size must be positive");
     }
     if (options_.pipeline_depth < 1) {
       return Status::InvalidArgument("pipeline_depth must be >= 1");
@@ -910,9 +876,8 @@ class Server {
     adapt_floor_ = std::clamp(
         options_.adapt_min_bucket > 0
             ? options_.adapt_min_bucket
-            : std::max(options_.min_sub_bucket,
-                       options_.pipeline.bucket_size / 16),
-        1, options_.pipeline.bucket_size);
+            : std::max(options_.min_sub_bucket, options_.bucket_size / 16),
+        1, options_.bucket_size);
     const int num_shards = options_.num_shards;
     const std::size_t n = sorted_pairs.size();
     if (num_shards > 1) {
@@ -983,9 +948,8 @@ class Server {
           obs::MetricsRegistry::ShardedName("serve", i, "m_grows"));
       shard->bucket_m = &metrics_.gauge(
           obs::MetricsRegistry::ShardedName("serve", i, "bucket_m"));
-      shard->effective_bucket = options_.pipeline.bucket_size;
-      shard->bucket_m->Set(
-          static_cast<double>(options_.pipeline.bucket_size));
+      shard->effective_bucket = options_.bucket_size;
+      shard->bucket_m->Set(static_cast<double>(options_.bucket_size));
       // Label each slot's model-track block so a multi-shard trace keeps
       // one set of resource tracks per slot instead of interleaving
       // every shard's pipeline on the shared sim.* tracks.
@@ -1059,22 +1023,18 @@ class Server {
       }
       s->update_worker = std::thread([this, s] { UpdateLoop(*s); });
     }
-    if (options_.metrics_report_interval.count() > 0) {
-      reporter_thread_ = std::thread([this] { ReporterLoop(); });
-    }
     return Status::Ok();
   }
 
-  /// Every concurrent dispatch needs its own query (and start-node)
-  /// buffers in the slot's device arena, on top of the I-segment mirror
-  /// Build() already placed there; result words go to host-mapped memory. Failing now with an actionable message beats
-  /// degenerate serving where every bucket OOMs onto the CPU path.
+  /// Every concurrent dispatch needs its own query buffer in the slot's
+  /// device arena, on top of the I-segment mirror Build() already placed
+  /// there; result words go to host-mapped memory. Failing now with an
+  /// actionable message beats degenerate serving where every bucket OOMs
+  /// onto the CPU path.
   Status ValidateBucketBacking(Shard& shard) const {
-    const bool balanced = options_.pipeline.cpu_descend_levels > 0 ||
-                          options_.pipeline.cpu_split_ratio < 1.0;
     const std::size_t per_worker =
-        BucketBuffers<K>(
-            static_cast<std::size_t>(options_.pipeline.bucket_size), balanced)
+        BucketBuffers<K>(static_cast<std::size_t>(options_.bucket_size),
+                         /*balanced=*/false)
             .total();
     const std::size_t need =
         per_worker * static_cast<std::size_t>(options_.num_read_workers);
@@ -1087,7 +1047,7 @@ class Server {
             msg, sizeof(msg),
             "shard %d: %d read worker(s) need %zu bytes of bucket buffers "
             "but only %zu of %zu device bytes remain after the I-segment "
-            "mirror — reduce num_read_workers or pipeline.bucket_size, or "
+            "mirror — reduce num_read_workers or bucket_size, or "
             "raise num_shards",
             shard.index, options_.num_read_workers, need, capacity - used,
             capacity);
@@ -1150,9 +1110,7 @@ class Server {
     }
     const TenantSpec& spec = tenants_[static_cast<std::size_t>(op.tenant)];
     op.priority = spec.priority;
-    const std::chrono::microseconds budget =
-        deadline.count() != 0 ? deadline : options_.default_deadline;
-    if (budget.count() != 0) op.deadline = op.admitted + budget;
+    if (deadline.count() != 0) op.deadline = op.admitted + deadline;
     Shard& shard = *shards_[ShardFor(RoutingKey(op))];
     FairAdmissionQueue<Op>& queue = QueueFor(shard, op);
     const std::size_t lane = static_cast<std::size_t>(op.tenant);
@@ -1245,7 +1203,9 @@ class Server {
                     std::vector<LookupResult<K>>* results,
                     DispatchInfo* info) {
     PipelineStats ps;
-    PipelineConfig config = options_.pipeline;
+    PipelineConfig config;
+    config.cpu_queries_per_us = options_.cpu_queries_per_us;
+    config.max_device_retries = options_.max_device_retries;
     HBTREE_TRACE_ONLY(config.trace_track_base = slot.track_base;)
     // Tree-level traffic attribution: the pipeline's CPU stages trace
     // their node touches and modelled accesses into the shard's heat
@@ -1265,12 +1225,11 @@ class Server {
       const int target = static_cast<int>(
           (keys.size() + static_cast<std::size_t>(depth) - 1) /
           static_cast<std::size_t>(depth));
-      config.bucket_size = std::max(
-          1, std::min(options_.pipeline.bucket_size, target));
+      config.bucket_size =
+          std::max(1, std::min(options_.bucket_size, target));
     } else {
       config.bucket_size = std::max(
-          1, std::min(options_.pipeline.bucket_size,
-                      static_cast<int>(keys.size())));
+          1, std::min(options_.bucket_size, static_cast<int>(keys.size())));
     }
     const Status status =
         TryRunSearchPipeline(slot.tree, keys.data(), keys.size(),
@@ -1595,6 +1554,9 @@ class Server {
                           "serve.shard" + std::to_string(shard.index) +
                           ".update";)
     HBTREE_TRACE_THREAD_NAME(worker_name.c_str());
+    BatchUpdateConfig update_config;
+    update_config.model_threads = options_.platform.cpu.threads;
+    update_config.cpu_update_us = options_.cpu_update_us;
     std::vector<UpdateOp> ops;
     std::vector<UpdateQuery<K>> batch;
     std::vector<std::size_t> live;
@@ -1670,7 +1632,7 @@ class Server {
               BatchUpdateStats pass;
               const Status status =
                   TryRunBatchUpdate(slot.tree, batch, kUpdateMethod,
-                                    options_.update, &pass);
+                                    update_config, &pass);
               sync_retries += pass.sync_retries;
               if (!status.ok() && sync_status.ok()) sync_status = status;
               if (!recorded) {
@@ -1759,9 +1721,9 @@ class Server {
     } else if (popped >= window_m) {
       shard.shrink_streak = 0;
       if (++shard.grow_streak >= kAdaptGrowAfter &&
-          shard.effective_bucket < options_.pipeline.bucket_size) {
-        shard.effective_bucket = std::min(options_.pipeline.bucket_size,
-                                          shard.effective_bucket * 2);
+          shard.effective_bucket < options_.bucket_size) {
+        shard.effective_bucket =
+            std::min(options_.bucket_size, shard.effective_bucket * 2);
         shard.grow_streak = 0;
         m_grows_.Increment();
         shard.m_grows->Increment();
@@ -1810,10 +1772,9 @@ class Server {
 
   /// One temperature epoch: classifies every shard's pinned snapshot
   /// pools from their cumulative chunk-touch counters and publishes the
-  /// aggregate as mem.pool.<pool>.* gauges. Runs on the reporter cadence
-  /// plus once at Shutdown — never on the serving hot path. Pinning the
-  /// snapshot keeps the pool's chunk list stable while it is read (the
-  /// update worker only mutates the instance readers have drained from).
+  /// aggregate as mem.pool.<pool>.* gauges. Runs once, at Shutdown —
+  /// never on the serving hot path. Pinning the snapshot keeps the pool's
+  /// chunk list stable while it is read.
   void ObservePoolTemperatures() {
     obs::PoolTemperature inner_total;
     obs::PoolTemperature leaf_total;
@@ -1830,29 +1791,6 @@ class Server {
     }
     PublishPoolGauges("inner", inner_total);
     PublishPoolGauges("leaf", leaf_total);
-  }
-
-  void ReporterLoop() {
-    HBTREE_TRACE_THREAD_NAME("serve.metrics_reporter");
-    std::unique_lock<std::mutex> lock(reporter_mutex_);
-    for (;;) {
-      if (reporter_cv_.wait_for(lock, options_.metrics_report_interval,
-                                [this] { return reporter_stop_; })) {
-        return;
-      }
-      lock.unlock();
-      HBTREE_HEAT_ONLY(ObservePoolTemperatures();)
-      const obs::MetricsSnapshot window = metrics_.CollectWindow();
-      slo_tracker_.Observe(window);
-      if (options_.metrics_report_sink) {
-        options_.metrics_report_sink(window);
-      } else {
-        std::fprintf(stderr, "[serve.metrics window %.2fs]\n%s\n",
-                     window.window_seconds,
-                     obs::MetricsRegistry::ToText(window).c_str());
-      }
-      lock.lock();
-    }
   }
 
   ServerOptions options_;
@@ -1881,11 +1819,6 @@ class Server {
   // Initialized at declaration (not only in Init()) so Stats() on a
   // partially constructed server can never divide by a garbage duration.
   Clock::time_point started_at_ = Clock::now();
-
-  std::thread reporter_thread_;
-  std::mutex reporter_mutex_;
-  std::condition_variable reporter_cv_;
-  bool reporter_stop_ = false;  // guarded by reporter_mutex_
 
   // Metric handles into metrics_ (declared above, before the shards).
   // Update hot paths cost exactly what the raw std::atomic members they
@@ -1924,8 +1857,8 @@ class Server {
   obs::Counter& cpu_fallback_lookups_ =
       metrics_.counter("serve.cpu_fallback_lookups");
 
-  /// Burn-rate accounting over options_.slos, fed one window per
-  /// reporter tick plus the final window at Shutdown().
+  /// Burn-rate accounting over options_.slos, fed the run's window at
+  /// Shutdown().
   obs::SloTracker slo_tracker_{&metrics_};
 
   mutable std::mutex sim_mutex_;

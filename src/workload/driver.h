@@ -23,8 +23,8 @@ struct ReplayOptions {
   /// harvested when full (same cadence as bench/serve_throughput).
   std::size_t in_flight = 1024;
   std::uint64_t seed = 1;
-  /// Per-request deadline budget passed to every Submit*; zero keeps the
-  /// server's default_deadline. Overload runs give low-priority tenants
+  /// Per-request deadline budget passed to every Submit*; zero means
+  /// none. Overload runs give low-priority tenants
   /// tight budgets here so their requests shed instead of queueing.
   std::chrono::microseconds deadline{0};
 };

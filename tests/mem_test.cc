@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 #include <vector>
@@ -59,6 +60,24 @@ TEST(PagedBuffer, CacheLineAligned) {
     PagedBuffer buffer(size, PageSize::k4K, &registry);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buffer.data()) % 64, 0u);
   }
+}
+
+// A buffer registers exactly its size, but numbers its pages over its
+// 2 MB-aligned extent: the next region's first 4K page lies 512 pages on.
+TEST(PagedBuffer, RegistersItsSizeAndPagesBy2MExtent) {
+  PageRegistry registry;
+  PagedBuffer small(100, PageSize::k4K, &registry);
+  PagedBuffer next(4096, PageSize::k4K, &registry);
+  const auto region = std::find_if(
+      registry.regions().begin(), registry.regions().end(),
+      [&](const PageRegistry::Region& r) {
+        return r.base == reinterpret_cast<std::uintptr_t>(small.data());
+      });
+  ASSERT_NE(region, registry.regions().end());
+  EXPECT_EQ(region->end - region->base, 100u);
+  EXPECT_EQ(registry.PageNumber(next.data()) -
+                registry.PageNumber(small.data()),
+            512u);
 }
 
 struct BigPrimary {

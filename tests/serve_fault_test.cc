@@ -50,9 +50,8 @@ UpdateQuery<Key64> Delete(std::uint64_t key) {
 
 serve::ServerOptions FaultOptions() {
   serve::ServerOptions options;
-  options.pipeline.bucket_size = 256;
-  options.pipeline.cpu_queries_per_us = 20.0;
-  options.pipeline.cpu_descend_us_per_level = 0.01;
+  options.bucket_size = 256;
+  options.cpu_queries_per_us = 20.0;
   options.update_batch_size = 256;
   return options;
 }
@@ -67,7 +66,7 @@ TEST(ServeFault, FaultyDeviceServesExactResultsAndBreakerCycles) {
   serve::ServerOptions options = FaultOptions();
   options.fault = fault::FaultConfig::Transfers(0.15, 7);
   options.fault.site(fault::Site::kKernel).probability = 0.05;
-  options.pipeline.max_device_retries = 0;
+  options.max_device_retries = 0;
   options.breaker_failure_threshold = 2;
   options.breaker_probe_interval = 2;
 
@@ -206,7 +205,7 @@ TEST(ServeFault, ScheduledFaultCyclesBreakerDeterministically) {
   auto data = StableDataset();
   serve::ServerOptions options = FaultOptions();
   options.fault.site(fault::Site::kTransferH2D).fail_ordinals = {1};
-  options.pipeline.max_device_retries = 0;
+  options.max_device_retries = 0;
   options.breaker_failure_threshold = 1;
   options.breaker_probe_interval = 1;
 
@@ -242,7 +241,7 @@ TEST(ServeFault, RetriesAbsorbTransientFaults) {
   auto data = StableDataset();
   serve::ServerOptions options = FaultOptions();
   options.fault = fault::FaultConfig::Transfers(0.2, 21);
-  options.pipeline.max_device_retries = 4;
+  options.max_device_retries = 4;
 
   auto server_ptr = serve::Server<Key64>::Create(options, data);
   ASSERT_NE(server_ptr, nullptr);
@@ -316,7 +315,7 @@ TEST(ServeFault, DegradedModeShedsLowPriorityBeforeHigh) {
   auto data = StableDataset();
   serve::ServerOptions options = FaultOptions();
   options.fault = fault::FaultConfig::Transfers(0.15, 13);
-  options.pipeline.max_device_retries = 0;
+  options.max_device_retries = 0;
   options.breaker_failure_threshold = 2;
   options.breaker_probe_interval = 4;
   serve::TenantSpec high;

@@ -3,15 +3,14 @@
 // live in serve_stress_test.cc; this suite covers what sharding adds:
 // key-range routing, per-shard read-your-writes, cross-shard range
 // continuation, per-shard metric series, the capacity validation that
-// rejects topologies the device arena cannot back, and the background
-// metrics reporter. Written to run cleanly under ASan and TSan (see the
+// rejects topologies the device arena cannot back, and the metrics window
+// Shutdown() collects. Written to run cleanly under ASan and TSan (see the
 // asan/tsan CMake presets): all cross-thread bookkeeping goes through
 // atomics and futures.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -51,9 +50,8 @@ serve::ServerOptions ShardedOptions(int shards = 4, int read_workers = 2) {
   options.num_read_workers = read_workers;
   // Small buckets/batches so many buckets dispatch and many epochs swap
   // per shard; fixed CPU rates keep the modelled costs deterministic.
-  options.pipeline.bucket_size = 1024;
-  options.pipeline.cpu_queries_per_us = 20.0;
-  options.pipeline.cpu_descend_us_per_level = 0.01;
+  options.bucket_size = 1024;
+  options.cpu_queries_per_us = 20.0;
   options.min_sub_bucket = 64;
   options.update_batch_size = 1024;
   return options;
@@ -344,59 +342,13 @@ TEST(ServeShardStress, RejectsUnbackedTopologies) {
     // knows which knob to turn.
     serve::ServerOptions options = ShardedOptions(/*shards=*/1,
                                                  /*read_workers=*/4);
-    options.pipeline.bucket_size = 1 << 20;
+    options.bucket_size = 1 << 20;
     options.platform.gpu.memory_bytes = 8ull << 20;
     Status status;
     EXPECT_EQ(serve::Server<Key64>::Create(options, data, &status), nullptr);
     EXPECT_EQ(status.code(), StatusCode::kDeviceOom);
     EXPECT_NE(status.message().find("read worker"), std::string::npos);
   }
-}
-
-// The background reporter collects CollectWindow() on its interval and
-// hands each windowed snapshot to the configured sink; Shutdown() stops
-// it promptly.
-TEST(ServeShardStress, MetricsReporterDeliversWindowedSnapshots) {
-  auto data = BootstrapDataset();
-  serve::ServerOptions options = ShardedOptions(/*shards=*/2);
-  options.metrics_report_interval = std::chrono::milliseconds(5);
-
-  // The sink runs on the reporter thread; everything it touches is
-  // atomic.
-  std::atomic<int> windows{0};
-  std::atomic<bool> all_windowed{true};
-  std::atomic<std::uint64_t> lookups_seen{0};
-  options.metrics_report_sink = [&](const obs::MetricsSnapshot& window) {
-    if (!window.windowed) all_windowed.store(false);
-    lookups_seen.fetch_add(window.counter_or("serve.lookups"));
-    windows.fetch_add(1);
-  };
-
-  Status status;
-  auto server_ptr = serve::Server<Key64>::Create(options, data, &status);
-  ASSERT_NE(server_ptr, nullptr) << status.message();
-  serve::Server<Key64>& server = *server_ptr;
-
-  // Keep traffic flowing until at least two windows have been reported
-  // (bounded by a generous deadline so a loaded CI host cannot hang).
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  std::uint64_t submitted = 0;
-  while (windows.load() < 2 && std::chrono::steady_clock::now() < deadline) {
-    ASSERT_TRUE(
-        server.SubmitLookup(2 * (1 + submitted++ % kBootstrap)).get()
-            .status.ok());
-  }
-  EXPECT_GE(windows.load(), 2);
-  EXPECT_TRUE(all_windowed.load());
-
-  server.Shutdown();
-  const int after_shutdown = windows.load();
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_EQ(windows.load(), after_shutdown) << "reporter survived Shutdown()";
-  // Windows are deltas: summed, they cover every lookup the run served
-  // up to the last collection (never more than were submitted).
-  EXPECT_LE(lookups_seen.load(), submitted);
 }
 
 // Tail exemplars across a concurrent sharded run: with a live trace
@@ -465,27 +417,16 @@ TEST(ServeShardStress, ExemplarsReconcileAcrossShards) {
   obs::TraceSession::Clear();
 }
 
-// Shutdown() flushes one final CollectWindow() to the sink even when the
-// reporter interval never elapsed, so short-lived servers still deliver
-// their last (only) window — the SLO tracker and any exporter see the
-// whole run.
-TEST(ServeShardStress, ShutdownFlushesTheFinalMetricsWindow) {
+// Shutdown() collects the run's one metrics window: it feeds every SLO
+// exactly once, and it covers every served lookup, so no lookup is left
+// for a later window.
+TEST(ServeShardStress, ShutdownWindowFeedsEverySloOnce) {
   constexpr int kLookups = 600;
 
   auto data = BootstrapDataset();
-  serve::ServerOptions options = ShardedOptions(/*shards=*/2);
-  // An interval far beyond the test's lifetime: every op lands in the
-  // final flush, none in a periodic tick.
-  options.metrics_report_interval = std::chrono::seconds(3600);
-  std::atomic<int> windows{0};
-  std::atomic<std::uint64_t> lookups_seen{0};
-  options.metrics_report_sink = [&](const obs::MetricsSnapshot& window) {
-    windows.fetch_add(1);
-    lookups_seen.fetch_add(window.counter_or("serve.lookups"));
-  };
-
   Status status;
-  auto server_ptr = serve::Server<Key64>::Create(options, data, &status);
+  auto server_ptr = serve::Server<Key64>::Create(ShardedOptions(/*shards=*/2),
+                                                 data, &status);
   ASSERT_NE(server_ptr, nullptr) << status.message();
   serve::Server<Key64>& server = *server_ptr;
 
@@ -493,19 +434,18 @@ TEST(ServeShardStress, ShutdownFlushesTheFinalMetricsWindow) {
     ASSERT_TRUE(
         server.SubmitLookup(2 * (1 + i % kBootstrap)).get().status.ok());
   }
-  EXPECT_EQ(windows.load(), 0) << "interval should never have elapsed";
   server.Shutdown();
-  EXPECT_EQ(windows.load(), 1) << "Shutdown() must flush the final window";
-  EXPECT_EQ(lookups_seen.load(), static_cast<std::uint64_t>(kLookups));
 
-  // The flushed window fed the SLO tracker: every configured objective
-  // reports exactly one observed window.
   const serve::ServeStats stats = server.Stats();
   ASSERT_FALSE(stats.slos.empty());
   for (const obs::SloStatus& slo : stats.slos) {
     EXPECT_EQ(slo.windows, 1u) << slo.name;
     EXPECT_FALSE(slo.burning) << slo.name;
   }
+  EXPECT_EQ(server.metrics().Collect().counter_or("serve.lookups"),
+            static_cast<std::uint64_t>(kLookups));
+  EXPECT_EQ(server.metrics().CollectWindow().counter_or("serve.lookups"),
+            0u);
 }
 
 }  // namespace

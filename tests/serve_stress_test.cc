@@ -17,8 +17,14 @@
 #include <thread>
 #include <vector>
 
+#include "core/macros.h"
 #include "core/workload.h"
+#include "gpusim/device.h"
+#include "hybrid/batch_update.h"
+#include "hybrid/bucket_pipeline.h"
+#include "hybrid/hb_regular.h"
 #include "serve/server.h"
+#include "sim/platform.h"
 
 namespace hbtree {
 namespace {
@@ -46,9 +52,8 @@ serve::ServerOptions StressOptions() {
   // Small buckets/batches so many epochs swap during the test; the CPU
   // rate fields only drive the simulated cost model, so fixed values
   // keep the test fast and deterministic across hosts.
-  options.pipeline.bucket_size = 1024;
-  options.pipeline.cpu_queries_per_us = 20.0;
-  options.pipeline.cpu_descend_us_per_level = 0.01;
+  options.bucket_size = 1024;
+  options.cpu_queries_per_us = 20.0;
   options.update_batch_size = 1024;
   return options;
 }
@@ -291,15 +296,84 @@ TEST(ServeStress, InvalidRangeRejectsViaFuture) {
 // a server whose every GPU dispatch fails over to the CPU path.
 TEST(ServeStress, CreateRejectsInvalidOptions) {
   auto data = StableDataset();
-  for (int field = 0; field < 2; ++field) {
-    serve::ServerOptions options = StressOptions();
-    (field == 0 ? options.pipeline.bucket_size
-                : options.pipeline.buckets_in_flight) = 0;
-    Status status;
-    auto server = serve::Server<Key64>::Create(options, data, &status);
-    EXPECT_EQ(server, nullptr) << field;
-    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << field;
+  serve::ServerOptions options = StressOptions();
+  options.bucket_size = 0;
+  Status status;
+  auto server = serve::Server<Key64>::Create(options, data, &status);
+  EXPECT_EQ(server, nullptr);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
+// A tree built as a server slot builds its own, on its own simulated
+// device: the offline twin the cost tests below compare against.
+struct OfflineTwin {
+  OfflineTwin(const serve::ServerOptions& options,
+              const std::vector<KeyValue<Key64>>& data)
+      : device(options.platform.gpu),
+        transfer(&device, options.platform.pcie),
+        tree(TreeConfig(), &registry, &device, &transfer) {
+    HBTREE_CHECK(tree.Build(data));
   }
+  static HBRegularTree<Key64>::Config TreeConfig() {
+    HBRegularTree<Key64>::Config config;
+    config.tree.leaf_fill = serve::ServerOptions::leaf_fill;
+    return config;
+  }
+  PageRegistry registry;
+  gpu::Device device;
+  gpu::TransferEngine transfer;
+  HBRegularTree<Key64> tree;
+};
+
+// Serving runs the offline pipeline: one lookup on a fresh server charges,
+// to the bit, what TryRunSearchPipeline charges that key on the twin
+// under a default PipelineConfig with the server's leaf rate and a
+// one-key bucket. Transfers do not touch the device L2, and both devices
+// allocate the same ids in the same order, so nothing else differs.
+TEST(ServeStress, LookupChargesTheOfflinePipeline) {
+  const auto data = StableDataset();
+  const serve::ServerOptions options = StressOptions();
+  auto server = serve::Server<Key64>::Create(options, data);
+  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(server->SubmitLookup(17).get().status.ok());
+  server->Shutdown();
+
+  OfflineTwin twin(options, data);
+  PipelineConfig config;
+  config.cpu_queries_per_us = options.cpu_queries_per_us;
+  config.bucket_size = 1;
+  const Key64 key = 17;
+  std::vector<LookupResult<Key64>> results;
+  PipelineStats offline;
+  ASSERT_TRUE(
+      TryRunSearchPipeline(twin.tree, &key, 1, config, &results, &offline)
+          .ok());
+  EXPECT_EQ(server->Stats().sim_pipeline_us, offline.total_us);
+}
+
+// A commit models the platform's hardware threads: a one-update commit on
+// an M2 server charges what TryRunBatchUpdate charges that update on the
+// twin with M2's 8 threads.
+TEST(ServeStress, CommitModelsThePlatformThreads) {
+  const auto data = StableDataset();
+  serve::ServerOptions options = StressOptions();
+  options.platform = sim::PlatformSpec::M2();
+  ASSERT_EQ(options.platform.cpu.threads, 8);
+  auto server = serve::Server<Key64>::Create(options, data);
+  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(server->SubmitUpdate(Insert(kDynBase + 1)).get().status.ok());
+  // The commit's modelled charge lands after its future resolves.
+  server->Shutdown();
+
+  OfflineTwin twin(options, data);
+  BatchUpdateConfig config;
+  config.model_threads = 8;
+  config.cpu_update_us = options.cpu_update_us;
+  BatchUpdateStats offline;
+  ASSERT_TRUE(TryRunBatchUpdate(twin.tree, {Insert(kDynBase + 1)},
+                                serve::kUpdateMethod, config, &offline)
+                  .ok());
+  EXPECT_EQ(server->Stats().sim_update_us, offline.total_us);
 }
 
 // The adaptive controller must halve the effective bucket M under
@@ -308,7 +382,7 @@ TEST(ServeStress, CreateRejectsInvalidOptions) {
 // counters surface in ServeStats.
 TEST(ServeStress, AdaptiveBucketShrinksAndRecovers) {
   serve::ServerOptions options = StressOptions();
-  options.pipeline.bucket_size = 4096;
+  options.bucket_size = 4096;
   options.min_sub_bucket = 64;
   options.adapt_min_bucket = 64;
   auto data = StableDataset();

@@ -62,9 +62,8 @@ serve::ServerOptions ShardedOptions(int shards = 4, int read_workers = 2) {
   serve::ServerOptions options;
   options.num_shards = shards;
   options.num_read_workers = read_workers;
-  options.pipeline.bucket_size = 512;
-  options.pipeline.cpu_queries_per_us = 20.0;
-  options.pipeline.cpu_descend_us_per_level = 0.01;
+  options.bucket_size = 512;
+  options.cpu_queries_per_us = 20.0;
   options.min_sub_bucket = 64;
   options.update_batch_size = 256;
   return options;
