@@ -530,16 +530,12 @@ def verdict_fig07(rows):
                            f"{tree} 2^{n:g}: 1G/1G {cfg3:.1f} >= 1G/4K "
                            f"{cfg2:.1f} {'>' if strict else '>='} 4K/4K "
                            f"{cfg1:.1f} MQPS"))
-    # The huge-page TLB bounds hold for the implicit tree only: the
-    # regular tree's node pools put every 2048-node chunk on its own
-    # synthetic 1 GB page (EXPERIMENTS.md deviation 7).
-    for n in log2s:
-        cfg2, cfg3 = (r[("implicit", n, c)]["tlb_misses_per_query"]
-                      for c in ("1G/4K", "1G/1G"))
-        claims.append((cfg2 <= 1.0, f"implicit 2^{n:g}: 1G/4K {cfg2:.3f} "
-                                    f"<= 1 TLB miss/query"))
-        claims.append((cfg3 < 0.01, f"implicit 2^{n:g}: 1G/1G {cfg3:.3f} "
-                                    f"~ 0 TLB misses/query"))
+            tlb2, tlb3 = (r[(tree, n, c)]["tlb_misses_per_query"]
+                          for c in ("1G/4K", "1G/1G"))
+            claims.append((tlb2 <= 1.0, f"{tree} 2^{n:g}: 1G/4K {tlb2:.3f} "
+                                        f"<= 1 TLB miss/query"))
+            claims.append((tlb3 < 0.01, f"{tree} 2^{n:g}: 1G/1G {tlb3:.3f} "
+                                        f"~ 0 TLB misses/query"))
     return claims
 
 

@@ -20,18 +20,26 @@ const char* PageSizeName(PageSize s) {
   return "unknown";
 }
 
+std::uint64_t PageRegistry::ReserveSpan() {
+  const std::uint64_t span = next_span_base_;
+  next_span_base_ += kSpanPages;
+  return span;
+}
+
 void PageRegistry::Register(const void* base, std::size_t size,
-                            PageSize page_size) {
+                            PageSize page_size, std::optional<Placement> at) {
+  if (!at) {
+    at = Placement{next_page_base_, 0};
+    // A region is 2 MB-aligned (see PagedBuffer::Reset), so the next one
+    // starts no earlier than this one's size rounded up to 2 MB; its page
+    // numbers start past that extent too.
+    const std::uint64_t extent =
+        (size + kRegionAlignment - 1) / kRegionAlignment * kRegionAlignment;
+    const std::uint64_t bytes = PageBytes(page_size);
+    next_page_base_ += (extent + bytes - 1) / bytes + (size == 0 ? 1 : 0);
+  }
   Region region{reinterpret_cast<std::uintptr_t>(base),
-                reinterpret_cast<std::uintptr_t>(base) + size, page_size,
-                next_page_base_};
-  // A region is 2 MB-aligned (see PagedBuffer::Reset), so the next one
-  // starts no earlier than this one's size rounded up to 2 MB; its page
-  // numbers start past that extent too.
-  const std::uint64_t extent =
-      (size + kRegionAlignment - 1) / kRegionAlignment * kRegionAlignment;
-  const std::uint64_t bytes = PageBytes(page_size);
-  next_page_base_ += (extent + bytes - 1) / bytes + (size == 0 ? 1 : 0);
+                reinterpret_cast<std::uintptr_t>(base) + size, page_size, *at};
   auto it = std::lower_bound(
       regions_.begin(), regions_.end(), region,
       [](const Region& a, const Region& b) { return a.base < b.base; });
@@ -48,17 +56,6 @@ void PageRegistry::Unregister(const void* base) {
   if (it != regions_.end()) regions_.erase(it);
 }
 
-PageSize PageRegistry::Lookup(const void* addr) const {
-  auto a = reinterpret_cast<std::uintptr_t>(addr);
-  auto it = std::upper_bound(
-      regions_.begin(), regions_.end(), a,
-      [](std::uintptr_t x, const Region& r) { return x < r.base; });
-  if (it == regions_.begin()) return PageSize::k4K;
-  --it;
-  if (a < it->end) return it->page_size;
-  return PageSize::k4K;
-}
-
 PageRegistry::Translation PageRegistry::Translate(const void* addr) const {
   auto a = reinterpret_cast<std::uintptr_t>(addr);
   auto it = std::upper_bound(
@@ -68,21 +65,19 @@ PageRegistry::Translation PageRegistry::Translate(const void* addr) const {
     const Region& r = *std::prev(it);
     if (a < r.end) {
       return {r.page_size,
-              r.page_base + static_cast<std::uint64_t>(a - r.base) /
-                                PageBytes(r.page_size)};
+              r.at.page_base +
+                  (r.at.offset + static_cast<std::uint64_t>(a - r.base)) /
+                      PageBytes(r.page_size)};
     }
   }
   return {PageSize::k4K,
           static_cast<std::uint64_t>(a) / PageBytes(PageSize::k4K)};
 }
 
-std::uint64_t PageRegistry::PageNumber(const void* addr) const {
-  return Translate(addr).page;
-}
-
 PagedBuffer::PagedBuffer(std::size_t size, PageSize page_size,
-                         PageRegistry* registry) {
-  Reset(size, page_size, registry);
+                         PageRegistry* registry,
+                         std::optional<PageRegistry::Placement> at) {
+  Reset(size, page_size, registry, at);
 }
 
 PagedBuffer::~PagedBuffer() { Release(); }
@@ -112,7 +107,8 @@ PagedBuffer& PagedBuffer::operator=(PagedBuffer&& other) noexcept {
 }
 
 void PagedBuffer::Reset(std::size_t size, PageSize page_size,
-                        PageRegistry* registry) {
+                        PageRegistry* registry,
+                        std::optional<PageRegistry::Placement> at) {
   Release();
   size_ = size;
   page_size_ = page_size;
@@ -130,7 +126,7 @@ void PagedBuffer::Reset(std::size_t size, PageSize page_size,
       posix_memalign(&data, PageRegistry::kRegionAlignment, size);
   HBTREE_CHECK_MSG(error == 0, "allocation of %zu bytes failed", size);
   data_ = static_cast<std::byte*>(data);
-  if (registry_ != nullptr) registry_->Register(data_, size, page_size_);
+  if (registry_ != nullptr) registry_->Register(data_, size, page_size_, at);
 }
 
 void PagedBuffer::Release() {

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 namespace hbtree {
@@ -37,11 +38,20 @@ class PageRegistry {
   /// advance the synthetic page numbering.
   static constexpr std::size_t kRegionAlignment = 2ull * 1024 * 1024;
 
+  /// Where a region's first byte sits in the synthetic page numbering:
+  /// `offset` bytes past the start of page `page_base`. A standalone
+  /// region starts a page range of its own (offset 0); a chunk of a span
+  /// (ReserveSpan) sits at its byte offset in that span.
+  struct Placement {
+    std::uint64_t page_base;
+    std::uint64_t offset;
+  };
+
   struct Region {
     std::uintptr_t base;
     std::uintptr_t end;  // one past the last byte
     PageSize page_size;
-    std::uint64_t page_base;  // first simulated page number of the region
+    Placement at;
   };
 
   /// `addr` resolved to the backing page size plus the simulated page
@@ -52,17 +62,23 @@ class PageRegistry {
     std::uint64_t page;
   };
 
-  void Register(const void* base, std::size_t size, PageSize page_size);
+  /// Reserves a span of synthetic pages for one chunked array and returns
+  /// its first page number. Registering each chunk at {span, byte offset
+  /// of the chunk in the array} numbers the chunks as consecutive bytes
+  /// of one page run, the way a huge-page arena carves its chunks out of
+  /// one 1 GB page, although every chunk is a separate host allocation.
+  std::uint64_t ReserveSpan();
+
+  /// Registers [base, base + size). Without `at`, the region gets its own
+  /// synthetic page range.
+  void Register(const void* base, std::size_t size, PageSize page_size,
+                std::optional<Placement> at = std::nullopt);
   void Unregister(const void* base);
 
-  /// Page size backing `addr`. Addresses outside any registered region are
-  /// treated as regular 4K-paged memory (matching default OS behaviour).
-  PageSize Lookup(const void* addr) const;
-
+  /// Addresses outside any registered region are treated as regular
+  /// 4K-paged memory (matching default OS behaviour) and numbered by their
+  /// raw address.
   Translation Translate(const void* addr) const;
-
-  /// Shorthand for Translate(addr).page.
-  std::uint64_t PageNumber(const void* addr) const;
 
   const std::vector<Region>& regions() const { return regions_; }
 
@@ -78,9 +94,15 @@ class PageRegistry {
   // memory, starting far above any raw-address 4K page number so the two
   // namespaces cannot collide.
   static constexpr std::uint64_t kSyntheticPageBase = 1ull << 50;
+  // Spans are numbered in a namespace of their own, far above the
+  // standalone regions, so reserving one never shifts a standalone
+  // region's pages. Each span owns 2^32 page numbers: 16 TiB of 4K pages.
+  static constexpr std::uint64_t kSpanPageBase = 1ull << 56;
+  static constexpr std::uint64_t kSpanPages = 1ull << 32;
 
   std::vector<Region> regions_;  // sorted by base
   std::uint64_t next_page_base_ = kSyntheticPageBase;
+  std::uint64_t next_span_base_ = kSpanPageBase;
 };
 
 /// A contiguous, cache-line-aligned allocation tagged with a page size.
@@ -89,7 +111,10 @@ class PageRegistry {
 class PagedBuffer {
  public:
   PagedBuffer() = default;
-  PagedBuffer(std::size_t size, PageSize page_size, PageRegistry* registry);
+  /// `at` places the buffer in a span reserved with
+  /// PageRegistry::ReserveSpan; see PageRegistry::Register.
+  PagedBuffer(std::size_t size, PageSize page_size, PageRegistry* registry,
+              std::optional<PageRegistry::Placement> at = std::nullopt);
   ~PagedBuffer();
 
   PagedBuffer(PagedBuffer&& other) noexcept;
@@ -98,7 +123,8 @@ class PagedBuffer {
   PagedBuffer& operator=(const PagedBuffer&) = delete;
 
   /// Re-allocates to `size` bytes (content is NOT preserved).
-  void Reset(std::size_t size, PageSize page_size, PageRegistry* registry);
+  void Reset(std::size_t size, PageSize page_size, PageRegistry* registry,
+             std::optional<PageRegistry::Placement> at = std::nullopt);
 
   std::byte* data() { return data_; }
   const std::byte* data() const { return data_; }

@@ -46,13 +46,18 @@ class PairedPool {
   /// fragment arrays for the TLB simulator (`registry` may be null to
   /// skip tagging). Separate tags matter: in the regular HB+-tree the hot
   /// fragments are I-segment (always huge pages) while big leaves are
-  /// L-segment (configuration-dependent), Section 4.1/5.2.
+  /// L-segment (configuration-dependent), Section 4.1/5.2. Each array
+  /// numbers its pages as one span that it keeps across Clear(), so its
+  /// chunks share their pages as if carved from one huge-page arena:
+  /// chunk i starts i chunks' bytes into the span.
   PairedPool(std::size_t chunk_capacity, PageSize primary_page,
              PageSize secondary_page, PageRegistry* registry)
       : chunk_capacity_(chunk_capacity),
         primary_page_(primary_page),
         secondary_page_(secondary_page),
-        registry_(registry) {
+        registry_(registry),
+        primary_span_(registry != nullptr ? registry->ReserveSpan() : 0),
+        secondary_span_(registry != nullptr ? registry->ReserveSpan() : 0) {
     HBTREE_CHECK(chunk_capacity > 0);
   }
 
@@ -189,10 +194,15 @@ class PairedPool {
 
  private:
   void AddChunk() {
-    primary_chunks_.emplace_back(chunk_capacity_ * sizeof(Primary),
-                                 primary_page_, registry_);
-    secondary_chunks_.emplace_back(chunk_capacity_ * sizeof(Secondary),
-                                   secondary_page_, registry_);
+    const std::size_t chunk = primary_chunks_.size();
+    const std::size_t primary_bytes = chunk_capacity_ * sizeof(Primary);
+    const std::size_t secondary_bytes = chunk_capacity_ * sizeof(Secondary);
+    primary_chunks_.emplace_back(
+        primary_bytes, primary_page_, registry_,
+        PageRegistry::Placement{primary_span_, chunk * primary_bytes});
+    secondary_chunks_.emplace_back(
+        secondary_bytes, secondary_page_, registry_,
+        PageRegistry::Placement{secondary_span_, chunk * secondary_bytes});
     chunk_touches_.emplace_back(0);
   }
 
@@ -200,6 +210,9 @@ class PairedPool {
   PageSize primary_page_;
   PageSize secondary_page_;
   PageRegistry* registry_;
+  // First synthetic page of each fragment array's span (ReserveSpan).
+  std::uint64_t primary_span_;
+  std::uint64_t secondary_span_;
   std::vector<PagedBuffer> primary_chunks_;
   std::vector<PagedBuffer> secondary_chunks_;
   // One touch counter per chunk; deque keeps the atomics at stable

@@ -212,8 +212,10 @@ TEST(ImplicitBTreeGeometry, SegmentSizesAreReported) {
   EXPECT_GE(tree.l_segment_bytes(), 4096 * sizeof(KeyValue<Key64>));
   EXPECT_GT(tree.i_segment_bytes(), 0u);
   // Page registry must know both segments.
-  EXPECT_EQ(registry.Lookup(tree.i_segment_nodes()), PageSize::k1G);
-  EXPECT_EQ(registry.Lookup(tree.l_segment_lines()), PageSize::k4K);
+  EXPECT_EQ(registry.Translate(tree.i_segment_nodes()).page_size,
+            PageSize::k1G);
+  EXPECT_EQ(registry.Translate(tree.l_segment_lines()).page_size,
+            PageSize::k4K);
 }
 
 }  // namespace

@@ -11,15 +11,17 @@
 namespace hbtree {
 namespace {
 
-TEST(PageRegistry, LookupFindsRegisteredRegions) {
+TEST(PageRegistry, TranslateFindsRegisteredRegions) {
   PageRegistry registry;
   PagedBuffer huge(1 << 16, PageSize::k1G, &registry);
   PagedBuffer small(1 << 12, PageSize::k4K, &registry);
-  EXPECT_EQ(registry.Lookup(huge.data()), PageSize::k1G);
-  EXPECT_EQ(registry.Lookup(huge.data() + huge.size() - 1), PageSize::k1G);
-  EXPECT_EQ(registry.Lookup(small.data()), PageSize::k4K);
+  EXPECT_EQ(registry.Translate(huge.data()).page_size, PageSize::k1G);
+  EXPECT_EQ(registry.Translate(huge.data() + huge.size() - 1).page_size,
+            PageSize::k1G);
+  EXPECT_EQ(registry.Translate(small.data()).page_size, PageSize::k4K);
   int on_stack = 0;
-  EXPECT_EQ(registry.Lookup(&on_stack), PageSize::k4K);  // default
+  EXPECT_EQ(registry.Translate(&on_stack).page_size,
+            PageSize::k4K);  // default
 }
 
 TEST(PageRegistry, UnregisterOnDestruction) {
@@ -29,7 +31,7 @@ TEST(PageRegistry, UnregisterOnDestruction) {
     PagedBuffer buffer(4096, PageSize::k2M, &registry);
     where = buffer.data();
     EXPECT_EQ(registry.regions().size(), 1u);
-    EXPECT_EQ(registry.Lookup(where), PageSize::k2M);
+    EXPECT_EQ(registry.Translate(where).page_size, PageSize::k2M);
   }
   EXPECT_TRUE(registry.regions().empty());
 }
@@ -38,8 +40,8 @@ TEST(PageRegistry, PageNumberUsesBackingPageSize) {
   PageRegistry registry;
   PagedBuffer buffer(1 << 20, PageSize::k2M, &registry);
   // All addresses within one 2M page share a page number.
-  auto base = registry.PageNumber(buffer.data());
-  auto later = registry.PageNumber(buffer.data() + (1 << 20) - 1);
+  auto base = registry.Translate(buffer.data()).page;
+  auto later = registry.Translate(buffer.data() + (1 << 20) - 1).page;
   EXPECT_LE(later - base, 1u);
 }
 
@@ -75,8 +77,8 @@ TEST(PagedBuffer, RegistersItsSizeAndPagesBy2MExtent) {
       });
   ASSERT_NE(region, registry.regions().end());
   EXPECT_EQ(region->end - region->base, 100u);
-  EXPECT_EQ(registry.PageNumber(next.data()) -
-                registry.PageNumber(small.data()),
+  EXPECT_EQ(registry.Translate(next.data()).page -
+                registry.Translate(small.data()).page,
             512u);
 }
 
@@ -134,8 +136,53 @@ TEST(PairedPool, PageTagsDifferPerFragment) {
   PairedPool<BigPrimary, SmallSecondary> pool(16, PageSize::k1G,
                                               PageSize::k4K, &registry);
   auto idx = pool.Allocate();
-  EXPECT_EQ(registry.Lookup(&pool.primary(idx)), PageSize::k1G);
-  EXPECT_EQ(registry.Lookup(&pool.secondary(idx)), PageSize::k4K);
+  EXPECT_EQ(registry.Translate(&pool.primary(idx)).page_size, PageSize::k1G);
+  EXPECT_EQ(registry.Translate(&pool.secondary(idx)).page_size,
+            PageSize::k4K);
+}
+
+// Every chunk is its own allocation, but each fragment array numbers its
+// pages as one span, with chunk i starting i chunks' bytes into it: the
+// 1G-tagged primaries of 40 chunks share one page, the page-sized
+// 4K-tagged secondaries take consecutive pages, and a rebuild after
+// Clear() reuses the same pages.
+TEST(PairedPool, ChunksShareTheirArraysPages) {
+  struct PageSecondary {
+    std::byte bytes[4096];
+  };
+  PageRegistry registry;
+  PairedPool<BigPrimary, PageSecondary> pool(4, PageSize::k1G, PageSize::k4K,
+                                             &registry);
+  constexpr std::uint32_t kSlots = 160;
+  std::vector<PageRegistry::Translation> primaries;
+  std::vector<PageRegistry::Translation> secondaries;
+  for (int build = 0; build < 2; ++build) {
+    pool.Clear();
+    for (std::uint32_t i = 0; i < kSlots; ++i) ASSERT_EQ(pool.Allocate(), i);
+    ASSERT_EQ(pool.chunk_count(), 40u);
+    const auto primary0 = registry.Translate(&pool.primary(0));
+    const auto secondary0 = registry.Translate(&pool.secondary(0));
+    for (std::uint32_t idx = 0; idx < kSlots; ++idx) {
+      const auto primary = registry.Translate(&pool.primary(idx));
+      EXPECT_EQ(primary.page_size, PageSize::k1G);
+      EXPECT_EQ(primary.page, primary0.page) << idx;
+      const std::byte* bytes = pool.secondary(idx).bytes;
+      for (const std::byte* at : {bytes, bytes + 4095}) {
+        const auto secondary = registry.Translate(at);
+        EXPECT_EQ(secondary.page_size, PageSize::k4K);
+        EXPECT_EQ(secondary.page, secondary0.page + idx) << idx;
+      }
+    }
+    primaries.push_back(primary0);
+    secondaries.push_back(secondary0);
+  }
+  EXPECT_EQ(primaries[1].page, primaries[0].page);
+  EXPECT_EQ(secondaries[1].page, secondaries[0].page);
+  // A second pool's array gets a span of its own.
+  PairedPool<BigPrimary, PageSecondary> other(4, PageSize::k1G,
+                                              PageSize::k4K, &registry);
+  EXPECT_NE(registry.Translate(&other.primary(other.Allocate())).page,
+            primaries[0].page);
 }
 
 TEST(PairedPool, ChunkIterationCoversHighWater) {

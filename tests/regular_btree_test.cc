@@ -9,6 +9,7 @@
 #include "core/workload.h"
 #include "gpusim/device.h"
 #include "hybrid/hb_regular.h"
+#include "sim/cpu_cost_model.h"
 #include "sim/platform.h"
 
 namespace hbtree {
@@ -263,6 +264,42 @@ TEST(RegularBTreeGeometry, TracedSearchTouchesThreeLinesPerLevel) {
   // line, so exactly 3(H-1) + 2 + 1).
   const int h = tree.height();
   EXPECT_EQ(tracer.accesses, 3 * (h - 1) + 2 + 1);
+}
+
+// Section 6.2: a tree under 4 GB on 1G pages never misses the four 1G TLB
+// entries. With 64-node chunks both leaf-pool arrays span 16 chunks, which
+// still share their arrays' pages, so warm searches miss nothing under
+// 1G/1G and at most the one 4K leaf line per query under 1G/4K.
+TEST(RegularBTreeGeometry, HugePagesBoundTlbMissesAcrossChunks) {
+  const sim::CpuSpec cpu = sim::PlatformSpec::M1().cpu;
+  auto data = GenerateDataset<Key64>(1 << 18, /*seed=*/16);
+  for (PageSize leaf_page : {PageSize::k1G, PageSize::k4K}) {
+    SCOPED_TRACE(PageSizeName(leaf_page));
+    PageRegistry registry;
+    RegularBTree<Key64>::Config config;
+    config.leaf_page = leaf_page;
+    config.pool_chunk_nodes = 64;
+    RegularBTree<Key64> tree(config, &registry);
+    tree.Build(data);
+    ASSERT_GE(tree.leaf_pool().chunk_count(), 8u);
+    sim::CpuTracer tracer(cpu, &registry);
+    Rng rng(17);
+    auto search = [&](int queries) {
+      for (int i = 0; i < queries; ++i) {
+        const Key64 key = data[rng.NextBounded(data.size())].key;
+        ASSERT_TRUE(tree.Search(key, &tracer).found);
+      }
+    };
+    search(4000);
+    tracer.ResetStats();
+    search(8000);
+    const double misses = tracer.profile().TlbMissesPerQuery();
+    if (leaf_page == PageSize::k1G) {
+      EXPECT_LT(misses, 0.01);
+    } else {
+      EXPECT_LE(misses, 1.0);
+    }
+  }
 }
 
 TEST(RegularBTreeGeometry, ISegmentIsEachPoolsSlotsAtItsFragmentSize) {
