@@ -26,8 +26,8 @@
 // p99 SLO), --shards, --read_workers, --pipeline_depth, --platform,
 // --seed, --metrics_json (hbtree.bench.v1 report with the last — 10x —
 // point's metrics snapshot and stage waterfall), --trace_out (Chrome
-// trace of the last point; bucket.m_shrink/m_grow instants and exemplar
-// spans live there).
+// trace of the last point; the dispatch spans its exemplars name live
+// there).
 
 #include <algorithm>
 #include <chrono>
@@ -230,10 +230,9 @@ int Main(int argc, char** argv) {
       static_cast<int>(args.GetInt("pipeline_depth", 2));
   options.queue_capacity = queue_capacity;
   options.model_pacing = pacing;
-  // Let the adaptive controller act below the (small) bench bucket —
-  // the derived floor max(min_sub_bucket, M/16) would pin M in place.
-  options.adapt_min_bucket = static_cast<int>(
-      args.GetInt("adapt_min_bucket", std::max(1, bucket / 8)));
+  // Scale the sub-bucket floor to the (small) bench bucket: a dispatch
+  // holding at least two floors of keys splits into sub-buckets, and
+  // only a one-bucket dispatch always sorts (see Server::TryGpuBucket).
   options.min_sub_bucket =
       std::min(options.min_sub_bucket, std::max(1, bucket / 8));
   options.tenants = tenants;
@@ -346,12 +345,8 @@ int Main(int argc, char** argv) {
     BenchReport::Row& row = report.AddRow();
     row.Num("load_x", point.load_x, 1);
     report.AddServeStatsRow(row, point.stats);
-    row.Num("bucket_shrinks",
-            static_cast<double>(point.stats.bucket_shrinks), 0)
-        .Num("bucket_grows", static_cast<double>(point.stats.bucket_grows),
-             0)
-        .Num("degraded_sheds",
-             static_cast<double>(point.stats.degraded_sheds), 0);
+    row.Num("degraded_sheds", static_cast<double>(point.stats.degraded_sheds),
+            0);
     for (std::size_t t = 0; t < point.stats.tenants.size(); ++t) {
       BenchReport::Row& trow = report.AddRow();
       trow.Num("load_x", point.load_x, 1);

@@ -225,7 +225,7 @@ run_regress() {
   # single-digit noise. Modelled capacity is the exception among the
   # modelled columns: it divides by the busiest-shard makespan, which
   # moves with how the admission stream happens to pack into buckets
-  # (adaptive sizing included) — observed run-to-run spread on a loaded
+  # on the host clock — observed run-to-run spread on a loaded
   # single-core host is ~±15-30%, so its band is wider than the other
   # modelled numbers.
   python3 scripts/bench_compare.py \

@@ -74,7 +74,7 @@ BenchReport::Row& BenchReport::AddServeStatsRow(
   // during this run.
   double max_burn = 0;
   for (const obs::SloStatus& slo : stats.slos) {
-    max_burn = std::max(max_burn, slo.burn_short);
+    max_burn = std::max(max_burn, slo.burn);
   }
   row.Num("slo_max_burn", max_burn, 2);
   return row;

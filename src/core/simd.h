@@ -2,7 +2,6 @@
 #define HBTREE_CORE_SIMD_H_
 
 #include <cstdint>
-#include <string>
 
 #include "core/types.h"
 
@@ -24,13 +23,6 @@ enum class NodeSearchAlgo {
   kLinearSimd,       // Snippet 1: two full-width vector compares
   kHierarchicalSimd  // Snippet 2: boundary compare, then one refinement
 };
-
-const char* NodeSearchAlgoName(NodeSearchAlgo algo);
-NodeSearchAlgo ParseNodeSearchAlgo(const std::string& name);
-
-/// Returns true when the SIMD paths below use real AVX2 instructions
-/// (otherwise they fall back to branchless scalar code).
-constexpr bool HasAvx2() { return HBTREE_HAVE_AVX2 != 0; }
 
 // ---------------------------------------------------------------------------
 // Scalar reference / baseline implementations.

@@ -4,18 +4,6 @@
 
 namespace hbtree::fault {
 
-const char* SiteName(Site site) {
-  switch (site) {
-    case Site::kDeviceAlloc:
-      return "device-alloc";
-    case Site::kTransferH2D:
-      return "transfer-h2d";
-    case Site::kKernel:
-      return "kernel";
-  }
-  return "unknown";
-}
-
 FaultConfig FaultConfig::Transfers(double probability, std::uint64_t seed) {
   FaultConfig config;
   config.seed = seed;

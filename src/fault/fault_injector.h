@@ -23,8 +23,6 @@ enum class Site : int {
 };
 inline constexpr int kSiteCount = 3;
 
-const char* SiteName(Site site);
-
 /// Per-site injection policy. Both mechanisms compose: an operation fails
 /// if its ordinal is scheduled *or* the probability draw fires.
 struct SitePolicy {

@@ -160,12 +160,6 @@ const std::byte* Device::HostView(DevicePtr ptr, std::size_t bytes) const {
   return Resolve(ptr, bytes).data;
 }
 
-std::size_t Device::AllocationSize(DevicePtr ptr) const {
-  Allocation& slot = SlotRef(ptr);
-  HBTREE_CHECK(slot.data.load(std::memory_order_acquire) != nullptr);
-  return slot.size.load(std::memory_order_relaxed);
-}
-
 bool Device::IsHostMapped(DevicePtr ptr) const {
   return SlotRef(ptr).host_mapped.load(std::memory_order_relaxed);
 }

@@ -53,9 +53,9 @@ enum class MemoryKind { kDevice, kHostMapped };
 /// Thread safety: one device is shared by every read worker dispatching
 /// against a pinned snapshot slot, so the arena is concurrent-safe.
 /// - TryMalloc/Free/Malloc mutate slot bookkeeping under `arena_mutex_`.
-/// - HostView/AllocationSize are lock-free: allocation slots live in
-///   chunked stable storage and publish their backing buffer with a
-///   release store, so readers need only an acquire load. The caller
+/// - HostView is lock-free: allocation slots live in chunked stable
+///   storage and publish their backing buffer with a release store, so
+///   readers need only an acquire load. The caller
 ///   contract matches real CUDA: accessing an allocation concurrently
 ///   with its Free is undefined (the serving layer guarantees this
 ///   structurally — snapshot drain before mutation, and an exclusive
@@ -145,8 +145,6 @@ class Device {
   const T* HostViewAs(DevicePtr ptr) const {
     return reinterpret_cast<const T*>(HostView(ptr));
   }
-
-  std::size_t AllocationSize(DevicePtr ptr) const;
 
   /// True when `ptr` points into a host-mapped allocation. Lock-free.
   bool IsHostMapped(DevicePtr ptr) const;

@@ -1,7 +1,5 @@
 #include "obs/metrics.h"
 
-#include <cstdio>
-
 #include "obs/json_writer.h"
 
 namespace hbtree::obs {
@@ -84,34 +82,6 @@ MetricsSnapshot MetricsRegistry::CollectWindow() {
 MetricsRegistry& MetricsRegistry::Default() {
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
-}
-
-std::string MetricsRegistry::ToText(const MetricsSnapshot& snapshot) {
-  std::string out;
-  char line[256];
-  std::snprintf(line, sizeof(line), "metrics (%s, %.3fs window)\n",
-                snapshot.windowed ? "interval" : "lifetime",
-                snapshot.window_seconds);
-  out += line;
-  for (const auto& [name, value] : snapshot.counters) {
-    std::snprintf(line, sizeof(line), "  %-32s %llu\n", name.c_str(),
-                  static_cast<unsigned long long>(value));
-    out += line;
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    std::snprintf(line, sizeof(line), "  %-32s %.4g\n", name.c_str(), value);
-    out += line;
-  }
-  for (const auto& [name, s] : snapshot.histograms) {
-    std::snprintf(line, sizeof(line),
-                  "  %-32s count %llu  p50 %.1fus  p90 %.1fus  p99 %.1fus  "
-                  "max %.1fus%s\n",
-                  name.c_str(), static_cast<unsigned long long>(s.count),
-                  s.p50_us, s.p90_us, s.p99_us, s.max_us,
-                  s.exemplars.empty() ? "" : "  (+exemplars)");
-    out += line;
-  }
-  return out;
 }
 
 void MetricsRegistry::AppendJson(const MetricsSnapshot& snapshot,

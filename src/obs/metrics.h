@@ -181,8 +181,6 @@ class MetricsRegistry {
     return subsystem + ".tenant" + std::to_string(tenant) + "." + what;
   }
 
-  /// Human-readable multi-line dump (sorted by name).
-  static std::string ToText(const MetricsSnapshot& snapshot);
   /// Stable machine-readable dump — schema `hbtree.metrics.v1`, validated
   /// by scripts/validate_metrics.py.
   static std::string ToJson(const MetricsSnapshot& snapshot);

@@ -48,7 +48,6 @@ void SloTracker::AddTarget(const SloSpec& spec) {
   std::lock_guard<std::mutex> lock(mutex_);
   Target t;
   t.spec = spec;
-  if (t.spec.long_windows < 1) t.spec.long_windows = 1;
   t.status.name = spec.name;
   t.status.budget = spec.budget;
   targets_.push_back(std::move(t));
@@ -72,31 +71,17 @@ void SloTracker::Observe(const MetricsSnapshot& window) {
         total += static_cast<double>(window.counter_or(name));
       }
     }
-    t.ring.emplace_back(bad, total);
-    const std::size_t cap = static_cast<std::size_t>(t.spec.long_windows);
-    if (t.ring.size() > cap) t.ring.erase(t.ring.begin());
+    t.bad += bad;
+    t.total += total;
 
     SloStatus& st = t.status;
-    st.windows += 1;
-    st.bad_fraction = total > 0 ? bad / total : 0.0;
-    st.burn_short =
-        t.spec.budget > 0 ? st.bad_fraction / t.spec.budget : 0.0;
-    double ring_bad = 0;
-    double ring_total = 0;
-    for (const auto& [b, n] : t.ring) {
-      ring_bad += b;
-      ring_total += n;
-    }
-    const double long_fraction = ring_total > 0 ? ring_bad / ring_total : 0.0;
-    st.burn_long = t.spec.budget > 0 ? long_fraction / t.spec.budget : 0.0;
-    st.burning = st.burn_short > 1.0 && st.burn_long > 1.0;
+    st.bad_fraction = t.total > 0 ? t.bad / t.total : 0.0;
+    st.burn = t.spec.budget > 0 ? st.bad_fraction / t.spec.budget : 0.0;
 
     if (registry_ != nullptr) {
       registry_->gauge("slo." + t.spec.name + ".bad_fraction")
           .Set(st.bad_fraction);
-      registry_->gauge("slo." + t.spec.name + ".burn_short")
-          .Set(st.burn_short);
-      registry_->gauge("slo." + t.spec.name + ".burn_long").Set(st.burn_long);
+      registry_->gauge("slo." + t.spec.name + ".burn").Set(st.burn);
     }
   }
 }

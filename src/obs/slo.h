@@ -1,7 +1,6 @@
 #ifndef HBTREE_OBS_SLO_H_
 #define HBTREE_OBS_SLO_H_
 
-#include <cstdint>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -22,8 +21,7 @@ namespace hbtree::obs {
 ///
 /// `budget` is the tolerated bad fraction; burn rate is bad fraction
 /// over budget, so burn 1.0 means exactly spending the error budget and
-/// burn 2.0 means burning it twice as fast as tolerated (SRE-style
-/// multi-window burn-rate alerting).
+/// burn 2.0 means burning it twice as fast as tolerated.
 struct SloSpec {
   enum class Kind { kLatencyP99, kRatio };
 
@@ -38,32 +36,26 @@ struct SloSpec {
   std::vector<std::string> bad_counters;
   std::vector<std::string> total_counters;
 
-  double budget = 0.01;   // tolerated bad fraction (1% by default)
-  int long_windows = 12;  // windows folded into the long burn rate
+  double budget = 0.01;  // tolerated bad fraction (1% by default)
 };
 
-/// Burn-rate state of one SLO after some number of observed windows.
+/// Burn-rate state of one SLO over everything observed so far.
 struct SloStatus {
   std::string name;
   double budget = 0;
-  double bad_fraction = 0;  // most recent window
-  double burn_short = 0;    // last window's bad fraction / budget
-  double burn_long = 0;     // over the last `long_windows` windows
-  std::uint64_t windows = 0;
-  /// Both windows over budget — the page-worthy condition: the short
-  /// window says it's happening now, the long window says it's not a
-  /// blip.
-  bool burning = false;
+  double bad_fraction = 0;  // bad over total, all observed windows
+  double burn = 0;          // bad_fraction / budget
+  /// The error budget is being spent faster than tolerated.
+  bool burning() const { return burn > 1.0; }
 };
 
-/// Multi-window burn-rate accounting fed from CollectWindow() deltas.
+/// Burn-rate accounting fed from CollectWindow() deltas.
 ///
 /// The owner calls Observe() with each windowed snapshot (the serving
-/// layer does this once, at shutdown); the tracker keeps a bounded ring
-/// of per-window (bad, total) pairs per target and publishes burn rates
-/// back into the registry as gauges `slo.<name>.burn_short` / `.burn_long` /
-/// `.bad_fraction`, so they ride every metrics export without extra
-/// plumbing. Thread-safe.
+/// layer does this once, at shutdown); the tracker keeps running bad and
+/// total sums per target and publishes the result back into the
+/// registry as gauges `slo.<name>.bad_fraction` / `.burn`, so they ride
+/// every metrics export without extra plumbing. Thread-safe.
 class SloTracker {
  public:
   /// `registry` may be null (no gauge publication; tests).
@@ -86,9 +78,9 @@ class SloTracker {
  private:
   struct Target {
     SloSpec spec;
-    // Ring of per-window (bad, total) weighted sample counts, most
-    // recent last, bounded by spec.long_windows.
-    std::vector<std::pair<double, double>> ring;
+    // Weighted sample counts summed over every observed window.
+    double bad = 0;
+    double total = 0;
     SloStatus status;
   };
 

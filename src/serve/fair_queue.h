@@ -91,8 +91,6 @@ class FairAdmissionQueue {
   FairAdmissionQueue(const FairAdmissionQueue&) = delete;
   FairAdmissionQueue& operator=(const FairAdmissionQueue&) = delete;
 
-  std::size_t num_lanes() const { return lanes_.size(); }
-
   /// Blocking admission into `lane` (no deadline): waits for lane space,
   /// false when closed. `item` is moved from only when admitted, so the
   /// caller can still reject it (resolve its promise) on failure.

@@ -26,8 +26,7 @@ std::string ServeStats::ToString() const {
       "  breaker: %llu opens, %llu closes, %llu probes; cpu fallback "
       "%llu buckets / %llu lookups\n"
       "  shed: %llu reads, %llu updates (%.2f%% of resolved ops; %llu "
-      "degraded low-priority)\n"
-      "  adaptive bucket: %llu shrinks, %llu grows",
+      "degraded low-priority)",
       static_cast<unsigned long long>(lookups),
       static_cast<unsigned long long>(ranges),
       static_cast<unsigned long long>(updates), wall_seconds, num_shards,
@@ -59,9 +58,7 @@ std::string ServeStats::ToString() const {
       static_cast<unsigned long long>(cpu_fallback_lookups),
       static_cast<unsigned long long>(shed_reads),
       static_cast<unsigned long long>(shed_updates), shed_ratio() * 100.0,
-      static_cast<unsigned long long>(degraded_sheds),
-      static_cast<unsigned long long>(bucket_shrinks),
-      static_cast<unsigned long long>(bucket_grows));
+      static_cast<unsigned long long>(degraded_sheds));
   std::string out = buffer;
   // One line per tenant only when a real topology is configured — the
   // implicit single default tenant would just repeat the totals.
@@ -81,13 +78,10 @@ std::string ServeStats::ToString() const {
   }
   for (const obs::SloStatus& slo : slos) {
     std::snprintf(buffer, sizeof(buffer),
-                  "\n  slo %-12s bad %.3f%% of budget %.1f%%, burn "
-                  "short %.2f / long %.2f over %llu window%s%s",
+                  "\n  slo %-12s bad %.3f%% of budget %.1f%%, burn %.2f%s",
                   slo.name.c_str(), slo.bad_fraction * 100.0,
-                  slo.budget * 100.0, slo.burn_short, slo.burn_long,
-                  static_cast<unsigned long long>(slo.windows),
-                  slo.windows == 1 ? "" : "s",
-                  slo.burning ? "  ** BURNING **" : "");
+                  slo.budget * 100.0, slo.burn,
+                  slo.burning() ? "  ** BURNING **" : "");
     out += buffer;
   }
   return out;

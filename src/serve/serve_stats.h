@@ -120,12 +120,6 @@ struct ServeStats {
                : 0;
   }
 
-  // Adaptive bucket sizing: controller decisions summed over shards; the
-  // current per-shard effective M lives in the registry as
-  // serve.shard<N>.bucket_m.
-  std::uint64_t bucket_shrinks = 0;
-  std::uint64_t bucket_grows = 0;
-
   // Device-fault handling in the read/update paths.
   std::uint64_t transfer_retries = 0;  // transient transfer faults retried
   std::uint64_t kernel_retries = 0;    // transient kernel faults retried
@@ -147,9 +141,8 @@ struct ServeStats {
   // Total faults the armed injectors produced (all sites, both slots).
   std::uint64_t faults_injected = 0;
 
-  // Burn-rate state of every tracked SLO (ServerOptions::slos), as of
-  // the last observed metrics window: none until Shutdown() observes the
-  // run's one window.
+  // Burn-rate state of every tracked SLO (ServerOptions::slos): none
+  // until Shutdown() observes the run's one metrics window.
   std::vector<obs::SloStatus> slos;
 
   // Per-tenant breakdown (ServerOptions::tenants order; a single default

@@ -143,13 +143,6 @@ inline constexpr std::chrono::microseconds kMaxBatchDelay{200};
 /// paper's optimum, Figure 7).
 inline constexpr int kCpuFallbackDepth = 16;
 
-/// Adaptive bucket controller streaks (see ServerOptions::
-/// adapt_min_bucket): consecutive half-empty (or deadline-tight) windows
-/// before a shrink, and consecutive full windows before growing back
-/// toward the configured M.
-inline constexpr int kAdaptShrinkAfter = 4;
-inline constexpr int kAdaptGrowAfter = 2;
-
 /// Serving-layer tuning knobs.
 struct ServerOptions {
   /// Simulated platform each tree instance runs against (every snapshot
@@ -258,22 +251,6 @@ struct ServerOptions {
   /// priority, blocking admission — exactly the pre-QoS single-FIFO
   /// behaviour.
   std::vector<TenantSpec> tenants;
-
-  /// Adaptive bucket sizing: a per-shard controller lowers the effective
-  /// admission bucket M when fill windows repeatedly expire less than
-  /// half full with the queue drained (true light load — a short window
-  /// with backlog left behind just means a co-worker took the other
-  /// half), or when a quarter of a batch is near its deadline (smaller
-  /// buckets ship sooner, trading per-op fixed cost for latency), and
-  /// restores it under sustained full windows (streaks kAdaptShrinkAfter
-  /// / kAdaptGrowAfter). Decisions surface as serve.shard<N>.bucket_m /
-  /// m_shrinks / m_grows and as bucket.m_shrink / bucket.m_grow trace
-  /// instants. The effective M only ever shrinks below bucket_size, so
-  /// the bucket buffers validated at startup always suffice.
-  ///
-  /// Smallest effective M the controller may reach; 0 derives
-  /// max(min_sub_bucket, bucket_size/16), clamped to bucket_size.
-  int adapt_min_bucket = 0;
 
   /// When positive, each read worker sleeps after dispatching a bucket
   /// until the bucket's wall time is at least `modelled_us x
@@ -491,8 +468,6 @@ class Server {
     stats.shed_reads = shed_reads_.value();
     stats.shed_updates = shed_updates_.value();
     stats.degraded_sheds = degraded_sheds_.value();
-    stats.bucket_shrinks = m_shrinks_.value();
-    stats.bucket_grows = m_grows_.value();
     stats.tenants.reserve(tenant_metrics_.size());
     for (std::size_t t = 0; t < tenant_metrics_.size(); ++t) {
       const TenantHandles& handles = tenant_metrics_[t];
@@ -529,7 +504,7 @@ class Server {
   /// The server's metrics registry: every ServeStats counter above, the
   /// per-shard `serve.shard<N>.*` series, plus the device-level
   /// `gpusim.*` metrics of every snapshot slot. Hand it to
-  /// obs::MetricsRegistry::ToJson/ToText for export, or CollectWindow()
+  /// obs::MetricsRegistry::ToJson for export, or CollectWindow()
   /// for interval rates.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
@@ -655,6 +630,29 @@ class Server {
     }
   }
 
+  /// Test hook, callable after Shutdown(), the server's counterpart of
+  /// HBRegularTree::MirrorMatchesHost: runs Validate() on both snapshot
+  /// slots' host trees of every shard (a broken invariant aborts), and
+  /// returns true when every slot whose mirror is valid matches its host
+  /// tree byte for byte and both slots of each shard hold the same pair
+  /// count.
+  bool ValidateTrees() const {
+    HBTREE_CHECK(stopped_.load());
+    for (const auto& shard : shards_) {
+      for (const TreeSlot* slot : {&shard->slot_a, &shard->slot_b}) {
+        slot->tree.host_tree().Validate();
+        if (slot->tree.mirror_valid() && !slot->tree.MirrorMatchesHost()) {
+          return false;
+        }
+      }
+      if (shard->slot_a.tree.host_tree().size() !=
+          shard->slot_b.tree.host_tree().size()) {
+        return false;
+      }
+    }
+    return true;
+  }
+
  private:
   /// One snapshot instance: a full tree with its own registry, device,
   /// transfer engine, and fault injector, so no two instances share
@@ -770,18 +768,6 @@ class Server {
     obs::Counter* shed_reads = nullptr;
     obs::Counter* shed_updates = nullptr;
     obs::Histogram* queue_wait = nullptr;
-    obs::Counter* m_shrinks = nullptr;
-    obs::Counter* m_grows = nullptr;
-    obs::Gauge* bucket_m = nullptr;
-
-    // Adaptive bucket controller (see ServerOptions::adapt_min_bucket):
-    // shared by the shard's read workers, guarded by adapt_mutex.
-    // effective_bucket is the current admission bucket M; the streaks
-    // count consecutive windows voting to shrink/grow.
-    std::mutex adapt_mutex;
-    int effective_bucket = 0;  // set in Init
-    int shrink_streak = 0;
-    int grow_streak = 0;
 
     // Modelled busy time of this shard's device (guarded by the server's
     // sim_mutex_): read-pipeline and update-path µs on the simulated
@@ -873,11 +859,6 @@ class Server {
         return Status::InvalidArgument("tenant name must be non-empty");
       }
     }
-    adapt_floor_ = std::clamp(
-        options_.adapt_min_bucket > 0
-            ? options_.adapt_min_bucket
-            : std::max(options_.min_sub_bucket, options_.bucket_size / 16),
-        1, options_.bucket_size);
     const int num_shards = options_.num_shards;
     const std::size_t n = sorted_pairs.size();
     if (num_shards > 1) {
@@ -942,14 +923,6 @@ class Server {
           obs::MetricsRegistry::ShardedName("serve", i, "shed_updates"));
       shard->queue_wait = &metrics_.histogram(
           obs::MetricsRegistry::ShardedName("serve", i, "queue_wait"));
-      shard->m_shrinks = &metrics_.counter(
-          obs::MetricsRegistry::ShardedName("serve", i, "m_shrinks"));
-      shard->m_grows = &metrics_.counter(
-          obs::MetricsRegistry::ShardedName("serve", i, "m_grows"));
-      shard->bucket_m = &metrics_.gauge(
-          obs::MetricsRegistry::ShardedName("serve", i, "bucket_m"));
-      shard->effective_bucket = options_.bucket_size;
-      shard->bucket_m->Set(static_cast<double>(options_.bucket_size));
       // Label each slot's model-track block so a multi-shard trace keeps
       // one set of resource tracks per slot instead of interleaving
       // every shard's pipeline on the shared sim.* tracks.
@@ -1319,22 +1292,31 @@ class Server {
     if (info != nullptr) info->cpu_fallback = true;
   }
 
-  /// Scans up to `max_matches` pairs with key >= `key` from `shard`'s
-  /// pinned `slot` into `out`; returns the number found. With heat
-  /// compiled in, descent and leaf-chain touches land in the shard's
-  /// `scan` stage tracer under its heat mutex, released on return so a
-  /// scan continuing into the next shard never holds two (locks are only
-  /// ever taken in increasing shard order, so no cycle either way).
+  /// Appends up to `max_matches` pairs with key >= `key` from `shard`'s
+  /// pinned `slot` to `out`; returns the number appended. The reply grows
+  /// by at most the slot's pair count, so a range larger than the tree
+  /// never allocates more than the tree holds. With heat compiled in,
+  /// descent and leaf-chain touches land in the shard's `scan` stage
+  /// tracer under its heat mutex, released on return so a scan
+  /// continuing into the next shard never holds two (locks are only ever
+  /// taken in increasing shard order, so no cycle either way).
   int ScanShard(Shard& shard, TreeSlot& slot, K key, int max_matches,
-                KeyValue<K>* out) {
+                std::vector<KeyValue<K>>* out) {
+    const RegularBTree<K>& tree = slot.tree.host_tree();
+    const int limit = static_cast<int>(
+        std::min(static_cast<std::size_t>(max_matches), tree.size()));
+    const std::size_t base = out->size();
+    out->resize(base + static_cast<std::size_t>(limit));
 #if HBTREE_OBS_HEAT
     std::lock_guard<std::mutex> heat_lock(shard.heat_pipeline->mu);
-    return slot.tree.host_tree().RangeScan(key, max_matches, out,
-                                           &shard.heat_pipeline->scan);
+    const int found = tree.RangeScan(key, limit, out->data() + base,
+                                     &shard.heat_pipeline->scan);
 #else
     (void)shard;
-    return slot.tree.host_tree().RangeScan(key, max_matches, out);
+    const int found = tree.RangeScan(key, limit, out->data() + base);
 #endif
+    out->resize(base + static_cast<std::size_t>(found));
+    return found;
   }
 
   void ReadLoop(Shard& shard, int worker_index) {
@@ -1360,20 +1342,13 @@ class Server {
     std::vector<std::size_t> key_op;  // bucket position of keys[i]
     std::vector<LookupResult<K>> results;
     for (;;) {
-      // The adaptive controller may resize the shard's effective M
-      // between windows; each window reads the current value once.
-      std::size_t bucket_size;
-      {
-        std::lock_guard<std::mutex> lock(shard.adapt_mutex);
-        bucket_size = static_cast<std::size_t>(shard.effective_bucket);
-      }
       batch.clear();
       std::size_t n;
       {
         HBTREE_TRACE_SPAN("bucket.fill", "serve");
-        n = shard.read_queue.PopBatch(&batch, bucket_size,
-                                      std::chrono::microseconds(10'000),
-                                      fill_wait);
+        n = shard.read_queue.PopBatch(
+            &batch, static_cast<std::size_t>(options_.bucket_size),
+            std::chrono::microseconds(10'000), fill_wait);
       }
       if (n == 0) {
         if (shard.read_queue.closed() && shard.read_queue.size() == 0) {
@@ -1383,13 +1358,9 @@ class Server {
       }
 
       // Load shedding: an op whose deadline passed while it queued gets a
-      // typed timeout now instead of a stale-but-late answer. Ops whose
-      // remaining budget is under the fill window count as
-      // deadline-tight: they made it, but another window of batching
-      // would have shed them — a shrink signal for the controller.
+      // typed timeout now instead of a stale-but-late answer.
       const Clock::time_point now = Clock::now();
       std::size_t live = 0;
-      std::size_t tight = 0;
       for (std::size_t i = 0; i < batch.size(); ++i) {
         if (now > batch[i].deadline) {
           CountShed(shard, batch[i]);
@@ -1397,20 +1368,10 @@ class Server {
                  Status::DeadlineExceeded("read deadline passed in queue"));
           continue;
         }
-        if (batch[i].deadline != Clock::time_point::max() &&
-            batch[i].deadline - now < fill_wait) {
-          ++tight;
-        }
         if (live != i) batch[live] = std::move(batch[i]);
         ++live;
       }
       batch.resize(live);
-      // Backlog left behind after this pop: a half-empty window with
-      // ops still queued means a co-worker drained the other half (or
-      // arrivals outpace this worker), not light load — only a window
-      // that expired with the queue drained votes shrink.
-      AdaptBucket(shard, n, bucket_size, tight, live,
-                  shard.read_queue.size());
       if (batch.empty()) continue;
 
       // Queue wait (push -> dispatch), per op: the shard-imbalance
@@ -1502,9 +1463,8 @@ class Server {
           // 5.4), so it runs host-side here. A scan exhausting this
           // shard's range continues into the next shard's snapshot,
           // pinned as it enters (per-shard consistency; see class docs).
-          out[i].range.resize(batch[i].max_matches);
           int matched = ScanShard(shard, slot, batch[i].key,
-                                  batch[i].max_matches, out[i].range.data());
+                                  batch[i].max_matches, &out[i].range);
           for (std::size_t next = static_cast<std::size_t>(shard.index) + 1;
                matched < batch[i].max_matches && next < shards_.size();
                ++next) {
@@ -1512,9 +1472,8 @@ class Server {
             matched += ScanShard(*shards_[next], next_guard.slot(),
                                  shard_bounds_[next - 1],
                                  batch[i].max_matches - matched,
-                                 out[i].range.data() + matched);
+                                 &out[i].range);
           }
-          out[i].range.resize(matched);
         }
       }
 
@@ -1689,53 +1648,6 @@ class Server {
     }
   }
 
-  /// Adaptive bucket controller, one vote per fill window. `popped` is
-  /// what the window actually shipped against an effective M of
-  /// `window_m`; `tight`/`live` count deadline-tight vs dispatched ops.
-  /// Repeated half-empty or deadline-tight windows halve M (bounded by
-  /// the adapt floor) — a bucket the arrival rate cannot fill only adds
-  /// fill-window latency and per-op fixed cost; repeated full windows
-  /// double it back (bounded by the configured M, so the startup bucket
-  /// buffers always suffice).
-  void AdaptBucket(Shard& shard, std::size_t popped, std::size_t window_m,
-                   std::size_t tight, std::size_t live,
-                   std::size_t backlog) {
-    std::lock_guard<std::mutex> lock(shard.adapt_mutex);
-    if (static_cast<std::size_t>(shard.effective_bucket) != window_m) {
-      return;  // a co-worker resized mid-window; this vote is stale
-    }
-    const bool half_empty = popped * 2 < window_m && backlog == 0;
-    const bool deadline_tight = live > 0 && tight * 4 >= live;
-    if (half_empty || deadline_tight) {
-      shard.grow_streak = 0;
-      if (++shard.shrink_streak >= kAdaptShrinkAfter &&
-          shard.effective_bucket > adapt_floor_) {
-        shard.effective_bucket =
-            std::max(adapt_floor_, shard.effective_bucket / 2);
-        shard.shrink_streak = 0;
-        m_shrinks_.Increment();
-        shard.m_shrinks->Increment();
-        shard.bucket_m->Set(static_cast<double>(shard.effective_bucket));
-        HBTREE_TRACE_INSTANT("bucket.m_shrink", "serve");
-      }
-    } else if (popped >= window_m) {
-      shard.shrink_streak = 0;
-      if (++shard.grow_streak >= kAdaptGrowAfter &&
-          shard.effective_bucket < options_.bucket_size) {
-        shard.effective_bucket =
-            std::min(options_.bucket_size, shard.effective_bucket * 2);
-        shard.grow_streak = 0;
-        m_grows_.Increment();
-        shard.m_grows->Increment();
-        shard.bucket_m->Set(static_cast<double>(shard.effective_bucket));
-        HBTREE_TRACE_INSTANT("bucket.m_grow", "serve");
-      }
-    } else {
-      shard.shrink_streak = 0;
-      shard.grow_streak = 0;
-    }
-  }
-
   // -- Segment temperature (heat observability) ---------------------------
 
   static void AccumulatePool(obs::PoolTemperature* total,
@@ -1806,8 +1718,6 @@ class Server {
   /// Immutable after Init.
   std::vector<TenantSpec> tenants_ = DefaultTenants();
   std::vector<TenantHandles> tenant_metrics_;
-  /// Smallest effective bucket the adaptive controller may reach.
-  int adapt_floor_ = 1;
 
   /// Key-range shards (stable addresses: workers hold references).
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -1841,8 +1751,6 @@ class Server {
   obs::Counter& shed_reads_ = metrics_.counter("serve.shed_reads");
   obs::Counter& shed_updates_ = metrics_.counter("serve.shed_updates");
   obs::Counter& degraded_sheds_ = metrics_.counter("serve.degraded_sheds");
-  obs::Counter& m_shrinks_ = metrics_.counter("serve.m_shrinks");
-  obs::Counter& m_grows_ = metrics_.counter("serve.m_grows");
   obs::Counter& transfer_retries_ =
       metrics_.counter("serve.transfer_retries");
   obs::Counter& kernel_retries_ = metrics_.counter("serve.kernel_retries");

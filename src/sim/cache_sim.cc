@@ -22,20 +22,6 @@ CacheLevel::CacheLevel(const Config& config) : config_(config) {
 
 void CacheLevel::Flush() { tags_.assign(tags_.size(), 0); }
 
-const char* HitLevelName(HitLevel level) {
-  switch (level) {
-    case HitLevel::kL1:
-      return "L1";
-    case HitLevel::kL2:
-      return "L2";
-    case HitLevel::kL3:
-      return "L3";
-    case HitLevel::kMemory:
-      return "memory";
-  }
-  return "unknown";
-}
-
 CacheHierarchy::CacheHierarchy(std::vector<CacheLevel::Config> levels) {
   HBTREE_CHECK(!levels.empty());
   line_size_ = levels[0].line_size;

@@ -76,8 +76,6 @@ class CacheLevel {
 /// Which level of the hierarchy served an access.
 enum class HitLevel { kL1 = 0, kL2 = 1, kL3 = 2, kMemory = 3 };
 
-const char* HitLevelName(HitLevel level);
-
 /// An inclusive multi-level cache hierarchy (L1 → L2 → LLC → memory).
 class CacheHierarchy {
  public:

@@ -22,19 +22,6 @@ const char* DatasetKindName(DatasetKind kind) {
   return "unknown";
 }
 
-bool ParseDatasetKind(const std::string& name, DatasetKind* out) {
-  if (name == "sequential") {
-    *out = DatasetKind::kSequential;
-  } else if (name == "uniform") {
-    *out = DatasetKind::kUniform;
-  } else if (name == "osm") {
-    *out = DatasetKind::kOsm;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 Key64 BootstrapValue(Key64 key, std::uint64_t value_seed) {
   std::uint64_t state = key ^ value_seed;
   return SplitMix64(state);

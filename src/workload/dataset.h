@@ -24,9 +24,6 @@ enum class DatasetKind {
 
 const char* DatasetKindName(DatasetKind kind);
 
-/// Parses "sequential" / "uniform" / "osm"; false on anything else.
-bool ParseDatasetKind(const std::string& name, DatasetKind* out);
-
 /// The bootstrap record set a workload runs against, sorted by key and
 /// duplicate-free, plus the policy for minting fresh insert keys.
 struct BootstrapDataset {

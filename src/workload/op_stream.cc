@@ -6,22 +6,6 @@
 
 namespace hbtree::workload {
 
-const char* OpKindName(OpKind kind) {
-  switch (kind) {
-    case OpKind::kRead:
-      return "read";
-    case OpKind::kUpdate:
-      return "update";
-    case OpKind::kInsert:
-      return "insert";
-    case OpKind::kScan:
-      return "scan";
-    case OpKind::kReadModifyWrite:
-      return "rmw";
-  }
-  return "unknown";
-}
-
 namespace {
 
 std::uint64_t ClientSeed(std::uint64_t seed, int client) {

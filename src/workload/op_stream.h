@@ -20,8 +20,6 @@ enum class OpKind : std::uint8_t {
   kReadModifyWrite,  // dependent read-then-write of an existing key
 };
 
-const char* OpKindName(OpKind kind);
-
 struct Op {
   OpKind kind = OpKind::kRead;
   Key64 key = 0;

@@ -207,10 +207,10 @@ TEST(BenchReport, SloMaxBurnReportsTheWorstObjective) {
   serve::ServeStats stats;
   obs::SloStatus mild;
   mild.name = "a";
-  mild.burn_short = 0.5;
+  mild.burn = 0.5;
   obs::SloStatus hot;
   hot.name = "b";
-  hot.burn_short = 3.25;
+  hot.burn = 3.25;
   stats.slos = {mild, hot};
   BenchReport report("unit");
   report.AddServeStatsRow(report.AddRow(), stats);

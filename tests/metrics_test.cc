@@ -353,7 +353,6 @@ TEST(SloTracker, RatioTargetBurnsWhenBadCountersOutpaceTheBudget) {
   spec.bad_counters = {"test.shed"};
   spec.total_counters = {"test.served", "test.shed"};
   spec.budget = 0.01;
-  spec.long_windows = 3;
   tracker.AddTarget(spec);
 
   // Window 1: 5% shed — five times over a 1% budget.
@@ -363,28 +362,27 @@ TEST(SloTracker, RatioTargetBurnsWhenBadCountersOutpaceTheBudget) {
   std::vector<SloStatus> status = tracker.Status();
   ASSERT_EQ(status.size(), 1u);
   EXPECT_NEAR(status[0].bad_fraction, 0.05, 1e-9);
-  EXPECT_NEAR(status[0].burn_short, 5.0, 1e-9);
-  EXPECT_TRUE(status[0].burning);  // long window == the one bad window
+  EXPECT_NEAR(status[0].burn, 5.0, 1e-9);
+  EXPECT_TRUE(status[0].burning());
 
-  // Two clean windows: the short burn clears; the long window still
-  // carries the earlier damage, so the page-worthy AND goes quiet.
+  // Two clean windows dilute the damage but do not erase it: the burn
+  // covers everything observed, 5 bad of 300 against a 1% budget.
   for (int i = 0; i < 2; ++i) {
     served.Add(100);
     tracker.Observe(registry.CollectWindow());
   }
   status = tracker.Status();
-  EXPECT_DOUBLE_EQ(status[0].burn_short, 0.0);
-  EXPECT_GT(status[0].burn_long, 1.0);  // 5 bad of ~305 total / 1% budget
-  EXPECT_FALSE(status[0].burning);
-  EXPECT_EQ(status[0].windows, 3u);
+  EXPECT_NEAR(status[0].bad_fraction, 5.0 / 300.0, 1e-9);
+  EXPECT_NEAR(status[0].burn, 5.0 / 300.0 / 0.01, 1e-9);
+  EXPECT_TRUE(status[0].burning());
 
   // Burn gauges ride the registry for every exporter.
   const MetricsSnapshot snap = registry.Collect();
   bool found = false;
   for (const auto& [name, value] : snap.gauges) {
-    if (name == "slo.shed_ratio.burn_long") {
+    if (name == "slo.shed_ratio.burn") {
       found = true;
-      EXPECT_GT(value, 1.0);
+      EXPECT_NEAR(value, 5.0 / 300.0 / 0.01, 1e-9);
     }
   }
   EXPECT_TRUE(found);
@@ -405,16 +403,17 @@ TEST(SloTracker, LatencyTargetReadsTheWindowHistogram) {
   // A window comfortably under the threshold: no burn.
   for (int i = 0; i < 1000; ++i) lat.Record(10'000);  // 10us
   tracker.Observe(registry.CollectWindow());
-  EXPECT_DOUBLE_EQ(tracker.Status()[0].burn_short, 0.0);
+  EXPECT_DOUBLE_EQ(tracker.Status()[0].burn, 0.0);
 
   // A window whose tail blows through 100us: the estimated bad fraction
-  // exceeds the 1% budget and the short burn lights up.
+  // of the two windows together exceeds the 1% budget and the burn
+  // lights up.
   for (int i = 0; i < 900; ++i) lat.Record(10'000);
   for (int i = 0; i < 100; ++i) lat.Record(1'000'000);  // 1ms tail
   tracker.Observe(registry.CollectWindow());
   const SloStatus status = tracker.Status()[0];
   EXPECT_GT(status.bad_fraction, 0.01);
-  EXPECT_GT(status.burn_short, 1.0);
+  EXPECT_GT(status.burn, 1.0);
 }
 
 TEST(ServeStats, ToStringReportsSloBurnState) {
@@ -423,10 +422,7 @@ TEST(ServeStats, ToStringReportsSloBurnState) {
   slo.name = "read_p99";
   slo.budget = 0.01;
   slo.bad_fraction = 0.05;
-  slo.burn_short = 5.0;
-  slo.burn_long = 2.0;
-  slo.windows = 4;
-  slo.burning = true;
+  slo.burn = 5.0;
   stats.slos.push_back(slo);
   const std::string text = stats.ToString();
   EXPECT_NE(text.find("slo read_p99"), std::string::npos);

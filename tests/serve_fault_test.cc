@@ -186,6 +186,7 @@ TEST(ServeFault, FaultyDeviceServesExactResultsAndBreakerCycles) {
   ASSERT_TRUE(closed) << "breaker never closed in " << rounds << " rounds";
 
   server.Shutdown();
+  EXPECT_TRUE(server.ValidateTrees());
   const serve::ServeStats stats = server.Stats();
   EXPECT_GT(stats.faults_injected, 0u);
   EXPECT_GE(stats.device_faults, 1u);
@@ -268,6 +269,7 @@ TEST(ServeFault, RetriesAbsorbTransientFaults) {
   for (auto& f : window) ASSERT_TRUE(f.get().status.ok());
 
   server.Shutdown();
+  EXPECT_TRUE(server.ValidateTrees());
   const serve::ServeStats stats = server.Stats();
   EXPECT_GT(stats.faults_injected, 0u);
   EXPECT_GT(stats.transfer_retries, 0u);
@@ -299,6 +301,7 @@ TEST(ServeFault, ExpiredDeadlinesShedTyped) {
   EXPECT_TRUE(served.lookup.found);
 
   server.Shutdown();
+  EXPECT_TRUE(server.ValidateTrees());
   const serve::ServeStats stats = server.Stats();
   EXPECT_GE(stats.shed_reads, 1u);
   EXPECT_GE(stats.shed_updates, 1u);
@@ -429,6 +432,7 @@ TEST(ServeFault, DegradedModeShedsLowPriorityBeforeHigh) {
   }
 
   server.Shutdown();
+  EXPECT_TRUE(server.ValidateTrees());
   const serve::ServeStats stats = server.Stats();
   ASSERT_EQ(stats.tenants.size(), 2u);
   // Strict precedence: some low-priority sheds happened, zero

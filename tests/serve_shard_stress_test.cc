@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <map>
 #include <random>
 #include <thread>
@@ -160,11 +161,37 @@ TEST(ServeShardStress, DifferentialVsStdMapAcrossShards) {
   }
 
   server.Shutdown();
+  EXPECT_TRUE(server.ValidateTrees());
   serve::ServeStats stats = server.Stats();
   EXPECT_EQ(stats.num_shards, 4);
   EXPECT_EQ(stats.num_read_workers, 2);
   EXPECT_EQ(stats.updates,
             static_cast<std::uint64_t>(kRounds) * kUpdatesPerRound);
+}
+
+// A range asking for more pairs than the tree holds is a valid request:
+// the reply grows with the pairs found, not with `max_matches`, so it
+// resolves with every bootstrap pair across all four shards, in key
+// order.
+TEST(ServeShardStress, RangeBeyondTheKeyCountReturnsEveryPair) {
+  auto data = BootstrapDataset();
+  Status status;
+  auto server_ptr =
+      serve::Server<Key64>::Create(ShardedOptions(), data, &status);
+  ASSERT_NE(server_ptr, nullptr) << status.message();
+  serve::Server<Key64>& server = *server_ptr;
+
+  const serve::ReadResult<Key64> result =
+      server.SubmitRange(1, std::numeric_limits<int>::max()).get();
+  ASSERT_TRUE(result.status.ok()) << result.status.message();
+  ASSERT_EQ(result.range.size(), data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    ASSERT_EQ(result.range[i].key, data[i].key) << "pair " << i;
+    ASSERT_EQ(result.range[i].value, data[i].value) << "pair " << i;
+  }
+
+  server.Shutdown();
+  EXPECT_TRUE(server.ValidateTrees());
 }
 
 // Read-your-writes per client within a shard, on the sharded topology:
@@ -229,6 +256,7 @@ TEST(ServeShardStress, ConcurrentChurnReadYourWritesPerClient) {
   for (auto& t : readers) t.join();
 
   server.Shutdown();
+  EXPECT_TRUE(server.ValidateTrees());
   serve::ServeStats stats = server.Stats();
   EXPECT_EQ(stats.shed_reads, 0u);
   EXPECT_EQ(stats.shed_updates, 0u);
@@ -266,6 +294,7 @@ TEST(ServeShardStress, PerShardMetricsReconcileWithGlobals) {
             .status.ok());
   }
   server.Shutdown();
+  EXPECT_TRUE(server.ValidateTrees());
 
   const obs::MetricsSnapshot snapshot = server.metrics().Collect();
   std::uint64_t shard_buckets = 0;
@@ -388,6 +417,7 @@ TEST(ServeShardStress, ExemplarsReconcileAcrossShards) {
   }
   for (auto& t : clients) t.join();
   server.Shutdown();
+  EXPECT_TRUE(server.ValidateTrees());
   obs::TraceSession::Stop();
 
   const obs::MetricsSnapshot snapshot = server.metrics().Collect();
@@ -418,8 +448,8 @@ TEST(ServeShardStress, ExemplarsReconcileAcrossShards) {
 }
 
 // Shutdown() collects the run's one metrics window: it feeds every SLO
-// exactly once, and it covers every served lookup, so no lookup is left
-// for a later window.
+// (each publishes its burn gauge), and it covers every served lookup, so
+// no lookup is left for a later window.
 TEST(ServeShardStress, ShutdownWindowFeedsEverySloOnce) {
   constexpr int kLookups = 600;
 
@@ -435,14 +465,21 @@ TEST(ServeShardStress, ShutdownWindowFeedsEverySloOnce) {
         server.SubmitLookup(2 * (1 + i % kBootstrap)).get().status.ok());
   }
   server.Shutdown();
+  EXPECT_TRUE(server.ValidateTrees());
 
   const serve::ServeStats stats = server.Stats();
   ASSERT_FALSE(stats.slos.empty());
+  const obs::MetricsSnapshot snapshot = server.metrics().Collect();
   for (const obs::SloStatus& slo : stats.slos) {
-    EXPECT_EQ(slo.windows, 1u) << slo.name;
-    EXPECT_FALSE(slo.burning) << slo.name;
+    const std::string gauge = "slo." + slo.name + ".burn";
+    bool published = false;
+    for (const auto& [name, value] : snapshot.gauges) {
+      if (name == gauge) published = true;
+    }
+    EXPECT_TRUE(published) << gauge;
+    EXPECT_FALSE(slo.burning()) << slo.name;
   }
-  EXPECT_EQ(server.metrics().Collect().counter_or("serve.lookups"),
+  EXPECT_EQ(snapshot.counter_or("serve.lookups"),
             static_cast<std::uint64_t>(kLookups));
   EXPECT_EQ(server.metrics().CollectWindow().counter_or("serve.lookups"),
             0u);

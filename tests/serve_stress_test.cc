@@ -151,6 +151,7 @@ TEST(ServeStress, InsertOnlyLinearization) {
   // loops fulfil promises *before* bumping the counters, so stats read
   // right after the last .get() could lag by a few operations.
   server.Shutdown();
+  EXPECT_TRUE(server.ValidateTrees());
   serve::ServeStats stats = server.Stats();
   EXPECT_EQ(stats.lookups,
             static_cast<std::uint64_t>(kClients) * kItersPerClient);
@@ -255,6 +256,7 @@ TEST(ServeStress, MixedChurnKeepsStableRegionExact) {
   }
 
   server.Shutdown();
+  EXPECT_TRUE(server.ValidateTrees());
   serve::ServeStats stats = server.Stats();
   EXPECT_EQ(stats.lookups + stats.ranges,
             static_cast<std::uint64_t>(kClients) * kItersPerClient +
@@ -275,6 +277,7 @@ TEST(ServeStress, SubmitAfterShutdownRejectsViaFuture) {
   ASSERT_TRUE(server.Lookup(1).found);
 
   server.Shutdown();
+  EXPECT_TRUE(server.ValidateTrees());
   auto read = server.SubmitLookup(1).get();
   EXPECT_EQ(read.status.code(), StatusCode::kUnavailable);
   auto update = server.SubmitUpdate(Insert(kDynBase)).get();
@@ -337,6 +340,7 @@ TEST(ServeStress, LookupChargesTheOfflinePipeline) {
   ASSERT_NE(server, nullptr);
   ASSERT_TRUE(server->SubmitLookup(17).get().status.ok());
   server->Shutdown();
+  EXPECT_TRUE(server->ValidateTrees());
 
   OfflineTwin twin(options, data);
   PipelineConfig config;
@@ -364,6 +368,7 @@ TEST(ServeStress, CommitModelsThePlatformThreads) {
   ASSERT_TRUE(server->SubmitUpdate(Insert(kDynBase + 1)).get().status.ok());
   // The commit's modelled charge lands after its future resolves.
   server->Shutdown();
+  EXPECT_TRUE(server->ValidateTrees());
 
   OfflineTwin twin(options, data);
   BatchUpdateConfig config;
@@ -374,42 +379,6 @@ TEST(ServeStress, CommitModelsThePlatformThreads) {
                                 serve::kUpdateMethod, config, &offline)
                   .ok());
   EXPECT_EQ(server->Stats().sim_update_us, offline.total_us);
-}
-
-// The adaptive controller must halve the effective bucket M under
-// sustained half-empty fill windows and restore it under sustained full
-// ones (serve::kAdaptShrinkAfter / kAdaptGrowAfter); both decision
-// counters surface in ServeStats.
-TEST(ServeStress, AdaptiveBucketShrinksAndRecovers) {
-  serve::ServerOptions options = StressOptions();
-  options.bucket_size = 4096;
-  options.min_sub_bucket = 64;
-  options.adapt_min_bucket = 64;
-  auto data = StableDataset();
-  auto server_ptr = serve::Server<Key64>::Create(options, data);
-  ASSERT_NE(server_ptr, nullptr);
-  serve::Server<Key64>& server = *server_ptr;
-
-  // Trickle: each lookup is waited on, so every fill window ships with
-  // a single op — far below M/2 — and votes shrink.
-  for (std::uint64_t i = 0; i < 32; ++i) {
-    const auto r = server.SubmitLookup(1 + (i % kStable)).get();
-    ASSERT_TRUE(r.status.ok());
-  }
-  const serve::ServeStats mid = server.Stats();
-  EXPECT_GT(mid.bucket_shrinks, 0u);
-  EXPECT_EQ(mid.bucket_grows, 0u);
-
-  // Flood: a deep closed-loop backlog keeps the queue fuller than the
-  // (now shrunken) effective M, so windows ship full and M grows back.
-  std::vector<std::future<serve::ReadResult<Key64>>> pending;
-  pending.reserve(64 * 1024);
-  for (std::uint64_t i = 0; i < 64 * 1024; ++i) {
-    pending.push_back(server.SubmitLookup(1 + (i % kStable)));
-  }
-  for (auto& f : pending) ASSERT_TRUE(f.get().status.ok());
-  const serve::ServeStats end = server.Stats();
-  EXPECT_GT(end.bucket_grows, 0u);
 }
 
 // Read-your-writes: once an update's future resolved, a subsequently
@@ -450,6 +419,7 @@ TEST(ServeStress, ReadYourWrites) {
   for (auto& t : writers) t.join();
 
   server.Shutdown();
+  EXPECT_TRUE(server.ValidateTrees());
   serve::ServeStats stats = server.Stats();
   EXPECT_EQ(stats.shed_reads, 0u);
   EXPECT_EQ(stats.shed_updates, 0u);

@@ -328,6 +328,7 @@ void RunDifferential(const std::string& scenario_name) {
   EXPECT_EQ(stats.shed_reads, 0u);
   EXPECT_EQ(stats.shed_updates, 0u);
   server->Shutdown();
+  EXPECT_TRUE(server->ValidateTrees());
 }
 
 TEST(ServeWorkload, DifferentialYcsbA) { RunDifferential("ycsb_a"); }
@@ -418,6 +419,7 @@ TEST(ServeWorkload, ZipfianSkewConcentratesTrafficOnShardZero) {
     }
   }
   server->Shutdown();
+  EXPECT_TRUE(server->ValidateTrees());
 }
 
 // Load shedding under skew must surface on the overloaded shard's
@@ -494,6 +496,7 @@ TEST(ServeWorkload, SheddingConcentratesOnTheHotShard) {
   const serve::ServeStats stats = server->Stats();
   EXPECT_EQ(stats.shed_reads, shed);
   server->Shutdown();
+  EXPECT_TRUE(server->ValidateTrees());
 }
 
 }  // namespace
