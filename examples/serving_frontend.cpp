@@ -69,6 +69,8 @@ int main() {
   });
   for (auto& t : clients) t.join();
 
+  // Shutdown() evaluates the SLOs the stats print.
+  server.Shutdown();
   std::printf("%s\n", server.Stats().ToString().c_str());
   return 0;
 }

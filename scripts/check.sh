@@ -282,8 +282,10 @@ run_heat() {
   # reconcile (per-level kernel node loads in [1, queries], collapsing
   # below one load per query), the keyspace heatmap must attribute >= 90%
   # of the modelled hot mass to the injected hot prefix — with no false
-  # hot range on the flat workload — and the kernel block must record
-  # launches (--heat-verdicts).
+  # hot range on the flat workload — the kernel block must record
+  # launches, and on every scan-free mix (all three here) every inner-pool
+  # segment must be cold and at least one leaf-pool segment hot, the
+  # paper's I-/L-segment split (--heat-verdicts).
   for s in zipfian hotspot uniform; do
     ./build/bench/ycsb_workloads --scenario="$s" --out_dir=build/HEAT
   done

@@ -50,7 +50,12 @@ Every such report must also record accesses and GPU kernel launches
 device, so an empty kernel block means the pipeline stopped reporting
 into the heat sink. The prefix boundary assumes the sequential bootstrap
 layout the workload harness uses (key of record i is (i+1) * 8, see
-workload/dataset.cc); meta.n supplies the record count.
+workload/dataset.cc); meta.n supplies the record count. A report whose
+mix has no scans (meta.mix "s0", as in the three YCSB-B scenarios) must
+also show the paper's I-/L-segment split in its pools: serving never
+pre-descends, so no traced CPU stage reads an inner-pool node, and every
+heat.pools.inner segment must be cold while at least one heat.pools.leaf
+segment is hot.
 
 With --same-code BINARY BASELINE CANDIDATE the two functions of BINARY
 whose demangled names match the regexes BASELINE and CANDIDATE (nm) must
@@ -891,6 +896,19 @@ def heat_uniform(doc):
              f"control must have none")]
 
 
+def pool_placement(heat):
+    pools = heat.get("pools", {})
+    inner = pools.get("inner", {"segments": 0, "cold": 0})
+    leaf = pools.get("leaf", {"segments": 0, "hot": 0})
+    return [(inner["segments"] > 0 and inner["cold"] == inner["segments"],
+             f"heat.pools.inner: {inner['cold']} of {inner['segments']} "
+             f"segments cold (all must be: without scans no traced CPU "
+             f"stage reads an inner node)"),
+            (leaf["hot"] > 0,
+             f"heat.pools.leaf: {leaf['hot']} of {leaf['segments']} "
+             f"segments hot")]
+
+
 HEAT_VERDICTS = {
     "zipfian": heat_zipfian,
     "hotspot": heat_hotspot,
@@ -912,6 +930,8 @@ def check_heat_verdicts(path, doc):
                f"the heat section recorded {heat['keyspace']['total']} "
                f"accesses"),
               (launches > 0, f"heat.kernel records {launches} launches")]
+    if "/s0/" in doc["meta"].get("mix", ""):
+        claims += pool_placement(heat)
     try:
         claims += verdict(doc)
     except KeyError as e:

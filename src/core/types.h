@@ -57,6 +57,21 @@ struct LookupResult {
   friend bool operator==(const LookupResult&, const LookupResult&) = default;
 };
 
+/// A range query: scan starting at `first_key`, returning up to
+/// `match_count` pairs (Figure 17 fixes the number of matching keys).
+template <typename K>
+struct RangeQuery {
+  K first_key;
+  int match_count;
+};
+
+/// An update request: insert or delete one pair (Section 5.6).
+template <typename K>
+struct UpdateQuery {
+  enum class Kind { kInsert, kDelete } kind;
+  KeyValue<K> pair;
+};
+
 }  // namespace hbtree
 
 #endif  // HBTREE_CORE_TYPES_H_

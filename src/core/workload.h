@@ -40,27 +40,12 @@ std::vector<K> MakeDistributedQueries(std::size_t count,
                                       Distribution distribution,
                                       std::uint64_t seed);
 
-/// A range query: scan starting at `first_key`, returning up to
-/// `match_count` pairs (Figure 17 fixes the number of matching keys).
-template <typename K>
-struct RangeQuery {
-  K first_key;
-  int match_count;
-};
-
 /// Builds range queries whose start keys exist in the dataset, each asking
 /// for exactly `match_count` matches.
 template <typename K>
 std::vector<RangeQuery<K>> MakeRangeQueries(
     const std::vector<KeyValue<K>>& dataset, std::size_t count,
     int match_count, std::uint64_t seed);
-
-/// An update request for the batch update experiments (Section 5.6).
-template <typename K>
-struct UpdateQuery {
-  enum class Kind { kInsert, kDelete } kind;
-  KeyValue<K> pair;
-};
 
 /// Builds a batch of updates: `insert_fraction` inserts of fresh keys (not
 /// in the dataset), the rest deletions of existing keys.

@@ -10,7 +10,7 @@
 
 #include "core/macros.h"
 #include "core/status.h"
-#include "core/workload.h"
+#include "core/types.h"
 #include "fault/retry.h"
 #include "hybrid/bucket_pipeline.h"
 #include "hybrid/hb_regular.h"

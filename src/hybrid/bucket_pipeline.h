@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -56,13 +55,13 @@ struct PipelineConfig {
   /// Level-wise batch dispatch (DESIGN.md §14) is always on: the implicit
   /// and regular kernels resolve each run of consecutive queries sharing
   /// an inner node with one modelled node load per level, and lookups on
-  /// those trees may sort a bucket by key so the runs form (a per-bucket
-  /// decision, see RunPipelineChecked). Results are written back in the
-  /// caller's original query order.
+  /// those trees may sort their buckets by key so the runs form (decided
+  /// once per run from bucket 0, see RunPipelineChecked). Results are
+  /// written back in the caller's original query order.
   static constexpr bool level_wise = true;
   /// Modelled CPU cost of the bucket key sort, µs per query (charged to
   /// the pre-GPU stage of every sorted bucket).
-  double sort_us_per_query = kSortUsPerQuery;
+  static constexpr double sort_us_per_query = kSortUsPerQuery;
 
   // -- Load balancing (Section 5.5). Defaults = all inner levels on GPU. --
   int cpu_descend_levels = 0;    // D
@@ -121,9 +120,9 @@ struct PipelineStats {
   std::uint64_t transfer_retries = 0;
   std::uint64_t kernel_retries = 0;
   /// Buckets staged in key order (RunPipelineChecked): 0 when the caller
-  /// does not sort, 1 for a sorted one-bucket run; in a longer run the
-  /// bucket-1 probe when an ideal sort would have shortened the unsorted
-  /// bucket 0, plus every later bucket when that probe's period won.
+  /// does not sort, 1 for a sorted one-bucket run; in a longer run every
+  /// bucket after bucket 0 when an ideal sort would have shortened the
+  /// unsorted bucket 0's period, else none.
   std::uint64_t sorted_buckets = 0;
 };
 
@@ -414,12 +413,10 @@ void RunStage(obs::PipelineHeat* heat, HeatStage stage, Loop&& loop) {
 ///
 /// `sort` allows staging buckets in key order so the kernel's run dedup
 /// fires, at `sort_us_per_query` on the CPU side. A one-bucket run sorts.
-/// In a longer run the order is decided per bucket (DESIGN.md §14), on
-/// fault-free periods per query (Scheduler::Period): bucket 0 runs
-/// unsorted; bucket 1 runs sorted as a probe only if an ideal sort (kernel
-/// time 0, the sort charge on the CPU stage) would have shortened bucket
-/// 0's period; every later bucket takes the order whose probe had the
-/// shorter period.
+/// A longer run decides once, on fault-free periods (Scheduler::Period,
+/// DESIGN.md §14): bucket 0 runs unsorted, and every later bucket sorts
+/// exactly when an ideal sort of bucket 0 (kernel time 0, the sort charge
+/// on the CPU stage) would have shortened bucket 0's period.
 template <typename K, typename Adapter, typename Finish>
 Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
                           std::size_t count, const PipelineConfig& config,
@@ -470,12 +467,10 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
   // through `order` so callers keep their original query order.
   std::vector<std::uint32_t> order(sort ? m : 0);
   std::vector<K> sorted_q(sort ? m : 0);
-  // Fault-free period per query of the unsorted bucket 0 and of bucket 0
-  // under an ideal sort, then of the sorted bucket-1 probe (infinite when
-  // bucket 1 did not sort).
-  const bool probing = sort && count > m;
-  double unsorted_us = 0, ideal_sort_us = 0;
-  double sorted_us = std::numeric_limits<double>::infinity();
+  // Whether the buckets after the unsorted bucket 0 sort; bucket 0
+  // decides it.
+  const bool deciding = sort && count > m;
+  bool sort_later = false;
   std::size_t buckets = 0;
   double end = 0;
   double latency_sum = 0;
@@ -493,11 +488,7 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
     const std::uint32_t n =
         static_cast<std::uint32_t>(std::min<std::size_t>(m, count - base));
     const std::size_t b = buckets++;
-    bool sorted = sort;
-    if (probing) {
-      sorted = b == 1 ? ideal_sort_us < unsorted_us
-                      : b >= 2 && sorted_us < unsorted_us;
-    }
+    const bool sorted = deciding ? sort_later : sort;
     if (sorted) ++stats.sorted_buckets;
     if (sort && config.heat != nullptr) {
       std::lock_guard<std::mutex> lock(config.heat->mu);
@@ -644,15 +635,10 @@ Status RunPipelineChecked(typename Adapter::Tree& tree, const K* queries,
       }
     });
     const double t4 = n / config.cpu_queries_per_us;
-    if (probing && b < 2) {
-      const double period =
-          scheduler.Period(tpre, t1_fault_free, kt.total_us, t4);
-      (sorted ? sorted_us : unsorted_us) = period / n;
-      if (b == 0) {
-        ideal_sort_us = scheduler.Period(tpre + n * config.sort_us_per_query,
-                                         t1_fault_free, 0, t4) /
-                        n;
-      }
+    if (deciding && b == 0) {
+      sort_later = scheduler.Period(tpre + n * config.sort_us_per_query,
+                                    t1_fault_free, 0, t4) <
+                   scheduler.Period(tpre, t1_fault_free, kt.total_us, t4);
     }
 
     // -- Schedule on the simulated platform -------------------------------
@@ -742,8 +728,9 @@ inline void CheckPipelineOk(const Status& status) {
 /// the CPU-only pipelined search, Section 4.2).
 ///
 /// Implicit and regular lookups may sort their buckets so the kernel's
-/// run dedup fires (RunPipelineChecked decides per bucket); HB-FAST's
-/// block search is already layout-coalesced and its buckets go unsorted.
+/// run dedup fires (RunPipelineChecked decides once per run from bucket
+/// 0); HB-FAST's block search is already layout-coalesced and its buckets
+/// go unsorted.
 template <typename K>
 Status TryRunSearchPipeline(HBImplicitTree<K>& tree, const K* queries,
                             std::size_t count, const PipelineConfig& config,

@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/workload.h"
+#include "core/types.h"
 #include "hybrid/bucket_pipeline.h"
 
 namespace hbtree {

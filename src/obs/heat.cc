@@ -78,36 +78,13 @@ std::uint64_t LevelHeatTracer::total_bytes() const {
   return total;
 }
 
-PoolTemperature SegmentTemperature::Observe(
-    const std::vector<std::uint64_t>& cumulative) {
-  // A shrink or a counter going backwards means the underlying pool was
-  // rebuilt (Clear()) or a different snapshot instance is being observed:
-  // restart history rather than report nonsense deltas.
-  bool reset = cumulative.size() < prev_.size();
-  for (std::size_t i = 0; !reset && i < prev_.size(); ++i) {
-    if (cumulative[i] < prev_[i]) reset = true;
-  }
-  if (reset) {
-    prev_.clear();
-    idle_epochs_.clear();
-  }
-  prev_.resize(cumulative.size(), 0);
-  idle_epochs_.resize(cumulative.size(), 0);
-
+PoolTemperature ClassifySegments(const std::vector<std::uint64_t>& touches) {
   PoolTemperature result;
-  result.segments = cumulative.size();
-  for (std::size_t i = 0; i < cumulative.size(); ++i) {
-    const std::uint64_t delta = cumulative[i] - prev_[i];
-    prev_[i] = cumulative[i];
-    if (delta > 0) {
-      idle_epochs_[i] = 0;
-    } else if (idle_epochs_[i] <= options_.warm_epochs) {
-      // Saturating: far-past segments stay cold without overflow risk.
-      ++idle_epochs_[i];
-    }
-    if (delta >= options_.hot_min_touches) {
+  result.segments = touches.size();
+  for (const std::uint64_t t : touches) {
+    if (t >= kHotSegmentTouches) {
       ++result.hot;
-    } else if (idle_epochs_[i] <= options_.warm_epochs) {
+    } else if (t > 0) {
       ++result.warm;
     } else {
       ++result.cold;

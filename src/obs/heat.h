@@ -44,22 +44,16 @@ namespace hbtree::obs {
 ///
 /// The shard's key range [lo, hi] is cut into `fanout` equal-width bins;
 /// Record() increments one relaxed per-(bin, tenant) counter, so the
-/// dispatch-path cost is one multiply and one atomic add. Counts decay by
-/// periodic halving (every `decay_every` records, or explicitly), which
-/// bounds the horizon the heatmap remembers without a timer thread.
+/// dispatch-path cost is one multiply and one atomic add. Counts cover
+/// the sketch's whole life: nothing decays.
 ///
 /// Per-bin totals are derived as the sum over tenants, so tenant
-/// attribution always reconciles exactly with the bin count — including
-/// across decay halvings.
+/// attribution always reconciles exactly with the bin count.
 class KeyRangeSketch {
  public:
   struct Options {
     int fanout = 64;
     std::size_t tenants = 1;
-    /// Records between automatic halvings. The default is high enough
-    /// that bounded bench runs never decay (keeping shard-merge
-    /// reconciliation exact); long-lived servers decay on cadence.
-    std::uint64_t decay_every = 1ull << 22;
   };
 
   KeyRangeSketch(std::uint64_t lo, std::uint64_t hi, const Options& options)
@@ -67,7 +61,6 @@ class KeyRangeSketch {
         hi_(hi),
         fanout_(options.fanout),
         tenants_(options.tenants == 0 ? 1 : options.tenants),
-        decay_every_(options.decay_every),
         counts_(static_cast<std::size_t>(fanout_) * tenants_) {
     HBTREE_CHECK(fanout_ > 0);
     HBTREE_CHECK(lo <= hi);
@@ -79,22 +72,6 @@ class KeyRangeSketch {
     if (tenant >= tenants_) tenant = 0;
     counts_[static_cast<std::size_t>(BinFor(key)) * tenants_ + tenant]
         .fetch_add(1, std::memory_order_relaxed);
-    if (decay_every_ > 0 &&
-        since_decay_.fetch_add(1, std::memory_order_relaxed) + 1 ==
-            decay_every_) {
-      since_decay_.store(0, std::memory_order_relaxed);
-      Decay();
-    }
-  }
-
-  /// Halves every counter (rounding down). Concurrent Record()s may land
-  /// before or after the halving of their bin — the sketch is a heat
-  /// signal, not an exact ledger, once decay is in play.
-  void Decay() {
-    for (auto& c : counts_) {
-      std::uint64_t v = c.load(std::memory_order_relaxed);
-      c.store(v / 2, std::memory_order_relaxed);
-    }
   }
 
   int BinFor(std::uint64_t key) const {
@@ -156,9 +133,7 @@ class KeyRangeSketch {
   std::uint64_t hi_;
   int fanout_;
   std::size_t tenants_;
-  std::uint64_t decay_every_;
   std::vector<std::atomic<std::uint64_t>> counts_;
-  std::atomic<std::uint64_t> since_decay_{0};
 };
 
 /// One merged hot-range report entry: a sketch bin promoted to a range.
@@ -336,31 +311,15 @@ struct PoolTemperature {
   double cold_fraction = 0;  // cold / segments (0 when empty)
 };
 
-/// Classifies pool chunks (memory segments) as hot/warm/cold from their
-/// cumulative touch counters, one observation per reporting epoch:
-///  * hot  — at least `hot_min_touches` new touches this epoch;
-///  * warm — touched within the last `warm_epochs` epochs (or touched
-///    this epoch below the hot threshold);
-///  * cold — idle longer than `warm_epochs` epochs.
-/// Counter regressions (a pool Clear() or snapshot-instance swap) reset
-/// the per-segment history instead of producing negative deltas.
-class SegmentTemperature {
- public:
-  struct Options {
-    std::uint64_t hot_min_touches = 64;
-    int warm_epochs = 4;
-  };
+/// Touches from which a segment counts as hot.
+inline constexpr std::uint64_t kHotSegmentTouches = 64;
 
-  SegmentTemperature() = default;
-  explicit SegmentTemperature(const Options& options) : options_(options) {}
-
-  PoolTemperature Observe(const std::vector<std::uint64_t>& cumulative);
-
- private:
-  Options options_;
-  std::vector<std::uint64_t> prev_;
-  std::vector<int> idle_epochs_;
-};
+/// Classifies pool chunks (memory segments) from one observation of
+/// their cumulative touch counters, taken at the end of a run:
+///  * hot  — at least kHotSegmentTouches touches;
+///  * warm — touched, but fewer times;
+///  * cold — never touched.
+PoolTemperature ClassifySegments(const std::vector<std::uint64_t>& touches);
 
 // ---------------------------------------------------------------------------
 // Report assembly

@@ -69,13 +69,6 @@ class Histogram {
     active_.RecordWithExemplar(ns, exemplar);
   }
 
-  /// Trailing percentile above which samples compete for exemplar slots
-  /// (0.5, 0.9 or 0.99; anything else clamps to the nearest). Until the
-  /// first window roll the distribution is unknown and every sample
-  /// competes — the bounded reservoir's prefer-higher-buckets eviction
-  /// keeps that cheap and correct.
-  void SetExemplarPercentile(double q) { exemplar_percentile_ = q; }
-
   /// Lifetime summary: everything ever recorded (folded windows plus the
   /// current interval).
   LatencySummary LifetimeSummary() const {
@@ -88,19 +81,17 @@ class Histogram {
   /// Summarizes the current interval, folds it into the lifetime
   /// accumulator and starts a fresh interval. Callers serialize rolls
   /// (the registry rolls under its window mutex). The fresh interval's
-  /// exemplar threshold adapts to the window just summarized: samples
-  /// below its trailing percentile stop competing for reservoir slots.
+  /// exemplar threshold is the trailing p99 of the window just
+  /// summarized: samples below it stop competing for reservoir slots.
+  /// Until the first roll every sample competes — the bounded
+  /// reservoir's prefer-higher-buckets eviction keeps that cheap.
   LatencySummary RollWindow() {
     const LatencySummary summary = active_.Summarize();
     lifetime_.MergeFrom(active_);
     active_.Reset();
-    if (summary.count > 0 && exemplar_percentile_ > 0) {
-      const double threshold_us = exemplar_percentile_ >= 0.99 ? summary.p99_us
-                                  : exemplar_percentile_ >= 0.9
-                                      ? summary.p90_us
-                                      : summary.p50_us;
+    if (summary.count > 0) {
       active_.SetExemplarThresholdNs(
-          static_cast<std::uint64_t>(threshold_us * 1e3));
+          static_cast<std::uint64_t>(summary.p99_us * 1e3));
     }
     return summary;
   }
@@ -110,7 +101,6 @@ class Histogram {
  private:
   LatencyHistogram active_;
   LatencyHistogram lifetime_;
-  double exemplar_percentile_ = 0.99;
 };
 
 /// One collected view of a registry: either lifetime totals or the delta

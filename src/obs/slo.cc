@@ -16,8 +16,8 @@ const LatencySummary* FindHistogram(const MetricsSnapshot& snapshot,
 
 }  // namespace
 
-double SloTracker::EstimateBadFraction(const LatencySummary& summary,
-                                       double threshold_us) {
+double EstimateBadFraction(const LatencySummary& summary,
+                           double threshold_us) {
   if (summary.count == 0) return 0;
   if (threshold_us >= summary.max_us) return 0;
   // Known (latency, quantile) points of the summary. Percentiles are
@@ -44,53 +44,32 @@ double SloTracker::EstimateBadFraction(const LatencySummary& summary,
   return std::max(0.0, 1.0 - quantile);
 }
 
-void SloTracker::AddTarget(const SloSpec& spec) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Target t;
-  t.spec = spec;
-  t.status.name = spec.name;
-  t.status.budget = spec.budget;
-  targets_.push_back(std::move(t));
-}
-
-void SloTracker::Observe(const MetricsSnapshot& window) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (Target& t : targets_) {
+std::vector<SloStatus> EvaluateSlos(const std::vector<SloSpec>& specs,
+                                    const MetricsSnapshot& snapshot) {
+  std::vector<SloStatus> out;
+  out.reserve(specs.size());
+  for (const SloSpec& spec : specs) {
     double bad = 0;
     double total = 0;
-    if (t.spec.kind == SloSpec::Kind::kLatencyP99) {
-      if (const LatencySummary* s = FindHistogram(window, t.spec.histogram)) {
+    if (spec.kind == SloSpec::Kind::kLatencyP99) {
+      if (const LatencySummary* s = FindHistogram(snapshot, spec.histogram)) {
         total = static_cast<double>(s->count);
-        bad = total * EstimateBadFraction(*s, t.spec.threshold_us);
+        bad = total * EstimateBadFraction(*s, spec.threshold_us);
       }
     } else {
-      for (const std::string& name : t.spec.bad_counters) {
-        bad += static_cast<double>(window.counter_or(name));
+      for (const std::string& name : spec.bad_counters) {
+        bad += static_cast<double>(snapshot.counter_or(name));
       }
-      for (const std::string& name : t.spec.total_counters) {
-        total += static_cast<double>(window.counter_or(name));
+      for (const std::string& name : spec.total_counters) {
+        total += static_cast<double>(snapshot.counter_or(name));
       }
     }
-    t.bad += bad;
-    t.total += total;
-
-    SloStatus& st = t.status;
-    st.bad_fraction = t.total > 0 ? t.bad / t.total : 0.0;
-    st.burn = t.spec.budget > 0 ? st.bad_fraction / t.spec.budget : 0.0;
-
-    if (registry_ != nullptr) {
-      registry_->gauge("slo." + t.spec.name + ".bad_fraction")
-          .Set(st.bad_fraction);
-      registry_->gauge("slo." + t.spec.name + ".burn").Set(st.burn);
-    }
+    SloStatus& st = out.emplace_back();
+    st.name = spec.name;
+    st.budget = spec.budget;
+    st.bad_fraction = total > 0 ? bad / total : 0.0;
+    st.burn = spec.budget > 0 ? st.bad_fraction / spec.budget : 0.0;
   }
-}
-
-std::vector<SloStatus> SloTracker::Status() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<SloStatus> out;
-  out.reserve(targets_.size());
-  for (const Target& t : targets_) out.push_back(t.status);
   return out;
 }
 

@@ -1,7 +1,6 @@
 #ifndef HBTREE_OBS_SLO_H_
 #define HBTREE_OBS_SLO_H_
 
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -13,9 +12,9 @@ namespace hbtree::obs {
 ///
 /// Two kinds:
 ///  * kLatencyP99 — "p99 of histogram `histogram` ≤ threshold_us". The
-///    bad fraction of a window is the estimated share of its samples
-///    above the threshold (interpolated from the window's percentile
-///    summary — the registry does not keep raw samples).
+///    bad fraction is the estimated share of the histogram's samples
+///    above the threshold (interpolated from its percentile summary —
+///    the registry does not keep raw samples).
 ///  * kRatio — "sum(bad_counters) / sum(total_counters) ≤ budget", e.g.
 ///    shed requests over admitted requests.
 ///
@@ -39,55 +38,27 @@ struct SloSpec {
   double budget = 0.01;  // tolerated bad fraction (1% by default)
 };
 
-/// Burn-rate state of one SLO over everything observed so far.
+/// Burn-rate state of one SLO over one snapshot.
 struct SloStatus {
   std::string name;
   double budget = 0;
-  double bad_fraction = 0;  // bad over total, all observed windows
+  double bad_fraction = 0;  // bad over total samples in the snapshot
   double burn = 0;          // bad_fraction / budget
   /// The error budget is being spent faster than tolerated.
   bool burning() const { return burn > 1.0; }
 };
 
-/// Burn-rate accounting fed from CollectWindow() deltas.
-///
-/// The owner calls Observe() with each windowed snapshot (the serving
-/// layer does this once, at shutdown); the tracker keeps running bad and
-/// total sums per target and publishes the result back into the
-/// registry as gauges `slo.<name>.bad_fraction` / `.burn`, so they ride
-/// every metrics export without extra plumbing. Thread-safe.
-class SloTracker {
- public:
-  /// `registry` may be null (no gauge publication; tests).
-  explicit SloTracker(MetricsRegistry* registry) : registry_(registry) {}
+/// Evaluates every objective over `snapshot`, one status per spec in
+/// order. The serving layer passes the lifetime snapshot
+/// (MetricsRegistry::Collect) once, at shutdown, so each status covers
+/// the whole run.
+std::vector<SloStatus> EvaluateSlos(const std::vector<SloSpec>& specs,
+                                    const MetricsSnapshot& snapshot);
 
-  void AddTarget(const SloSpec& spec);
-
-  /// Folds one windowed snapshot into every target. Snapshots must come
-  /// from CollectWindow() (deltas); lifetime snapshots would double-count.
-  void Observe(const MetricsSnapshot& window);
-
-  std::vector<SloStatus> Status() const;
-
-  /// Estimated fraction of a summarized window's samples above
-  /// `threshold_us`, interpolated between the summary's percentile
-  /// points. Exposed for tests.
-  static double EstimateBadFraction(const LatencySummary& summary,
-                                    double threshold_us);
-
- private:
-  struct Target {
-    SloSpec spec;
-    // Weighted sample counts summed over every observed window.
-    double bad = 0;
-    double total = 0;
-    SloStatus status;
-  };
-
-  MetricsRegistry* registry_;
-  mutable std::mutex mutex_;
-  std::vector<Target> targets_;
-};
+/// Estimated fraction of a summarized histogram's samples above
+/// `threshold_us`, interpolated between the summary's percentile points.
+double EstimateBadFraction(const LatencySummary& summary,
+                           double threshold_us);
 
 }  // namespace hbtree::obs
 

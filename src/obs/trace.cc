@@ -223,12 +223,6 @@ void TraceSession::RecordInstant(const char* name, const char* cat) {
   buffer.events.push_back(e);
 }
 
-void TraceSession::RecordModelSpan(ModelTrack track, const char* name,
-                                   double ts_us, double dur_us,
-                                   const char* arg_name, double arg_value) {
-  RecordModelSpanAt(0, track, name, ts_us, dur_us, arg_name, arg_value);
-}
-
 void TraceSession::RecordModelSpanAt(int base, ModelTrack track,
                                      const char* name, double ts_us,
                                      double dur_us, const char* arg_name,

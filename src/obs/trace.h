@@ -117,15 +117,11 @@ class TraceSession {
                              double dur_us, const char* arg_name = nullptr,
                              double arg_value = 0, std::uint64_t span_id = 0);
   static void RecordInstant(const char* name, const char* cat);
-  /// Emits a span on a simulated-resource track. `ts_us` is on the
-  /// caller's chosen model timeline (the pipeline offsets each run by the
-  /// wall time at run start so successive runs do not stack at zero).
-  static void RecordModelSpan(ModelTrack track, const char* name,
-                              double ts_us, double dur_us,
-                              const char* arg_name = nullptr,
-                              double arg_value = 0);
-  /// Same, on the track block starting at `base` (a multiple of
-  /// kModelTrackStride — the slot's block, see RegisterModelTrackPrefix).
+  /// Emits a span on a simulated-resource track of the block starting at
+  /// `base` (a multiple of kModelTrackStride — the slot's block, see
+  /// RegisterModelTrackPrefix). `ts_us` is on the caller's chosen model
+  /// timeline (the pipeline offsets each run by the wall time at run
+  /// start so successive runs do not stack at zero).
   static void RecordModelSpanAt(int base, ModelTrack track, const char* name,
                                 double ts_us, double dur_us,
                                 const char* arg_name = nullptr,

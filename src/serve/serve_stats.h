@@ -141,8 +141,8 @@ struct ServeStats {
   // Total faults the armed injectors produced (all sites, both slots).
   std::uint64_t faults_injected = 0;
 
-  // Burn-rate state of every tracked SLO (ServerOptions::slos): none
-  // until Shutdown() observes the run's one metrics window.
+  // Burn-rate state of every SLO (ServerOptions::slos): empty until
+  // Shutdown() evaluates them over the run's lifetime metrics.
   std::vector<obs::SloStatus> slos;
 
   // Per-tenant breakdown (ServerOptions::tenants order; a single default

@@ -24,7 +24,6 @@
 #include "core/macros.h"
 #include "core/status.h"
 #include "core/types.h"
-#include "core/workload.h"
 #include "cpubtree/pipelined_search.h"
 #include "fault/fault_injector.h"
 #include "hybrid/batch_update.h"
@@ -72,7 +71,7 @@ inline std::vector<obs::SloSpec> DefaultServeSlos() {
 /// for every tenant, a wall read-p99 objective against its own latency
 /// histogram and a shed-ratio objective over its own shed/served
 /// counters. Append these to ServerOptions::slos (alongside or instead
-/// of DefaultServeSlos) so the SloTracker burns per-tenant budgets —
+/// of DefaultServeSlos) so Shutdown() evaluates per-tenant budgets —
 /// under overload the hostile tenant's shed SLO burns while the
 /// high-priority tenant's stays green, and that asymmetry is the whole
 /// QoS story in one dashboard row.
@@ -217,9 +216,9 @@ struct ServerOptions {
 
   // -- Observability -------------------------------------------------------
 
-  /// Service-level objectives fed the run's metrics window at
-  /// Shutdown(). Burn rates surface in ServeStats::slos and as
-  /// `slo.<name>.*` registry gauges. Clear to disable tracking.
+  /// Service-level objectives evaluated once, over the run's lifetime
+  /// metrics, at Shutdown(). Burn rates surface in ServeStats::slos and
+  /// as `slo.<name>.*` registry gauges. Clear to disable them.
   std::vector<obs::SloSpec> slos = DefaultServeSlos();
 
   // -- Fault tolerance ----------------------------------------------------
@@ -449,6 +448,7 @@ class Server {
       stats.delta_sync_nodes = delta_sync_nodes_;
       stats.applied = applied_;
       stats.structural = structural_;
+      stats.slos = slos_;
       // Modelled makespan: shards are independent devices, so their busy
       // times overlap; within a shard, reads and update syncs share one
       // device and are charged serially (conservative).
@@ -497,7 +497,6 @@ class Server {
       stats.faults_injected += shard->slot_a.injector.total_injected() +
                                shard->slot_b.injector.total_injected();
     }
-    stats.slos = slo_tracker_.Status();
     return stats;
   }
 
@@ -516,9 +515,10 @@ class Server {
   /// Assembled heat section: the shards' keyspace sketches merged into a
   /// global top-K hot-range report (with per-tenant attribution), the
   /// per-stage tree-level traffic summed across shards, and the pools'
-  /// latest temperature observation. Empty when heat observability is
-  /// compiled out (HBTREE_OBS_HEAT=0). Thread-safe; callable while
-  /// serving, though benches collect after Shutdown() for a stable view.
+  /// segment temperatures classified at Shutdown(). Empty when heat
+  /// observability is compiled out (HBTREE_OBS_HEAT=0). Thread-safe;
+  /// callable while serving, though benches collect after Shutdown() for
+  /// a stable view.
   obs::HeatSection Heat() const {
     obs::HeatSection heat;
 #if HBTREE_OBS_HEAT
@@ -619,15 +619,20 @@ class Server {
       }
       if (shard->update_worker.joinable()) shard->update_worker.join();
     }
-    // The temperature epoch: with the workers joined the pools are
-    // quiescent, so the observation (and the mem.pool.* gauges it
-    // publishes) reflects the run's end state.
+    // With the workers joined the pools are quiescent, so the segment
+    // temperatures (and the mem.pool.* gauges) classify the whole run.
     HBTREE_HEAT_ONLY(ObservePoolTemperatures();)
-    // The run's one metrics window feeds the SLO tracker, so Stats().slos
-    // reflects the whole run.
-    if (!options_.slos.empty()) {
-      slo_tracker_.Observe(metrics_.CollectWindow());
+    // The SLOs are evaluated once, over the lifetime snapshot, so
+    // Stats().slos covers the whole run whatever windows a client rolled.
+    std::vector<obs::SloStatus> slos =
+        obs::EvaluateSlos(options_.slos, metrics_.Collect());
+    for (const obs::SloStatus& slo : slos) {
+      metrics_.gauge("slo." + slo.name + ".bad_fraction")
+          .Set(slo.bad_fraction);
+      metrics_.gauge("slo." + slo.name + ".burn").Set(slo.burn);
     }
+    std::lock_guard<std::mutex> lock(sim_mutex_);
+    slos_ = std::move(slos);
   }
 
   /// Test hook, callable after Shutdown(), the server's counterpart of
@@ -785,12 +790,9 @@ class Server {
     std::unique_ptr<obs::KeyRangeSketch> heat_sketch;
     std::unique_ptr<obs::PipelineHeat> heat_pipeline;
 
-    // Segment-temperature state, observed at Shutdown over the pinned
-    // snapshot's pools; heat_mutex guards the classifiers and the last
-    // observation (pool_inner / pool_leaf).
+    // Segment temperatures, classified at Shutdown over the pinned
+    // snapshot's pools; heat_mutex guards them.
     std::mutex heat_mutex;
-    obs::SegmentTemperature temp_inner;
-    obs::SegmentTemperature temp_leaf;
     obs::PoolTemperature pool_inner;
     obs::PoolTemperature pool_leaf;
 
@@ -937,8 +939,8 @@ class Server {
 #if HBTREE_OBS_HEAT
     // Heat state, per shard: a keyspace sketch over the shard's bootstrap
     // key range (the same split ShardFor routes by) and the pipeline-stage
-    // tracers over the modelled CPU cache hierarchy. Sketch shape and
-    // temperature thresholds are the obs defaults.
+    // tracers over the modelled CPU cache hierarchy. The sketch shape is
+    // the obs default.
     {
       const std::uint64_t key_lo =
           n > 0 ? static_cast<std::uint64_t>(sorted_pairs.front().key) : 0;
@@ -982,10 +984,6 @@ class Server {
           obs::MetricsRegistry::TenantName("serve", id, "shed_updates"));
       handles.read_latency = &metrics_.histogram(
           obs::MetricsRegistry::TenantName("serve", id, "read_latency"));
-    }
-
-    for (const obs::SloSpec& spec : options_.slos) {
-      slo_tracker_.AddTarget(spec);
     }
 
     started_at_ = Clock::now();
@@ -1682,11 +1680,10 @@ class Server {
     metrics_.gauge(prefix + "cold_fraction").Set(temp.cold_fraction);
   }
 
-  /// One temperature epoch: classifies every shard's pinned snapshot
-  /// pools from their cumulative chunk-touch counters and publishes the
-  /// aggregate as mem.pool.<pool>.* gauges. Runs once, at Shutdown —
-  /// never on the serving hot path. Pinning the snapshot keeps the pool's
-  /// chunk list stable while it is read.
+  /// Classifies every shard's pinned snapshot pools from their chunk-touch
+  /// counters and publishes the aggregate as mem.pool.<pool>.* gauges.
+  /// Runs once, at Shutdown — never on the serving hot path. Pinning the
+  /// snapshot keeps the pool's chunk list stable while it is read.
   void ObservePoolTemperatures() {
     obs::PoolTemperature inner_total;
     obs::PoolTemperature leaf_total;
@@ -1695,9 +1692,9 @@ class Server {
       const auto& tree = guard.slot().tree.host_tree();
       std::lock_guard<std::mutex> lock(shard->heat_mutex);
       shard->pool_inner =
-          shard->temp_inner.Observe(CollectTouches(tree.inner_pool()));
+          obs::ClassifySegments(CollectTouches(tree.inner_pool()));
       shard->pool_leaf =
-          shard->temp_leaf.Observe(CollectTouches(tree.leaf_pool()));
+          obs::ClassifySegments(CollectTouches(tree.leaf_pool()));
       AccumulatePool(&inner_total, shard->pool_inner);
       AccumulatePool(&leaf_total, shard->pool_leaf);
     }
@@ -1765,10 +1762,6 @@ class Server {
   obs::Counter& cpu_fallback_lookups_ =
       metrics_.counter("serve.cpu_fallback_lookups");
 
-  /// Burn-rate accounting over options_.slos, fed the run's window at
-  /// Shutdown().
-  obs::SloTracker slo_tracker_{&metrics_};
-
   mutable std::mutex sim_mutex_;
   double sim_pipeline_us_ = 0;
   double sim_update_us_ = 0;
@@ -1778,6 +1771,8 @@ class Server {
   std::uint64_t delta_sync_nodes_ = 0;
   std::uint64_t applied_ = 0;
   std::uint64_t structural_ = 0;
+  /// options_.slos evaluated at Shutdown() (empty before).
+  std::vector<obs::SloStatus> slos_;
 };
 
 }  // namespace hbtree::serve

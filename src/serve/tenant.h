@@ -53,8 +53,8 @@ struct TenantSpec {
   /// slow down should block.
   bool shed_on_full = false;
 
-  /// Per-tenant SLO targets published on the SloTracker by
-  /// TenantServeSlos(): wall read p99 budget and tolerated shed
+  /// Per-tenant SLO targets that TenantServeSlos() turns into specs for
+  /// Shutdown() to evaluate: wall read p99 budget and tolerated shed
   /// fraction.
   double read_p99_slo_us = 200'000;
   double slo_budget = 0.01;

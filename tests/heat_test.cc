@@ -1,8 +1,8 @@
 // Tests for the heat observability layer (obs/heat.h, DESIGN.md §13):
-// keyspace sketch determinism under the fixed-point zipf chooser, decay,
+// keyspace sketch determinism under the fixed-point zipf chooser,
 // cross-shard merge against unsharded ground truth, tenant attribution,
 // per-level traffic reconciliation against the cache hierarchy, and
-// segment temperature transitions.
+// segment temperature classes.
 
 #include <algorithm>
 #include <atomic>
@@ -90,32 +90,6 @@ TEST(KeyRangeSketch, ClampsOutOfRangeKeysToBoundaryBins) {
   EXPECT_EQ(snap.bins.front(), 1u);
   EXPECT_EQ(snap.bins.back(), 1u);
   EXPECT_EQ(snap.total, 2u);
-}
-
-TEST(KeyRangeSketch, ExplicitDecayHalvesRoundingDown) {
-  KeyRangeSketch::Options options;
-  options.fanout = 4;
-  KeyRangeSketch sketch(0, 399, options);
-  for (int i = 0; i < 7; ++i) sketch.Record(0);    // bin 0: 7
-  for (int i = 0; i < 2; ++i) sketch.Record(399);  // bin 3: 2
-  sketch.Decay();
-  const auto snap = sketch.TakeSnapshot();
-  EXPECT_EQ(snap.bins[0], 3u);  // 7 / 2, rounded down
-  EXPECT_EQ(snap.bins[3], 1u);
-  EXPECT_EQ(snap.total, 4u);
-}
-
-TEST(KeyRangeSketch, AutomaticDecayFiresOnCadence) {
-  KeyRangeSketch::Options options;
-  options.fanout = 1;
-  options.decay_every = 8;
-  KeyRangeSketch sketch(0, 100, options);
-  for (int i = 0; i < 8; ++i) sketch.Record(0);
-  // The 8th record triggered the halving: 8 / 2 = 4.
-  EXPECT_EQ(sketch.TakeSnapshot().total, 4u);
-  for (int i = 0; i < 8; ++i) sketch.Record(0);
-  // (4 + 8) / 2 = 6.
-  EXPECT_EQ(sketch.TakeSnapshot().total, 6u);
 }
 
 // Sharded sketches over aligned sub-ranges must merge to exactly the
@@ -351,59 +325,17 @@ TEST(TraceNodeTouch, FeedsPoolCountersAndHeatTracerOnly) {
 // Memory-segment temperature
 // ---------------------------------------------------------------------------
 
-TEST(SegmentTemperature, ClassifiesHotWarmColdAcrossEpochs) {
-  SegmentTemperature::Options options;
-  options.hot_min_touches = 10;
-  options.warm_epochs = 2;
-  SegmentTemperature temp(options);
+TEST(ClassifySegments, OneObservationSplitsAtZeroAndSixtyFourTouches) {
+  const PoolTemperature t = ClassifySegments({0, 1, 63, 64, 1000, 0});
+  EXPECT_EQ(t.segments, 6u);
+  EXPECT_EQ(t.hot, 2u);   // 64 and 1000
+  EXPECT_EQ(t.warm, 2u);  // 1 and 63
+  EXPECT_EQ(t.cold, 2u);  // never touched
+  EXPECT_DOUBLE_EQ(t.cold_fraction, 2.0 / 6.0);
 
-  // Epoch 1: segment 0 busy, segment 1 lightly touched, segment 2 never.
-  PoolTemperature t = temp.Observe({100, 5, 0});
-  EXPECT_EQ(t.segments, 3u);
-  EXPECT_EQ(t.hot, 1u);
-  EXPECT_EQ(t.warm, 2u);  // light touch + first-epoch grace
-  EXPECT_EQ(t.cold, 0u);
-
-  // Segments idle: within warm_epochs they are warm, then cold.
-  t = temp.Observe({100, 5, 0});
-  EXPECT_EQ(t.hot, 0u);
-  EXPECT_EQ(t.warm, 3u);
-  // The never-touched segment entered epoch 1 already idle, so it ages
-  // past warm_epochs one observation before the touched ones.
-  t = temp.Observe({100, 5, 0});
-  EXPECT_EQ(t.warm, 2u);
-  EXPECT_EQ(t.cold, 1u);
-  t = temp.Observe({100, 5, 0});
-  EXPECT_EQ(t.warm, 0u);
-  EXPECT_EQ(t.cold, 3u);
-  EXPECT_DOUBLE_EQ(t.cold_fraction, 1.0);
-
-  // Reheat one segment: back to hot, the others stay cold.
-  t = temp.Observe({150, 5, 0});
-  EXPECT_EQ(t.hot, 1u);
-  EXPECT_EQ(t.cold, 2u);
-  EXPECT_DOUBLE_EQ(t.cold_fraction, 2.0 / 3.0);
-}
-
-TEST(SegmentTemperature, GrowsWithThePoolAndResetsOnRegression) {
-  SegmentTemperature::Options options;
-  options.hot_min_touches = 10;
-  options.warm_epochs = 1;
-  SegmentTemperature temp(options);
-
-  temp.Observe({50});
-  // A new chunk appears: observed from scratch, no underflow.
-  PoolTemperature t = temp.Observe({50, 30});
-  EXPECT_EQ(t.segments, 2u);
-  EXPECT_EQ(t.hot, 1u);  // the new chunk's 30 touches all count
-
-  // The pool was cleared (counters regressed): history restarts instead
-  // of wrapping the unsigned delta.
-  t = temp.Observe({5, 0});
-  EXPECT_EQ(t.segments, 2u);
-  EXPECT_EQ(t.hot, 0u);
-  EXPECT_EQ(t.warm, 2u);
-  EXPECT_EQ(t.cold, 0u);
+  const PoolTemperature empty = ClassifySegments({});
+  EXPECT_EQ(empty.segments, 0u);
+  EXPECT_EQ(empty.cold_fraction, 0.0);
 }
 
 }  // namespace

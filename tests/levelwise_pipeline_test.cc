@@ -551,12 +551,10 @@ TEST(SortDecision, CpuBoundRunSortsNoBucket) {
 }
 
 /// Runs five 4096-key buckets through the regular tree on M2 with a free
-/// CPU stage (KernelBound), `buckets_in_flight` buffer sets and the given
-/// sort charge, checks the answers and that t4_us carries one sort charge
-/// per sorted bucket, and returns how many buckets sorted.
-std::uint64_t KernelBoundSortedBuckets(
-    int buckets_in_flight,
-    double sort_us_per_query = PipelineConfig{}.sort_us_per_query) {
+/// CPU stage (KernelBound) and `buckets_in_flight` buffer sets, checks the
+/// answers and that t4_us carries one sort charge per sorted bucket, and
+/// returns how many buckets sorted.
+std::uint64_t KernelBoundSortedBuckets(int buckets_in_flight) {
   KernelFixture fx(sim::PlatformSpec::M2());
   HBRegularTree<Key64>::Config tree_config;
   HBRegularTree<Key64> tree(tree_config, &fx.registry, &fx.device,
@@ -569,7 +567,6 @@ std::uint64_t KernelBoundSortedBuckets(
   PipelineConfig config = KernelBound();
   config.bucket_size = 4096;
   config.buckets_in_flight = buckets_in_flight;
-  config.sort_us_per_query = sort_us_per_query;
   PipelineStats stats;
   ExpectHostResults(tree, queries, config, &stats);
   const double sort_us = 4096 * config.sort_us_per_query;
@@ -582,25 +579,19 @@ std::uint64_t KernelBoundSortedBuckets(
 
 TEST(SortDecision, KernelBoundRunSortsEveryBucketAfterTheFirst) {
   // M2's weak GPU makes the kernel the slowest stage once the CPU is free.
-  // With two buffer sets, or three as load balancing runs, the buffer
-  // cycle does not bind, so sorting shortens the period by more than its
-  // charge: the sorted bucket-1 probe beats the unsorted bucket 0, and
-  // buckets 1-4 sort.
+  // An ideal sort of the unsorted bucket 0 (a free kernel, the sort charge
+  // on the CPU stage) then shortens its period, so buckets 1-4 sort, with
+  // three buffer sets as load balancing runs, with two, and with one.
+  // One set is the corner the floor does not guard, pinned here as the
+  // rule's known cost: the cycle tpre + t1 + t2 + t4 binds, the
+  // 4096 x 0.004 = 16.4 us sort charge is below the 39.6 us unsorted
+  // kernel but above the 12.2 us that sorting saves (a sorted bucket's
+  // kernel takes 27.4 us), so these sorted buckets lengthen the period.
+  // kSequential runs and small double-buffered buckets on M2 meet the
+  // same corner; DESIGN.md §14 lists the figure rows where it shows.
   EXPECT_EQ(KernelBoundSortedBuckets(3), 4u);
   EXPECT_EQ(KernelBoundSortedBuckets(2), 4u);
-}
-
-TEST(SortDecision, CycleBoundRunSortsOnlyTheProbe) {
-  // With one buffer set every bucket holds it through its whole chain, so
-  // the cycle tpre + t1 + t2 + t4 spaces the buckets by construction.
-  // Sorting then pays only if its charge is below the kernel time it
-  // saves. This run's unsorted bucket 0 takes a 39.6 us kernel and the
-  // sorted bucket 1 a 27.4 us one; a sort charge of 4096 x 0.006 =
-  // 24.6 us lies between the 12.2 us that sorting saves and the whole
-  // unsorted kernel. So the ideal-sort floor (a free kernel) lets bucket
-  // 1 probe sorted, the probe loses to the unsorted bucket 0, and buckets
-  // 2-4 stay unsorted.
-  EXPECT_EQ(KernelBoundSortedBuckets(1, /*sort_us_per_query=*/0.006), 1u);
+  EXPECT_EQ(KernelBoundSortedBuckets(1), 4u);
 }
 
 TEST(SortDecision, OneBucketRunMatchesTheAlwaysSortedLoop) {
@@ -674,8 +665,8 @@ TEST(SortDecision, HeatTouchesCountRunsPerBucketAcrossMixedOrders) {
   // either side took. Under the default config bucket 0 runs unsorted and
   // the tiny buckets are bound by the buffer cycle, so buckets 1 and 2
   // sort: bucket 0's last key and bucket 1's first key share a leaf. With
-  // a prohibitive sort charge no bucket sorts and every boundary joins two
-  // unsorted buckets on that leaf.
+  // a slow CPU stage, which an ideal sort only lengthens, no bucket sorts
+  // and every boundary joins two unsorted buckets on that leaf.
   KernelFixture fx;
   HBRegularTree<Key64>::Config tree_config;
   HBRegularTree<Key64> tree(tree_config, &fx.registry, &fx.device,
@@ -697,14 +688,14 @@ TEST(SortDecision, HeatTouchesCountRunsPerBucketAcrossMixedOrders) {
     queries.push_back(data[i].key);
   }
 
-  for (const auto& [sort_us_per_query, sorted_buckets] :
-       {std::pair{PipelineConfig{}.sort_us_per_query, 2u},
-        std::pair{1e3, 0u}}) {
-    SCOPED_TRACE(sort_us_per_query);
+  for (const auto& [cpu_queries_per_us, sorted_buckets] :
+       {std::pair{PipelineConfig{}.cpu_queries_per_us, 2u},
+        std::pair{1e-3, 0u}}) {
+    SCOPED_TRACE(cpu_queries_per_us);
     obs::PipelineHeat heat(fx.platform.cpu.cache_levels);
     PipelineConfig config;
     config.bucket_size = 4;
-    config.sort_us_per_query = sort_us_per_query;
+    config.cpu_queries_per_us = cpu_queries_per_us;
     config.heat = &heat;
     PipelineStats stats;
     ExpectHostResults(tree, queries, config, &stats);

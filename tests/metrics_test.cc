@@ -282,7 +282,6 @@ TEST(LatencyHistogram, MergeFromCarriesExemplarsAndKeepsTheBound) {
 TEST(Histogram, RollWindowAdaptsExemplarThresholdToTheTail) {
   MetricsRegistry registry;
   Histogram& h = registry.histogram("test.lat");
-  h.SetExemplarPercentile(0.99);
   // First interval: body at 10us, a 10% tail at 10ms — big enough that
   // the p99 rank lands inside the tail bucket. Threshold starts at 0,
   // so the first window captures from everywhere.
@@ -322,7 +321,7 @@ TEST(MetricsRegistry, JsonCarriesExemplars) {
   EXPECT_NE(json.find("\"modelled_us\":17.5"), std::string::npos);
 }
 
-TEST(SloTracker, EstimateBadFractionInterpolatesTheSummary) {
+TEST(EvaluateSlos, EstimateBadFractionInterpolatesTheSummary) {
   LatencySummary s;
   s.count = 1000;
   s.p50_us = 10;
@@ -330,88 +329,74 @@ TEST(SloTracker, EstimateBadFractionInterpolatesTheSummary) {
   s.p99_us = 100;
   s.max_us = 500;
   // Above the max: nothing is bad. At/below p50: pessimistic half.
-  EXPECT_DOUBLE_EQ(SloTracker::EstimateBadFraction(s, 600), 0.0);
-  EXPECT_DOUBLE_EQ(SloTracker::EstimateBadFraction(s, 5), 0.5);
+  EXPECT_DOUBLE_EQ(EstimateBadFraction(s, 600), 0.0);
+  EXPECT_DOUBLE_EQ(EstimateBadFraction(s, 5), 0.5);
   // At the p99 point: ~1% above.
-  EXPECT_NEAR(SloTracker::EstimateBadFraction(s, 100), 0.01, 1e-9);
+  EXPECT_NEAR(EstimateBadFraction(s, 100), 0.01, 1e-9);
   // Halfway between p90 and p99 in latency: between 10% and 1%.
-  const double mid = SloTracker::EstimateBadFraction(s, 70);
+  const double mid = EstimateBadFraction(s, 70);
   EXPECT_GT(mid, 0.01);
   EXPECT_LT(mid, 0.10);
   // Empty summaries are never bad.
-  EXPECT_DOUBLE_EQ(SloTracker::EstimateBadFraction(LatencySummary{}, 1), 0.0);
+  EXPECT_DOUBLE_EQ(EstimateBadFraction(LatencySummary{}, 1), 0.0);
 }
 
-TEST(SloTracker, RatioTargetBurnsWhenBadCountersOutpaceTheBudget) {
+TEST(EvaluateSlos, RatioTargetBurnsWhenBadCountersOutpaceTheBudget) {
   MetricsRegistry registry;
   Counter& shed = registry.counter("test.shed");
   Counter& served = registry.counter("test.served");
-  SloTracker tracker(&registry);
   SloSpec spec;
   spec.name = "shed_ratio";
   spec.kind = SloSpec::Kind::kRatio;
   spec.bad_counters = {"test.shed"};
   spec.total_counters = {"test.served", "test.shed"};
   spec.budget = 0.01;
-  tracker.AddTarget(spec);
 
-  // Window 1: 5% shed — five times over a 1% budget.
+  // 5% shed — five times over a 1% budget.
   served.Add(95);
   shed.Add(5);
-  tracker.Observe(registry.CollectWindow());
-  std::vector<SloStatus> status = tracker.Status();
+  std::vector<SloStatus> status = EvaluateSlos({spec}, registry.Collect());
   ASSERT_EQ(status.size(), 1u);
+  EXPECT_EQ(status[0].name, "shed_ratio");
+  EXPECT_EQ(status[0].budget, 0.01);
   EXPECT_NEAR(status[0].bad_fraction, 0.05, 1e-9);
   EXPECT_NEAR(status[0].burn, 5.0, 1e-9);
   EXPECT_TRUE(status[0].burning());
 
-  // Two clean windows dilute the damage but do not erase it: the burn
-  // covers everything observed, 5 bad of 300 against a 1% budget.
+  // Clean traffic dilutes the damage but does not erase it, whatever
+  // windows were rolled in between: the lifetime snapshot holds 5 bad
+  // of 300 against a 1% budget.
   for (int i = 0; i < 2; ++i) {
     served.Add(100);
-    tracker.Observe(registry.CollectWindow());
+    (void)registry.CollectWindow();
   }
-  status = tracker.Status();
+  status = EvaluateSlos({spec}, registry.Collect());
   EXPECT_NEAR(status[0].bad_fraction, 5.0 / 300.0, 1e-9);
   EXPECT_NEAR(status[0].burn, 5.0 / 300.0 / 0.01, 1e-9);
   EXPECT_TRUE(status[0].burning());
-
-  // Burn gauges ride the registry for every exporter.
-  const MetricsSnapshot snap = registry.Collect();
-  bool found = false;
-  for (const auto& [name, value] : snap.gauges) {
-    if (name == "slo.shed_ratio.burn") {
-      found = true;
-      EXPECT_NEAR(value, 5.0 / 300.0 / 0.01, 1e-9);
-    }
-  }
-  EXPECT_TRUE(found);
 }
 
-TEST(SloTracker, LatencyTargetReadsTheWindowHistogram) {
+TEST(EvaluateSlos, LatencyTargetReadsTheLifetimeHistogram) {
   MetricsRegistry registry;
   Histogram& lat = registry.histogram("test.lat");
-  SloTracker tracker(&registry);
   SloSpec spec;
   spec.name = "p99";
   spec.kind = SloSpec::Kind::kLatencyP99;
   spec.histogram = "test.lat";
   spec.threshold_us = 100.0;
   spec.budget = 0.01;
-  tracker.AddTarget(spec);
 
-  // A window comfortably under the threshold: no burn.
+  // Samples comfortably under the threshold: no burn.
   for (int i = 0; i < 1000; ++i) lat.Record(10'000);  // 10us
-  tracker.Observe(registry.CollectWindow());
-  EXPECT_DOUBLE_EQ(tracker.Status()[0].burn, 0.0);
+  EXPECT_DOUBLE_EQ(EvaluateSlos({spec}, registry.Collect())[0].burn, 0.0);
 
-  // A window whose tail blows through 100us: the estimated bad fraction
-  // of the two windows together exceeds the 1% budget and the burn
+  // A window roll, then a tail that blows through 100us: the estimated
+  // bad fraction of all 2000 samples exceeds the 1% budget and the burn
   // lights up.
+  (void)registry.CollectWindow();
   for (int i = 0; i < 900; ++i) lat.Record(10'000);
   for (int i = 0; i < 100; ++i) lat.Record(1'000'000);  // 1ms tail
-  tracker.Observe(registry.CollectWindow());
-  const SloStatus status = tracker.Status()[0];
+  const SloStatus status = EvaluateSlos({spec}, registry.Collect())[0];
   EXPECT_GT(status.bad_fraction, 0.01);
   EXPECT_GT(status.burn, 1.0);
 }

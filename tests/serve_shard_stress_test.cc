@@ -3,19 +3,23 @@
 // live in serve_stress_test.cc; this suite covers what sharding adds:
 // key-range routing, per-shard read-your-writes, cross-shard range
 // continuation, per-shard metric series, the capacity validation that
-// rejects topologies the device arena cannot back, and the metrics window
-// Shutdown() collects. Written to run cleanly under ASan and TSan (see the
+// rejects topologies the device arena cannot back, the SLOs Shutdown()
+// evaluates and the segment temperatures it classifies (this suite
+// compiles tracing in, and with it heat). Written to run cleanly under
+// ASan and TSan (see the
 // asan/tsan CMake presets): all cross-thread bookkeeping goes through
 // atomics and futures.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <limits>
 #include <map>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -56,6 +60,18 @@ serve::ServerOptions ShardedOptions(int shards = 4, int read_workers = 2) {
   options.min_sub_bucket = 64;
   options.update_batch_size = 1024;
   return options;
+}
+
+// Reads gauge `name` from `snapshot` into `value`; false when absent.
+bool FindGauge(const obs::MetricsSnapshot& snapshot, const std::string& name,
+               double* value) {
+  for (const auto& [gauge, v] : snapshot.gauges) {
+    if (gauge == name) {
+      *value = v;
+      return true;
+    }
+  }
+  return false;
 }
 
 UpdateQuery<Key64> Insert(std::uint64_t key, Key64 value) {
@@ -447,10 +463,10 @@ TEST(ServeShardStress, ExemplarsReconcileAcrossShards) {
   obs::TraceSession::Clear();
 }
 
-// Shutdown() collects the run's one metrics window: it feeds every SLO
-// (each publishes its burn gauge), and it covers every served lookup, so
-// no lookup is left for a later window.
-TEST(ServeShardStress, ShutdownWindowFeedsEverySloOnce) {
+// Shutdown() evaluates every SLO once, over the lifetime metrics, and
+// publishes each one's bad-fraction and burn gauges with the values
+// Stats() reports.
+TEST(ServeShardStress, ShutdownPublishesEverySlo) {
   constexpr int kLookups = 600;
 
   auto data = BootstrapDataset();
@@ -471,18 +487,108 @@ TEST(ServeShardStress, ShutdownWindowFeedsEverySloOnce) {
   ASSERT_FALSE(stats.slos.empty());
   const obs::MetricsSnapshot snapshot = server.metrics().Collect();
   for (const obs::SloStatus& slo : stats.slos) {
-    const std::string gauge = "slo." + slo.name + ".burn";
-    bool published = false;
-    for (const auto& [name, value] : snapshot.gauges) {
-      if (name == gauge) published = true;
-    }
-    EXPECT_TRUE(published) << gauge;
+    double bad_fraction = -1;
+    double burn = -1;
+    EXPECT_TRUE(FindGauge(snapshot, "slo." + slo.name + ".bad_fraction",
+                          &bad_fraction))
+        << slo.name;
+    EXPECT_TRUE(FindGauge(snapshot, "slo." + slo.name + ".burn", &burn))
+        << slo.name;
+    EXPECT_EQ(bad_fraction, slo.bad_fraction) << slo.name;
+    EXPECT_EQ(burn, slo.burn) << slo.name;
     EXPECT_FALSE(slo.burning()) << slo.name;
   }
   EXPECT_EQ(snapshot.counter_or("serve.lookups"),
             static_cast<std::uint64_t>(kLookups));
-  EXPECT_EQ(server.metrics().CollectWindow().counter_or("serve.lookups"),
-            0u);
+}
+
+// A client that rolls a metrics window mid-run does not hide what came
+// before it from the SLOs: reads shed for an expired deadline, then a
+// window roll, then clean reads, and the shed_ratio SLO and its gauges
+// still count every shed read.
+TEST(ServeShardStress, ShedRatioSloCountsShedsBeforeAMidRunWindow) {
+  constexpr int kShed = 40;
+  constexpr int kServed = 400;
+
+  auto data = BootstrapDataset();
+  Status status;
+  auto server_ptr = serve::Server<Key64>::Create(ShardedOptions(/*shards=*/2),
+                                                 data, &status);
+  ASSERT_NE(server_ptr, nullptr) << status.message();
+  serve::Server<Key64>& server = *server_ptr;
+
+  const auto expired = std::chrono::microseconds(-1);
+  for (int i = 0; i < kShed; ++i) {
+    EXPECT_EQ(server.SubmitLookup(2 * (1 + i), expired).get().status.code(),
+              StatusCode::kDeadlineExceeded);
+  }
+  (void)server.metrics().CollectWindow();
+  for (int i = 0; i < kServed; ++i) {
+    ASSERT_TRUE(
+        server.SubmitLookup(2 * (1 + i % kBootstrap)).get().status.ok());
+  }
+  server.Shutdown();
+  EXPECT_TRUE(server.ValidateTrees());
+
+  const serve::ServeStats stats = server.Stats();
+  ASSERT_EQ(stats.shed_reads, static_cast<std::uint64_t>(kShed));
+  ASSERT_EQ(stats.lookups, static_cast<std::uint64_t>(kServed));
+  const obs::SloStatus* shed_ratio = nullptr;
+  for (const obs::SloStatus& slo : stats.slos) {
+    if (slo.name == "shed_ratio") shed_ratio = &slo;
+  }
+  ASSERT_NE(shed_ratio, nullptr);
+  const double expected = static_cast<double>(kShed) / (kShed + kServed);
+  EXPECT_NEAR(shed_ratio->bad_fraction, expected, 1e-12);
+  EXPECT_NEAR(shed_ratio->burn, expected / 0.01, 1e-9);
+  EXPECT_TRUE(shed_ratio->burning());
+
+  const obs::MetricsSnapshot snapshot = server.metrics().Collect();
+  double bad_fraction = -1;
+  double burn = -1;
+  ASSERT_TRUE(
+      FindGauge(snapshot, "slo.shed_ratio.bad_fraction", &bad_fraction));
+  ASSERT_TRUE(FindGauge(snapshot, "slo.shed_ratio.burn", &burn));
+  EXPECT_NEAR(bad_fraction, expected, 1e-12);
+  EXPECT_NEAR(burn, expected / 0.01, 1e-9);
+}
+
+// Serving lookups reads no inner-pool node on the CPU: the device
+// resolves every inner level, and serving never pre-descends. So after a
+// lookups-only run every inner segment is cold, while the leaf segments
+// that served the lookups are hot (the paper's I-/L-segment split).
+TEST(ServeShardStress, LookupsLeaveTheInnerPoolColdAndALeafSegmentHot) {
+  constexpr int kLookups = 2000;
+
+  auto data = BootstrapDataset();
+  Status status;
+  auto server_ptr =
+      serve::Server<Key64>::Create(ShardedOptions(), data, &status);
+  ASSERT_NE(server_ptr, nullptr) << status.message();
+  serve::Server<Key64>& server = *server_ptr;
+
+  std::vector<std::future<serve::ReadResult<Key64>>> pending;
+  pending.reserve(kLookups);
+  for (int i = 0; i < kLookups; ++i) {
+    pending.push_back(server.SubmitLookup(2 * (1 + (i * 7) % kBootstrap)));
+  }
+  for (auto& f : pending) ASSERT_TRUE(f.get().status.ok());
+  server.Shutdown();
+  EXPECT_TRUE(server.ValidateTrees());
+
+  const obs::HeatSection heat = server.Heat();
+  const obs::PoolTemperature* inner = nullptr;
+  const obs::PoolTemperature* leaf = nullptr;
+  for (const auto& [name, pool] : heat.pools) {
+    if (name == "inner") inner = &pool;
+    if (name == "leaf") leaf = &pool;
+  }
+  ASSERT_NE(inner, nullptr);
+  ASSERT_NE(leaf, nullptr);
+  EXPECT_GT(inner->segments, 0u);
+  EXPECT_EQ(inner->cold, inner->segments);
+  EXPECT_EQ(inner->hot + inner->warm, 0u);
+  EXPECT_GE(leaf->hot, 1u);
 }
 
 }  // namespace
