@@ -1181,14 +1181,23 @@ void RegularBTree<K>::ValidateSubtree(NodeRef node, int level, K upper_bound,
     for (int s = 0; s < kIdx; ++s) {
       HBTREE_CHECK(hot.indexes[s] == hot.keys[s * kIdx + kIdx - 1]);
     }
+    // The pin: every key the parent routes here finds a line.
+    HBTREE_CHECK_MSG(hot.keys[Shape::kLinesPerLeaf - 1] >= upper_bound,
+                     "big leaf %u: last separator below its bound", node);
     for (int l = 0; l < Shape::kLinesPerLeaf; ++l) {
       if (l > 0) HBTREE_CHECK(hot.keys[l - 1] <= hot.keys[l]);
       const KeyValue<K>* lp = leaf.pairs + l * kPairsPerLine;
-      for (int i = 0; i < kPairsPerLine && lp[i].key != kMax; ++i) {
-        HBTREE_CHECK(lp[i].key <= hot.keys[l]);
-        HBTREE_CHECK(l == 0 || lp[i].key > hot.keys[l - 1]);
-        HBTREE_CHECK(lp[i].key <= upper_bound);
+      int live = 0;
+      for (; live < kPairsPerLine && lp[live].key != kMax; ++live) {
+        HBTREE_CHECK(lp[live].key <= hot.keys[l]);
+        HBTREE_CHECK(l == 0 || lp[live].key > hot.keys[l - 1]);
+        HBTREE_CHECK(lp[live].key <= upper_bound);
         ++*pair_total;
+      }
+      // A line's live pairs are a prefix: the gap follows them.
+      for (int i = live; i < kPairsPerLine; ++i) {
+        HBTREE_CHECK_MSG(lp[i].key == kMax,
+                         "big leaf %u line %d: pair after the gap", node, l);
       }
     }
     return;
@@ -1201,6 +1210,9 @@ void RegularBTree<K>::ValidateSubtree(NodeRef node, int level, K upper_bound,
   for (int s = 0; s < kIdx; ++s) {
     HBTREE_CHECK(hot.indexes[s] == hot.keys[s * kIdx + kIdx - 1]);
   }
+  HBTREE_CHECK_MSG(hot.keys[cold.child_count - 1] >= upper_bound,
+                   "inner node %u: last live separator below its bound",
+                   node);
   for (int c = 0; c < cold.child_count; ++c) {
     if (c > 0) HBTREE_CHECK(hot.keys[c - 1] <= hot.keys[c]);
     HBTREE_CHECK(hot.keys[c] <= upper_bound);

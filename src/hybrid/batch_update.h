@@ -79,6 +79,63 @@ struct BatchUpdateStats {
   double total_us = 0;   // method-dependent combination
 };
 
+/// One tree operation of a folded batch (see FoldSortedBatch).
+struct FoldedUpdate {
+  std::uint32_t index;  // the batch entry to apply
+  /// Its outcome counts negated toward `applied`: it is a delete that
+  /// stands in for a key whose first op in the batch is an insert.
+  bool negated;
+};
+
+/// Folds each key's ops into their net effect. `sorted` holds (key, batch
+/// index) pairs in (key, index) order, so one key's ops are adjacent and
+/// in arrival order. Under arrival-order replay an insert applies only to
+/// an absent key and a delete only to a present one, so a key's net
+/// effect is
+///   - its first insert, when no delete is among its ops;
+///   - otherwise its last delete, then the first insert after that
+///     delete (the op right after it), if there is one.
+/// Appends those tree ops, at most two per key, to `out` in key order.
+///
+/// Returns the part of the replay's applied count that the ops fix by
+/// themselves. After any op the key is present exactly when the op was an
+/// insert, so each op after a key's first applies exactly when its kind
+/// differs from its predecessor's (one compare with the sorted
+/// neighbour). Whether the first op applies depends on the pre-batch
+/// state, which the key's first tree op sees: the caller counts that op's
+/// outcome, negated when `negated`. The insert after the last delete
+/// always applies and counts through its own outcome instead.
+template <typename K>
+std::uint64_t FoldSortedBatch(
+    const std::vector<UpdateQuery<K>>& batch,
+    const std::vector<std::pair<K, std::uint32_t>>& sorted,
+    std::vector<FoldedUpdate>* out) {
+  auto is_insert = [&](std::size_t i) {
+    return batch[sorted[i].second].kind == UpdateQuery<K>::Kind::kInsert;
+  };
+  std::uint64_t changes = 0;
+  std::size_t end = 0;
+  for (std::size_t begin = 0; begin < sorted.size(); begin = end) {
+    std::size_t last_delete = sorted.size();  // none yet
+    for (end = begin;
+         end < sorted.size() && sorted[end].first == sorted[begin].first;
+         ++end) {
+      if (end > begin && is_insert(end) != is_insert(end - 1)) ++changes;
+      if (!is_insert(end)) last_delete = end;
+    }
+    if (last_delete == sorted.size()) {
+      out->push_back({sorted[begin].second, false});
+      continue;
+    }
+    out->push_back({sorted[last_delete].second, is_insert(begin)});
+    if (last_delete + 1 < end) {
+      out->push_back({sorted[last_delete + 1].second, false});
+      --changes;
+    }
+  }
+  return changes;
+}
+
 /// Executes `batch` against the tree with the chosen method. The host
 /// tree ALWAYS reflects the whole batch on return — submitted updates
 /// must not silently vanish — but device-mirror synchronization can fail
@@ -144,35 +201,35 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
   }
 
   // Asynchronous methods: apply everything in main memory first, in key
-  // order. The stable sort keeps same-key ops in arrival order, and the
-  // sorted stream is what makes gapped leaves pay: updates landing in
-  // the same big leaf form a run that reuses one descent (the leaf's
-  // external bound tells us when the run ends) and edits the leaf's
-  // lines sequentially instead of hopping across the keyspace. The
-  // per-update cost model is unchanged; the sort is charged explicitly
-  // (sort_us_per_query, same rate as the read path's bucket sort).
+  // order. The sorted stream is what makes gapped leaves pay: updates
+  // landing in the same big leaf form a run that reuses one descent (the
+  // leaf's external bound tells us when the run ends) and edits the
+  // leaf's lines sequentially instead of hopping across the keyspace.
+  // Each key's ops fold into their net effect first, so only the folded
+  // ops descend, edit a leaf and pay the per-update cost; every op pays
+  // the sort (sort_us_per_query, same rate as the read path's bucket
+  // sort), which covers the fold's one compare per op.
   const bool parallel = method == UpdateMethod::kAsyncParallel;
-  std::uint64_t applied = 0;
   std::uint64_t structural = 0;
   std::uint64_t leaf_runs = 0;
 
   // Packed (key, index) records sort in-cache instead of chasing the
   // batch array through an index indirection; ordering by (key, index)
-  // reproduces stable_sort's same-key arrival order exactly, which is
-  // what makes the sorted replay equivalent to batch-order replay.
+  // keeps each key's ops in arrival order, which the fold needs.
   std::vector<std::pair<K, std::uint32_t>> keyed(batch.size());
   for (std::uint32_t i = 0; i < batch.size(); ++i) {
     keyed[i] = {batch[i].pair.key, i};
   }
   std::sort(keyed.begin(), keyed.end());
-  std::vector<std::uint32_t> order(batch.size());
-  for (std::uint32_t i = 0; i < batch.size(); ++i) order[i] = keyed[i].second;
+  std::vector<FoldedUpdate> order;
+  order.reserve(batch.size());
+  std::uint64_t applied = FoldSortedBatch(batch, keyed, &order);
 
   if (!parallel) {
     NodeRef cached = kNullRef;
     K cached_bound{};
-    for (std::uint32_t idx : order) {
-      const auto& update = batch[idx];
+    for (const FoldedUpdate& op : order) {
+      const auto& update = batch[op.index];
       const bool is_insert = update.kind == UpdateQuery<K>::Kind::kInsert;
       // Ascending keys: while the key stays under the cached leaf's
       // external bound it descends to the same last-inner node.
@@ -184,16 +241,16 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
         cached = ln;
         cached_bound = host.big_leaf(ln).info.upper_bound;
       }
+      bool ok;
       if (host.WouldBeStructural(ln, is_insert, update.pair.key)) {
         ++structural;
-        bool ok = is_insert ? host.Insert(update.pair, &modified)
-                            : host.Erase(update.pair.key, &modified);
-        if (ok) ++applied;
+        ok = is_insert ? host.Insert(update.pair, &modified)
+                       : host.Erase(update.pair.key, &modified);
         cached = kNullRef;  // the split/merge moved this leaf's range
-      } else if (host.ApplyNonStructural(ln, is_insert, update.pair,
-                                         &modified)) {
-        ++applied;
+      } else {
+        ok = host.ApplyNonStructural(ln, is_insert, update.pair, &modified);
       }
+      if (ok != op.negated) ++applied;
     }
   } else {
     // Parallel phase per group: non-structural updates under striped
@@ -213,9 +270,9 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
         std::max(1, std::min(config.real_threads,
                              hw == 0 ? config.real_threads
                                      : static_cast<int>(hw)));
-    for (std::size_t begin = 0; begin < batch.size(); begin += group) {
-      const std::size_t end = std::min(batch.size(), begin + group);
-      std::vector<std::vector<const UpdateQuery<K>*>> deferred(workers);
+    for (std::size_t begin = 0; begin < order.size(); begin += group) {
+      const std::size_t end = std::min(order.size(), begin + group);
+      std::vector<std::vector<const FoldedUpdate*>> deferred(workers);
       std::vector<std::vector<ModifiedNode>> worker_modified(workers);
       std::vector<std::uint64_t> worker_applied(workers, 0);
       std::vector<std::uint64_t> worker_runs(workers, 0);
@@ -230,9 +287,10 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
       auto slice_edge = [&](std::size_t x) {
         if (x <= begin || x >= end) return x;
         const K bound =
-            host.big_leaf(host.FindLastInner(batch[order[x - 1]].pair.key))
+            host.big_leaf(
+                    host.FindLastInner(batch[order[x - 1].index].pair.key))
                 .info.upper_bound;
-        while (x < end && batch[order[x]].pair.key <= bound) ++x;
+        while (x < end && batch[order[x].index].pair.key <= bound) ++x;
         return x;
       };
       auto run_worker = [&](int w) {
@@ -248,15 +306,15 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
         // writes, so it runs under the lock too.
         std::unique_lock<std::mutex> lock;
         for (std::size_t i = lo; i < hi; ++i) {
-          const auto& update = batch[order[i]];
+          const FoldedUpdate& op = order[i];
+          const auto& update = batch[op.index];
           // Ops on one key keep their batch order: once one is deferred
-          // to the single-threaded pass, the ones after it (adjacent in
-          // the sorted slice) are deferred behind it, or an insert
-          // deferred for a split would land after the delete that
-          // followed it.
+          // to the single-threaded pass, the one after it (adjacent in
+          // the sorted slice) is deferred behind it, or the insert that
+          // follows a delete deferred for a merge would run before it.
           if (!deferred[w].empty() &&
-              deferred[w].back()->pair.key == update.pair.key) {
-            deferred[w].push_back(&update);
+              batch[deferred[w].back()->index].pair.key == update.pair.key) {
+            deferred[w].push_back(&op);
             continue;
           }
           const bool is_insert =
@@ -273,11 +331,11 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
             ++worker_runs[w];
           }
           if (host.WouldBeStructural(cached, is_insert, update.pair.key)) {
-            deferred[w].push_back(&update);
+            deferred[w].push_back(&op);
             continue;  // deferred: the leaf is untouched, cache holds
           }
           if (host.ApplyNonStructural(cached, is_insert, update.pair,
-                                      &worker_modified[w])) {
+                                      &worker_modified[w]) != op.negated) {
             ++worker_applied[w];
           }
         }
@@ -298,13 +356,13 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
         modified.insert(modified.end(), worker_modified[w].begin(),
                         worker_modified[w].end());
         // Single-threaded pass over the deferred (structural) queries.
-        for (const UpdateQuery<K>* update : deferred[w]) {
+        for (const FoldedUpdate* op : deferred[w]) {
           ++structural;
-          const bool is_insert =
-              update->kind == UpdateQuery<K>::Kind::kInsert;
-          bool ok = is_insert ? host.Insert(update->pair, &modified)
-                              : host.Erase(update->pair.key, &modified);
-          if (ok) ++applied;
+          const auto& update = batch[op->index];
+          const bool ok = update.kind == UpdateQuery<K>::Kind::kInsert
+                              ? host.Insert(update.pair, &modified)
+                              : host.Erase(update.pair.key, &modified);
+          if (ok != op->negated) ++applied;
         }
       }
     }
@@ -335,7 +393,7 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
 
   const double sort_us = batch.size() * config.sort_us_per_query;
   const double single_us =
-      batch.size() * config.cpu_update_us +
+      order.size() * config.cpu_update_us +
       structural * config.cpu_update_us;  // structural queries run twice
   if (parallel) {
     const double lock_us = leaf_runs * config.lock_overhead_us;

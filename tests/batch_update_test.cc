@@ -7,6 +7,7 @@
 #include <tuple>
 #include <vector>
 
+#include "core/random.h"
 #include "core/workload.h"
 #include "hybrid/bucket_pipeline.h"
 #include "sim/platform.h"
@@ -225,12 +226,154 @@ TEST(BatchUpdate, ModelledBatchDoesNotDependOnWorkerCount) {
   }
 }
 
+// Arrival-order replay: an insert applies only to an absent key, a delete
+// only to a present one. Returns how many ops applied.
+std::uint64_t Replay(const std::vector<UpdateQuery<Key64>>& batch,
+                     std::map<Key64, Key64>* model) {
+  std::uint64_t applied = 0;
+  for (const auto& update : batch) {
+    applied += update.kind == UpdateQuery<Key64>::Kind::kInsert
+                   ? model->emplace(update.pair.key, update.pair.value).second
+                   : model->erase(update.pair.key);
+  }
+  return applied;
+}
+
+std::map<Key64, Key64> Contents(const RegularBTree<Key64>& tree) {
+  std::vector<KeyValue<Key64>> pairs(tree.size() + 1);
+  const int n =
+      tree.RangeScan(0, static_cast<int>(pairs.size()), pairs.data());
+  std::map<Key64, Key64> contents;
+  for (int i = 0; i < n; ++i) contents[pairs[i].key] = pairs[i].value;
+  return contents;
+}
+
+TEST(BatchUpdate, DuplicateHeavyBatchesMatchArrivalOrderReplay) {
+  // Every op draws its key from a pool of 64, half of them present before
+  // the first batch, and carries its own value, so each key sees long
+  // mixed runs that fold to their net effect. At fill 1.0 inserts of
+  // absent keys split, so the deferred pass runs as well. After each
+  // batch the contents must equal an arrival-order replay and `applied`
+  // its count, and the stats must not depend on the worker count.
+  auto data = GenerateDataset<Key64>(20000, /*seed=*/31);
+  std::vector<Key64> pool;
+  for (std::size_t i = 300; pool.size() < 64; i += 600) {
+    ASSERT_LT(data[i].key + 1, data[i + 1].key);
+    pool.push_back(data[i].key);
+    pool.push_back(data[i].key + 1);
+  }
+  Rng rng(32);
+  std::vector<std::vector<UpdateQuery<Key64>>> batches;
+  Key64 value = 1;
+  for (const std::size_t size : {4 * 1024, 40 * 1024}) {
+    std::vector<UpdateQuery<Key64>> batch(size);
+    for (auto& update : batch) {
+      update.kind = rng.NextBounded(2) == 0 ? UpdateQuery<Key64>::Kind::kInsert
+                                            : UpdateQuery<Key64>::Kind::kDelete;
+      update.pair = {pool[rng.NextBounded(pool.size())], value++};
+    }
+    batches.push_back(std::move(batch));
+  }
+  // In the 40K batch's sorted order the first group_size boundary falls
+  // inside one key's ops; the fold, which runs before the groups, must
+  // see across it.
+  {
+    std::vector<Key64> keys;
+    for (const auto& update : batches[1]) keys.push_back(update.pair.key);
+    std::sort(keys.begin(), keys.end());
+    const std::size_t group = BatchUpdateConfig::group_size;
+    ASSERT_EQ(keys[group - 1], keys[group]);
+  }
+  std::map<Key64, Key64> model;
+  for (const auto& kv : data) model[kv.key] = kv.value;
+  std::vector<std::map<Key64, Key64>> expected;
+  std::vector<std::uint64_t> expected_applied;
+  for (const auto& batch : batches) {
+    expected_applied.push_back(Replay(batch, &model));
+    expected.push_back(model);
+  }
+
+  for (const UpdateMethod method :
+       {UpdateMethod::kAsyncSingleThread, UpdateMethod::kAsyncParallel}) {
+    for (const double leaf_fill : {1.0, 0.7}) {
+      SCOPED_TRACE(UpdateMethodName(method));
+      SCOPED_TRACE(leaf_fill);
+      std::vector<std::vector<BatchUpdateStats>> stats;
+      for (const int threads : {1, 2, 4}) {
+        SCOPED_TRACE(threads);
+        Fixture fx;
+        HBRegularTree<Key64>::Config config;
+        config.tree.leaf_fill = leaf_fill;
+        HBRegularTree<Key64> tree(config, &fx.registry, &fx.device,
+                                  &fx.transfer);
+        ASSERT_TRUE(tree.Build(data));
+        BatchUpdateConfig uconfig;
+        uconfig.real_threads = threads;
+        stats.emplace_back();
+        for (std::size_t b = 0; b < batches.size(); ++b) {
+          SCOPED_TRACE(batches[b].size());
+          stats.back().push_back(
+              RunBatchUpdate(tree, batches[b], method, uconfig));
+          tree.host_tree().Validate();
+          EXPECT_TRUE(tree.MirrorMatchesHost());
+          EXPECT_EQ(stats.back()[b].applied, expected_applied[b]);
+          EXPECT_EQ(Contents(tree.host_tree()), expected[b]);
+        }
+      }
+      EXPECT_EQ(stats[0][0].structural > 0, leaf_fill == 1.0);
+      for (std::size_t i = 1; i < stats.size(); ++i) {
+        for (std::size_t b = 0; b < batches.size(); ++b) {
+          SCOPED_TRACE(i);
+          SCOPED_TRACE(b);
+          ExpectSameStats(stats[i][b], stats[0][b]);
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchUpdate, RepeatedDeletesOfOneKeyChargeOneTreeOp) {
+  // 16,384 deletes of one present key fold into one delete. Every op pays
+  // the sort; only that delete descends, takes a lock and pays the
+  // update, and its leaf (fill 0.7, above a quarter) does not merge.
+  auto data = GenerateDataset<Key64>(40000, /*seed=*/33);
+  const Key64 key = data[20000].key;
+  const std::vector<UpdateQuery<Key64>> batch(
+      16384, UpdateQuery<Key64>{UpdateQuery<Key64>::Kind::kDelete, {key, 0}});
+  for (const UpdateMethod method :
+       {UpdateMethod::kAsyncSingleThread, UpdateMethod::kAsyncParallel}) {
+    SCOPED_TRACE(UpdateMethodName(method));
+    Fixture fx;
+    HBRegularTree<Key64>::Config config;
+    config.tree.leaf_fill = 0.7;
+    HBRegularTree<Key64> tree(config, &fx.registry, &fx.device,
+                              &fx.transfer);
+    ASSERT_TRUE(tree.Build(data));
+    const BatchUpdateConfig uconfig;
+    const BatchUpdateStats stats = RunBatchUpdate(tree, batch, method, uconfig);
+    EXPECT_FALSE(tree.host_tree().Search(key).found);
+    EXPECT_EQ(stats.applied, 1u);
+    EXPECT_EQ(stats.structural, 0u);
+    const double sort_us = batch.size() * uconfig.sort_us_per_query;
+    if (method == UpdateMethod::kAsyncParallel) {
+      EXPECT_EQ(stats.leaf_runs, 1u);
+      EXPECT_DOUBLE_EQ(stats.update_us,
+                       sort_us + (uconfig.cpu_update_us +
+                                  uconfig.lock_overhead_us) /
+                                     (uconfig.model_threads *
+                                      uconfig.parallel_efficiency));
+    } else {
+      EXPECT_DOUBLE_EQ(stats.update_us, sort_us + uconfig.cpu_update_us);
+    }
+  }
+}
+
 TEST(BatchUpdate, ParallelKeepsSameKeyOrderAcrossADeferredSplit) {
   // Default leaf_fill 1.0 fills every big leaf, so inserting an absent key
   // needs a split: the parallel phase defers it to the single-threaded
-  // pass. A later op on the same key in the same batch must not overtake
-  // it — insert-then-delete must leave the key absent, and
-  // delete-then-insert (the delete a no-op) must leave it present.
+  // pass. Insert-then-delete folds to a lone delete and must leave the key
+  // absent; delete-then-insert (the delete a no-op) must leave it present
+  // through the deferred insert.
   for (const int threads : {1, 3}) {
     SCOPED_TRACE(threads);
     Fixture fx;
@@ -271,6 +414,57 @@ TEST(BatchUpdate, ParallelKeepsSameKeyOrderAcrossADeferredSplit) {
           << "key " << absent[j];
     }
     EXPECT_EQ(tree.host_tree().size(), data.size() + absent.size() / 2);
+  }
+}
+
+TEST(BatchUpdate, ParallelKeepsSameKeyOrderAcrossADeferredMerge) {
+  // At leaf_fill 0.25 every big leaf sits at a quarter of its capacity,
+  // so a delete there may merge and the parallel phase defers it. Each
+  // key's ops below fold to [delete, insert]: the insert must stay behind
+  // the deferred delete, or it would run first and the delete would
+  // remove it (absent key) or it would find the key still present and do
+  // nothing (present key). Either way the key must end present with the
+  // insert's value.
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE(threads);
+    Fixture fx;
+    HBRegularTree<Key64>::Config config;
+    config.tree.leaf_fill = 0.25;
+    HBRegularTree<Key64> tree(config, &fx.registry, &fx.device,
+                              &fx.transfer);
+    auto data = GenerateDataset<Key64>(40000, /*seed=*/22);
+    ASSERT_TRUE(tree.Build(data));
+    // Alternately present and absent keys, in distinct leaves.
+    std::vector<Key64> keys;
+    for (std::size_t i = 1000; keys.size() < 8; i += 4000) {
+      ASSERT_LT(data[i].key + 1, data[i + 1].key);
+      keys.push_back(keys.size() % 2 == 0 ? data[i].key : data[i].key + 1);
+    }
+    using Kind = UpdateQuery<Key64>::Kind;
+    const Kind kinds[] = {Kind::kInsert, Kind::kDelete, Kind::kInsert,
+                          Kind::kInsert};
+    std::vector<UpdateQuery<Key64>> batch;
+    for (int r = 0; r < 4; ++r) {
+      for (const Key64 key : keys) {
+        batch.push_back({kinds[r], {key, key + 10 * r}});
+      }
+    }
+    BatchUpdateConfig uconfig;
+    uconfig.real_threads = threads;
+    const BatchUpdateStats stats =
+        RunBatchUpdate(tree, batch, UpdateMethod::kAsyncParallel, uconfig);
+    tree.host_tree().Validate();
+    EXPECT_TRUE(tree.MirrorMatchesHost());
+    for (const Key64 key : keys) {
+      const auto result = tree.host_tree().Search(key);
+      ASSERT_TRUE(result.found) << "key " << key;
+      EXPECT_EQ(result.value, key + 20) << "key " << key;
+    }
+    EXPECT_EQ(tree.host_tree().size(), data.size() + keys.size() / 2);
+    EXPECT_EQ(stats.structural, 2 * keys.size());  // delete + held insert
+    // Replay: a present key's delete and second insert apply; an absent
+    // key's first insert applies too.
+    EXPECT_EQ(stats.applied, 2 * keys.size() + keys.size() / 2);
   }
 }
 

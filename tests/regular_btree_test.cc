@@ -232,6 +232,29 @@ TYPED_TEST(RegularBTreeTypedTest, ModifiedNodeReporting) {
   tree.Validate();
 }
 
+TEST(RegularBTreeDeathTest, ValidateCatchesALeafSeparatorBelowItsBound) {
+  // A big leaf's last separator must reach the bound its parent routes to
+  // it, or the keys between them have no line (the bug SpillIntoGap once
+  // had). At fill 1.0 leaf 0 holds keys 1000..256000 in all 64 lines;
+  // once 256000 goes, line 63's pairs end at 255000 under the 256000 pin.
+  // Lowering the pin to 255000 keeps every pair under its separator and
+  // the index line consistent, so only the pin check can catch it.
+  using Tree = RegularBTree<Key64>;
+  PageRegistry registry;
+  auto tree = MakeTree<Key64>(&registry);
+  std::vector<KeyValue<Key64>> data;
+  for (Key64 i = 0; i < 1000; ++i) data.push_back({(i + 1) * 1000, i});
+  tree.Build(data);
+  ASSERT_TRUE(tree.Erase(256000));
+  tree.Validate();
+  RegularLastInnerHot<Key64>& hot = tree.leaf_pool().primary(tree.head_leaf());
+  constexpr int kLast = Tree::Shape::kLinesPerLeaf - 1;
+  ASSERT_EQ(hot.keys[kLast], 256000u);
+  hot.keys[kLast] = 255000;
+  hot.indexes[Tree::kIdx - 1] = 255000;
+  EXPECT_DEATH(tree.Validate(), "last separator below its bound");
+}
+
 TEST(RegularBTreeGeometry, ShapeConstantsMatchPaper) {
   // Section 4.1: F_I = 64 (64-bit) / 256 (32-bit); 17 / 33 cache lines
   // above the last inner level, 9 / 17 at it, which stores no child

@@ -12,6 +12,8 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <iterator>
+#include <map>
 #include <random>
 #include <stdexcept>
 #include <thread>
@@ -379,6 +381,63 @@ TEST(ServeStress, CommitModelsThePlatformThreads) {
                                 serve::kUpdateMethod, config, &offline)
                   .ok());
   EXPECT_EQ(server->Stats().sim_update_us, offline.total_us);
+}
+
+// One client streams inserts and deletes of 16 hot keys, each op with its
+// own value, without waiting between submits, so every commit batch holds
+// long same-key runs that fold to their net effect. The committed state
+// must equal an arrival-order replay of the ops whose futures succeeded
+// (an insert applies only to an absent key), and `applied` its count.
+TEST(ServeStress, HotKeyChurnMatchesArrivalOrderReplay) {
+  constexpr int kOps = 4096;
+  auto data = StableDataset();
+  auto server_ptr = serve::Server<Key64>::Create(StressOptions(), data);
+  ASSERT_NE(server_ptr, nullptr);
+  serve::Server<Key64>& server = *server_ptr;
+
+  // Eight stable keys (present at start) and eight dynamic ones (absent).
+  std::vector<std::uint64_t> hot;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    hot.push_back(1 + i * (kStable / 8));
+    hot.push_back(kDynBase + i);
+  }
+  std::mt19937_64 rng(4242);
+  std::vector<UpdateQuery<Key64>> ops;
+  std::vector<std::future<serve::UpdateResult>> pending;
+  for (int i = 0; i < kOps; ++i) {
+    const std::uint64_t key = hot[rng() % hot.size()];
+    const auto kind = rng() % 2 == 0 ? UpdateQuery<Key64>::Kind::kInsert
+                                     : UpdateQuery<Key64>::Kind::kDelete;
+    ops.push_back({kind, KeyValue<Key64>{key, (1ull << 32) + i}});
+    pending.push_back(server.SubmitUpdate(ops.back()));
+  }
+  std::map<Key64, Key64> model;
+  for (const auto& kv : data) model[kv.key] = kv.value;
+  std::uint64_t applied = 0;
+  for (int i = 0; i < kOps; ++i) {
+    if (!pending[i].get().status.ok()) continue;
+    applied += ops[i].kind == UpdateQuery<Key64>::Kind::kInsert
+                   ? model.emplace(ops[i].pair.key, ops[i].pair.value).second
+                   : model.erase(ops[i].pair.key);
+  }
+  // Every future resolved, so every commit is visible to new lookups.
+  for (const std::uint64_t key : hot) {
+    const auto it = model.find(key);
+    const LookupResult<Key64> result = server.Lookup(key);
+    ASSERT_EQ(result.found, it != model.end()) << "key " << key;
+    if (result.found) {
+      EXPECT_EQ(result.value, it->second) << "key " << key;
+    }
+  }
+  // No other dynamic key appeared.
+  const auto dynamic = server.Range(kDynBase, 16);
+  EXPECT_EQ(dynamic.size(),
+            static_cast<std::size_t>(std::distance(
+                model.lower_bound(kDynBase), model.end())));
+
+  server.Shutdown();
+  EXPECT_TRUE(server.ValidateTrees());
+  EXPECT_EQ(server.Stats().applied, applied);
 }
 
 // Read-your-writes: once an update's future resolved, a subsequently
