@@ -19,6 +19,7 @@
 #include "bench_support/harness.h"
 #include "hybrid/gpu_build.h"
 #include "hybrid/hb_implicit.h"
+#include "workload/paper.h"
 
 namespace hbtree::bench {
 namespace {
@@ -33,7 +34,7 @@ void Run(const Args& args) {
   report.Meta("platform", platform.name);
   report.MetaNum("seed", static_cast<double>(seed));
   for (std::size_t n : sizes) {
-    auto data = GenerateDataset<Key64>(n, seed);
+    auto data = workload::GenerateDataset<Key64>(n, seed);
     SimPlatform sim(platform);
     PageRegistry registry;
     HBImplicitTree<Key64>::Config config;

@@ -21,6 +21,7 @@
 #include "bench_support/harness.h"
 #include "cpubtree/implicit_btree.h"
 #include "cpubtree/regular_btree.h"
+#include "workload/paper.h"
 
 namespace hbtree::bench {
 namespace {
@@ -42,8 +43,8 @@ void RunTree(const char* tree_name, const sim::PlatformSpec& platform,
              const std::vector<std::size_t>& sizes, std::uint64_t seed,
              BenchReport* report) {
   for (std::size_t n : sizes) {
-    auto data = GenerateDataset<K>(n, seed);
-    auto queries = MakeLookupQueries(data, seed + 1);
+    auto data = workload::GenerateDataset<K>(n, seed);
+    auto queries = workload::MakeLookupQueries(data, seed + 1);
     for (const PageConfig& config : kConfigs) {
       PageRegistry registry;
       typename Tree::Config tree_config;

@@ -16,6 +16,7 @@
 #include "bench_support/harness.h"
 #include "cpubtree/implicit_btree.h"
 #include "fast/fast_tree.h"
+#include "workload/paper.h"
 
 namespace hbtree::bench {
 namespace {
@@ -31,8 +32,8 @@ void Run(const Args& args) {
   report.Meta("platform", platform.name);
   report.MetaNum("seed", static_cast<double>(seed));
   for (std::size_t n : sizes) {
-    auto data = GenerateDataset<Key64>(n, seed);
-    auto queries = MakeLookupQueries(data, seed + 1);
+    auto data = workload::GenerateDataset<Key64>(n, seed);
+    auto queries = workload::MakeLookupQueries(data, seed + 1);
 
     PageRegistry btree_registry;
     ImplicitBTree<Key64>::Config btree_config;

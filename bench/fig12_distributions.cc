@@ -14,7 +14,7 @@
 
 #include "bench_support/hb_runner.h"
 #include "bench_support/report.h"
-#include "core/distributions.h"
+#include "workload/paper.h"
 
 namespace hbtree::bench {
 namespace {
@@ -24,18 +24,21 @@ void RunTree(const char* name, const sim::PlatformSpec& platform,
              const std::vector<KeyValue<Key64>>& data, std::size_t q,
              std::uint64_t seed, BenchReport* report) {
   double uniform_mqps = 0;
-  for (Distribution distribution :
-       {Distribution::kUniform, Distribution::kNormal, Distribution::kGamma,
-        Distribution::kZipf}) {
-    auto queries = MakeDistributedQueries<Key64>(q, distribution, seed + 7);
+  for (workload::Distribution distribution :
+       {workload::Distribution::kUniform, workload::Distribution::kNormal,
+        workload::Distribution::kGamma, workload::Distribution::kZipf}) {
+    auto queries = workload::MakeDistributedQueries<Key64>(
+        q, distribution, seed + 7);
     // Fresh device per distribution so L2 state is comparable.
     SimPlatform sim(platform);
     Bench bench(&sim, data, queries);
     PipelineStats stats = bench.Run(queries, bench.MakeConfig());
-    if (distribution == Distribution::kUniform) uniform_mqps = stats.mqps;
+    if (distribution == workload::Distribution::kUniform) {
+      uniform_mqps = stats.mqps;
+    }
     report->AddRow()
         .Text("tree", name)
-        .Text("distribution", DistributionName(distribution))
+        .Text("distribution", workload::DistributionName(distribution))
         .Num("mqps", stats.mqps, 1)
         .Num("vs_uniform", stats.mqps / uniform_mqps, 2)
         .Num("sorted_buckets", static_cast<double>(stats.sorted_buckets), 0);
@@ -49,7 +52,7 @@ void Run(const Args& args) {
   std::uint64_t seed = args.GetInt("seed", 42);
 
   std::printf("Platform: %s, n=%zu\n", platform.name.c_str(), n);
-  auto data = GenerateDataset<Key64>(n, seed);
+  auto data = workload::GenerateDataset<Key64>(n, seed);
 
   BenchReport report("fig12_distributions");
   report.Meta("platform", platform.name);

@@ -22,6 +22,7 @@
 #include <cstdio>
 
 #include "bench_support/hb_runner.h"
+#include "workload/paper.h"
 
 namespace hbtree::bench {
 namespace {
@@ -41,11 +42,11 @@ void Run(const Args& args) {
   const double default_margin =
       HBRegularTree<Key64>::Config{}.delta_sync_cost_margin;
   for (std::size_t n : sizes) {
-    auto data = GenerateDataset<Key64>(n, seed);
-    auto probes = MakeLookupQueries(data, seed + 1);
+    auto data = workload::GenerateDataset<Key64>(n, seed);
+    auto probes = workload::MakeLookupQueries(data, seed + 1);
     probes.resize(std::min<std::size_t>(probes.size(), 1 << 16));
-    auto batch = MakeUpdateBatch<Key64>(data, batch_size,
-                                        /*insert_fraction=*/0.5, seed + 2);
+    auto batch = workload::MakeUpdateBatch<Key64>(
+        data, batch_size, /*insert_fraction=*/0.5, seed + 2);
 
     double base_rate = 0;
     for (UpdateMethod method :

@@ -24,6 +24,7 @@
 #include <cstdio>
 
 #include "bench_support/hb_runner.h"
+#include "workload/paper.h"
 
 namespace hbtree::bench {
 namespace {
@@ -34,8 +35,8 @@ void Run(const Args& args) {
   std::uint64_t seed = args.GetInt("seed", 42);
 
   std::printf("Platform: %s, n=%zu\n", platform.name.c_str(), n);
-  auto data = GenerateDataset<Key64>(n, seed);
-  auto probes = MakeLookupQueries(data, seed + 1);
+  auto data = workload::GenerateDataset<Key64>(n, seed);
+  auto probes = workload::MakeLookupQueries(data, seed + 1);
   probes.resize(std::min<std::size_t>(probes.size(), 1 << 16));
 
   BenchReport report("fig14_batch_size");
@@ -46,8 +47,8 @@ void Run(const Args& args) {
       HBRegularTree<Key64>::Config{}.delta_sync_cost_margin;
   for (std::size_t batch_size = 8 * 1024; batch_size <= 512 * 1024;
        batch_size *= 2) {
-    auto batch = MakeUpdateBatch<Key64>(data, batch_size,
-                                        /*insert_fraction=*/0.5, seed + 2);
+    auto batch = workload::MakeUpdateBatch<Key64>(
+        data, batch_size, /*insert_fraction=*/0.5, seed + 2);
     // Figure 14 includes I-segment maintenance for both methods.
     auto total_us = [&](UpdateMethod method, double delta_margin) {
       return RunUpdateBatch(platform, data, probes, batch, method,

@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "bench_support/hb_runner.h"
+#include "workload/paper.h"
 
 namespace hbtree::bench {
 namespace {
@@ -28,7 +29,7 @@ void Run(const Args& args) {
   report.Meta("platform", platform.name);
   report.MetaNum("seed", static_cast<double>(seed));
   for (std::size_t n : sizes) {
-    auto data = GenerateDataset<Key64>(n, seed);
+    auto data = workload::GenerateDataset<Key64>(n, seed);
     SimPlatform sim(platform);
     PageRegistry registry;
     HBImplicitTree<Key64>::Config config;

@@ -22,6 +22,7 @@
 #include "bench_support/hb_runner.h"
 #include "cpubtree/implicit_btree.h"
 #include "cpubtree/regular_btree.h"
+#include "workload/paper.h"
 
 namespace hbtree::bench {
 namespace {
@@ -32,8 +33,8 @@ template <typename K>
 void MeasureSize(const sim::PlatformSpec& platform, std::size_t n,
                  std::size_t q, std::uint64_t seed, const char* width,
                  bool with_latency, BenchReport* report) {
-  auto data = GenerateDataset<K>(n, seed);
-  auto queries = MakeLookupQueries(data, seed + 1);
+  auto data = workload::GenerateDataset<K>(n, seed);
+  auto queries = workload::MakeLookupQueries(data, seed + 1);
   if (queries.size() > q) queries.resize(q);
 
   SearchMeasurement cpu_implicit, cpu_regular;

@@ -15,6 +15,7 @@
 #include "cpubtree/implicit_btree.h"
 #include "cpubtree/regular_btree.h"
 #include "hybrid/range_pipeline.h"
+#include "workload/paper.h"
 
 namespace hbtree::bench {
 namespace {
@@ -69,7 +70,7 @@ void Run(const Args& args) {
 
   std::printf("Platform: %s, n=%zu (paper uses 128M)\n",
               platform.name.c_str(), n);
-  auto data = GenerateDataset<Key64>(n, seed);
+  auto data = workload::GenerateDataset<Key64>(n, seed);
 
   BenchReport report("fig17_range_queries");
   report.Meta("platform", platform.name);
@@ -86,13 +87,13 @@ void Run(const Args& args) {
   cpu_regular.Build(data);
 
   SimPlatform sim_i(platform), sim_r(platform);
-  auto warm = MakeLookupQueries(data, seed + 9);
+  auto warm = workload::MakeLookupQueries(data, seed + 9);
   warm.resize(std::min<std::size_t>(warm.size(), 1 << 17));
   HbImplicitBench<Key64> hb_implicit(&sim_i, data, warm);
   HbRegularBench<Key64> hb_regular(&sim_r, data, warm);
 
   for (int matches : {1, 2, 4, 8, 16, 32}) {
-    auto rq = MakeRangeQueries(data, q, matches, seed + matches);
+    auto rq = workload::MakeRangeQueries(data, q, matches, seed + matches);
     double ci = CpuRangeMqps<ImplicitBTree<Key64>, Key64>(
         cpu_implicit, rq, platform, ci_registry);
     double cr = CpuRangeMqps<RegularBTree<Key64>, Key64>(

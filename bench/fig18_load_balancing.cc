@@ -22,6 +22,7 @@
 #include "cpubtree/implicit_btree.h"
 #include "cpubtree/regular_btree.h"
 #include "hybrid/load_balancer.h"
+#include "workload/paper.h"
 
 namespace hbtree::bench {
 namespace {
@@ -85,8 +86,8 @@ void Run(const Args& args) {
 
   std::printf("Platform: %s (%s + %s)\n", platform.name.c_str(),
               platform.cpu.name.c_str(), platform.gpu.name.c_str());
-  auto data = GenerateDataset<Key64>(n, seed);
-  auto queries = MakeLookupQueries(data, seed + 1);
+  auto data = workload::GenerateDataset<Key64>(n, seed);
+  auto queries = workload::MakeLookupQueries(data, seed + 1);
   queries.resize(std::min(q, queries.size()));
 
   BenchReport report("fig18_load_balancing");

@@ -16,6 +16,7 @@
 #include "bench_support/harness.h"
 #include "cpubtree/implicit_btree.h"
 #include "cpubtree/regular_btree.h"
+#include "workload/paper.h"
 
 namespace hbtree::bench {
 namespace {
@@ -30,8 +31,8 @@ void Run(const Args& args) {
   report.Meta("platform", platform.name);
   report.MetaNum("seed", static_cast<double>(seed));
   for (std::size_t n : sizes) {
-    auto data = GenerateDataset<Key64>(n, seed);
-    auto queries = MakeLookupQueries(data, seed + 1);
+    auto data = workload::GenerateDataset<Key64>(n, seed);
+    auto queries = workload::MakeLookupQueries(data, seed + 1);
 
     PageRegistry r1;
     ImplicitBTree<Key64>::Config cpu_config;  // fanout 9

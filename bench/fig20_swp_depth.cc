@@ -14,6 +14,7 @@
 
 #include "bench_support/harness.h"
 #include "cpubtree/implicit_btree.h"
+#include "workload/paper.h"
 
 namespace hbtree::bench {
 namespace {
@@ -24,8 +25,8 @@ void Run(const Args& args) {
   std::uint64_t seed = args.GetInt("seed", 42);
 
   std::printf("Platform: %s, n=%zu\n", platform.name.c_str(), n);
-  auto data = GenerateDataset<Key64>(n, seed);
-  auto queries = MakeLookupQueries(data, seed + 1);
+  auto data = workload::GenerateDataset<Key64>(n, seed);
+  auto queries = workload::MakeLookupQueries(data, seed + 1);
 
   PageRegistry registry;
   ImplicitBTree<Key64>::Config config;

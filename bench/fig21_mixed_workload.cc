@@ -19,6 +19,7 @@
 
 #include "bench_support/hb_runner.h"
 #include "hybrid/batch_update.h"
+#include "workload/paper.h"
 
 namespace hbtree::bench {
 namespace {
@@ -30,7 +31,7 @@ void Run(const Args& args) {
   std::uint64_t seed = args.GetInt("seed", 42);
 
   std::printf("Platform: %s, n=%zu\n", platform.name.c_str(), n);
-  auto data = GenerateDataset<Key64>(n, seed);
+  auto data = workload::GenerateDataset<Key64>(n, seed);
 
   MaybeStartTrace(args);
   BenchReport report("fig21_mixed_workload");
@@ -54,9 +55,9 @@ void Run(const Args& args) {
                                 &sim.transfer);
       HBTREE_CHECK(tree.Build(data));
 
-      auto searches = MakeLookupQueries(data, seed + 1);
+      auto searches = workload::MakeLookupQueries(data, seed + 1);
       searches.resize(std::min(ops, searches.size()));
-      auto updates = MakeUpdateBatch<Key64>(
+      auto updates = workload::MakeUpdateBatch<Key64>(
           data, static_cast<std::size_t>(ops * ratio) + 1,
           /*insert_fraction=*/0.5, seed + 2);
 

@@ -8,9 +8,9 @@
 
 #include <vector>
 
-#include "core/workload.h"
 #include "cpubtree/implicit_btree.h"
 #include "cpubtree/pipelined_search.h"
+#include "workload/paper.h"
 
 namespace hbtree {
 namespace {
@@ -22,11 +22,11 @@ void BM_PipelinedImplicitSearch(benchmark::State& state) {
   static ImplicitBTree<Key64>* tree = [] {
     static ImplicitBTree<Key64>::Config config;
     static ImplicitBTree<Key64> t(config, &registry);
-    t.Build(GenerateDataset<Key64>(1 << 20, 42));
+    t.Build(workload::GenerateDataset<Key64>(1 << 20, 42));
     return &t;
   }();
-  auto queries = MakeDistributedQueries<Key64>(1 << 14,
-                                               Distribution::kUniform, 43);
+  auto queries = workload::MakeDistributedQueries<Key64>(
+      1 << 14, workload::Distribution::kUniform, 43);
   std::vector<LookupResult<Key64>> results(queries.size());
   for (auto _ : state) {
     PipelinedSearch(*tree, queries.data(), queries.size(), depth,
@@ -44,11 +44,11 @@ void BM_PipelinedRegularSearch(benchmark::State& state) {
   static RegularBTree<Key64>* tree = [] {
     static RegularBTree<Key64>::Config config;
     static RegularBTree<Key64> t(config, &registry);
-    t.Build(GenerateDataset<Key64>(1 << 20, 44));
+    t.Build(workload::GenerateDataset<Key64>(1 << 20, 44));
     return &t;
   }();
-  auto queries = MakeDistributedQueries<Key64>(1 << 14,
-                                               Distribution::kUniform, 45);
+  auto queries = workload::MakeDistributedQueries<Key64>(
+      1 << 14, workload::Distribution::kUniform, 45);
   std::vector<LookupResult<Key64>> results(queries.size());
   for (auto _ : state) {
     PipelinedSearch(*tree, queries.data(), queries.size(), depth,

@@ -7,18 +7,18 @@
 
 #include <cstdio>
 
-#include "core/workload.h"
 #include "cpubtree/implicit_btree.h"
 #include "cpubtree/regular_btree.h"
 #include "fast/fast_tree.h"
 #include "io/tree_io.h"
+#include "workload/paper.h"
 
 namespace hbtree {
 namespace {
 
 const std::vector<KeyValue<Key64>>& SharedData() {
-  static const auto* data =
-      new std::vector<KeyValue<Key64>>(GenerateDataset<Key64>(1 << 20, 42));
+  static const auto* data = new std::vector<KeyValue<Key64>>(
+      workload::GenerateDataset<Key64>(1 << 20, 42));
   return *data;
 }
 

@@ -28,10 +28,10 @@
 #include "bench_support/report.h"
 #include "bench_support/seeds.h"
 #include "bench_support/serve_runner.h"
-#include "core/workload.h"
 #include "obs/span_aggregator.h"
 #include "obs/trace.h"
 #include "serve/server.h"
+#include "workload/paper.h"
 
 namespace hbtree::bench {
 namespace {
@@ -59,7 +59,7 @@ int Main(int argc, char** argv) {
 
   std::printf("building %zu-key tree and calibrating on %s...\n", n,
               platform.name.c_str());
-  auto data = GenerateDataset<Key64>(n, seeds.dataset);
+  auto data = workload::GenerateDataset<Key64>(n, seeds.dataset);
   serve::ServerOptions base_options =
       CalibratedServerOptions(platform, data, seeds.calibrate, bucket);
   base_options.max_device_retries = retries;
@@ -68,9 +68,9 @@ int Main(int argc, char** argv) {
   base_options.num_shards = static_cast<int>(args.GetInt("shards", 1));
   base_options.num_read_workers =
       static_cast<int>(args.GetInt("read_workers", 1));
-  auto queries = MakeLookupQueries(data, seeds.queries);
-  auto updates = MakeUpdateBatch(data, total_updates,
-                                 /*insert_fraction=*/0.7, seeds.updates);
+  auto queries = workload::MakeLookupQueries(data, seeds.queries);
+  auto updates = workload::MakeUpdateBatch(
+      data, total_updates, /*insert_fraction=*/0.7, seeds.updates);
 
   const double rates[] = {0.0, 0.01, 0.10};
   std::vector<RateResult> results;

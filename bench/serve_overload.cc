@@ -43,11 +43,11 @@
 #include "bench_support/report.h"
 #include "bench_support/seeds.h"
 #include "bench_support/serve_runner.h"
-#include "core/workload.h"
 #include "obs/span_aggregator.h"
 #include "obs/trace.h"
 #include "serve/server.h"
 #include "serve/tenant.h"
+#include "workload/paper.h"
 
 namespace hbtree::bench {
 namespace {
@@ -217,8 +217,8 @@ int Main(int argc, char** argv) {
 
   std::printf("building %zu-key tree and calibrating on %s...\n", n,
               platform.name.c_str());
-  const auto data = GenerateDataset<Key64>(n, seeds.dataset);
-  const auto queries = MakeLookupQueries(data, seeds.queries);
+  const auto data = workload::GenerateDataset<Key64>(n, seeds.dataset);
+  const auto queries = workload::MakeLookupQueries(data, seeds.queries);
   const std::vector<serve::TenantSpec> tenants = Tenants(slo_us);
 
   serve::ServerOptions options =

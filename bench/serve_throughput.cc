@@ -46,10 +46,10 @@
 #include "bench_support/report.h"
 #include "bench_support/seeds.h"
 #include "bench_support/serve_runner.h"
-#include "core/workload.h"
 #include "obs/span_aggregator.h"
 #include "obs/trace.h"
 #include "serve/server.h"
+#include "workload/paper.h"
 
 namespace hbtree::bench {
 namespace {
@@ -172,15 +172,15 @@ int Main(int argc, char** argv) {
 
   std::printf("building %zu-key tree and calibrating on %s...\n", n,
               platform.name.c_str());
-  auto data = GenerateDataset<Key64>(n, seeds.dataset);
+  auto data = workload::GenerateDataset<Key64>(n, seeds.dataset);
   serve::ServerOptions base_options =
       CalibratedServerOptions(platform, data, seeds.calibrate, bucket);
   base_options.pipeline_depth =
       static_cast<int>(args.GetInt("pipeline_depth", 4));
 
-  auto queries = MakeLookupQueries(data, seeds.queries);
-  auto updates = MakeUpdateBatch(data, total_updates,
-                                 /*insert_fraction=*/0.7, seeds.updates);
+  auto queries = workload::MakeLookupQueries(data, seeds.queries);
+  auto updates = workload::MakeUpdateBatch(
+      data, total_updates, /*insert_fraction=*/0.7, seeds.updates);
 
   std::vector<std::pair<int, int>> sweep;  // (shards, read_workers)
   if (fixed_shards > 0) {

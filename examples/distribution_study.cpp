@@ -7,24 +7,23 @@
 #include <cstdio>
 
 #include "bench_support/calibrate.h"
-#include "core/distributions.h"
-#include "core/workload.h"
 #include "gpusim/device.h"
 #include "hybrid/bucket_pipeline.h"
 #include "hybrid/hb_implicit.h"
 #include "sim/platform.h"
+#include "workload/paper.h"
 
 using namespace hbtree;
 
 int main() {
   sim::PlatformSpec platform = sim::PlatformSpec::M1();
-  auto data = GenerateDataset<Key64>(4'000'000, /*seed=*/5);
+  auto data = workload::GenerateDataset<Key64>(4'000'000, /*seed=*/5);
 
   std::printf("%-10s %10s %12s %12s %12s %10s\n", "dist", "hit rate",
               "leaf q/us", "gpu L2 hit", "dram MB", "MQPS");
-  for (Distribution distribution :
-       {Distribution::kUniform, Distribution::kNormal, Distribution::kGamma,
-        Distribution::kZipf}) {
+  for (workload::Distribution distribution :
+       {workload::Distribution::kUniform, workload::Distribution::kNormal,
+        workload::Distribution::kGamma, workload::Distribution::kZipf}) {
     // Fresh platform per distribution so cache state is comparable.
     gpu::Device device(platform.gpu);
     gpu::TransferEngine transfer(&device, platform.pcie);
@@ -33,8 +32,8 @@ int main() {
     HBImplicitTree<Key64> tree(config, &registry, &device, &transfer);
     if (!tree.Build(data)) return 1;
 
-    auto queries =
-        MakeDistributedQueries<Key64>(1 << 19, distribution, /*seed=*/6);
+    auto queries = workload::MakeDistributedQueries<Key64>(
+        1 << 19, distribution, /*seed=*/6);
 
     // CPU leaf-step profile under this skew.
     auto rates = bench::CalibrateHbCpuRates(tree.host_tree(), queries,
@@ -54,7 +53,7 @@ int main() {
         static_cast<double>(stats.kernel.l2_bytes) /
         (stats.kernel.l2_bytes + stats.kernel.dram_bytes);
     std::printf("%-10s %9.1f%% %12.1f %11.1f%% %12.1f %10.1f\n",
-                DistributionName(distribution), 100.0 * found / 4096,
+                workload::DistributionName(distribution), 100.0 * found / 4096,
                 rates.leaf_queries_per_us, 100.0 * l2_rate,
                 stats.kernel.dram_bytes / 1e6, stats.mqps);
   }

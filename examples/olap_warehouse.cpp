@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/workload.h"
 #include "io/tree_io.h"
 #include "gpusim/device.h"
 #include "hybrid/batch_update.h"
@@ -19,6 +18,7 @@
 #include "hybrid/hb_implicit.h"
 #include "hybrid/hb_regular.h"
 #include "sim/platform.h"
+#include "workload/paper.h"
 
 using namespace hbtree;
 
@@ -58,7 +58,7 @@ int main() {
   gpu::TransferEngine transfer(&device, platform.pcie);
   PageRegistry registry;
 
-  auto facts = GenerateDataset<Key64>(kInitialFacts, /*seed=*/2026);
+  auto facts = workload::GenerateDataset<Key64>(kInitialFacts, /*seed=*/2026);
 
   // Regular HB+-tree: incremental refresh.
   HBRegularTree<Key64>::Config regular_config;
@@ -81,7 +81,7 @@ int main() {
     std::printf("=== day %d: %zu facts ===\n", day, facts.size());
 
     // Daytime: analysts hammer the index with point lookups.
-    auto queries = MakeLookupQueries(facts, /*seed=*/100 + day);
+    auto queries = workload::MakeLookupQueries(facts, /*seed=*/100 + day);
     queries.resize(std::min(kQueriesPerDay, queries.size()));
     std::vector<LookupResult<Key64>> results;
 
@@ -96,9 +96,8 @@ int main() {
                 implicit_stats.mqps, regular_stats.mqps, misses);
 
     // Nighttime ETL: merge the day's new facts.
-    auto batch = MakeUpdateBatch<Key64>(facts, kNewFactsPerDay,
-                                        /*insert_fraction=*/0.9,
-                                        /*seed=*/200 + day);
+    auto batch = workload::MakeUpdateBatch<Key64>(
+        facts, kNewFactsPerDay, /*insert_fraction=*/0.9, /*seed=*/200 + day);
     BatchUpdateConfig update_config;
     BatchUpdateStats update_stats = RunBatchUpdate(
         regular, batch, UpdateMethod::kAsyncParallel, update_config);

@@ -6,12 +6,12 @@
 
 #include <cstdio>
 
-#include "core/workload.h"
 #include "gpusim/device.h"
 #include "hybrid/batch_update.h"
 #include "hybrid/bucket_pipeline.h"
 #include "hybrid/hb_regular.h"
 #include "sim/platform.h"
+#include "workload/paper.h"
 
 using namespace hbtree;
 
@@ -25,7 +25,7 @@ int main() {
   // 2. Build a regular (updatable) HB+-tree over 1M key-value pairs.
   //    The inner-node segment is mirrored into GPU memory; leaves stay in
   //    host memory.
-  auto data = GenerateDataset<Key64>(1'000'000, /*seed=*/7);
+  auto data = workload::GenerateDataset<Key64>(1'000'000, /*seed=*/7);
   HBRegularTree<Key64>::Config config;
   config.tree.leaf_fill = 0.8;  // leave room for inserts
   HBRegularTree<Key64> tree(config, &registry, &device, &transfer);
@@ -42,7 +42,7 @@ int main() {
   // 3. Point lookups through the CPU-GPU pipeline: queries travel to the
   //    GPU in buckets, the GPU resolves all inner levels, the CPU
   //    finishes in the leaves.
-  auto queries = MakeLookupQueries(data, /*seed=*/8);
+  auto queries = workload::MakeLookupQueries(data, /*seed=*/8);
   queries.resize(100'000);
   PipelineConfig pipeline;
   pipeline.bucket_size = 16 * 1024;
@@ -68,8 +68,8 @@ int main() {
               static_cast<unsigned long long>(window[0].value));
 
   // 5. Batch update: parallel in host memory, then one I-segment sync.
-  auto batch = MakeUpdateBatch<Key64>(data, 50'000, /*insert_fraction=*/0.5,
-                                      /*seed=*/9);
+  auto batch = workload::MakeUpdateBatch<Key64>(
+      data, 50'000, /*insert_fraction=*/0.5, /*seed=*/9);
   BatchUpdateConfig update_config;
   BatchUpdateStats update_stats =
       RunBatchUpdate(tree, batch, UpdateMethod::kAsyncParallel,

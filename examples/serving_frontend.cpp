@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "bench_support/serve_runner.h"
-#include "core/workload.h"
 #include "serve/server.h"
+#include "workload/paper.h"
 
 using namespace hbtree;
 
@@ -22,7 +22,7 @@ int main() {
   sim::PlatformSpec platform = sim::PlatformSpec::Parse("m1");
 
   std::printf("building a %zu-key index service...\n", n);
-  auto data = GenerateDataset<Key64>(n, seed);
+  auto data = workload::GenerateDataset<Key64>(n, seed);
   serve::ServerOptions options =
       bench::CalibratedServerOptions(platform, data, seed + 1,
                                      /*bucket_size=*/4096);
@@ -45,8 +45,8 @@ int main() {
               static_cast<unsigned long long>(data[100].key), range.size());
 
   // Concurrent phase: three lookup clients + one update client.
-  auto queries = MakeLookupQueries(data, seed + 2);
-  auto updates = MakeUpdateBatch(data, 16 * 1024, 0.8, seed + 3);
+  auto queries = workload::MakeLookupQueries(data, seed + 2);
+  auto updates = workload::MakeUpdateBatch(data, 16 * 1024, 0.8, seed + 3);
   std::vector<std::thread> clients;
   for (int c = 0; c < 3; ++c) {
     clients.emplace_back([&, c] {

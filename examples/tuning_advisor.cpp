@@ -10,12 +10,12 @@
 #include <string>
 
 #include "bench_support/calibrate.h"
-#include "core/workload.h"
 #include "gpusim/device.h"
 #include "hybrid/bucket_pipeline.h"
 #include "hybrid/hb_implicit.h"
 #include "hybrid/load_balancer.h"
 #include "sim/platform.h"
+#include "workload/paper.h"
 
 using namespace hbtree;
 using bench::CalibrateHbCpuRates;
@@ -30,8 +30,8 @@ int main(int argc, char** argv) {
   std::printf("Tuning for %s: %s + %s\n", platform.name.c_str(),
               platform.cpu.name.c_str(), platform.gpu.name.c_str());
 
-  auto data = GenerateDataset<Key64>(4'000'000, /*seed=*/1);
-  auto queries = MakeLookupQueries(data, /*seed=*/2);
+  auto data = workload::GenerateDataset<Key64>(4'000'000, /*seed=*/1);
+  auto queries = workload::MakeLookupQueries(data, /*seed=*/2);
   queries.resize(1 << 18);
 
   HBImplicitTree<Key64>::Config config;

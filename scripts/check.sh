@@ -4,13 +4,11 @@
 #   scripts/check.sh            # release build + full ctest (tier-1 gate)
 #   scripts/check.sh asan       # + AddressSanitizer/UBSan build and ctest
 #   scripts/check.sh tsan       # + ThreadSanitizer build, concurrency tests
-#   scripts/check.sh fault      # + fault-injection smoke under asan and tsan
 #   scripts/check.sh obs        # + observability smoke: fault-injected serve
 #                               #   bench, metrics JSON + trace validation,
+#                               #   a 4-shard serving bench smoke,
 #                               #   compiled-out hooks as the same machine
 #                               #   code as none
-#   scripts/check.sh shard      # + sharded serving stress under asan and
-#                               #   tsan, plus a multi-shard bench smoke
 #   scripts/check.sh regress    # + bench regression sentinel: rerun the
 #                               #   serving bench at the checked-in
 #                               #   baseline's workload and diff against
@@ -89,47 +87,11 @@ run_bench() {
       --output-on-failure
 }
 
-run_shard() {
-  echo "==> sharded serving stress (asan + tsan) + multi-shard bench smoke"
-  # The sharded suite is the data-race magnet of the serving layer:
-  # multiple read workers per shard against one pinned snapshot and its
-  # shared simulated device, plus per-shard update committers.
-  cmake --preset asan >/dev/null
-  cmake --build --preset asan -j "$jobs" --target serve_shard_stress_test
-  (cd build-asan && ctest -R serve_shard_stress_test --output-on-failure)
-  cmake --preset tsan >/dev/null
-  cmake --build --preset tsan -j "$jobs" --target serve_shard_stress_test
-  (cd build-tsan && ctest -R serve_shard_stress_test --output-on-failure)
-  # Short 4-shard x 2-worker bench run: exercises the sweep plumbing and
-  # the modelled-capacity column end to end.
-  cmake --preset release >/dev/null
-  cmake --build --preset release -j "$jobs" --target serve_throughput
-  ./build/bench/serve_throughput --n_log2=16 --lookups=8192 --updates=4096 \
-      --shards=4 --read_workers=2 \
-      --metrics_json=build/SHARD_smoke.json
-  python3 scripts/validate_metrics.py \
-      --require-counter serve.lookups \
-      --require-counter serve.shard0.read_buckets \
-      --require-counter serve.shard3.read_buckets \
-      build/SHARD_smoke.json
-}
-
-run_fault() {
-  echo "==> fault-injection smoke (asan + tsan)"
-  # The fault suites run fixed seeds, so a pass here is reproducible: the
-  # same injected transfer/kernel faults, the same breaker transitions.
-  cmake --preset asan >/dev/null
-  cmake --build --preset asan -j "$jobs" --target fault_injector_test serve_fault_test
-  (cd build-asan && ctest -R '(fault_injector|serve_fault)_test' --output-on-failure)
-  cmake --preset tsan >/dev/null
-  cmake --build --preset tsan -j "$jobs" --target serve_fault_test
-  (cd build-tsan && ctest -R serve_fault_test --output-on-failure)
-}
-
 run_obs() {
   echo "==> observability smoke (fault-injected serve + metrics/trace validation)"
   cmake --preset release >/dev/null
-  cmake --build --preset release -j "$jobs" --target serve_fault_tolerance obs_overhead
+  cmake --build --preset release -j "$jobs" \
+      --target serve_fault_tolerance serve_throughput obs_overhead
   # Short fault-injected serving run: retries=0 with small buckets forces
   # real breaker activity, so the metrics JSON and the trace carry the
   # fault-tolerance signals, not just zeros.
@@ -143,6 +105,16 @@ run_obs() {
       --require-counter gpusim.bytes_h2d \
       --trace build/OBS_fault_trace.json \
       build/OBS_fault_metrics.json
+  # Short 4-shard x 2-worker bench run: exercises the sweep plumbing and
+  # the modelled-capacity column end to end.
+  ./build/bench/serve_throughput --n_log2=16 --lookups=8192 --updates=4096 \
+      --shards=4 --read_workers=2 \
+      --metrics_json=build/SHARD_smoke.json
+  python3 scripts/validate_metrics.py \
+      --require-counter serve.lookups \
+      --require-counter serve.shard0.read_buckets \
+      --require-counter serve.shard3.read_buckets \
+      build/SHARD_smoke.json
   # Compiled-out tracing and heat hooks must be free: the same machine
   # code as the loops without hooks. The bench reports the compiled-in
   # costs; the code identity is the gate, since no timing can show it.
@@ -326,17 +298,15 @@ case "$mode" in
   release) run_release ;;
   asan)    run_release; run_asan; run_obs ;;
   tsan)    run_release; run_tsan; run_obs ;;
-  fault)   run_release; run_fault ;;
   obs)     run_release; run_obs ;;
-  shard)   run_release; run_shard ;;
   regress) run_release; run_regress ;;
   workloads) run_release; run_workloads ;;
   qos)     run_release; run_qos ;;
   heat)    run_release; run_heat ;;
   bench)   run_release; run_bench ;;
   paper)   run_release; run_paper ;;
-  all)     run_release; run_asan; run_tsan; run_fault; run_obs; run_shard; run_regress; run_workloads; run_qos; run_heat; run_bench; run_paper ;;
-  *) echo "usage: scripts/check.sh [release|asan|tsan|fault|obs|shard|regress|workloads|qos|heat|bench|paper|all]" >&2; exit 2 ;;
+  all)     run_release; run_asan; run_tsan; run_obs; run_regress; run_workloads; run_qos; run_heat; run_bench; run_paper ;;
+  *) echo "usage: scripts/check.sh [release|asan|tsan|obs|regress|workloads|qos|heat|bench|paper|all]" >&2; exit 2 ;;
 esac
 
 echo "==> all requested checks passed"

@@ -7,7 +7,6 @@
 #include "bench_support/args.h"
 #include "bench_support/calibrate.h"
 #include "bench_support/report.h"
-#include "core/workload.h"
 #include "gpusim/device.h"
 #include "sim/platform.h"
 

@@ -5,8 +5,8 @@
 
 #include "bench_support/calibrate.h"
 #include "bench_support/harness.h"
-#include "core/workload.h"
 #include "serve/server.h"
+#include "workload/paper.h"
 
 namespace hbtree::bench {
 
@@ -27,7 +27,7 @@ serve::ServerOptions CalibratedServerOptions(
   config.leaf_fill = serve::ServerOptions::leaf_fill;
   RegularBTree<K> tree(config, &registry);
   tree.Build(data);
-  const std::vector<K> queries = MakeLookupQueries(data, seed);
+  const std::vector<K> queries = workload::MakeLookupQueries(data, seed);
   options.cpu_queries_per_us =
       MeasureLeafRate(tree, queries, platform, registry);
   options.cpu_update_us =

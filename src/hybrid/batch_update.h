@@ -211,6 +211,7 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
   // sort), which covers the fold's one compare per op.
   const bool parallel = method == UpdateMethod::kAsyncParallel;
   std::uint64_t structural = 0;
+  std::uint64_t held = 0;  // held back behind a deferred op on their key
   std::uint64_t leaf_runs = 0;
 
   // Packed (key, index) records sort in-cache instead of chasing the
@@ -275,6 +276,7 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
       std::vector<std::vector<const FoldedUpdate*>> deferred(workers);
       std::vector<std::vector<ModifiedNode>> worker_modified(workers);
       std::vector<std::uint64_t> worker_applied(workers, 0);
+      std::vector<std::uint64_t> worker_held(workers, 0);
       std::vector<std::uint64_t> worker_runs(workers, 0);
       const std::size_t span = (end - begin + workers - 1) / workers;
       // Workers take contiguous slices of the sorted order, cut only
@@ -315,6 +317,7 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
           if (!deferred[w].empty() &&
               batch[deferred[w].back()->index].pair.key == update.pair.key) {
             deferred[w].push_back(&op);
+            ++worker_held[w];
             continue;
           }
           const bool is_insert =
@@ -352,6 +355,7 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
       }
       for (int w = 0; w < workers; ++w) {
         applied += worker_applied[w];
+        held += worker_held[w];
         leaf_runs += worker_runs[w];
         modified.insert(modified.end(), worker_modified[w].begin(),
                         worker_modified[w].end());
@@ -392,9 +396,11 @@ Status TryRunBatchUpdate(HBRegularTree<K>& tree,
   stats.delta_nodes = tree.delta_nodes_synced() - delta_nodes0;
 
   const double sort_us = batch.size() * config.sort_us_per_query;
+  // Structural queries run twice; a held-back op never runs in the
+  // parallel phase, so it pays only its serial run, in the tail.
   const double single_us =
-      order.size() * config.cpu_update_us +
-      structural * config.cpu_update_us;  // structural queries run twice
+      (order.size() - held) * config.cpu_update_us +
+      (structural - held) * config.cpu_update_us;
   if (parallel) {
     const double lock_us = leaf_runs * config.lock_overhead_us;
     stats.update_us =

@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "core/random.h"
-#include "core/workload.h"
 #include "hybrid/bucket_pipeline.h"
 #include "sim/platform.h"
+#include "workload/paper.h"
 
 namespace hbtree {
 namespace {
@@ -34,14 +34,14 @@ TEST_P(BatchUpdateTest, TreeMatchesReferenceModelAfterBatch) {
   HBRegularTree<Key64>::Config config;
   config.tree.leaf_fill = 0.75;
   HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(40000, /*seed=*/1);
+  auto data = workload::GenerateDataset<Key64>(40000, /*seed=*/1);
   ASSERT_TRUE(tree.Build(data));
 
   std::map<Key64, Key64> model;
   for (const auto& kv : data) model[kv.key] = kv.value;
 
-  auto batch = MakeUpdateBatch<Key64>(data, 6000, insert_fraction,
-                                      /*seed=*/2);
+  auto batch = workload::MakeUpdateBatch<Key64>(
+      data, 6000, insert_fraction, /*seed=*/2);
   for (const auto& update : batch) {
     if (update.kind == UpdateQuery<Key64>::Kind::kInsert) {
       model.emplace(update.pair.key, update.pair.value);
@@ -109,10 +109,10 @@ TEST(BatchUpdate, StructuralShareIsTinyWithBigLeaves) {
   HBRegularTree<Key64>::Config config;
   config.tree.leaf_fill = 0.7;
   HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(200000, /*seed=*/3);
+  auto data = workload::GenerateDataset<Key64>(200000, /*seed=*/3);
   ASSERT_TRUE(tree.Build(data));
-  auto batch = MakeUpdateBatch<Key64>(data, 16384, /*insert_fraction=*/0.5,
-                                      /*seed=*/4);
+  auto batch = workload::MakeUpdateBatch<Key64>(
+      data, 16384, /*insert_fraction=*/0.5, /*seed=*/4);
   BatchUpdateConfig uconfig;
   BatchUpdateStats stats =
       RunBatchUpdate(tree, batch, UpdateMethod::kAsyncParallel, uconfig);
@@ -122,9 +122,9 @@ TEST(BatchUpdate, StructuralShareIsTinyWithBigLeaves) {
 TEST(BatchUpdate, ParallelWithManyThreadsMatchesSingleThread) {
   // Concurrency stress: the striped-lock parallel phase must produce the
   // same final tree as the single-threaded path.
-  auto data = GenerateDataset<Key64>(60000, /*seed=*/5);
-  auto batch = MakeUpdateBatch<Key64>(data, 20000, /*insert_fraction=*/0.6,
-                                      /*seed=*/6);
+  auto data = workload::GenerateDataset<Key64>(60000, /*seed=*/5);
+  auto batch = workload::MakeUpdateBatch<Key64>(
+      data, 20000, /*insert_fraction=*/0.6, /*seed=*/6);
   std::vector<std::size_t> sizes;
   for (int threads : {1, 2, 4, 8}) {
     Fixture fx;
@@ -179,11 +179,11 @@ TEST(BatchUpdate, ModelledBatchDoesNotDependOnWorkerCount) {
     double leaf_fill;
     double insert_fraction;
   };
-  auto data = GenerateDataset<Key64>(60000, /*seed=*/5);
+  auto data = workload::GenerateDataset<Key64>(60000, /*seed=*/5);
   for (const Case c : {Case{0.5, 1.0}, Case{0.7, 0.6}}) {
     SCOPED_TRACE(c.insert_fraction);
-    auto batch = MakeUpdateBatch<Key64>(data, 20000, c.insert_fraction,
-                                        /*seed=*/6);
+    auto batch = workload::MakeUpdateBatch<Key64>(
+        data, 20000, c.insert_fraction, /*seed=*/6);
     std::vector<BatchUpdateStats> stats;
     for (int threads : {1, 2, 4, 8}) {
       SCOPED_TRACE(threads);
@@ -255,7 +255,7 @@ TEST(BatchUpdate, DuplicateHeavyBatchesMatchArrivalOrderReplay) {
   // absent keys split, so the deferred pass runs as well. After each
   // batch the contents must equal an arrival-order replay and `applied`
   // its count, and the stats must not depend on the worker count.
-  auto data = GenerateDataset<Key64>(20000, /*seed=*/31);
+  auto data = workload::GenerateDataset<Key64>(20000, /*seed=*/31);
   std::vector<Key64> pool;
   for (std::size_t i = 300; pool.size() < 64; i += 600) {
     ASSERT_LT(data[i].key + 1, data[i + 1].key);
@@ -336,7 +336,7 @@ TEST(BatchUpdate, RepeatedDeletesOfOneKeyChargeOneTreeOp) {
   // 16,384 deletes of one present key fold into one delete. Every op pays
   // the sort; only that delete descends, takes a lock and pays the
   // update, and its leaf (fill 0.7, above a quarter) does not merge.
-  auto data = GenerateDataset<Key64>(40000, /*seed=*/33);
+  auto data = workload::GenerateDataset<Key64>(40000, /*seed=*/33);
   const Key64 key = data[20000].key;
   const std::vector<UpdateQuery<Key64>> batch(
       16384, UpdateQuery<Key64>{UpdateQuery<Key64>::Kind::kDelete, {key, 0}});
@@ -380,7 +380,7 @@ TEST(BatchUpdate, ParallelKeepsSameKeyOrderAcrossADeferredSplit) {
     HBRegularTree<Key64>::Config config;
     HBRegularTree<Key64> tree(config, &fx.registry, &fx.device,
                               &fx.transfer);
-    auto data = GenerateDataset<Key64>(40000, /*seed=*/21);
+    auto data = workload::GenerateDataset<Key64>(40000, /*seed=*/21);
     ASSERT_TRUE(tree.Build(data));
     // Absent keys strictly between two dataset keys, in distinct leaves.
     std::vector<Key64> absent;
@@ -432,7 +432,7 @@ TEST(BatchUpdate, ParallelKeepsSameKeyOrderAcrossADeferredMerge) {
     config.tree.leaf_fill = 0.25;
     HBRegularTree<Key64> tree(config, &fx.registry, &fx.device,
                               &fx.transfer);
-    auto data = GenerateDataset<Key64>(40000, /*seed=*/22);
+    auto data = workload::GenerateDataset<Key64>(40000, /*seed=*/22);
     ASSERT_TRUE(tree.Build(data));
     // Alternately present and absent keys, in distinct leaves.
     std::vector<Key64> keys;
@@ -465,6 +465,19 @@ TEST(BatchUpdate, ParallelKeepsSameKeyOrderAcrossADeferredMerge) {
     // Replay: a present key's delete and second insert apply; an absent
     // key's first insert applies too.
     EXPECT_EQ(stats.applied, 2 * keys.size() + keys.size() / 2);
+    EXPECT_EQ(stats.leaf_runs, keys.size());
+    // Every op pays the sort. A deferred delete pays its parallel attempt
+    // and its serial rerun in the parallel term, then the serial tail; a
+    // held insert never runs in the parallel phase and pays only its
+    // serial run, in the tail. With default costs: 3.328 us.
+    const double op_us = uconfig.cpu_update_us;
+    const double parallel_us =
+        (2 * keys.size() * op_us +
+         keys.size() * BatchUpdateConfig::lock_overhead_us) /
+        (uconfig.model_threads * BatchUpdateConfig::parallel_efficiency);
+    EXPECT_DOUBLE_EQ(stats.update_us,
+                     batch.size() * BatchUpdateConfig::sort_us_per_query +
+                         parallel_us + 2 * keys.size() * op_us);
   }
 }
 
@@ -472,9 +485,9 @@ TEST(BatchUpdate, MirrorMatchesHostAfterEverySmallBatch) {
   // Small batches dirty few hot fragments, so the async methods stream
   // them on the delta sync path; the synchronized method copies each
   // modified node. Either way the device mirror must equal the host.
-  auto data = GenerateDataset<Key64>(100000, /*seed=*/13);
-  auto updates = MakeUpdateBatch<Key64>(data, 20 * 64,
-                                        /*insert_fraction=*/0.5, /*seed=*/14);
+  auto data = workload::GenerateDataset<Key64>(100000, /*seed=*/13);
+  auto updates = workload::MakeUpdateBatch<Key64>(
+      data, 20 * 64, /*insert_fraction=*/0.5, /*seed=*/14);
   for (UpdateMethod method :
        {UpdateMethod::kAsyncSingleThread, UpdateMethod::kAsyncParallel,
         UpdateMethod::kSynchronized}) {
@@ -508,9 +521,9 @@ TEST(BatchUpdate, TimingModelOrdering) {
   HBRegularTree<Key64>::Config config;
   config.tree.leaf_fill = 0.7;
   config.delta_sync_cost_margin = 0;
-  auto data = GenerateDataset<Key64>(100000, /*seed=*/7);
-  auto batch = MakeUpdateBatch<Key64>(data, 32768, /*insert_fraction=*/0.5,
-                                      /*seed=*/8);
+  auto data = workload::GenerateDataset<Key64>(100000, /*seed=*/7);
+  auto batch = workload::MakeUpdateBatch<Key64>(
+      data, 32768, /*insert_fraction=*/0.5, /*seed=*/8);
   double single_us = 0, parallel_us = 0;
   for (UpdateMethod method :
        {UpdateMethod::kAsyncSingleThread, UpdateMethod::kAsyncParallel}) {
@@ -536,7 +549,7 @@ TEST(BatchUpdate, TimingModelOrdering) {
 }
 
 TEST(MixedWorkload, SyncDecaysFasterWithUpdateShare) {
-  auto data = GenerateDataset<Key64>(150000, /*seed=*/9);
+  auto data = workload::GenerateDataset<Key64>(150000, /*seed=*/9);
   double ratio_low = 0, ratio_high = 0;
   for (double update_ratio : {0.1, 0.8}) {
     double mops[2];
@@ -549,9 +562,9 @@ TEST(MixedWorkload, SyncDecaysFasterWithUpdateShare) {
       HBRegularTree<Key64> tree(config, &fx.registry, &fx.device,
                                 &fx.transfer);
       ASSERT_TRUE(tree.Build(data));
-      auto searches = MakeLookupQueries(data, /*seed=*/10);
+      auto searches = workload::MakeLookupQueries(data, /*seed=*/10);
       searches.resize(1 << 15);
-      auto updates = MakeUpdateBatch<Key64>(
+      auto updates = workload::MakeUpdateBatch<Key64>(
           data, static_cast<std::size_t>((1 << 15) * update_ratio) + 1, 0.5,
           /*seed=*/11);
       BatchUpdateConfig uconfig;

@@ -9,6 +9,7 @@
 #include "bench_support/report.h"
 #include "cpubtree/implicit_btree.h"
 #include "cpubtree/regular_btree.h"
+#include "workload/paper.h"
 
 namespace hbtree::bench {
 namespace {
@@ -60,9 +61,9 @@ TEST(Calibrate, BiggerTreesAreSlower) {
     PageRegistry registry;
     ImplicitBTree<Key64>::Config config;
     ImplicitBTree<Key64> tree(config, &registry);
-    auto data = GenerateDataset<Key64>(n, 1);
+    auto data = workload::GenerateDataset<Key64>(n, 1);
     tree.Build(data);
-    auto queries = MakeLookupQueries(data, 2);
+    auto queries = workload::MakeLookupQueries(data, 2);
     auto m = MeasureCpuSearch(tree, queries, platform, registry,
                               config.search_algo);
     EXPECT_GT(m.estimate.mqps, 0);
@@ -79,9 +80,9 @@ TEST(Calibrate, LeafRateExceedsFullSearchRate) {
   ImplicitBTree<Key64>::Config config;
   config.hybrid_layout = true;
   ImplicitBTree<Key64> tree(config, &registry);
-  auto data = GenerateDataset<Key64>(1 << 21, 3);
+  auto data = workload::GenerateDataset<Key64>(1 << 21, 3);
   tree.Build(data);
-  auto queries = MakeLookupQueries(data, 4);
+  auto queries = workload::MakeLookupQueries(data, 4);
   auto full = MeasureCpuSearch(tree, queries, platform, registry,
                                config.search_algo);
   auto rates = CalibrateHbCpuRates(tree, queries, platform, registry);
@@ -105,9 +106,9 @@ void ExpectPinnedCalibration(double leaf_queries_per_us,
   PageRegistry registry;
   typename Tree::Config config;
   Tree tree(config, &registry);
-  const auto data = GenerateDataset<Key64>(std::size_t{1} << 16, 1);
+  const auto data = workload::GenerateDataset<Key64>(std::size_t{1} << 16, 1);
   tree.Build(data);
-  const auto queries = MakeLookupQueries(data, 2);
+  const auto queries = workload::MakeLookupQueries(data, 2);
   const HbCpuRates rates =
       CalibrateHbCpuRates(tree, queries, platform, registry);
   EXPECT_EQ(rates.leaf_queries_per_us, leaf_queries_per_us);

@@ -1,14 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <set>
 #include <vector>
 
-#include "core/distributions.h"
 #include "core/random.h"
 #include "core/simd.h"
-#include "core/workload.h"
 
 namespace hbtree {
 namespace {
@@ -53,76 +49,6 @@ TEST(KnuthShuffle, IsAPermutation) {
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(sorted[i], i);
   // Overwhelmingly unlikely to be the identity.
   EXPECT_NE(items[0] * 1000 + items[1], 0 * 1000 + 1);
-}
-
-// ---------------------------------------------------------------------------
-// Distributions (Section 6.3 parameters).
-// ---------------------------------------------------------------------------
-
-class DistributionTest : public ::testing::TestWithParam<Distribution> {};
-
-TEST_P(DistributionTest, SamplesInUnitInterval) {
-  DistributionSampler sampler(GetParam(), 11);
-  for (int i = 0; i < 20000; ++i) {
-    double v = sampler.Next();
-    ASSERT_GE(v, 0.0) << DistributionName(GetParam());
-    ASSERT_LE(v, 1.0) << DistributionName(GetParam());
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllDistributions, DistributionTest,
-                         ::testing::Values(Distribution::kUniform,
-                                           Distribution::kNormal,
-                                           Distribution::kGamma,
-                                           Distribution::kZipf),
-                         [](const auto& info) {
-                           return DistributionName(info.param);
-                         });
-
-TEST(Distributions, NormalMeanAndSpread) {
-  DistributionSampler sampler(Distribution::kNormal, 12);
-  double sum = 0;
-  int mid = 0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) {
-    double v = sampler.Next();
-    sum += v;
-    if (v > 0.25 && v < 0.75) ++mid;
-  }
-  EXPECT_NEAR(sum / n, 0.5, 0.02);  // mu = 0.5
-  // sigma ~ 0.354: ~52% of mass within +-0.25 of the mean.
-  EXPECT_GT(static_cast<double>(mid) / n, 0.4);
-  EXPECT_LT(static_cast<double>(mid) / n, 0.65);
-}
-
-TEST(Distributions, GammaSkewsLow) {
-  DistributionSampler sampler(Distribution::kGamma, 13);
-  int low = 0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) {
-    if (sampler.Next() < 0.3) ++low;
-  }
-  // Gamma(3,3)/45: mean 9/45 = 0.2 -> most mass below 0.3.
-  EXPECT_GT(static_cast<double>(low) / n, 0.6);
-}
-
-TEST(Distributions, ZipfIsHeavilySkewed) {
-  DistributionSampler sampler(Distribution::kZipf, 14);
-  int rank1 = 0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) {
-    // Rank 1 maps to 0.0 exactly; rank 2 to ~6e-8.
-    if (sampler.Next() < 3e-8) ++rank1;
-  }
-  // Zipf(2): P(rank 1) = 1/zeta(2) ~ 0.61.
-  EXPECT_NEAR(static_cast<double>(rank1) / n, 0.61, 0.05);
-}
-
-TEST(Distributions, ParseRoundTrips) {
-  for (Distribution d : {Distribution::kUniform, Distribution::kNormal,
-                         Distribution::kGamma, Distribution::kZipf}) {
-    EXPECT_EQ(ParseDistribution(DistributionName(d)), d);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -180,83 +106,6 @@ TYPED_TEST(SimdSearchTypedTest, DuplicateKeysHandled) {
     EXPECT_EQ(
         SearchCacheLine<K>(keys, probe, NodeSearchAlgo::kHierarchicalSimd),
         expect);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Workload generation.
-// ---------------------------------------------------------------------------
-
-template <typename K>
-class WorkloadTypedTest : public ::testing::Test {};
-TYPED_TEST_SUITE(WorkloadTypedTest, KeyTypes);
-
-TYPED_TEST(WorkloadTypedTest, DatasetIsSortedAndUnique) {
-  using K = TypeParam;
-  auto data = GenerateDataset<K>(50000, 16);
-  ASSERT_EQ(data.size(), 50000u);
-  for (std::size_t i = 1; i < data.size(); ++i) {
-    ASSERT_LT(data[i - 1].key, data[i].key);
-  }
-  for (const auto& kv : data) ASSERT_NE(kv.key, KeyTraits<K>::kMax);
-}
-
-TYPED_TEST(WorkloadTypedTest, LookupQueriesArePermutationOfKeys) {
-  using K = TypeParam;
-  auto data = GenerateDataset<K>(10000, 17);
-  auto queries = MakeLookupQueries(data, 18);
-  ASSERT_EQ(queries.size(), data.size());
-  std::vector<K> sorted = queries;
-  std::sort(sorted.begin(), sorted.end());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    ASSERT_EQ(sorted[i], data[i].key);
-  }
-}
-
-TYPED_TEST(WorkloadTypedTest, UpdateBatchRespectsFractionAndValidity) {
-  using K = TypeParam;
-  auto data = GenerateDataset<K>(20000, 19);
-  auto batch = MakeUpdateBatch<K>(data, 1000, /*insert_fraction=*/0.6, 20);
-  ASSERT_EQ(batch.size(), 1000u);
-  std::size_t inserts = 0;
-  std::set<K> delete_keys;
-  for (const auto& update : batch) {
-    auto it = std::lower_bound(
-        data.begin(), data.end(), update.pair.key,
-        [](const KeyValue<K>& kv, K k) { return kv.key < k; });
-    const bool exists = it != data.end() && it->key == update.pair.key;
-    if (update.kind == UpdateQuery<K>::Kind::kInsert) {
-      ++inserts;
-      EXPECT_FALSE(exists);  // inserts are fresh keys
-    } else {
-      EXPECT_TRUE(exists);  // deletes target existing keys
-      EXPECT_TRUE(delete_keys.insert(update.pair.key).second)
-          << "duplicate delete";
-    }
-  }
-  EXPECT_EQ(inserts, 600u);
-}
-
-TYPED_TEST(WorkloadTypedTest, RangeQueriesStartAtExistingKeys) {
-  using K = TypeParam;
-  auto data = GenerateDataset<K>(5000, 21);
-  auto rq = MakeRangeQueries(data, 200, 16, 22);
-  for (const auto& query : rq) {
-    auto it = std::lower_bound(
-        data.begin(), data.end(), query.first_key,
-        [](const KeyValue<K>& kv, K k) { return kv.key < k; });
-    ASSERT_TRUE(it != data.end() && it->key == query.first_key);
-    EXPECT_EQ(query.match_count, 16);
-  }
-}
-
-TEST(Workload, Generate32BitHandlesCollisions) {
-  // 2^20 keys from a 2^32 domain: collisions certain during generation,
-  // output must still be unique.
-  auto keys = GenerateSortedUniqueKeys<Key32>(1 << 20, 23);
-  ASSERT_EQ(keys.size(), std::size_t{1} << 20);
-  for (std::size_t i = 1; i < keys.size(); ++i) {
-    ASSERT_LT(keys[i - 1], keys[i]);
   }
 }
 

@@ -1,11 +1,11 @@
 #include "fast/fast_tree.h"
+#include "workload/paper.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
-#include "core/workload.h"
 
 namespace hbtree {
 namespace {
@@ -21,7 +21,7 @@ TYPED_TEST(FastTreeTypedTest, FindsAllKeys) {
   PageRegistry registry;
   typename FastTree<K>::Config config;
   FastTree<K> tree(config, &registry);
-  auto data = GenerateDataset<K>(40000, /*seed=*/1);
+  auto data = workload::GenerateDataset<K>(40000, /*seed=*/1);
   tree.Build(data);
   for (std::size_t i = 0; i < data.size(); i += 3) {
     auto result = tree.Search(data[i].key);
@@ -35,7 +35,8 @@ TYPED_TEST(FastTreeTypedTest, LowerBoundMatchesStd) {
   PageRegistry registry;
   typename FastTree<K>::Config config;
   FastTree<K> tree(config, &registry);
-  auto data = GenerateDataset<K>(12345, /*seed=*/2);  // non-power-of-two
+  // A non-power-of-two size.
+  auto data = workload::GenerateDataset<K>(12345, /*seed=*/2);
   tree.Build(data);
   Rng rng(3);
   for (int i = 0; i < 5000; ++i) {
@@ -82,7 +83,7 @@ TYPED_TEST(FastTreeTypedTest, BlockGeometry) {
   PageRegistry registry;
   typename FastTree<K>::Config config;
   FastTree<K> tree(config, &registry);
-  auto data = GenerateDataset<K>(100000, /*seed=*/4);
+  auto data = workload::GenerateDataset<K>(100000, /*seed=*/4);
   tree.Build(data);
   EXPECT_EQ(tree.depth() % FastTree<K>::kBlockDepth, 0);
   EXPECT_EQ(tree.block_levels(), tree.depth() / FastTree<K>::kBlockDepth);
@@ -92,7 +93,7 @@ TEST(FastTreeTrace, OneLineAccessPerBlockLevel) {
   PageRegistry registry;
   FastTree<Key64>::Config config;
   FastTree<Key64> tree(config, &registry);
-  auto data = GenerateDataset<Key64>(500000, /*seed=*/5);
+  auto data = workload::GenerateDataset<Key64>(500000, /*seed=*/5);
   tree.Build(data);
   struct CountingTracer {
     int accesses = 0;

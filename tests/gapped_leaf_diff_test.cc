@@ -5,7 +5,6 @@
 #include <map>
 #include <vector>
 
-#include "core/workload.h"
 #include "cpubtree/regular_btree.h"
 #include "fault/fault_injector.h"
 #include "gpusim/cost_model.h"
@@ -14,6 +13,7 @@
 #include "hybrid/hb_regular.h"
 #include "hybrid/mirror_scatter.h"
 #include "sim/platform.h"
+#include "workload/paper.h"
 
 namespace hbtree {
 namespace {
@@ -48,7 +48,7 @@ TYPED_TEST(GappedLeafDiffTest, ClusteredInsertsMatchMapReplay) {
   using K = TypeParam;
   PageRegistry registry;
   auto tree = MakeGappedTree<K>(&registry);
-  auto data = GenerateDataset<K>(8000, /*seed=*/21);
+  auto data = workload::GenerateDataset<K>(8000, /*seed=*/21);
   tree.Build(data);
   std::map<K, K> model;
   for (const auto& kv : data) model[kv.key] = kv.value;
@@ -97,7 +97,7 @@ TYPED_TEST(GappedLeafDiffTest, SpillAndRedistributePathsConverge) {
   auto gapped = MakeGappedTree<K>(&registry_a);
   auto eager = MakeGappedTree<K>(&registry_b, /*leaf_fill=*/0.6,
                                  /*spill_occupancy=*/0.0);
-  auto data = GenerateDataset<K>(6000, /*seed=*/23);
+  auto data = workload::GenerateDataset<K>(6000, /*seed=*/23);
   gapped.Build(data);
   eager.Build(data);
   std::map<K, K> model;
@@ -246,7 +246,7 @@ TEST(DeltaSync, SmallDirtySetStreamsDeltaAndMirrorStaysCorrect) {
   HBRegularTree<Key64>::Config config;
   config.tree.leaf_fill = 0.6;
   HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(200000, /*seed=*/31);
+  auto data = workload::GenerateDataset<Key64>(200000, /*seed=*/31);
   ASSERT_TRUE(tree.Build(data));
   ASSERT_TRUE(tree.mirror_valid());
   EXPECT_TRUE(tree.MirrorMatchesHost());
@@ -321,7 +321,7 @@ TEST(DeltaSync, ScatteredDirtySetTakesStagedPlan) {
   HBRegularTree<Key64>::Config config;
   config.tree.leaf_fill = 0.6;
   HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(200000, /*seed=*/36);
+  auto data = workload::GenerateDataset<Key64>(200000, /*seed=*/36);
   ASSERT_TRUE(tree.Build(data));
 
   // Clusters all over the keyspace dirty fragments far apart: more than
@@ -374,7 +374,7 @@ TEST(DeltaSync, SplitsStageBothPoolsInOneLaunch) {
   SyncFixture fx;
   HBRegularTree<Key64>::Config config;
   HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(200000, /*seed=*/39);
+  auto data = workload::GenerateDataset<Key64>(200000, /*seed=*/39);
   ASSERT_TRUE(tree.Build(data));
   std::vector<Key64> keys;
   for (std::size_t i = 0; i < data.size(); i += 2003) {
@@ -424,7 +424,7 @@ TEST(DeltaSync, FullUploadIsOneTransferOfTheISegment) {
   HBRegularTree<Key64>::Config config;
   config.delta_sync_cost_margin = 0;  // every dirty batch takes the full path
   HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(100000, /*seed=*/40);
+  auto data = workload::GenerateDataset<Key64>(100000, /*seed=*/40);
   ASSERT_TRUE(tree.Build(data));
   EXPECT_EQ(fx.transfer.transfers(), 1u);
   EXPECT_EQ(fx.transfer.bytes_h2d(), tree.i_segment_bytes());
@@ -445,7 +445,7 @@ TEST(DeltaSync, StagingBufferThatDoesNotFitStreamsTheRuns) {
   // with room for the mirror and nothing more: the staging buffer does
   // not fit, so the sync streams the runs instead.
   sim::PlatformSpec platform = sim::PlatformSpec::M1();
-  auto data = GenerateDataset<Key64>(200000, /*seed=*/36);
+  auto data = workload::GenerateDataset<Key64>(200000, /*seed=*/36);
   HBRegularTree<Key64>::Config config;
   config.tree.leaf_fill = 0.6;
   {
@@ -480,7 +480,7 @@ TEST(DeltaSync, OneOrTwoRunsStreamPerRun) {
   SyncFixture fx;
   HBRegularTree<Key64>::Config config;
   HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(100000, /*seed=*/38);
+  auto data = workload::GenerateDataset<Key64>(100000, /*seed=*/38);
   ASSERT_TRUE(tree.Build(data));
   auto& pool = tree.host_tree().leaf_pool();
   ASSERT_GT(pool.high_water(), 40u);
@@ -513,7 +513,7 @@ TEST(DeltaSync, LargeDirtySetTakesFullPath) {
   SyncFixture fx;
   HBRegularTree<Key64>::Config config;
   HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(100000, /*seed=*/33);
+  auto data = workload::GenerateDataset<Key64>(100000, /*seed=*/33);
   ASSERT_TRUE(tree.Build(data));
 
   // Mark seven of every eight slots of both pools: the gaps split them
@@ -569,7 +569,7 @@ TEST(DeltaSync, FaultOnDeltaPathFallsBackToStaleMirrorThenFullRepair) {
     config.tree.leaf_fill = set.leaf_fill;
     HBRegularTree<Key64> tree(config, &fx.registry, &fx.device,
                               &fx.transfer);
-    auto data = GenerateDataset<Key64>(200000, set.seed);
+    auto data = workload::GenerateDataset<Key64>(200000, set.seed);
     ASSERT_TRUE(tree.Build(data));
 
     auto keys = InsertClustered<Key64>(tree, data, set.clusters,

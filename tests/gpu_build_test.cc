@@ -5,11 +5,11 @@
 #include <cstring>
 #include <vector>
 
-#include "core/workload.h"
 #include "gpusim/cost_model.h"
 #include "hybrid/hb_implicit.h"
 #include "hybrid/mirror_scatter.h"
 #include "sim/platform.h"
+#include "workload/paper.h"
 
 namespace hbtree {
 namespace {
@@ -33,7 +33,7 @@ TYPED_TEST(GpuBuildTypedTest, DeviceBuiltISegmentMatchesHostByteForByte) {
     Fixture fx;
     typename HBImplicitTree<K>::Config config;
     HBImplicitTree<K> tree(config, &fx.registry, &fx.device, &fx.transfer);
-    auto data = GenerateDataset<K>(n, /*seed=*/n);
+    auto data = workload::GenerateDataset<K>(n, /*seed=*/n);
     ASSERT_TRUE(tree.Build(data));  // uploads the host-built I-segment
 
     // Scribble over the device mirror, then rebuild it with the kernel.
@@ -57,7 +57,7 @@ TEST(GpuBuild, WorksForCpuLayoutToo) {
   PageRegistry registry;
   ImplicitBTree<Key64>::Config config;  // CPU layout, huge pages
   ImplicitBTree<Key64> host(config, &registry);
-  auto data = GenerateDataset<Key64>(200000, /*seed=*/7);
+  auto data = workload::GenerateDataset<Key64>(200000, /*seed=*/7);
   host.Build(data);
 
   const std::size_t bytes = host.i_segment_node_count() * kCacheLineSize;
@@ -72,7 +72,7 @@ TEST(GpuBuild, TransfersLessThanFullSegmentUpload) {
   Fixture fx;
   HBImplicitTree<Key64>::Config config;
   HBImplicitTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(1 << 20, /*seed=*/8);
+  auto data = workload::GenerateDataset<Key64>(1 << 20, /*seed=*/8);
   ASSERT_TRUE(tree.Build(data));
 
   const std::uint64_t before = fx.transfer.bytes_h2d();

@@ -10,13 +10,13 @@
 #include <vector>
 
 #include "core/trace.h"
-#include "core/workload.h"
 #include "gpusim/device.h"
 #include "hybrid/bucket_pipeline.h"
 #include "hybrid/hb_fast.h"
 #include "hybrid/hb_implicit.h"
 #include "hybrid/hb_regular.h"
 #include "sim/platform.h"
+#include "workload/paper.h"
 
 namespace hbtree {
 namespace {
@@ -41,14 +41,14 @@ TEST_P(ImplicitKernelTest, MatchesHostTraversalFromAnyStartLevel) {
   KernelFixture fx;
   HBImplicitTree<Key64>::Config config;
   HBImplicitTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(n, /*seed=*/1);
+  auto data = workload::GenerateDataset<Key64>(n, /*seed=*/1);
   ASSERT_TRUE(tree.Build(data));
   const auto& host = tree.host_tree();
   if (cpu_depth >= host.height()) GTEST_SKIP() << "tree too shallow";
 
   constexpr std::uint32_t kCount = 2000;
-  auto queries = MakeDistributedQueries<Key64>(kCount, Distribution::kUniform,
-                                               /*seed=*/2);
+  auto queries = workload::MakeDistributedQueries<Key64>(
+      kCount, workload::Distribution::kUniform, /*seed=*/2);
   for (std::size_t i = 0; i < kCount; i += 2) {
     queries[i] = data[(i * 131) % data.size()].key;  // guaranteed hits
   }
@@ -95,12 +95,12 @@ TEST(ImplicitKernel32, TeamOf16MatchesHost) {
   KernelFixture fx;
   HBImplicitTree<Key32>::Config config;
   HBImplicitTree<Key32> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key32>(200000, /*seed=*/3);
+  auto data = workload::GenerateDataset<Key32>(200000, /*seed=*/3);
   ASSERT_TRUE(tree.Build(data));
   const auto& host = tree.host_tree();
 
   constexpr std::uint32_t kCount = 1000;
-  auto queries = MakeLookupQueries(data, /*seed=*/4);
+  auto queries = workload::MakeLookupQueries(data, /*seed=*/4);
   queries.resize(kCount);
   gpu::DevicePtr q_dev = fx.device.Malloc(kCount * sizeof(Key32));
   gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(ResultWord));
@@ -121,13 +121,13 @@ TEST(RegularKernel, MatchesHostFindLeafPosition) {
   KernelFixture fx;
   HBRegularTree<Key64>::Config config;
   HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(300000, /*seed=*/5);
+  auto data = workload::GenerateDataset<Key64>(300000, /*seed=*/5);
   ASSERT_TRUE(tree.Build(data));
   const auto& host = tree.host_tree();
 
   constexpr std::uint32_t kCount = 2000;
-  auto queries = MakeDistributedQueries<Key64>(kCount, Distribution::kUniform,
-                                               /*seed=*/6);
+  auto queries = workload::MakeDistributedQueries<Key64>(
+      kCount, workload::Distribution::kUniform, /*seed=*/6);
   gpu::DevicePtr q_dev = fx.device.Malloc(kCount * sizeof(Key64));
   gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(ResultWord));
   fx.transfer.CopyToDevice(q_dev, queries.data(), kCount * sizeof(Key64));
@@ -150,11 +150,11 @@ TEST(RegularKernel, StaysCorrectAfterNodeSync) {
   HBRegularTree<Key64>::Config config;
   config.tree.leaf_fill = 0.95;
   HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(100000, /*seed=*/7);
+  auto data = workload::GenerateDataset<Key64>(100000, /*seed=*/7);
   ASSERT_TRUE(tree.Build(data));
 
-  auto batch = MakeUpdateBatch<Key64>(data, 3000, /*insert_fraction=*/1.0,
-                                      /*seed=*/8);
+  auto batch = workload::MakeUpdateBatch<Key64>(
+      data, 3000, /*insert_fraction=*/1.0, /*seed=*/8);
   for (const auto& update : batch) {
     std::vector<ModifiedNode> modified;
     tree.host_tree().Insert(update.pair, &modified);
@@ -216,11 +216,11 @@ TEST(Kernels, CoalescingBeatsWorstCase) {
   KernelFixture fx;
   HBImplicitTree<Key64>::Config config;
   HBImplicitTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(100000, /*seed=*/9);
+  auto data = workload::GenerateDataset<Key64>(100000, /*seed=*/9);
   ASSERT_TRUE(tree.Build(data));
 
   constexpr std::uint32_t kCount = 4096;
-  auto queries = MakeLookupQueries(data, /*seed=*/10);
+  auto queries = workload::MakeLookupQueries(data, /*seed=*/10);
   queries.resize(kCount);
   gpu::DevicePtr q_dev = fx.device.Malloc(kCount * sizeof(Key64));
   gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(ResultWord));
@@ -274,11 +274,11 @@ std::string PinnedLaunch(Order order) {
   KernelFixture fx;
   typename Adapter::Tree::Config config;
   typename Adapter::Tree tree(config, &fx.registry, &fx.device, &fx.transfer);
-  const auto data = GenerateDataset<K>(kKeys, /*seed=*/11);
+  const auto data = workload::GenerateDataset<K>(kKeys, /*seed=*/11);
   EXPECT_TRUE(tree.Build(data));
 
-  auto queries =
-      MakeDistributedQueries<K>(kCount, Distribution::kZipf, /*seed=*/12);
+  auto queries = workload::MakeDistributedQueries<K>(
+      kCount, workload::Distribution::kZipf, /*seed=*/12);
   for (std::size_t i = 0; i < kCount; i += 2) {
     queries[i] = data[(i * 7919) % data.size()].key;  // hits
   }

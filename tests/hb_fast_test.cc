@@ -5,9 +5,9 @@
 #include <cstring>
 #include <vector>
 
-#include "core/workload.h"
 #include "hybrid/bucket_pipeline.h"
 #include "sim/platform.h"
+#include "workload/paper.h"
 
 namespace hbtree {
 namespace {
@@ -30,12 +30,12 @@ TYPED_TEST(HbFastTypedTest, KernelMatchesHostLowerBound) {
   Fixture fx;
   typename HBFastTree<K>::Config config;
   HBFastTree<K> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<K>(123456, /*seed=*/1);
+  auto data = workload::GenerateDataset<K>(123456, /*seed=*/1);
   ASSERT_TRUE(tree.Build(data));
 
   constexpr std::uint32_t kCount = 3000;
-  auto queries = MakeDistributedQueries<K>(kCount, Distribution::kUniform,
-                                           /*seed=*/2);
+  auto queries = workload::MakeDistributedQueries<K>(
+      kCount, workload::Distribution::kUniform, /*seed=*/2);
   for (std::size_t i = 0; i < kCount; i += 2) {
     queries[i] = data[(i * 997) % data.size()].key;
   }
@@ -60,10 +60,10 @@ TYPED_TEST(HbFastTypedTest, PipelineMatchesHostSearch) {
   Fixture fx;
   typename HBFastTree<K>::Config config;
   HBFastTree<K> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<K>(80000, /*seed=*/3);
+  auto data = workload::GenerateDataset<K>(80000, /*seed=*/3);
   ASSERT_TRUE(tree.Build(data));
 
-  auto queries = MakeLookupQueries(data, /*seed=*/4);
+  auto queries = workload::MakeLookupQueries(data, /*seed=*/4);
   queries.resize(20000);
   PipelineConfig pconfig;
   pconfig.bucket_size = 2048;
@@ -82,11 +82,11 @@ TYPED_TEST(HbFastTypedTest, LoadBalancedPipelineIsCorrect) {
   Fixture fx;
   typename HBFastTree<K>::Config config;
   HBFastTree<K> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<K>(200000, /*seed=*/5);
+  auto data = workload::GenerateDataset<K>(200000, /*seed=*/5);
   ASSERT_TRUE(tree.Build(data));
   ASSERT_GE(tree.host_tree().block_levels(), 3);
 
-  auto queries = MakeLookupQueries(data, /*seed=*/6);
+  auto queries = workload::MakeLookupQueries(data, /*seed=*/6);
   queries.resize(8192);
   PipelineConfig pconfig;
   pconfig.bucket_size = 1024;
@@ -109,11 +109,11 @@ TEST(HbFast, UncoalescedKernelIssuesMoreTransactionsThanTeamSearch) {
   Fixture fx;
   HBFastTree<Key64>::Config config;
   HBFastTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(500000, /*seed=*/7);
+  auto data = workload::GenerateDataset<Key64>(500000, /*seed=*/7);
   ASSERT_TRUE(tree.Build(data));
 
   constexpr std::uint32_t kCount = 4096;
-  auto queries = MakeLookupQueries(data, /*seed=*/8);
+  auto queries = workload::MakeLookupQueries(data, /*seed=*/8);
   queries.resize(kCount);
   gpu::DevicePtr q_dev = fx.device.Malloc(kCount * sizeof(Key64));
   gpu::DevicePtr r_dev = fx.device.Malloc(kCount * sizeof(ResultWord));

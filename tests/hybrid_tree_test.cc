@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/workload.h"
 #include "hybrid/batch_update.h"
 #include "hybrid/bucket_pipeline.h"
 #include "hybrid/hb_implicit.h"
 #include "hybrid/hb_regular.h"
 #include "hybrid/load_balancer.h"
 #include "sim/platform.h"
+#include "workload/paper.h"
 
 namespace hbtree {
 namespace {
@@ -32,9 +32,9 @@ TYPED_TEST(HybridTypedTest, ImplicitPipelineMatchesHostSearch) {
   Fixture64 fx;
   typename HBImplicitTree<K>::Config config;
   HBImplicitTree<K> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<K>(100000, /*seed=*/1);
+  auto data = workload::GenerateDataset<K>(100000, /*seed=*/1);
   ASSERT_TRUE(tree.Build(data));
-  auto queries = MakeLookupQueries(data, /*seed=*/2);
+  auto queries = workload::MakeLookupQueries(data, /*seed=*/2);
   queries.resize(40000);
 
   PipelineConfig pconfig;
@@ -58,9 +58,9 @@ TYPED_TEST(HybridTypedTest, RegularPipelineMatchesHostSearch) {
   Fixture64 fx;
   typename HBRegularTree<K>::Config config;
   HBRegularTree<K> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<K>(100000, /*seed=*/3);
+  auto data = workload::GenerateDataset<K>(100000, /*seed=*/3);
   ASSERT_TRUE(tree.Build(data));
-  auto queries = MakeLookupQueries(data, /*seed=*/4);
+  auto queries = workload::MakeLookupQueries(data, /*seed=*/4);
   queries.resize(30000);
 
   PipelineConfig pconfig;
@@ -80,9 +80,10 @@ TYPED_TEST(HybridTypedTest, PipelineHandlesMisses) {
   Fixture64 fx;
   typename HBImplicitTree<K>::Config config;
   HBImplicitTree<K> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<K>(50000, /*seed=*/5);
+  auto data = workload::GenerateDataset<K>(50000, /*seed=*/5);
   ASSERT_TRUE(tree.Build(data));
-  auto queries = MakeDistributedQueries<K>(20000, Distribution::kUniform, 6);
+  auto queries = workload::MakeDistributedQueries<K>(
+      20000, workload::Distribution::kUniform, 6);
 
   PipelineConfig pconfig;
   pconfig.bucket_size = 2048;
@@ -100,9 +101,9 @@ TYPED_TEST(HybridTypedTest, LoadBalancedPipelineIsCorrect) {
   Fixture64 fx;
   typename HBImplicitTree<K>::Config config;
   HBImplicitTree<K> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<K>(200000, /*seed=*/7);
+  auto data = workload::GenerateDataset<K>(200000, /*seed=*/7);
   ASSERT_TRUE(tree.Build(data));
-  auto queries = MakeLookupQueries(data, /*seed=*/8);
+  auto queries = workload::MakeLookupQueries(data, /*seed=*/8);
   queries.resize(20000);
 
   PipelineConfig pconfig;
@@ -128,10 +129,11 @@ TYPED_TEST(HybridTypedTest, BatchUpdateMethodsKeepDeviceMirrorConsistent) {
     typename HBRegularTree<K>::Config config;
     config.tree.leaf_fill = 0.7;
     HBRegularTree<K> tree(config, &fx.registry, &fx.device, &fx.transfer);
-    auto data = GenerateDataset<K>(60000, /*seed=*/9);
+    auto data = workload::GenerateDataset<K>(60000, /*seed=*/9);
     ASSERT_TRUE(tree.Build(data));
 
-    auto batch = MakeUpdateBatch<K>(data, 8000, /*insert_fraction=*/0.6, 10);
+    auto batch = workload::MakeUpdateBatch<K>(
+        data, 8000, /*insert_fraction=*/0.6, 10);
     BatchUpdateConfig uconfig;
     uconfig.real_threads = 3;
     BatchUpdateStats stats = RunBatchUpdate(tree, batch, method, uconfig);
@@ -151,7 +153,7 @@ TYPED_TEST(HybridTypedTest, BatchUpdateMethodsKeepDeviceMirrorConsistent) {
 
     // The device mirror must agree with the host: run a pipeline search
     // over a sample of keys and compare.
-    auto queries = MakeLookupQueries(data, /*seed=*/11);
+    auto queries = workload::MakeLookupQueries(data, /*seed=*/11);
     queries.resize(10000);
     PipelineConfig pconfig;
     pconfig.bucket_size = 2048;
@@ -173,15 +175,15 @@ TYPED_TEST(HybridTypedTest, ImplicitRebuildResyncsDevice) {
   Fixture64 fx;
   typename HBImplicitTree<K>::Config config;
   HBImplicitTree<K> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<K>(30000, /*seed=*/12);
+  auto data = workload::GenerateDataset<K>(30000, /*seed=*/12);
   ASSERT_TRUE(tree.Build(data));
   // Apply a batch by rebuild (the implicit tree's only update path).
-  auto data2 = GenerateDataset<K>(35000, /*seed=*/13);
+  auto data2 = workload::GenerateDataset<K>(35000, /*seed=*/13);
   ASSERT_TRUE(tree.Build(data2));
   double sync_us = tree.SyncISegment();
   EXPECT_GT(sync_us, 0);
 
-  auto queries = MakeLookupQueries(data2, /*seed=*/14);
+  auto queries = workload::MakeLookupQueries(data2, /*seed=*/14);
   queries.resize(8000);
   PipelineConfig pconfig;
   pconfig.bucket_size = 1024;
@@ -200,7 +202,7 @@ TYPED_TEST(HybridTypedTest, PipelineHandlesQueriesAboveMaximum) {
   Fixture64 fx;
   typename HBImplicitTree<K>::Config config;
   HBImplicitTree<K> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<K>(70000, /*seed=*/21);
+  auto data = workload::GenerateDataset<K>(70000, /*seed=*/21);
   ASSERT_TRUE(tree.Build(data));
   std::vector<K> queries(4096, static_cast<K>(KeyTraits<K>::kMax - 1));
   for (std::size_t i = 0; i < queries.size(); i += 2) {
@@ -224,9 +226,9 @@ TEST(HybridDeterminism, IdenticalRunsProduceIdenticalSimulatedTimings) {
     HBImplicitTree<Key64>::Config config;
     HBImplicitTree<Key64> tree(config, &fx.registry, &fx.device,
                                &fx.transfer);
-    auto data = GenerateDataset<Key64>(60000, /*seed=*/99);
+    auto data = workload::GenerateDataset<Key64>(60000, /*seed=*/99);
     EXPECT_TRUE(tree.Build(data));
-    auto queries = MakeLookupQueries(data, /*seed=*/100);
+    auto queries = workload::MakeLookupQueries(data, /*seed=*/100);
     queries.resize(16384);
     PipelineConfig pconfig;
     pconfig.bucket_size = 2048;
@@ -250,7 +252,7 @@ TEST(HybridCapacity, ISegmentThatDoesNotFitIsRejected) {
   gpu::TransferEngine transfer(&device, platform.pcie);
   HBImplicitTree<Key64>::Config config;
   HBImplicitTree<Key64> tree(config, &registry, &device, &transfer);
-  auto data = GenerateDataset<Key64>(2000000, /*seed=*/15);
+  auto data = workload::GenerateDataset<Key64>(2000000, /*seed=*/15);
   EXPECT_FALSE(tree.Build(data));  // I-segment exceeds device memory
   // Host tree still queryable.
   EXPECT_TRUE(tree.host_tree().Search(data[5].key).found);
@@ -290,9 +292,9 @@ TEST(HybridLoadBalance, DiscoveryMovesWorkToTheCpuWhenGpuIsWeak) {
   gpu::TransferEngine transfer(&device, platform.pcie);
   HBImplicitTree<Key64>::Config config;
   HBImplicitTree<Key64> tree(config, &registry, &device, &transfer);
-  auto data = GenerateDataset<Key64>(500000, /*seed=*/16);
+  auto data = workload::GenerateDataset<Key64>(500000, /*seed=*/16);
   ASSERT_TRUE(tree.Build(data));
-  auto queries = MakeLookupQueries(data, /*seed=*/17);
+  auto queries = workload::MakeLookupQueries(data, /*seed=*/17);
   queries.resize(16384);
 
   PipelineConfig base;
@@ -313,9 +315,9 @@ TEST(HybridLoadBalance, CpuBoundDiscoveryKeepsEveryInnerLevelOnTheGpu) {
   Fixture64 fx;
   HBImplicitTree<Key64>::Config config;
   HBImplicitTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(100000, /*seed=*/20);
+  auto data = workload::GenerateDataset<Key64>(100000, /*seed=*/20);
   ASSERT_TRUE(tree.Build(data));
-  auto queries = MakeLookupQueries(data, /*seed=*/21);
+  auto queries = workload::MakeLookupQueries(data, /*seed=*/21);
   queries.resize(8192);
 
   PipelineConfig base;
@@ -332,9 +334,9 @@ TEST(HybridKernels, KernelStatsAreAccumulated) {
   Fixture64 fx;
   HBImplicitTree<Key64>::Config config;
   HBImplicitTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(100000, /*seed=*/18);
+  auto data = workload::GenerateDataset<Key64>(100000, /*seed=*/18);
   ASSERT_TRUE(tree.Build(data));
-  auto queries = MakeLookupQueries(data, /*seed=*/19);
+  auto queries = workload::MakeLookupQueries(data, /*seed=*/19);
   queries.resize(4096);
   PipelineConfig pconfig;
   pconfig.bucket_size = 1024;

@@ -1,4 +1,5 @@
 #include "cpubtree/implicit_btree.h"
+#include "workload/paper.h"
 
 #include <gtest/gtest.h>
 
@@ -6,7 +7,6 @@
 #include <cmath>
 #include <vector>
 
-#include "core/workload.h"
 
 namespace hbtree {
 namespace {
@@ -45,7 +45,7 @@ TYPED_TEST(ImplicitBTreeTypedTest, CpuLayoutAllHitsAndMisses) {
   using K = TypeParam;
   PageRegistry registry;
   auto tree = MakeTree<K>(false, &registry);
-  auto data = GenerateDataset<K>(20000, /*seed=*/1);
+  auto data = workload::GenerateDataset<K>(20000, /*seed=*/1);
   tree.Build(data);
   tree.Validate();
   for (std::size_t i = 0; i < data.size(); i += 7) {
@@ -69,7 +69,7 @@ TYPED_TEST(ImplicitBTreeTypedTest, HybridLayoutAllHits) {
   using K = TypeParam;
   PageRegistry registry;
   auto tree = MakeTree<K>(true, &registry);
-  auto data = GenerateDataset<K>(33333, /*seed=*/2);
+  auto data = workload::GenerateDataset<K>(33333, /*seed=*/2);
   tree.Build(data);
   tree.Validate();
   for (std::size_t i = 0; i < data.size(); i += 5) {
@@ -92,7 +92,7 @@ TYPED_TEST(ImplicitBTreeTypedTest, RangeScanReturnsSortedRun) {
   using K = TypeParam;
   PageRegistry registry;
   auto tree = MakeTree<K>(false, &registry);
-  auto data = GenerateDataset<K>(10000, /*seed=*/3);
+  auto data = workload::GenerateDataset<K>(10000, /*seed=*/3);
   tree.Build(data);
   for (std::size_t start : {std::size_t{0}, std::size_t{17}, std::size_t{9000},
                             data.size() - 5}) {
@@ -126,7 +126,7 @@ TYPED_TEST(ImplicitBTreeTypedTest, FindLeafLinePlusLeafSearchEqualsSearch) {
   using K = TypeParam;
   PageRegistry registry;
   auto tree = MakeTree<K>(true, &registry);
-  auto data = GenerateDataset<K>(5000, /*seed=*/4);
+  auto data = workload::GenerateDataset<K>(5000, /*seed=*/4);
   tree.Build(data);
   for (std::size_t i = 0; i < data.size(); i += 11) {
     std::uint64_t line = tree.FindLeafLine(data[i].key);
@@ -140,7 +140,7 @@ TYPED_TEST(ImplicitBTreeTypedTest, DescendLevelsMatchesFullTraversalPrefix) {
   using K = TypeParam;
   PageRegistry registry;
   auto tree = MakeTree<K>(true, &registry);
-  auto data = GenerateDataset<K>(100000, /*seed=*/5);
+  auto data = workload::GenerateDataset<K>(100000, /*seed=*/5);
   tree.Build(data);
   ASSERT_GE(tree.height(), 2);
   // Descending all levels must give the same line as FindLeafLine.
@@ -154,9 +154,9 @@ TYPED_TEST(ImplicitBTreeTypedTest, RebuildReflectsNewData) {
   using K = TypeParam;
   PageRegistry registry;
   auto tree = MakeTree<K>(false, &registry);
-  auto data = GenerateDataset<K>(1000, /*seed=*/6);
+  auto data = workload::GenerateDataset<K>(1000, /*seed=*/6);
   tree.Build(data);
-  auto data2 = GenerateDataset<K>(2000, /*seed=*/7);
+  auto data2 = workload::GenerateDataset<K>(2000, /*seed=*/7);
   tree.Build(data2);
   tree.Validate();
   for (std::size_t i = 0; i < data2.size(); i += 3) {
@@ -173,7 +173,7 @@ TYPED_TEST(ImplicitBTreeTypedTest, QueriesAboveMaximumMissSafely) {
     PageRegistry registry;
     auto tree = MakeTree<K>(hybrid, &registry);
     for (std::size_t n : {5ull, 100ull, 4097ull, 100000ull}) {
-      auto data = GenerateDataset<K>(n, /*seed=*/77);
+      auto data = workload::GenerateDataset<K>(n, /*seed=*/77);
       tree.Build(data);
       const K max_key = data.back().key;
       for (K probe : {static_cast<K>(max_key + 1), KeyTraits<K>::kMax,
@@ -194,7 +194,7 @@ TEST(ImplicitBTreeGeometry, HeightMatchesPaperFormula64) {
   ImplicitBTree<Key64>::Config config;
   ImplicitBTree<Key64> tree(config, &registry);
   for (std::size_t n : {100ull, 10000ull, 1000000ull}) {
-    auto data = GenerateDataset<Key64>(n, 42);
+    auto data = workload::GenerateDataset<Key64>(n, 42);
     tree.Build(data);
     double expect = std::ceil(std::log(n / 4.0 + 1) / std::log(9.0));
     EXPECT_NEAR(tree.height(), expect, 1) << "n=" << n;
@@ -207,7 +207,7 @@ TEST(ImplicitBTreeGeometry, SegmentSizesAreReported) {
   config.inner_page = PageSize::k1G;
   config.leaf_page = PageSize::k4K;
   ImplicitBTree<Key64> tree(config, &registry);
-  auto data = GenerateDataset<Key64>(4096, 42);
+  auto data = workload::GenerateDataset<Key64>(4096, 42);
   tree.Build(data);
   EXPECT_GE(tree.l_segment_bytes(), 4096 * sizeof(KeyValue<Key64>));
   EXPECT_GT(tree.i_segment_bytes(), 0u);

@@ -1,4 +1,5 @@
 #include "io/tree_io.h"
+#include "workload/paper.h"
 
 #include <gtest/gtest.h>
 
@@ -7,7 +8,6 @@
 #include <iterator>
 #include <string>
 
-#include "core/workload.h"
 
 namespace hbtree {
 namespace {
@@ -29,7 +29,7 @@ TYPED_TEST(TreeIoTypedTest, RoundTripPreservesEveryLookup) {
   typename ImplicitBTree<K>::Config config;
   config.hybrid_layout = true;
   ImplicitBTree<K> original(config, &registry);
-  auto data = GenerateDataset<K>(50000, /*seed=*/1);
+  auto data = workload::GenerateDataset<K>(50000, /*seed=*/1);
   original.Build(data);
   ASSERT_TRUE(SaveTreeFile(original, path).ok());
 
@@ -55,7 +55,7 @@ TEST(TreeIo, CorruptionIsDetected) {
   PageRegistry registry;
   ImplicitBTree<Key64>::Config config;
   ImplicitBTree<Key64> tree(config, &registry);
-  tree.Build(GenerateDataset<Key64>(5000, 2));
+  tree.Build(workload::GenerateDataset<Key64>(5000, 2));
   ASSERT_TRUE(SaveTreeFile(tree, path).ok());
 
   // Flip one byte in the middle of the body.
@@ -80,7 +80,7 @@ TEST(TreeIo, KeyWidthMismatchRejected) {
   PageRegistry registry;
   ImplicitBTree<Key64>::Config config64;
   ImplicitBTree<Key64> tree64(config64, &registry);
-  tree64.Build(GenerateDataset<Key64>(1000, 3));
+  tree64.Build(workload::GenerateDataset<Key64>(1000, 3));
   ASSERT_TRUE(SaveTreeFile(tree64, path).ok());
 
   ImplicitBTree<Key32>::Config config32;
@@ -96,7 +96,7 @@ TEST(TreeIo, LayoutMismatchRejected) {
   PageRegistry registry;
   ImplicitBTree<Key64>::Config cpu_config;  // fanout 9
   ImplicitBTree<Key64> cpu_tree(cpu_config, &registry);
-  cpu_tree.Build(GenerateDataset<Key64>(1000, 4));
+  cpu_tree.Build(workload::GenerateDataset<Key64>(1000, 4));
   ASSERT_TRUE(SaveTreeFile(cpu_tree, path).ok());
 
   ImplicitBTree<Key64>::Config hb_config;
@@ -113,7 +113,7 @@ TEST(TreeIo, TruncatedFileRejected) {
   PageRegistry registry;
   ImplicitBTree<Key64>::Config config;
   ImplicitBTree<Key64> tree(config, &registry);
-  tree.Build(GenerateDataset<Key64>(5000, 5));
+  tree.Build(workload::GenerateDataset<Key64>(5000, 5));
   ASSERT_TRUE(SaveTreeFile(tree, path).ok());
   // Truncate the file to half its size.
   {
@@ -166,7 +166,7 @@ TYPED_TEST(TreeIoTypedTest, EmptyTreeRoundTrip) {
   PageRegistry registry2;
   ImplicitBTree<K> loaded(config, &registry2);
   // Pre-populate so the load provably replaces the contents.
-  loaded.Build(GenerateDataset<K>(100, /*seed=*/11));
+  loaded.Build(workload::GenerateDataset<K>(100, /*seed=*/11));
   Status status = LoadTreeFile(&loaded, path);
   ASSERT_TRUE(status.ok()) << status.message();
   EXPECT_EQ(loaded.size(), 0u);
@@ -212,7 +212,7 @@ TEST(TreeIo, ExactlyOnePageISegmentRoundTrip) {
   config.inner_page = PageSize::k4K;
   config.leaf_page = PageSize::k4K;
   ImplicitBTree<Key64> original(config, &registry);
-  auto data = GenerateDataset<Key64>(1920, /*seed=*/6);
+  auto data = workload::GenerateDataset<Key64>(1920, /*seed=*/6);
   original.Build(data);
   ASSERT_EQ(original.i_segment_bytes(), 4096u);
   ASSERT_TRUE(SaveTreeFile(original, path).ok());
@@ -236,7 +236,7 @@ TEST(TreeIo, CorruptedHeaderRejected) {
   PageRegistry registry;
   ImplicitBTree<Key64>::Config config;
   ImplicitBTree<Key64> tree(config, &registry);
-  tree.Build(GenerateDataset<Key64>(5000, 7));
+  tree.Build(workload::GenerateDataset<Key64>(5000, 7));
   ASSERT_TRUE(SaveTreeFile(tree, path).ok());
   std::string pristine;
   {

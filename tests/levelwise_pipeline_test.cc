@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/random.h"
-#include "core/workload.h"
 #include "gpusim/device.h"
 #include "hybrid/bucket_pipeline.h"
 #include "hybrid/gpu_kernels.h"
@@ -18,6 +17,7 @@
 #include "hybrid/range_pipeline.h"
 #include "obs/heat.h"
 #include "sim/platform.h"
+#include "workload/paper.h"
 
 namespace hbtree {
 namespace {
@@ -56,8 +56,8 @@ std::uint64_t CountRuns(const std::vector<std::uint64_t>& seq) {
 template <typename K>
 std::vector<K> SortedMixedQueries(const std::vector<KeyValue<K>>& data,
                                   std::uint32_t count, std::uint64_t seed) {
-  auto queries =
-      MakeDistributedQueries<K>(count, Distribution::kUniform, seed);
+  auto queries = workload::MakeDistributedQueries<K>(
+      count, workload::Distribution::kUniform, seed);
   for (std::size_t i = 0; i < count; i += 2) {
     queries[i] = data[(i * 131) % data.size()].key;  // guaranteed hits
   }
@@ -121,7 +121,7 @@ TEST(ImplicitRunDedup, NodeLoadsEqualDistinctStartNodesPerLevel) {
   KernelFixture fx;
   HBImplicitTree<Key64>::Config config;
   HBImplicitTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(500000, /*seed=*/1);
+  auto data = workload::GenerateDataset<Key64>(500000, /*seed=*/1);
   ASSERT_TRUE(tree.Build(data));
   const auto& host = tree.host_tree();
   const int height = host.height();
@@ -162,7 +162,7 @@ TEST(ImplicitRunDedup, ReconcilesFromPreDescendedStartNodes) {
   KernelFixture fx;
   HBImplicitTree<Key64>::Config config;
   HBImplicitTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(500000, /*seed=*/3);
+  auto data = workload::GenerateDataset<Key64>(500000, /*seed=*/3);
   ASSERT_TRUE(tree.Build(data));
   const auto& host = tree.host_tree();
   const int height = host.height();
@@ -200,7 +200,7 @@ TEST(RegularRunDedup, NodeLoadsEqualDistinctStartNodesPerLevel) {
   KernelFixture fx;
   HBRegularTree<Key64>::Config config;
   HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(300000, /*seed=*/5);
+  auto data = workload::GenerateDataset<Key64>(300000, /*seed=*/5);
   ASSERT_TRUE(tree.Build(data));
   const auto& host = tree.host_tree();
   const int height = host.height();
@@ -278,7 +278,7 @@ TEST_P(NoSharedNodes, ImplicitChargesThePerQueryClosedForm) {
   KernelFixture fx;
   HBImplicitTree<Key64>::Config config;
   HBImplicitTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(200000, /*seed=*/15);
+  auto data = workload::GenerateDataset<Key64>(200000, /*seed=*/15);
   ASSERT_TRUE(tree.Build(data));
   ASSERT_GE(tree.host_tree().height(), levels);
   std::vector<Key64> queries;
@@ -311,7 +311,7 @@ TEST_P(NoSharedNodes, RegularChargesThePerQueryClosedForm) {
   KernelFixture fx;
   HBRegularTree<Key64>::Config config;
   HBRegularTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(300000, /*seed=*/16);
+  auto data = workload::GenerateDataset<Key64>(300000, /*seed=*/16);
   ASSERT_TRUE(tree.Build(data));
   ASSERT_GE(tree.host_tree().height(), levels);
   std::vector<Key64> queries;
@@ -351,7 +351,7 @@ TEST(SortedKeys, LoadFewerNodesAndBytesThanTheSameKeysShuffled) {
   HBRegularTree<Key64>::Config regular_config;
   HBRegularTree<Key64> regular(regular_config, &fx.registry, &fx.device,
                                &fx.transfer);
-  auto data = GenerateDataset<Key64>(200000, /*seed=*/17);
+  auto data = workload::GenerateDataset<Key64>(200000, /*seed=*/17);
   ASSERT_TRUE(implicit.Build(data));
   ASSERT_TRUE(regular.Build(data));
 
@@ -412,11 +412,11 @@ TEST(SortedPipeline, UnsortedQueriesGetHostAnswersInCallerOrder) {
   HBImplicitTree<Key64>::Config tree_config;
   HBImplicitTree<Key64> tree(tree_config, &fx.registry, &fx.device,
                              &fx.transfer);
-  auto data = GenerateDataset<Key64>(200000, /*seed=*/7);
+  auto data = workload::GenerateDataset<Key64>(200000, /*seed=*/7);
   ASSERT_TRUE(tree.Build(data));
 
-  auto queries = MakeDistributedQueries<Key64>(20000, Distribution::kZipf,
-                                               /*seed=*/8);
+  auto queries = workload::MakeDistributedQueries<Key64>(
+      20000, workload::Distribution::kZipf, /*seed=*/8);
   for (std::size_t i = 0; i < queries.size(); i += 3) {
     queries[i] = data[(i * 53) % data.size()].key;
   }
@@ -432,11 +432,11 @@ TEST(SortedPipeline, ComposesWithLoadBalancerSplit) {
   HBImplicitTree<Key64>::Config tree_config;
   HBImplicitTree<Key64> tree(tree_config, &fx.registry, &fx.device,
                              &fx.transfer);
-  auto data = GenerateDataset<Key64>(200000, /*seed=*/9);
+  auto data = workload::GenerateDataset<Key64>(200000, /*seed=*/9);
   ASSERT_TRUE(tree.Build(data));
 
-  auto queries = MakeDistributedQueries<Key64>(16384, Distribution::kUniform,
-                                               /*seed=*/10);
+  auto queries = workload::MakeDistributedQueries<Key64>(
+      16384, workload::Distribution::kUniform, /*seed=*/10);
   for (std::size_t i = 0; i < queries.size(); i += 2) {
     queries[i] = data[(i * 17) % data.size()].key;
   }
@@ -458,11 +458,11 @@ TEST(SortedPipeline, RegularTreeGetsHostAnswersInCallerOrder) {
   HBRegularTree<Key64>::Config tree_config;
   HBRegularTree<Key64> tree(tree_config, &fx.registry, &fx.device,
                             &fx.transfer);
-  auto data = GenerateDataset<Key64>(200000, /*seed=*/11);
+  auto data = workload::GenerateDataset<Key64>(200000, /*seed=*/11);
   ASSERT_TRUE(tree.Build(data));
 
-  auto queries = MakeDistributedQueries<Key64>(16384, Distribution::kNormal,
-                                               /*seed=*/12);
+  auto queries = workload::MakeDistributedQueries<Key64>(
+      16384, workload::Distribution::kNormal, /*seed=*/12);
   for (std::size_t i = 0; i < queries.size(); i += 2) {
     queries[i] = data[(i * 29) % data.size()].key;
   }
@@ -481,11 +481,11 @@ TEST(SortedPipeline, HeatSinkCarriesKernelTrafficAndCollapsedTouches) {
   HBRegularTree<Key64>::Config tree_config;
   HBRegularTree<Key64> tree(tree_config, &fx.registry, &fx.device,
                             &fx.transfer);
-  auto data = GenerateDataset<Key64>(200000, /*seed=*/13);
+  auto data = workload::GenerateDataset<Key64>(200000, /*seed=*/13);
   ASSERT_TRUE(tree.Build(data));
 
-  auto queries = MakeDistributedQueries<Key64>(8192, Distribution::kZipf,
-                                               /*seed=*/14);
+  auto queries = workload::MakeDistributedQueries<Key64>(
+      8192, workload::Distribution::kZipf, /*seed=*/14);
   obs::PipelineHeat heat(fx.platform.cpu.cache_levels);
   PipelineConfig config = KernelBound();
   config.bucket_size = 4096;
@@ -520,7 +520,7 @@ TEST(SortedPipeline, HeatSinkCarriesKernelTrafficAndCollapsedTouches) {
 std::vector<Key64> BucketQueries(const std::vector<KeyValue<Key64>>& data,
                                  int buckets, int bucket,
                                  std::uint64_t seed) {
-  auto queries = MakeLookupQueries(data, seed);
+  auto queries = workload::MakeLookupQueries(data, seed);
   queries.resize(static_cast<std::size_t>(buckets) * bucket);
   return queries;
 }
@@ -534,7 +534,7 @@ TEST(SortDecision, CpuBoundRunSortsNoBucket) {
   HBImplicitTree<Key64>::Config tree_config;
   HBImplicitTree<Key64> tree(tree_config, &fx.registry, &fx.device,
                              &fx.transfer);
-  auto data = GenerateDataset<Key64>(200000, /*seed=*/23);
+  auto data = workload::GenerateDataset<Key64>(200000, /*seed=*/23);
   ASSERT_TRUE(tree.Build(data));
 
   constexpr int kBuckets = 5;
@@ -559,7 +559,7 @@ std::uint64_t KernelBoundSortedBuckets(int buckets_in_flight) {
   HBRegularTree<Key64>::Config tree_config;
   HBRegularTree<Key64> tree(tree_config, &fx.registry, &fx.device,
                             &fx.transfer);
-  auto data = GenerateDataset<Key64>(200000, /*seed=*/25);
+  auto data = workload::GenerateDataset<Key64>(200000, /*seed=*/25);
   EXPECT_TRUE(tree.Build(data));
 
   constexpr int kBuckets = 5;
@@ -608,10 +608,10 @@ TEST(SortDecision, OneBucketRunMatchesTheAlwaysSortedLoop) {
   HBRegularTree<Key64>::Config tree_config;
   HBRegularTree<Key64> tree(tree_config, &fx.registry, &fx.device,
                             &fx.transfer);
-  auto data = GenerateDataset<Key64>(200000, /*seed=*/27);
+  auto data = workload::GenerateDataset<Key64>(200000, /*seed=*/27);
   ASSERT_TRUE(tree.Build(data));
-  const auto queries = MakeDistributedQueries<Key64>(
-      4096, Distribution::kZipf, /*seed=*/28);
+  const auto queries = workload::MakeDistributedQueries<Key64>(
+      4096, workload::Distribution::kZipf, /*seed=*/28);
   PipelineConfig config;
   config.bucket_size = 4096;
   const PipelineStats stats =
@@ -643,7 +643,7 @@ TEST(SortDecision, ResultStreamIsOneResultWordPerQuery) {
   HBImplicitTree<Key64>::Config tree_config;
   HBImplicitTree<Key64> tree(tree_config, &fx.registry, &fx.device,
                              &fx.transfer);
-  auto data = GenerateDataset<Key64>(200000, /*seed=*/30);
+  auto data = workload::GenerateDataset<Key64>(200000, /*seed=*/30);
   ASSERT_TRUE(tree.Build(data));
   const auto queries = BucketQueries(data, 3, 4096, /*seed=*/31);
   PipelineConfig config;
@@ -671,7 +671,7 @@ TEST(SortDecision, HeatTouchesCountRunsPerBucketAcrossMixedOrders) {
   HBRegularTree<Key64>::Config tree_config;
   HBRegularTree<Key64> tree(tree_config, &fx.registry, &fx.device,
                             &fx.transfer);
-  auto data = GenerateDataset<Key64>(200000, /*seed=*/29);
+  auto data = workload::GenerateDataset<Key64>(200000, /*seed=*/29);
   ASSERT_TRUE(tree.Build(data));
 
   const auto& host = tree.host_tree();
@@ -782,7 +782,7 @@ Observed ObserveOnFreshTree(bool with_heat, Run&& run) {
   KernelFixture fx(sim::PlatformSpec::M2());
   typename Tree::Config tree_config;
   Tree tree(tree_config, &fx.registry, &fx.device, &fx.transfer);
-  const auto data = GenerateDataset<Key64>(200000, /*seed=*/40);
+  const auto data = workload::GenerateDataset<Key64>(200000, /*seed=*/40);
   EXPECT_TRUE(tree.Build(data));
   obs::PipelineHeat heat(fx.platform.cpu.cache_levels);
   PipelineConfig config = BalancedKernelBound();
@@ -799,8 +799,8 @@ Observed ObserveLookups(bool with_heat) {
   return ObserveOnFreshTree<Tree>(
       with_heat, [](Tree& tree, const std::vector<KeyValue<Key64>>& data,
                     const PipelineConfig& config) {
-        auto queries = MakeDistributedQueries<Key64>(
-            16384, Distribution::kUniform, /*seed=*/41);
+        auto queries = workload::MakeDistributedQueries<Key64>(
+            16384, workload::Distribution::kUniform, /*seed=*/41);
         for (std::size_t i = 0; i < queries.size(); i += 2) {
           queries[i] = data[(i * 17) % data.size()].key;
         }
@@ -817,7 +817,8 @@ Observed ObserveRanges(bool with_heat) {
       with_heat, [](Tree& tree, const std::vector<KeyValue<Key64>>& data,
                     const PipelineConfig& config) {
         constexpr int kMatches = 8;
-        const auto rq = MakeRangeQueries(data, 4000, kMatches, /*seed=*/42);
+        const auto rq = workload::MakeRangeQueries(
+            data, 4000, kMatches, /*seed=*/42);
         Observed out;
         out.stats = RunRangePipeline(tree, rq.data(), rq.size(), kMatches,
                                      config, &out.pairs, &out.counts);

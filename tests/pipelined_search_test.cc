@@ -5,10 +5,10 @@
 #include <tuple>
 #include <vector>
 
-#include "core/workload.h"
 #include "hybrid/hb_implicit.h"
 #include "hybrid/load_balancer.h"
 #include "sim/platform.h"
+#include "workload/paper.h"
 
 namespace hbtree {
 namespace {
@@ -24,11 +24,11 @@ TEST_P(PipelinedSearchTest, ImplicitMatchesPlainSearch) {
   PageRegistry registry;
   ImplicitBTree<Key64>::Config config;
   ImplicitBTree<Key64> tree(config, &registry);
-  auto data = GenerateDataset<Key64>(30000, /*seed=*/1);
+  auto data = workload::GenerateDataset<Key64>(30000, /*seed=*/1);
   tree.Build(data);
 
-  auto queries = MakeDistributedQueries<Key64>(count, Distribution::kUniform,
-                                               /*seed=*/2);
+  auto queries = workload::MakeDistributedQueries<Key64>(
+      count, workload::Distribution::kUniform, /*seed=*/2);
   // Mix in guaranteed hits and the above-maximum edge case.
   for (std::size_t i = 0; i < queries.size(); i += 3) {
     queries[i] = data[(i * 7919) % data.size()].key;
@@ -51,11 +51,11 @@ TEST_P(PipelinedSearchTest, RegularMatchesPlainSearch) {
   PageRegistry registry;
   RegularBTree<Key64>::Config config;
   RegularBTree<Key64> tree(config, &registry);
-  auto data = GenerateDataset<Key64>(30000, /*seed=*/3);
+  auto data = workload::GenerateDataset<Key64>(30000, /*seed=*/3);
   tree.Build(data);
 
-  auto queries = MakeDistributedQueries<Key64>(count, Distribution::kUniform,
-                                               /*seed=*/4);
+  auto queries = workload::MakeDistributedQueries<Key64>(
+      count, workload::Distribution::kUniform, /*seed=*/4);
   for (std::size_t i = 0; i < queries.size(); i += 3) {
     queries[i] = data[(i * 104729) % data.size()].key;
   }
@@ -94,7 +94,7 @@ struct LoadBalanceFixture {
   std::vector<KeyValue<Key64>> data;
 
   void BuildTree(std::size_t n, std::uint64_t seed) {
-    data = GenerateDataset<Key64>(n, seed);
+    data = workload::GenerateDataset<Key64>(n, seed);
     ASSERT_TRUE(tree.Build(data));
   }
 
@@ -139,7 +139,7 @@ TEST(DiscoverLoadBalanceRegression, DiscoveredSettingStaysInRange) {
   fx.BuildTree(200000, /*seed=*/23);
   const int height = fx.tree.host_tree().height();
   ASSERT_GE(height, 2);
-  auto queries = MakeLookupQueries(fx.data, /*seed=*/24);
+  auto queries = workload::MakeLookupQueries(fx.data, /*seed=*/24);
   queries.resize(4096);
   auto setting = DiscoverLoadBalance(fx.tree, queries.data(), queries.size(),
                                      fx.BaseConfig());

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/random.h"
-#include "core/workload.h"
 #include "cpubtree/implicit_btree.h"
 #include "cpubtree/regular_btree.h"
 #include "hybrid/batch_update.h"

@@ -5,8 +5,8 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/workload.h"
 #include "sim/platform.h"
+#include "workload/paper.h"
 
 namespace hbtree {
 namespace {
@@ -29,11 +29,11 @@ TYPED_TEST(RangePipelineTypedTest, ImplicitMatchesHostRangeScan) {
   Fixture fx;
   typename HBImplicitTree<K>::Config config;
   HBImplicitTree<K> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<K>(60000, /*seed=*/1);
+  auto data = workload::GenerateDataset<K>(60000, /*seed=*/1);
   ASSERT_TRUE(tree.Build(data));
 
   constexpr int kMatches = 16;
-  auto rq = MakeRangeQueries(data, 5000, kMatches, /*seed=*/2);
+  auto rq = workload::MakeRangeQueries(data, 5000, kMatches, /*seed=*/2);
   PipelineConfig pconfig;
   pconfig.bucket_size = 1024;
   pconfig.cpu_queries_per_us = 10;
@@ -59,11 +59,11 @@ TYPED_TEST(RangePipelineTypedTest, RegularMatchesHostRangeScan) {
   typename HBRegularTree<K>::Config config;
   config.tree.leaf_fill = 0.8;
   HBRegularTree<K> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<K>(60000, /*seed=*/3);
+  auto data = workload::GenerateDataset<K>(60000, /*seed=*/3);
   ASSERT_TRUE(tree.Build(data));
 
   constexpr int kMatches = 8;
-  auto rq = MakeRangeQueries(data, 4000, kMatches, /*seed=*/4);
+  auto rq = workload::MakeRangeQueries(data, 4000, kMatches, /*seed=*/4);
   PipelineConfig pconfig;
   pconfig.bucket_size = 512;
   pconfig.cpu_queries_per_us = 10;
@@ -90,12 +90,12 @@ TEST(RangePipeline, CountsOnlyCallReturnsTheFullCallsCounts) {
   HBRegularTree<Key64>::Config regular_config;
   HBRegularTree<Key64> regular(regular_config, &fx.registry, &fx.device,
                                &fx.transfer);
-  auto data = GenerateDataset<Key64>(40000, /*seed=*/6);
+  auto data = workload::GenerateDataset<Key64>(40000, /*seed=*/6);
   ASSERT_TRUE(implicit.Build(data));
   ASSERT_TRUE(regular.Build(data));
 
   constexpr int kMatches = 12;
-  auto rq = MakeRangeQueries(data, 3000, kMatches, /*seed=*/7);
+  auto rq = workload::MakeRangeQueries(data, 3000, kMatches, /*seed=*/7);
   PipelineConfig pconfig;
   pconfig.bucket_size = 1024;
   pconfig.cpu_queries_per_us = 10;
@@ -118,7 +118,7 @@ TEST(RangePipeline, StartKeysAboveMaximumYieldZeroMatches) {
   Fixture fx;
   HBImplicitTree<Key64>::Config config;
   HBImplicitTree<Key64> tree(config, &fx.registry, &fx.device, &fx.transfer);
-  auto data = GenerateDataset<Key64>(10000, /*seed=*/5);
+  auto data = workload::GenerateDataset<Key64>(10000, /*seed=*/5);
   ASSERT_TRUE(tree.Build(data));
   std::vector<RangeQuery<Key64>> rq(256,
                                     {KeyTraits<Key64>::kMax - 1, 4});

@@ -6,11 +6,11 @@
 #include <map>
 #include <vector>
 
-#include "core/workload.h"
 #include "gpusim/device.h"
 #include "hybrid/hb_regular.h"
 #include "sim/cpu_cost_model.h"
 #include "sim/platform.h"
+#include "workload/paper.h"
 
 namespace hbtree {
 namespace {
@@ -34,7 +34,7 @@ TYPED_TEST(RegularBTreeTypedTest, BulkBuildFindsAllKeys) {
   using K = TypeParam;
   PageRegistry registry;
   auto tree = MakeTree<K>(&registry);
-  auto data = GenerateDataset<K>(50000, /*seed=*/1);
+  auto data = workload::GenerateDataset<K>(50000, /*seed=*/1);
   tree.Build(data);
   tree.Validate();
   for (std::size_t i = 0; i < data.size(); i += 3) {
@@ -48,7 +48,7 @@ TYPED_TEST(RegularBTreeTypedTest, MissesBetweenKeys) {
   using K = TypeParam;
   PageRegistry registry;
   auto tree = MakeTree<K>(&registry);
-  auto data = GenerateDataset<K>(10000, /*seed=*/2);
+  auto data = workload::GenerateDataset<K>(10000, /*seed=*/2);
   tree.Build(data);
   Rng rng(7);
   for (int i = 0; i < 3000; ++i) {
@@ -65,7 +65,7 @@ TYPED_TEST(RegularBTreeTypedTest, RangeScanMatchesDataset) {
   using K = TypeParam;
   PageRegistry registry;
   auto tree = MakeTree<K>(&registry, /*leaf_fill=*/0.8);
-  auto data = GenerateDataset<K>(30000, /*seed=*/3);
+  auto data = workload::GenerateDataset<K>(30000, /*seed=*/3);
   tree.Build(data);
   for (std::size_t start :
        {std::size_t{0}, std::size_t{123}, std::size_t{29990}}) {
@@ -85,10 +85,11 @@ TYPED_TEST(RegularBTreeTypedTest, InsertIntoFullTreeSplits) {
   using K = TypeParam;
   PageRegistry registry;
   auto tree = MakeTree<K>(&registry, /*leaf_fill=*/1.0);
-  auto data = GenerateDataset<K>(20000, /*seed=*/4);
+  auto data = workload::GenerateDataset<K>(20000, /*seed=*/4);
   tree.Build(data);
   // Insert fresh keys; full leaves force splits immediately.
-  auto batch = MakeUpdateBatch<K>(data, 2000, /*insert_fraction=*/1.0, 5);
+  auto batch = workload::MakeUpdateBatch<K>(
+      data, 2000, /*insert_fraction=*/1.0, 5);
   for (const auto& update : batch) {
     ASSERT_TRUE(tree.Insert(update.pair));
   }
@@ -109,7 +110,7 @@ TYPED_TEST(RegularBTreeTypedTest, DuplicateInsertRejected) {
   using K = TypeParam;
   PageRegistry registry;
   auto tree = MakeTree<K>(&registry);
-  auto data = GenerateDataset<K>(5000, /*seed=*/6);
+  auto data = workload::GenerateDataset<K>(5000, /*seed=*/6);
   tree.Build(data);
   EXPECT_FALSE(tree.Insert({data[100].key, 42}));
   EXPECT_EQ(tree.size(), data.size());
@@ -121,7 +122,7 @@ TYPED_TEST(RegularBTreeTypedTest, EraseRemovesKeysAndMerges) {
   using K = TypeParam;
   PageRegistry registry;
   auto tree = MakeTree<K>(&registry, /*leaf_fill=*/0.5);
-  auto data = GenerateDataset<K>(30000, /*seed=*/7);
+  auto data = workload::GenerateDataset<K>(30000, /*seed=*/7);
   tree.Build(data);
   // Erase 80% of keys to force merges.
   for (std::size_t i = 0; i < data.size(); ++i) {
@@ -140,7 +141,7 @@ TYPED_TEST(RegularBTreeTypedTest, FuzzAgainstReferenceModel) {
   using K = TypeParam;
   PageRegistry registry;
   auto tree = MakeTree<K>(&registry, /*leaf_fill=*/0.7);
-  auto data = GenerateDataset<K>(4000, /*seed=*/8);
+  auto data = workload::GenerateDataset<K>(4000, /*seed=*/8);
   tree.Build(data);
   std::map<K, K> model;
   for (const auto& kv : data) model[kv.key] = kv.value;
@@ -193,9 +194,10 @@ TYPED_TEST(RegularBTreeTypedTest, NonStructuralPathMatchesInsert) {
   using K = TypeParam;
   PageRegistry registry;
   auto tree = MakeTree<K>(&registry, /*leaf_fill=*/0.6);
-  auto data = GenerateDataset<K>(20000, /*seed=*/10);
+  auto data = workload::GenerateDataset<K>(20000, /*seed=*/10);
   tree.Build(data);
-  auto batch = MakeUpdateBatch<K>(data, 500, /*insert_fraction=*/1.0, 11);
+  auto batch = workload::MakeUpdateBatch<K>(
+      data, 500, /*insert_fraction=*/1.0, 11);
   int non_structural = 0;
   for (const auto& update : batch) {
     NodeRef ln = tree.FindLastInner(update.pair.key);
@@ -219,9 +221,10 @@ TYPED_TEST(RegularBTreeTypedTest, ModifiedNodeReporting) {
   using K = TypeParam;
   PageRegistry registry;
   auto tree = MakeTree<K>(&registry, /*leaf_fill=*/1.0);
-  auto data = GenerateDataset<K>(10000, /*seed=*/12);
+  auto data = workload::GenerateDataset<K>(10000, /*seed=*/12);
   tree.Build(data);
-  auto batch = MakeUpdateBatch<K>(data, 200, /*insert_fraction=*/1.0, 13);
+  auto batch = workload::MakeUpdateBatch<K>(
+      data, 200, /*insert_fraction=*/1.0, 13);
   std::vector<ModifiedNode> modified;
   for (const auto& update : batch) tree.Insert(update.pair, &modified);
   // Full leaves mean every insert splits: plenty of modified nodes, and
@@ -273,7 +276,7 @@ TEST(RegularBTreeGeometry, TracedSearchTouchesThreeLinesPerLevel) {
   PageRegistry registry;
   RegularBTree<Key64>::Config config;
   RegularBTree<Key64> tree(config, &registry);
-  auto data = GenerateDataset<Key64>(1000000, /*seed=*/14);
+  auto data = workload::GenerateDataset<Key64>(1000000, /*seed=*/14);
   tree.Build(data);
 
   struct CountingTracer {
@@ -295,7 +298,7 @@ TEST(RegularBTreeGeometry, TracedSearchTouchesThreeLinesPerLevel) {
 // 1G/1G and at most the one 4K leaf line per query under 1G/4K.
 TEST(RegularBTreeGeometry, HugePagesBoundTlbMissesAcrossChunks) {
   const sim::CpuSpec cpu = sim::PlatformSpec::M1().cpu;
-  auto data = GenerateDataset<Key64>(1 << 18, /*seed=*/16);
+  auto data = workload::GenerateDataset<Key64>(1 << 18, /*seed=*/16);
   for (PageSize leaf_page : {PageSize::k1G, PageSize::k4K}) {
     SCOPED_TRACE(PageSizeName(leaf_page));
     PageRegistry registry;
@@ -338,7 +341,7 @@ TEST(RegularBTreeGeometry, ISegmentIsEachPoolsSlotsAtItsFragmentSize) {
   config.tree.pool_chunk_nodes = 64;
   config.tree.inner_fill = 0.05;
   HBRegularTree<Key64> tree(config, &registry, &device, &transfer);
-  auto data = GenerateDataset<Key64>(100000, /*seed=*/15);
+  auto data = workload::GenerateDataset<Key64>(100000, /*seed=*/15);
   ASSERT_TRUE(tree.Build(data));
   const RegularBTree<Key64>& host = tree.host_tree();
   ASSERT_GT(host.inner_pool().chunk_count(), 1u);

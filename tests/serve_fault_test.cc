@@ -15,7 +15,6 @@
 #include <random>
 #include <vector>
 
-#include "core/workload.h"
 #include "fault/fault_injector.h"
 #include "serve/server.h"
 

@@ -23,7 +23,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/workload.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/server.h"

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/macros.h"
-#include "core/workload.h"
 #include "gpusim/device.h"
 #include "hybrid/batch_update.h"
 #include "hybrid/bucket_pipeline.h"

@@ -39,7 +39,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/workload.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
 #include "workload/dataset.h"

@@ -1,10 +1,10 @@
 #include "cpubtree/tree_stats.h"
+#include "workload/paper.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "core/workload.h"
 
 namespace hbtree {
 namespace {
@@ -13,7 +13,7 @@ TEST(ImplicitStats, OccupancyAndAccounting) {
   PageRegistry registry;
   ImplicitBTree<Key64>::Config config;
   ImplicitBTree<Key64> tree(config, &registry);
-  auto data = GenerateDataset<Key64>(100000, /*seed=*/1);
+  auto data = workload::GenerateDataset<Key64>(100000, /*seed=*/1);
   tree.Build(data);
   ImplicitTreeStats stats = CollectStats(tree);
   EXPECT_EQ(stats.pairs, 100000u);
@@ -37,7 +37,7 @@ TEST_P(RegularStatsFillTest, OccupancyTracksBulkLoadFill) {
   RegularBTree<Key64>::Config config;
   config.leaf_fill = fill;
   RegularBTree<Key64> tree(config, &registry);
-  auto data = GenerateDataset<Key64>(150000, /*seed=*/2);
+  auto data = workload::GenerateDataset<Key64>(150000, /*seed=*/2);
   tree.Build(data);
   RegularTreeStats stats = CollectStats(tree);
   EXPECT_EQ(stats.pairs, 150000u);
@@ -59,7 +59,7 @@ TEST(RegularStats, OccupancyDropsAfterDeletes) {
   PageRegistry registry;
   RegularBTree<Key64>::Config config;
   RegularBTree<Key64> tree(config, &registry);
-  auto data = GenerateDataset<Key64>(50000, /*seed=*/3);
+  auto data = workload::GenerateDataset<Key64>(50000, /*seed=*/3);
   tree.Build(data);
   const double before = CollectStats(tree).leaf_occupancy;
   for (std::size_t i = 0; i < data.size(); i += 2) {
@@ -77,7 +77,7 @@ TEST(RegularStats, HeightBoundsMatchPaperEquation2) {
   RegularBTree<Key64>::Config config;
   RegularBTree<Key64> tree(config, &registry);
   for (std::size_t n : {10000ull, 1000000ull}) {
-    auto data = GenerateDataset<Key64>(n, /*seed=*/4);
+    auto data = workload::GenerateDataset<Key64>(n, /*seed=*/4);
     tree.Build(data);
     const double lower = std::log(n / 4.0 + 1) / std::log(32.0);
     const double upper =

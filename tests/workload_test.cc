@@ -1,10 +1,11 @@
-// Determinism and distribution tests for the YCSB-style workload
-// generators (src/workload/). The golden values pin the exact streams:
-// the generators use only fixed-width integer math (Q32.32 fixed point
-// for Zipf/zeta, xoshiro256**/SplitMix64 for randomness — no libc rand,
-// no libm pow/log), so identical seeds must produce identical key and op
-// streams on every platform. A golden mismatch means the stream format
-// changed and every checked-in workload baseline is invalid.
+// Determinism and distribution tests for the workload generators
+// (src/workload/): the YCSB-style datasets, key choosers and op streams,
+// and the paper's generators (paper.h). The golden values pin the exact
+// streams: the YCSB generators use only fixed-width integer math (Q32.32
+// fixed point for Zipf/zeta, xoshiro256**/SplitMix64 for randomness — no
+// libc rand, no libm pow/log), so identical seeds must produce identical
+// key and op streams on every platform. A golden mismatch means the stream
+// format changed and every checked-in workload baseline is invalid.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "workload/fixed_point.h"
 #include "workload/key_chooser.h"
 #include "workload/op_stream.h"
+#include "workload/paper.h"
 #include "workload/spec.h"
 
 namespace hbtree::workload {
@@ -422,6 +424,253 @@ TEST(OpStream, LatestMixReachesItsOwnInserts) {
   // Latest skew: a solid share of reads target records inserted during
   // the run, even though they are a sliver of the key population.
   EXPECT_GT(reads_of_inserted, 1000);
+}
+
+// ---------------------------------------------------------------------------
+// The paper's generators: Section 6.3's distributions (its parameters) and
+// Section 6.1's dataset, lookup, range and update streams.
+// ---------------------------------------------------------------------------
+
+class DistributionTest : public ::testing::TestWithParam<Distribution> {};
+
+TEST_P(DistributionTest, SamplesInUnitInterval) {
+  DistributionSampler sampler(GetParam(), 11);
+  for (int i = 0; i < 20000; ++i) {
+    double v = sampler.Next();
+    ASSERT_GE(v, 0.0) << DistributionName(GetParam());
+    ASSERT_LE(v, 1.0) << DistributionName(GetParam());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDistributions, DistributionTest,
+                         ::testing::Values(Distribution::kUniform,
+                                           Distribution::kNormal,
+                                           Distribution::kGamma,
+                                           Distribution::kZipf),
+                         [](const auto& info) {
+                           return DistributionName(info.param);
+                         });
+
+TEST(Distributions, NormalMeanAndSpread) {
+  DistributionSampler sampler(Distribution::kNormal, 12);
+  double sum = 0;
+  int mid = 0;
+  const int n = 50000;
+  for (int i = 0; i < n; ++i) {
+    double v = sampler.Next();
+    sum += v;
+    if (v > 0.25 && v < 0.75) ++mid;
+  }
+  EXPECT_NEAR(sum / n, 0.5, 0.02);  // mu = 0.5
+  // sigma ~ 0.354: ~52% of mass within +-0.25 of the mean.
+  EXPECT_GT(static_cast<double>(mid) / n, 0.4);
+  EXPECT_LT(static_cast<double>(mid) / n, 0.65);
+}
+
+TEST(Distributions, GammaSkewsLow) {
+  DistributionSampler sampler(Distribution::kGamma, 13);
+  int low = 0;
+  const int n = 50000;
+  for (int i = 0; i < n; ++i) {
+    if (sampler.Next() < 0.3) ++low;
+  }
+  // Gamma(3,3)/45: mean 9/45 = 0.2 -> most mass below 0.3.
+  EXPECT_GT(static_cast<double>(low) / n, 0.6);
+}
+
+TEST(Distributions, ZipfIsHeavilySkewed) {
+  DistributionSampler sampler(Distribution::kZipf, 14);
+  int rank1 = 0;
+  const int n = 50000;
+  for (int i = 0; i < n; ++i) {
+    // Rank 1 maps to 0.0 exactly; rank 2 to ~6e-8.
+    if (sampler.Next() < 3e-8) ++rank1;
+  }
+  // Zipf(2): P(rank 1) = 1/zeta(2) ~ 0.61.
+  EXPECT_NEAR(static_cast<double>(rank1) / n, 0.61, 0.05);
+}
+
+TEST(Distributions, QueriesNeverHitTheSentinel) {
+  // The 64-bit domain rounds to 2^64, one past the largest key, so a
+  // sample clamped to 1.0 (about 8% of the Normal stream) must not turn
+  // into the empty-slot sentinel.
+  for (Distribution d : {Distribution::kUniform, Distribution::kNormal,
+                         Distribution::kGamma, Distribution::kZipf}) {
+    for (const Key64 key : MakeDistributedQueries<Key64>(1 << 16, d, 5)) {
+      ASSERT_NE(key, KeyTraits<Key64>::kMax) << DistributionName(d);
+    }
+  }
+}
+
+TEST(Distributions, ParseRoundTrips) {
+  for (Distribution d : {Distribution::kUniform, Distribution::kNormal,
+                         Distribution::kGamma, Distribution::kZipf}) {
+    EXPECT_EQ(ParseDistribution(DistributionName(d)), d);
+  }
+}
+
+using KeyTypes = ::testing::Types<Key64, Key32>;
+template <typename K>
+class WorkloadTypedTest : public ::testing::Test {};
+TYPED_TEST_SUITE(WorkloadTypedTest, KeyTypes);
+
+TYPED_TEST(WorkloadTypedTest, DatasetIsSortedAndUnique) {
+  using K = TypeParam;
+  auto data = GenerateDataset<K>(50000, 16);
+  ASSERT_EQ(data.size(), 50000u);
+  for (std::size_t i = 1; i < data.size(); ++i) {
+    ASSERT_LT(data[i - 1].key, data[i].key);
+  }
+  for (const auto& kv : data) ASSERT_NE(kv.key, KeyTraits<K>::kMax);
+}
+
+TYPED_TEST(WorkloadTypedTest, LookupQueriesArePermutationOfKeys) {
+  using K = TypeParam;
+  auto data = GenerateDataset<K>(10000, 17);
+  auto queries = MakeLookupQueries(data, 18);
+  ASSERT_EQ(queries.size(), data.size());
+  std::vector<K> sorted = queries;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    ASSERT_EQ(sorted[i], data[i].key);
+  }
+}
+
+TYPED_TEST(WorkloadTypedTest, UpdateBatchRespectsFractionAndValidity) {
+  using K = TypeParam;
+  auto data = GenerateDataset<K>(20000, 19);
+  auto batch = MakeUpdateBatch<K>(data, 1000, /*insert_fraction=*/0.6, 20);
+  ASSERT_EQ(batch.size(), 1000u);
+  std::size_t inserts = 0;
+  std::set<K> delete_keys;
+  for (const auto& update : batch) {
+    auto it = std::lower_bound(
+        data.begin(), data.end(), update.pair.key,
+        [](const KeyValue<K>& kv, K k) { return kv.key < k; });
+    const bool exists = it != data.end() && it->key == update.pair.key;
+    if (update.kind == UpdateQuery<K>::Kind::kInsert) {
+      ++inserts;
+      EXPECT_FALSE(exists);  // inserts are fresh keys
+    } else {
+      EXPECT_TRUE(exists);  // deletes target existing keys
+      EXPECT_TRUE(delete_keys.insert(update.pair.key).second)
+          << "duplicate delete";
+    }
+  }
+  EXPECT_EQ(inserts, 600u);
+}
+
+TYPED_TEST(WorkloadTypedTest, RangeQueriesStartAtExistingKeys) {
+  using K = TypeParam;
+  auto data = GenerateDataset<K>(5000, 21);
+  auto rq = MakeRangeQueries(data, 200, 16, 22);
+  for (const auto& query : rq) {
+    auto it = std::lower_bound(
+        data.begin(), data.end(), query.first_key,
+        [](const KeyValue<K>& kv, K k) { return kv.key < k; });
+    ASSERT_TRUE(it != data.end() && it->key == query.first_key);
+    EXPECT_EQ(query.match_count, 16);
+  }
+}
+
+TEST(Workload, Generate32BitHandlesCollisions) {
+  // 2^20 keys from a 2^32 domain: collisions certain during generation,
+  // output must still be unique.
+  auto data = GenerateDataset<Key32>(1 << 20, 23);
+  ASSERT_EQ(data.size(), std::size_t{1} << 20);
+  for (std::size_t i = 1; i < data.size(); ++i) {
+    ASSERT_LT(data[i - 1].key, data[i].key);
+  }
+}
+
+// 64-bit FNV-1a over the fields fed to it, each little-endian byte by
+// byte. Fields, not raw structs: RangeQuery and UpdateQuery carry padding.
+class Fnv1a {
+ public:
+  template <typename T>
+  void Add(T field) {
+    const auto bits = static_cast<std::uint64_t>(field);
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      hash_ = (hash_ ^ ((bits >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+template <typename K>
+std::uint64_t HashPairs(const std::vector<KeyValue<K>>& pairs) {
+  Fnv1a hash;
+  for (const KeyValue<K>& kv : pairs) {
+    hash.Add(kv.key);
+    hash.Add(kv.value);
+  }
+  return hash.value();
+}
+
+template <typename K>
+std::uint64_t HashKeys(const std::vector<K>& keys) {
+  Fnv1a hash;
+  for (const K key : keys) hash.Add(key);
+  return hash.value();
+}
+
+// Every figure bench builds its tree and queries with these generators, so
+// the golden hashes pin the BENCH_paper/ baselines' inputs draw for draw.
+TEST(PaperGenerators, GoldenDatasets) {
+  // 2^20 draws from the 2^32 domain collide about 128 times, so the
+  // 32-bit dataset also runs the top-up rounds.
+  struct Golden {
+    std::uint64_t seed, key64, key32;
+  };
+  const Golden goldens[] = {
+      {1, 0x3eb713624591334aull, 0xf7c89f4d62a4c1c9ull},
+      {42, 0xb3b738a8d9f94005ull, 0x155e023b3de7ff09ull}};
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE(golden.seed);
+    EXPECT_EQ(HashPairs(GenerateDataset<Key64>(1 << 16, golden.seed)),
+              golden.key64);
+    EXPECT_EQ(HashPairs(GenerateDataset<Key32>(1 << 20, golden.seed)),
+              golden.key32);
+  }
+}
+
+TEST(PaperGenerators, GoldenQueryStreams) {
+  // Normal, Gamma and Zipf samples go through libm (log, cos, pow), whose
+  // last bits may differ between toolchains, so only the uniform stream
+  // is pinned; Fig 12's report covers the other three.
+  struct Golden {
+    std::uint64_t seed, lookups, ranges, updates, uniform;
+  };
+  const Golden goldens[] = {
+      {1, 0x0827d7c15bb9f2b0ull, 0x87c1b4344ce577acull, 0x3b96c3396e2ab730ull,
+       0x87635dd1b699f2baull},
+      {42, 0x1a3d1b87c90e6585ull, 0xe575ef23e2ac482aull, 0x98795c4ea8d38e82ull,
+       0x7e8455453ee59dadull}};
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE(golden.seed);
+    const auto data = GenerateDataset<Key64>(1 << 16, golden.seed);
+    EXPECT_EQ(HashKeys(MakeLookupQueries(data, golden.seed)), golden.lookups);
+    Fnv1a ranges;
+    for (const auto& query : MakeRangeQueries(data, 4096, 16, golden.seed)) {
+      ranges.Add(query.first_key);
+      ranges.Add(query.match_count);
+    }
+    EXPECT_EQ(ranges.value(), golden.ranges);
+    Fnv1a updates;
+    for (const auto& update :
+         MakeUpdateBatch(data, 4096, /*insert_fraction=*/0.5, golden.seed)) {
+      updates.Add(update.kind);
+      updates.Add(update.pair.key);
+      updates.Add(update.pair.value);
+    }
+    EXPECT_EQ(updates.value(), golden.updates);
+    EXPECT_EQ(HashKeys(MakeDistributedQueries<Key64>(
+                  1 << 16, Distribution::kUniform, golden.seed)),
+              golden.uniform);
+  }
 }
 
 }  // namespace
